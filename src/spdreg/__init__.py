@@ -30,23 +30,16 @@ from .filters import (
 )
 from .manifold import (
     Embedding,
-    FactorMat,
     FeatureMatrix,
     dist_geometric,
     dist_wasserstein,
     embed,
     factorize,
     fit_embedding,
-    log_geometric,
-    log_wasserstein,
     mean_euclidean,
     mean_geometric,
     mean_wasserstein,
     no_affine_invariance_witness,
-    vec_euclidean,
-    vec_geometric,
-    vec_logdiag,
-    vec_wasserstein,
 )
 from .regress import (
     CVReport,
@@ -58,6 +51,6 @@ from .regress import (
     run_pipeline_cv,
 )
 from .simgen import GenerativeConfig, make_mixing, sample_bundle, sweep
-from .symmat import EigenPairs, SymMat, eigh, numerical_rank, svd_rect, sym_func
+from .symmat import EigenPairs, SymMat, eigh, numerical_rank, sym_func
 
 __version__ = "0.1.0"

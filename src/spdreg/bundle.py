@@ -27,7 +27,8 @@ from .symmat import SymMat
 FLOAT_FMT = "%.17g"
 
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """Lossless 17-significant-digit decimal of a float."""
     return FLOAT_FMT % x
 
 
@@ -88,9 +89,9 @@ def write_covb(path, bundle: CovarianceBundle) -> None:
     p = bundle.dim
     lines = [f"COVB v1 {bundle.n} {p} {bundle.nominal_rank}"]
     for mat, label in zip(bundle.matrices, bundle.labels):
-        lines.append("y " + _fmt(label))
+        lines.append("y " + fmt_float(label))
         for row in mat.data:
-            lines.append(" ".join(_fmt(x) for x in row))
+            lines.append(" ".join(fmt_float(x) for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -21,13 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import filters, manifold, regress, simgen
-from .bundle import FLOAT_FMT, read_covb, write_covb
+from .bundle import fmt_float, read_covb, write_covb
 from .errors import ConfigError, NumericalError
 from .symmat import SymMat
-
-
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % x
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +240,10 @@ def _pipeline_spec(opts) -> regress.PipelineSpec:
     )
 
 
-def _effective_rank(spec: regress.PipelineSpec, bund) -> int:
-    if spec.filter_kind == "identity":
-        return bund.dim
-    if spec.filter_kind == "mne":
-        return spec.leadfield.g.shape[1]
-    return spec.filter_rank
-
-
 def _write_matrix_file(path, header: str, rows) -> None:
     lines = [header]
     for row in rows:
-        lines.append(" ".join(_fmt(x) for x in np.atleast_1d(row)))
+        lines.append(" ".join(fmt_float(x) for x in np.atleast_1d(row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -271,20 +259,20 @@ def write_model(path, state: regress.FoldState) -> None:
     lines.append(f"embedding {emb.kind} {emb.rank if emb.rank is not None else 0}")
     lines.append(f"filter {filt.kind} {p} {r}")
     for row in filt.w:
-        lines.append(" ".join(_fmt(x) for x in row))
-    lines.append(("filter_eigs " + " ".join(_fmt(x) for x in filt.eigenvalues)).rstrip())
+        lines.append(" ".join(fmt_float(x) for x in row))
+    lines.append(("filter_eigs " + " ".join(fmt_float(x) for x in filt.eigenvalues)).rstrip())
     if emb.reference is None:
         lines.append("reference none")
     else:
         lines.append(f"reference {emb.reference.dim}")
         for row in emb.reference.data:
-            lines.append(" ".join(_fmt(x) for x in row))
+            lines.append(" ".join(fmt_float(x) for x in row))
     lines.append(
-        f"ridge {model.beta.size} {_fmt(model.lambda_star)} {_fmt(model.intercept)}"
+        f"ridge {model.beta.size} {fmt_float(model.lambda_star)} {fmt_float(model.intercept)}"
     )
-    lines.append("mean " + " ".join(_fmt(x) for x in model.feature_mean))
-    lines.append("scale " + " ".join(_fmt(x) for x in model.feature_scale))
-    lines.append("beta " + " ".join(_fmt(x) for x in model.beta))
+    lines.append("mean " + " ".join(fmt_float(x) for x in model.feature_mean))
+    lines.append("scale " + " ".join(fmt_float(x) for x in model.feature_scale))
+    lines.append("beta " + " ".join(fmt_float(x) for x in model.beta))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -386,8 +374,9 @@ def cmd_eval(opts) -> int:
         raise ConfigError(f"folds must be in [2, {bund.n}], got {folds}")
     spec = _pipeline_spec(opts)
     report = regress.run_pipeline_cv(bund, spec, folds, seed=opts["seed"])
-    rows = regress.results_rows(spec, report, rank=_effective_rank(spec, bund))
-    regress.write_results_csv(opts["out"], rows)
+    rank = regress.effective_rank(spec, bund.dim)
+    rows = regress.results_rows(spec, report, rank=rank)
+    regress.write_csv(opts["out"], regress.RESULTS_HEADER, rows)
     print(
         f"evaluated {spec.label} folds={folds} seed={opts['seed']} "
         f"mean_mae={report.mean_mae:.6g} -> {opts['out']}"
@@ -488,7 +477,7 @@ def cmd_sweep(opts) -> int:
         repeats=opts["repeats"],
         jobs=jobs,
     )
-    simgen.write_sweep_csv(opts["out"], rows)
+    regress.write_csv(opts["out"], simgen.SWEEP_HEADER, rows)
     errors = sum(1 for r in rows if r["error"])
     print(
         f"swept {opts['axis']} over {len(opts['values'])} values x {len(specs)} pipelines "
@@ -522,10 +511,7 @@ def cmd_embed(opts) -> int:
             f"unknown embedding {kind!r}; expected one of {manifold.EMBEDDING_KINDS}"
         )
     rank = opts["rank"] if opts["rank"] > 0 else bund.nominal_rank
-    if kind == "wasserstein":
-        embedding = manifold.fit_embedding(bund.matrices, kind, rank=rank)
-    else:
-        embedding = manifold.fit_embedding(bund.matrices, kind)
+    embedding = manifold.fit_embedding(bund.matrices, kind, rank=rank)
     feats = manifold.embed(embedding, bund.matrices)
     _write_matrix_file(opts["out"], f"FEAT v1 {feats.n} {feats.k}", feats.rows)
     print(f"embedded n={feats.n} k={feats.k} kind={kind} -> {opts['out']}")
@@ -535,10 +521,10 @@ def cmd_embed(opts) -> int:
 def cmd_witness(opts) -> int:
     a, b, dists = manifold.no_affine_invariance_witness()
     lines = ["rank-deficient pair: congruence by diag(1, eps) shrinks the distance"]
-    lines.append("wasserstein distance d(a, b) = " + _fmt(manifold.dist_wasserstein(a, b)))
+    lines.append("wasserstein distance d(a, b) = " + fmt_float(manifold.dist_wasserstein(a, b)))
     lines.append("eps distance")
     for eps, d in zip(manifold.WITNESS_EPSILONS, dists):
-        lines.append(f"{_fmt(eps)} {_fmt(d)}")
+        lines.append(f"{fmt_float(eps)} {fmt_float(d)}")
     decreasing = all(d1 > d2 for d1, d2 in zip(dists, dists[1:]))
     lines.append(f"strictly decreasing: {'yes' if decreasing else 'no'}")
     text = "\n".join(lines) + "\n"

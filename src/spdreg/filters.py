@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import FLOAT_FMT, CovarianceBundle
+from .bundle import CovarianceBundle, fmt_float
 from .errors import (
     ConfigError,
     DegenerateDesign,
@@ -194,7 +194,7 @@ def write_leadfield(path, lead: Leadfield) -> None:
     p, q = lead.g.shape
     lines = [f"LEADFIELD v1 {p} {q}"]
     for row in lead.g:
-        lines.append(" ".join(FLOAT_FMT % x for x in row))
+        lines.append(" ".join(fmt_float(x) for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

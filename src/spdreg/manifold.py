@@ -11,9 +11,10 @@ provided, plus the log-diagonal baseline:
 * ``logdiag`` -- elementwise log of the diagonal.
 
 Reference points are Frechet means under the matching metric, computed by
-iterative solvers with explicit gradient-norm stopping rules. Distances,
-logs, and vectorizations are pure functions; the means are deterministic
-given their inputs.
+iterative solvers with explicit gradient-norm stopping rules. Every
+operation on samples takes the whole ``(n, p, p)`` stack at once; distances
+and :func:`embed` are pure functions, and the means are deterministic given
+their inputs.
 """
 
 from __future__ import annotations
@@ -27,10 +28,11 @@ from .errors import (
     NoConvergence,
     NonPositiveDiagonal,
     NotPSD,
+    NumericalFailure,
     RankMismatch,
     SingularMatrix,
 )
-from .symmat import RANK_TOL, SymMat, eigh, numerical_rank, svd_rect, sym_func
+from .symmat import RANK_TOL, SymMat, eigh, numerical_rank
 
 EMBEDDING_KINDS = ("euclidean", "geometric", "wasserstein", "logdiag")
 
@@ -58,13 +60,12 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def _spd_basis(m: SymMat):
-    """Eigen-factors (inv_sqrt, sqrt) of a full-rank SPD matrix."""
-    ep = eigh(m)
-    w, v = ep.values, ep.vectors
-    if w[-1] <= RANK_TOL * w[0] or w[0] <= 0:
+def _whiten(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(m^-1/2, m^1/2)`` of a full-rank SPD matrix from one eigendecomposition."""
+    w, v = np.linalg.eigh(_sym(m))
+    if w[0] <= RANK_TOL * w[-1] or w[-1] <= 0:
         raise SingularMatrix(
-            "a full-rank SPD matrix is required", smallest_eigenvalue=w[-1]
+            "a full-rank SPD matrix is required", smallest_eigenvalue=float(w[0])
         )
     isq = (v / np.sqrt(w)) @ v.T
     sq = (v * np.sqrt(w)) @ v.T
@@ -115,7 +116,7 @@ def dist_geometric(s: SymMat, t: SymMat) -> float:
     """
     if s.dim != t.dim:
         raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
-    isq, _ = _spd_basis(s)
+    isq, _ = _whiten(s.data)
     w = np.linalg.eigvalsh(_sym(isq @ t.data @ isq))
     if w[0] <= RANK_TOL * w[-1] or w[-1] <= 0:
         raise SingularMatrix(
@@ -155,110 +156,62 @@ def dist_wasserstein(s: SymMat, t: SymMat) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Log maps and vectorizations
+# Fixed-rank factors and their log maps
 # ---------------------------------------------------------------------------
 
 
-def log_geometric(base: SymMat, s: SymMat) -> SymMat:
-    """Tangent vector at ``base`` pointing to ``s`` (affine-invariant metric).
+def factorize(stack: np.ndarray, r: int) -> np.ndarray:
+    """Eigen-factors ``y_i = u_r diag(sqrt(w_r))``, shape (n, p, r), of an
+    (n, p, p) stack of rank-``r`` PSD matrices.
 
-    ``base^1/2 log(base^-1/2 s base^-1/2) base^1/2``; the matching
-    exponential map recovers ``s``.
-    """
-    if base.dim != s.dim:
-        raise DimensionMismatch(f"dimensions differ: {base.dim} vs {s.dim}")
-    isq, sq = _spd_basis(base)
-    inner = _logm_spd_stack(isq @ s.data @ isq, "log_geometric")
-    return SymMat(sq @ inner @ sq)
-
-
-def vec_geometric(base: SymMat, s: SymMat) -> np.ndarray:
-    """Isometric coordinates of ``s`` in the tangent space at ``base``.
-
-    Row-major upper triangle of ``log(base^-1/2 s base^-1/2)`` with unit
-    diagonal weights and sqrt(2) off-diagonal weights, so the 2-norm of
-    the result equals ``dist_geometric(base, s)``.
-    """
-    if base.dim != s.dim:
-        raise DimensionMismatch(f"dimensions differ: {base.dim} vs {s.dim}")
-    isq, _ = _spd_basis(base)
-    inner = _logm_spd_stack(isq @ s.data @ isq, "vec_geometric")
-    return _upper(inner)
-
-
-def vec_euclidean(s: SymMat) -> np.ndarray:
-    """Weighted upper-triangle flattening; a Frobenius isometry."""
-    return _upper(s.data)
-
-
-def vec_logdiag(s: SymMat) -> np.ndarray:
-    """Elementwise log of the diagonal; requires positive diagonal entries."""
-    d = np.diag(s.data)
-    if np.any(d <= 0):
-        raise NonPositiveDiagonal(
-            f"diagonal entries must be positive (min {d.min():.3e})"
-        )
-    return np.log(d)
-
-
-@dataclass(frozen=True)
-class FactorMat:
-    """Rank-``r`` factor ``y`` (shape p x r) of a PSD matrix ``y @ y.T``."""
-
-    y: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.y, dtype=np.float64)
-        if a.ndim != 2 or a.shape[1] < 1:
-            raise ValueError(f"factor must be a p x r matrix, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("factor entries must be finite")
-        object.__setattr__(self, "y", a)
-
-    @property
-    def p(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.y.shape[1]
-
-
-def factorize(s: SymMat, r: int) -> FactorMat:
-    """Eigen-factor ``y = u_r diag(sqrt(w_r))`` of a rank-``r`` PSD matrix.
+    One eigendecomposition per slice applies the PSD and rank rule of
+    :func:`~spdreg.symmat.numerical_rank` and gives the factor, with the
+    column order and signs of :func:`~spdreg.symmat.eigh`.
 
     Raises
     ------
-    RankMismatch
-        If the numerical rank of ``s`` differs from ``r``.
+    NotPSD, RankMismatch
+        Naming the first slice that is not PSD or not of rank ``r``.
     """
-    if not 1 <= r <= s.dim:
-        raise ValueError(f"rank must be in [1, {s.dim}], got {r}")
-    nr = numerical_rank(s)
-    if nr != r:
-        raise RankMismatch(f"numerical rank is {nr}, expected {r}")
-    ep = eigh(s)
-    return FactorMat(ep.vectors[:, :r] * np.sqrt(ep.values[:r]))
-
-
-def log_wasserstein(base: FactorMat, s: FactorMat) -> np.ndarray:
-    """Tangent vector in factor space from ``base`` toward ``s``.
-
-    ``s.y @ (v @ u.T) - base.y`` where ``u s v.T`` is the SVD of
-    ``base.y.T @ s.y``; its Frobenius norm equals the Wasserstein
-    distance between the reconstructed matrices.
-    """
-    if base.y.shape != s.y.shape:
-        raise DimensionMismatch(
-            f"factor shapes differ: {base.y.shape} vs {s.y.shape}"
+    p = stack.shape[-1]
+    if not 1 <= r <= p:
+        raise ValueError(f"rank must be in [1, {p}], got {r}")
+    try:
+        w, v = np.linalg.eigh(stack)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
+    tau = RANK_TOL * w[:, -1]
+    bad = np.flatnonzero(w[:, 0] < -tau)
+    if bad.size:
+        i = bad[0]
+        raise NotPSD(
+            f"sample {i} is not PSD (smallest eigenvalue {w[i, 0]:.3e}, "
+            f"threshold {-tau[i]:.3e})"
         )
-    u, _, v = svd_rect(base.y.T @ s.y)
-    return s.y @ (v @ u.T) - base.y
+    ranks = np.count_nonzero(w > tau[:, None], axis=1)
+    bad = np.flatnonzero(ranks != r)
+    if bad.size:
+        i = bad[0]
+        raise RankMismatch(f"sample {i}: numerical rank is {ranks[i]}, expected {r}")
+    # Stable descending sort keeps the solver's order inside tie blocks.
+    order = np.argsort(-w, axis=1, kind="stable")[:, :r]
+    y = np.take_along_axis(v, order[:, None, :], axis=2)
+    del v  # the full eigenvector stack is the largest array here
+    lead = np.argmax(np.abs(y), axis=1)
+    signs = np.sign(np.take_along_axis(y, lead[:, None, :], axis=1))
+    signs[signs == 0] = 1.0
+    y *= signs
+    y *= np.sqrt(np.take_along_axis(w, order, axis=1))[:, None, :]
+    return y
 
 
-def vec_wasserstein(base: FactorMat, s: FactorMat) -> np.ndarray:
-    """Row-major flattening of :func:`log_wasserstein` (length p*r)."""
-    return log_wasserstein(base, s).reshape(-1)
+def _wass_logs(y: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Factor-space log maps ``f_i @ (v_i @ u_i.T) - y`` from ``y`` to each
+    factor ``f_i``, for the SVD ``u_i s_i v_i.T`` of ``y.T @ f_i``; the
+    Frobenius norm of each equals the Wasserstein distance."""
+    u, _, vh = np.linalg.svd(y.T @ factors)
+    q = vh.swapaxes(-1, -2) @ u.swapaxes(-1, -2)
+    return factors @ q - y
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +226,7 @@ def mean_euclidean(mats) -> SymMat:
 
 def _geo_state(m: np.ndarray, stack: np.ndarray):
     """One whitening pass: (sqrt factor, gradient sum, objective)."""
-    w, v = np.linalg.eigh(_sym(m))
-    if w[0] <= RANK_TOL * w[-1] or w[-1] <= 0:
-        raise SingularMatrix(
-            "mean iterate lost positive definiteness", smallest_eigenvalue=float(w[0])
-        )
-    isq = (v / np.sqrt(w)) @ v.T
-    sq = (v * np.sqrt(w)) @ v.T
+    isq, sq = _whiten(m)
     logs = _logm_spd_stack(isq @ stack @ isq, "mean_geometric")
     grad = logs.sum(axis=0)
     obj = float(np.sum(logs * logs))
@@ -332,9 +279,7 @@ def mean_geometric(mats, max_iter: int = 300, tol: float | None = None) -> SymMa
 
 def _wass_state(y: np.ndarray, factors: np.ndarray):
     """Log maps from ``y`` to every sample factor: (gradient sum, objective)."""
-    u, _, vh = np.linalg.svd(y.T @ factors)
-    q = vh.swapaxes(-1, -2) @ u.swapaxes(-1, -2)
-    logs = factors @ q - y
+    logs = _wass_logs(y, factors)
     return logs.sum(axis=0), float(np.sum(logs * logs))
 
 
@@ -363,7 +308,7 @@ def mean_wasserstein(
     n, p = stack.shape[0], stack.shape[1]
     if tol is None:
         tol = 1e-7 * np.sqrt(p * r)
-    factors = np.stack([factorize(c, r).y for c in mats])
+    factors = factorize(stack, r)
     ep = eigh(SymMat(stack.mean(axis=0)))
     y = ep.vectors[:, :r] * np.sqrt(np.clip(ep.values[:r], 0.0, None))
     grad_sum, obj = _wass_state(y, factors)
@@ -467,26 +412,13 @@ class FeatureMatrix:
         return self.rows.shape[1]
 
 
-def feature_dim(kind: str, p: int, rank: int | None = None) -> int:
-    """Feature-vector length for a given embedding kind and dimension."""
-    if kind in ("euclidean", "geometric"):
-        return p * (p + 1) // 2
-    if kind == "wasserstein":
-        if rank is None:
-            raise ValueError("wasserstein feature dimension needs a rank")
-        return p * rank
-    if kind == "logdiag":
-        return p
-    raise ValueError(f"unknown embedding kind {kind!r}")
-
-
 def fit_embedding(mats, kind: str, rank: int | None = None) -> Embedding:
     """Compute the reference point of an embedding on a training set.
 
     The reference is the Frechet mean of ``mats`` under the metric that
     matches ``kind``; ``euclidean`` and ``logdiag`` have no reference.
-    For ``wasserstein``, ``rank`` defaults to the numerical rank of the
-    first matrix.
+    Only ``wasserstein`` uses ``rank``, which defaults to the numerical
+    rank of the first matrix.
     """
     if kind == "geometric":
         return Embedding(kind, reference=mean_geometric(mats))
@@ -498,9 +430,21 @@ def fit_embedding(mats, kind: str, rank: int | None = None) -> Embedding:
 
 
 def embed(embedding: Embedding, mats) -> FeatureMatrix:
-    """Vectorize matrices with a fitted embedding."""
+    """Vectorize matrices with a fitted embedding, one row per matrix.
+
+    ``euclidean`` rows are the upper triangle of each matrix (sqrt(2)
+    weights off the diagonal), ``geometric`` rows the same of
+    ``log(m^-1/2 c m^-1/2)`` for the reference ``m``, ``wasserstein`` rows
+    the flattened factor-space log maps from the reference (length
+    ``p * rank``), ``logdiag`` rows the log of the diagonal. The 2-norm
+    of a geometric or wasserstein row is the distance from the reference.
+    """
     stack = _as_stack(mats)
     p = stack.shape[1]
+    if embedding.reference is not None and embedding.reference.dim != p:
+        raise DimensionMismatch(
+            f"reference dim {embedding.reference.dim} vs matrices dim {p}"
+        )
     if embedding.kind == "euclidean":
         rows = _upper(stack)
     elif embedding.kind == "logdiag":
@@ -511,19 +455,10 @@ def embed(embedding: Embedding, mats) -> FeatureMatrix:
             )
         rows = np.log(d)
     elif embedding.kind == "geometric":
-        if embedding.reference.dim != p:
-            raise DimensionMismatch(
-                f"reference dim {embedding.reference.dim} vs matrices dim {p}"
-            )
-        isq, _ = _spd_basis(embedding.reference)
+        isq, _ = _whiten(embedding.reference.data)
         rows = _upper(_logm_spd_stack(isq @ stack @ isq, "embed"))
     else:  # wasserstein
-        if embedding.reference.dim != p:
-            raise DimensionMismatch(
-                f"reference dim {embedding.reference.dim} vs matrices dim {p}"
-            )
-        base = factorize(embedding.reference, embedding.rank)
-        rows = np.stack(
-            [vec_wasserstein(base, factorize(c, embedding.rank)) for c in mats]
-        )
+        base = factorize(embedding.reference.data[None], embedding.rank)[0]
+        logs = _wass_logs(base, factorize(stack, embedding.rank))
+        rows = logs.reshape(len(logs), -1)
     return FeatureMatrix(rows=rows, embedding=embedding)

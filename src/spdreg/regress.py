@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import FLOAT_FMT, CovarianceBundle
+from .bundle import CovarianceBundle, fmt_float
 from .errors import (
     ConfigError,
     DegenerateDesign,
@@ -242,10 +242,7 @@ def fit_fold(train: CovarianceBundle, spec: PipelineSpec) -> FoldState:
     filt = _fit_filter(train, spec)
     projected = apply(filt, train)
     rank = min(filt.rank_out, train.nominal_rank)
-    if spec.embedding_kind == "wasserstein":
-        embedding = fit_embedding(projected.matrices, "wasserstein", rank=rank)
-    else:
-        embedding = fit_embedding(projected.matrices, spec.embedding_kind)
+    embedding = fit_embedding(projected.matrices, spec.embedding_kind, rank=rank)
     feats = embed(embedding, projected.matrices)
     model = fit_ridge_gcv(feats, projected.labels, spec.ridge_grid)
     return FoldState(filt=filt, embedding=embedding, model=model)
@@ -282,7 +279,8 @@ def cross_val_states(
             test = bundle.subset(test_idx)
             yhat = predict_fold(state, test)
         except NumericalError as exc:
-            raise type(exc)(f"fold {k}: {exc}") from exc
+            exc.args = (f"fold {k}: {exc}",)
+            raise
         maes.append(float(np.mean(np.abs(test.labels - yhat))))
         lams.append(state.model.lambda_star)
         states.append(state)
@@ -312,6 +310,16 @@ def run_pipeline_cv(
 # ---------------------------------------------------------------------------
 
 
+def effective_rank(spec: PipelineSpec, p: int) -> int:
+    """The ``rank`` column of result tables: the dimension after the
+    spec's filter on ``p`` sensors (identity ignores ``filter_rank``)."""
+    if spec.filter_kind == "identity":
+        return p
+    if spec.filter_kind == "mne":
+        return spec.leadfield.g.shape[1]
+    return spec.filter_rank
+
+
 def results_rows(spec: PipelineSpec, report: CVReport, rank: int) -> list[dict]:
     """One result row per fold in the results CSV schema."""
     rows = []
@@ -333,14 +341,15 @@ def results_rows(spec: PipelineSpec, report: CVReport, rank: int) -> list[dict]:
 
 def format_csv_value(value) -> str:
     if isinstance(value, float):
-        return FLOAT_FMT % value
+        return fmt_float(value)
     return str(value)
 
 
-def write_results_csv(path, rows) -> None:
-    """Write result rows with 17-significant-digit decimals."""
-    fields = RESULTS_HEADER.split(",")
-    lines = [RESULTS_HEADER]
+def write_csv(path, header: str, rows) -> None:
+    """Write the ``header`` columns of each row with 17-significant-digit
+    decimals."""
+    fields = header.split(",")
+    lines = [header]
     for row in rows:
         lines.append(",".join(format_csv_value(row[f]) for f in fields))
     with open(path, "w") as fh:

@@ -28,7 +28,7 @@ import scipy.linalg
 
 from .bundle import CovarianceBundle
 from .errors import SpdregError
-from .regress import PipelineSpec, run_pipeline_cv
+from .regress import PipelineSpec, effective_rank, run_pipeline_cv
 from .symmat import SymMat
 
 F_KINDS = ("identity", "log", "sqrt")
@@ -140,7 +140,7 @@ def _run_cell(args) -> list[dict]:
         "method": spec.label,
         "filter": spec.filter_kind,
         "embedding": spec.embedding_kind,
-        "rank": spec.filter_rank if spec.filter_rank is not None else cfg.p,
+        "rank": effective_rank(spec, cfg.p),
         "seed": cfg.seed,
     }
     try:
@@ -190,14 +190,3 @@ def sweep(
         per_cell = [_run_cell(cell) for cell in cells]
     return [row for rows in per_cell for row in rows]
 
-
-def write_sweep_csv(path, rows) -> None:
-    """Write sweep rows with 17-significant-digit decimals."""
-    from .regress import format_csv_value
-
-    fields = SWEEP_HEADER.split(",")
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(",".join(format_csv_value(row[f]) for f in fields))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

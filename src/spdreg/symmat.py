@@ -3,8 +3,8 @@
 Every matrix entering the package goes through :class:`SymMat`, which
 symmetrizes once via ``(M + M.T) / 2`` so downstream eigensolvers see an
 exactly symmetric array. Eigenvalue-based functions (``log``, ``sqrt``,
-``inv`` ...), numerical rank, and a thin rectangular SVD live here; all
-of them are pure functions safe to call concurrently.
+``inv`` ...) and numerical rank live here; all of them are pure
+functions safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -154,25 +154,6 @@ def sym_func(m: SymMat, fn: str) -> SymMat:
     else:  # exp
         fw = np.exp(w)
     return SymMat((ep.vectors * fw) @ ep.vectors.T)
-
-
-def svd_rect(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD of a rectangular matrix.
-
-    Returns ``(u, s, v)`` with ``u`` of shape (r, k), ``s`` nonnegative
-    descending of length ``k = min(r, c)``, and ``v`` of shape (c, k),
-    such that ``u @ diag(s) @ v.T`` reconstructs the input.
-    """
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    return u, s, vh.T
 
 
 def numerical_rank(m: SymMat) -> int:

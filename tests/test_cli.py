@@ -217,6 +217,17 @@ class TestSweepCommand:
     def test_unknown_preset_exits_2(self, tmp_path):
         assert run("sweep", "--preset", "fig9", "--out", tmp_path / "s.csv") == 2
 
+    def test_rank_column_matches_eval(self, tmp_path, bundle_file):
+        swept, evaluated = tmp_path / "s.csv", tmp_path / "e.csv"
+        spec = ["--specs", "identity+logdiag:3"]
+        assert run("sweep", "--n", 20, "--axis", "sigma", "--values", "0", *spec,
+                   "--folds", 2, "--repeats", 1, "--jobs", 1, "--out", swept) == 0
+        assert run("eval", "--bundle", bundle_file, "--embedding", "logdiag",
+                   "--rank", 3, "--folds", 2, "--out", evaluated) == 0
+        sweep_ranks = {line.split(",")[6] for line in swept.read_text().splitlines()[1:]}
+        eval_ranks = {line.split(",")[3] for line in evaluated.read_text().splitlines()[1:]}
+        assert sweep_ranks == eval_ranks == {"5"}
+
     def test_preset_deterministic(self, tmp_path):
         o1, o2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
         args = ["sweep", "--preset", "fig3-middle", "--n", 30, "--repeats", 1,

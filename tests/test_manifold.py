@@ -4,24 +4,56 @@ import pytest
 from conftest import rand_invertible, rand_orthogonal, rand_psd_rank, rand_spd
 from spdreg import (
     DimensionMismatch,
-    FactorMat,
     NonPositiveDiagonal,
+    NotPSD,
     RankMismatch,
     SingularMatrix,
     SymMat,
     dist_geometric,
     dist_wasserstein,
+    eigh,
     factorize,
-    log_geometric,
-    log_wasserstein,
     no_affine_invariance_witness,
     sym_func,
-    vec_euclidean,
-    vec_geometric,
-    vec_logdiag,
-    vec_wasserstein,
 )
-from spdreg.manifold import WITNESS_EPSILONS, Embedding, embed, feature_dim, fit_embedding
+from spdreg.manifold import WITNESS_EPSILONS, Embedding, embed, fit_embedding
+
+
+def upper(a):
+    """Reference row-major upper triangle with sqrt(2) off-diagonal weights."""
+    p = a.shape[0]
+    return np.array(
+        [a[i, j] * (1.0 if i == j else np.sqrt(2.0)) for i in range(p) for j in range(i, p)]
+    )
+
+
+def eigen_factor(m, r):
+    """Reference single-matrix factor: top-r eigenpairs of ``eigh``."""
+    ep = eigh(m)
+    return ep.vectors[:, :r] * np.sqrt(ep.values[:r])
+
+
+def procrustes_log(y, f):
+    """Reference single-sample Wasserstein log map from factor y to factor f."""
+    u, _, vh = np.linalg.svd(y.T @ f)
+    return f @ (vh.T @ u.T) - y
+
+
+def geometric_rows(base, mats):
+    return embed(Embedding("geometric", reference=base), mats).rows
+
+
+def wasserstein_rows(base, mats, r):
+    return embed(Embedding("wasserstein", reference=base, rank=r), mats).rows
+
+
+def plain_rows(kind, mats):
+    return embed(Embedding(kind), mats).rows
+
+
+def gram(y):
+    y = np.asarray(y, dtype=float)
+    return SymMat(y @ y.T)
 
 
 class TestDistGeometric:
@@ -122,116 +154,147 @@ class TestLogGeometric:
     def test_zero_at_base(self):
         rng = np.random.default_rng(4)
         s = rand_spd(rng, 3)
-        np.testing.assert_allclose(log_geometric(s, s).data, np.zeros((3, 3)), atol=1e-10)
+        np.testing.assert_allclose(geometric_rows(s, [s]), np.zeros((1, 6)), atol=1e-10)
 
     def test_diagonal_case(self):
-        out = log_geometric(SymMat(np.eye(2)), SymMat(np.diag([np.e, np.e**2])))
-        np.testing.assert_allclose(out.data, np.diag([1.0, 2.0]), atol=1e-12)
+        rows = geometric_rows(SymMat(np.eye(2)), [SymMat(np.diag([np.e, np.e**2]))])
+        np.testing.assert_allclose(rows, [[1.0, 0.0, 2.0]], atol=1e-12)
 
     def test_exp_map_round_trip(self):
         rng = np.random.default_rng(6)
         base, s = rand_spd(rng, 5), rand_spd(rng, 5)
-        xi = log_geometric(base, s)
-        isq = sym_func(base, "inv_sqrt").data
+        row = geometric_rows(base, [s])[0]
+        iu, ju = np.triu_indices(5)
+        inner = np.zeros((5, 5))
+        inner[iu, ju] = inner[ju, iu] = row / np.where(iu == ju, 1.0, np.sqrt(2.0))
         sq = sym_func(base, "sqrt").data
-        inner = SymMat(isq @ xi.data @ isq)
-        back = sq @ sym_func(inner, "exp").data @ sq
+        back = sq @ sym_func(SymMat(inner), "exp").data @ sq
         assert np.linalg.norm(back - s.data) / np.linalg.norm(s.data) <= 1e-8
 
 
 class TestVecGeometric:
     def test_zero_at_base(self):
-        np.testing.assert_allclose(
-            vec_geometric(SymMat(np.eye(2)), SymMat(np.eye(2))), np.zeros(3), atol=1e-12
-        )
+        rows = geometric_rows(SymMat(np.eye(2)), [SymMat(np.eye(2))])
+        np.testing.assert_allclose(rows, np.zeros((1, 3)), atol=1e-12)
 
     def test_diagonal_ordering(self):
         # row-major upper triangle: (0,0), (0,1), (1,1)
-        v = vec_geometric(SymMat(np.eye(2)), SymMat(np.diag([np.e, 1.0])))
-        np.testing.assert_allclose(v, [1.0, 0.0, 0.0], atol=1e-12)
+        rows = geometric_rows(SymMat(np.eye(2)), [SymMat(np.diag([np.e, 1.0]))])
+        np.testing.assert_allclose(rows, [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_norm_equals_distance(self):
         rng = np.random.default_rng(7)
         base, s = rand_spd(rng, 4), rand_spd(rng, 4)
         d = dist_geometric(base, s)
-        assert abs(np.linalg.norm(vec_geometric(base, s)) - d) <= 1e-8 * (1.0 + d)
+        assert abs(np.linalg.norm(geometric_rows(base, [s])) - d) <= 1e-8 * (1.0 + d)
 
 
 class TestVecEuclidean:
     def test_zero_matrix(self):
-        np.testing.assert_allclose(vec_euclidean(SymMat(np.zeros((2, 2)))), np.zeros(3))
+        rows = plain_rows("euclidean", [SymMat(np.zeros((2, 2)))])
+        np.testing.assert_allclose(rows, np.zeros((1, 3)))
 
     def test_diagonal_case(self):
-        np.testing.assert_allclose(
-            vec_euclidean(SymMat(np.diag([1.0, 2.0]))), [1.0, 0.0, 2.0]
-        )
+        rows = plain_rows("euclidean", [SymMat(np.diag([1.0, 2.0]))])
+        np.testing.assert_allclose(rows, [[1.0, 0.0, 2.0]])
 
     def test_frobenius_isometry(self):
         rng = np.random.default_rng(9)
         s, t = rand_spd(rng, 5), rand_spd(rng, 5)
-        gap = np.linalg.norm(vec_euclidean(s) - vec_euclidean(t))
+        rows = plain_rows("euclidean", [s, t])
+        gap = np.linalg.norm(rows[0] - rows[1])
         assert abs(gap - np.linalg.norm(s.data - t.data)) <= 1e-10
 
 
 class TestVecLogdiag:
     def test_identity(self):
-        np.testing.assert_allclose(vec_logdiag(SymMat(np.eye(4))), np.zeros(4))
+        np.testing.assert_allclose(plain_rows("logdiag", [SymMat(np.eye(4))]), np.zeros((1, 4)))
 
     def test_diagonal_values(self):
-        v = vec_logdiag(SymMat(np.diag([np.e, np.e**2])))
-        np.testing.assert_allclose(v, [1.0, 2.0], atol=1e-14)
+        rows = plain_rows("logdiag", [SymMat(np.diag([np.e, np.e**2]))])
+        np.testing.assert_allclose(rows, [[1.0, 2.0]], atol=1e-14)
 
     def test_matches_scalar_log(self):
         rng = np.random.default_rng(10)
         s = rand_spd(rng, 4)
-        np.testing.assert_allclose(vec_logdiag(s), np.log(np.diag(s.data)))
+        np.testing.assert_allclose(plain_rows("logdiag", [s])[0], np.log(np.diag(s.data)))
 
     def test_nonpositive_diagonal_raises(self):
         with pytest.raises(NonPositiveDiagonal):
-            vec_logdiag(SymMat(np.diag([1.0, 0.0])))
+            plain_rows("logdiag", [SymMat(np.eye(2)), SymMat(np.diag([1.0, 0.0]))])
 
 
 class TestFactorize:
     def test_rank_one_diagonal(self):
-        f = factorize(SymMat(np.diag([4.0, 0.0])), 1)
-        np.testing.assert_allclose(f.y, [[2.0], [0.0]], atol=1e-12)
+        y = factorize(np.diag([4.0, 0.0])[None], 1)
+        np.testing.assert_allclose(y, [[[2.0], [0.0]]], atol=1e-12)
 
     def test_identity_full_rank(self):
-        f = factorize(SymMat(np.eye(3)), 3)
-        np.testing.assert_allclose(f.y, np.eye(3), atol=1e-12)
+        y = factorize(np.eye(3)[None], 3)
+        np.testing.assert_allclose(y, [np.eye(3)], atol=1e-12)
 
     def test_random_rank_two_reconstruction(self):
         rng = np.random.default_rng(9)
-        s = rand_psd_rank(rng, 5, 2)
-        f = factorize(s, 2)
-        err = np.linalg.norm(f.y @ f.y.T - s.data) / np.linalg.norm(s.data)
-        assert err <= 1e-8
+        mats = [rand_psd_rank(rng, 5, 2) for _ in range(4)]
+        ys = factorize(np.stack([s.data for s in mats]), 2)
+        assert ys.shape == (4, 5, 2)
+        for s, y in zip(mats, ys):
+            err = np.linalg.norm(y @ y.T - s.data) / np.linalg.norm(s.data)
+            assert err <= 1e-8
+
+    def test_matches_single_matrix_eigen_factor(self):
+        # Order and signs of the factor columns fix the feature coordinates.
+        rng = np.random.default_rng(11)
+        mats = [rand_psd_rank(rng, 5, 3) for _ in range(6)]
+        ys = factorize(np.stack([s.data for s in mats]), 3)
+        for s, y in zip(mats, ys):
+            np.testing.assert_allclose(y, eigen_factor(s, 3), rtol=0, atol=1e-12)
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(RankMismatch):
-            factorize(SymMat(np.eye(3)), 2)
+            factorize(np.eye(3)[None], 2)
+
+    def test_rank_mismatch_names_the_sample(self):
+        rng = np.random.default_rng(12)
+        mats = [rand_psd_rank(rng, 4, 2) for _ in range(4)]
+        mats[2] = rand_psd_rank(rng, 4, 3)
+        with pytest.raises(RankMismatch, match="sample 2"):
+            factorize(np.stack([s.data for s in mats]), 2)
+
+    def test_indefinite_slice_raises(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(NotPSD, match="sample 1"):
+            factorize(stack, 2)
+
+    def test_zero_slice_raises(self):
+        stack = np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2))])
+        with pytest.raises(RankMismatch, match="sample 1"):
+            factorize(stack, 1)
+
+    def test_round_off_negative_eigenvalue_accepted(self):
+        q = rand_orthogonal(np.random.default_rng(13), 3)
+        s = (q * [2.0, 1.0, -1e-14]) @ q.T
+        y = factorize(s[None], 2)[0]
+        expected = (q[:, :2] * [2.0, 1.0]) @ q[:, :2].T
+        np.testing.assert_allclose(y @ y.T, expected, atol=1e-12)
 
 
 class TestLogWasserstein:
     def test_zero_at_same_factor(self):
-        y = FactorMat(np.array([[1.0, 0.0], [0.0, 2.0], [0.5, 0.5]]))
-        np.testing.assert_allclose(log_wasserstein(y, y), np.zeros((3, 2)), atol=1e-12)
+        s = gram([[1.0, 0.0], [0.0, 2.0], [0.5, 0.5]])
+        np.testing.assert_allclose(wasserstein_rows(s, [s], 2), np.zeros((1, 6)), atol=1e-12)
 
     def test_collinear_rank_one(self):
-        base = FactorMat(np.array([[1.0], [0.0]]))
-        other = FactorMat(np.array([[2.0], [0.0]]))
-        log = log_wasserstein(base, other)
-        np.testing.assert_allclose(log, [[1.0], [0.0]], atol=1e-12)
-        d = dist_wasserstein(
-            SymMat(base.y @ base.y.T), SymMat(other.y @ other.y.T)
-        )
-        assert abs(np.linalg.norm(log) - d) <= 1e-10
+        base, other = gram([[1.0], [0.0]]), gram([[2.0], [0.0]])
+        rows = wasserstein_rows(base, [other], 1)
+        np.testing.assert_allclose(rows, [[1.0, 0.0]], atol=1e-12)
+        assert abs(np.linalg.norm(rows) - dist_wasserstein(base, other)) <= 1e-10
 
     def test_norm_matches_distance_full_rank(self):
         rng = np.random.default_rng(15)
         for _ in range(10):
             s, t = rand_spd(rng, 3), rand_spd(rng, 3)
-            log = log_wasserstein(factorize(s, 3), factorize(t, 3))
+            log = wasserstein_rows(s, [t], 3)
             d = dist_wasserstein(s, t)
             assert abs(np.linalg.norm(log) - d) <= 1e-6
 
@@ -239,33 +302,28 @@ class TestLogWasserstein:
         rng = np.random.default_rng(16)
         for _ in range(10):
             s, t = rand_psd_rank(rng, 5, 2), rand_psd_rank(rng, 5, 2)
-            log = log_wasserstein(factorize(s, 2), factorize(t, 2))
+            log = wasserstein_rows(s, [t], 2)
             assert np.linalg.norm(log) >= dist_wasserstein(s, t) - 1e-6
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatch):
-            log_wasserstein(
-                FactorMat(np.ones((3, 1))), FactorMat(np.ones((3, 2)))
-            )
+            wasserstein_rows(gram(np.ones((3, 1))), [gram(np.ones((2, 1)))], 1)
 
 
 class TestVecWasserstein:
     def test_identical_inputs(self):
-        y = FactorMat(np.array([[1.0], [2.0]]))
-        np.testing.assert_allclose(vec_wasserstein(y, y), np.zeros(2), atol=1e-12)
+        s = gram([[1.0], [2.0]])
+        np.testing.assert_allclose(wasserstein_rows(s, [s], 1), np.zeros((1, 2)), atol=1e-12)
 
     def test_rank_one_case(self):
-        v = vec_wasserstein(
-            FactorMat(np.array([[1.0], [0.0]])), FactorMat(np.array([[2.0], [0.0]]))
-        )
-        np.testing.assert_allclose(v, [1.0, 0.0], atol=1e-12)
+        rows = wasserstein_rows(gram([[1.0], [0.0]]), [gram([[2.0], [0.0]])], 1)
+        np.testing.assert_allclose(rows, [[1.0, 0.0]], atol=1e-12)
 
     def test_length_contract(self):
         rng = np.random.default_rng(18)
         s = rand_psd_rank(rng, 5, 3)
-        t = rand_psd_rank(rng, 5, 3)
-        v = vec_wasserstein(factorize(s, 3), factorize(t, 3))
-        assert v.shape == (15,)
+        mats = [rand_psd_rank(rng, 5, 3) for _ in range(2)]
+        assert wasserstein_rows(s, mats, 3).shape == (2, 15)
 
 
 class TestWitness:
@@ -285,10 +343,13 @@ class TestWitness:
 
 class TestEmbedding:
     def test_feature_dims(self):
-        assert feature_dim("euclidean", 5) == 15
-        assert feature_dim("geometric", 5) == 15
-        assert feature_dim("wasserstein", 5, rank=3) == 15
-        assert feature_dim("logdiag", 5) == 5
+        rng = np.random.default_rng(19)
+        spd = [rand_spd(rng, 5) for _ in range(3)]
+        low = [rand_psd_rank(rng, 5, 3) for _ in range(3)]
+        assert embed(fit_embedding(spd, "euclidean"), spd).k == 15
+        assert embed(fit_embedding(spd, "geometric"), spd).k == 15
+        assert embed(fit_embedding(low, "wasserstein", rank=3), low).k == 15
+        assert embed(fit_embedding(spd, "logdiag"), spd).k == 5
 
     def test_geometric_requires_full_rank_reference(self):
         with pytest.raises(SingularMatrix):
@@ -305,24 +366,24 @@ class TestEmbedding:
         emb = fit_embedding(mats, "euclidean")
         rows = embed(emb, mats).rows
         for i, m in enumerate(mats):
-            np.testing.assert_allclose(rows[i], vec_euclidean(m), atol=1e-12)
+            np.testing.assert_allclose(rows[i], upper(m.data), atol=1e-12)
 
         emb = fit_embedding(mats, "geometric")
         rows = embed(emb, mats).rows
+        isq = sym_func(emb.reference, "inv_sqrt").data
         for i, m in enumerate(mats):
-            np.testing.assert_allclose(
-                rows[i], vec_geometric(emb.reference, m), atol=1e-10
-            )
+            log = sym_func(SymMat(isq @ m.data @ isq), "log").data
+            np.testing.assert_allclose(rows[i], upper(log), atol=1e-10)
 
-        emb = fit_embedding(mats, "wasserstein", rank=4)
-        base = factorize(emb.reference, 4)
-        rows = embed(emb, mats).rows
-        for i, m in enumerate(mats):
-            np.testing.assert_allclose(
-                rows[i], vec_wasserstein(base, factorize(m, 4)), atol=1e-10
-            )
+        for r, stack in ((4, mats), (2, [rand_psd_rank(rng, 4, 2) for _ in range(6)])):
+            emb = fit_embedding(stack, "wasserstein", rank=r)
+            base = eigen_factor(emb.reference, r)
+            rows = embed(emb, stack).rows
+            for i, m in enumerate(stack):
+                log = procrustes_log(base, eigen_factor(m, r))
+                np.testing.assert_allclose(rows[i], log.reshape(-1), atol=1e-10)
 
         emb = fit_embedding(mats, "logdiag")
         rows = embed(emb, mats).rows
         for i, m in enumerate(mats):
-            np.testing.assert_allclose(rows[i], vec_logdiag(m), atol=1e-12)
+            np.testing.assert_allclose(rows[i], np.log(np.diag(m.data)), atol=1e-12)

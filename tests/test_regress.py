@@ -11,6 +11,7 @@ from spdreg import (
     GenerativeConfig,
     PipelineSpec,
     RidgeModel,
+    SingularMatrix,
     SymMat,
     default_ridge_grid,
     fit_ridge_gcv,
@@ -19,10 +20,11 @@ from spdreg import (
     sample_bundle,
 )
 from spdreg.regress import (
+    RESULTS_HEADER,
     cross_val_states,
     fold_blocks,
     results_rows,
-    write_results_csv,
+    write_csv,
 )
 
 
@@ -185,6 +187,17 @@ class TestRunPipelineCV:
         with pytest.raises(ValueError):
             run_pipeline_cv(bundle, PipelineSpec(embedding_kind="euclidean"), 6, 0)
 
+    def test_fold_error_keeps_its_diagnostics(self):
+        rng = np.random.default_rng(12)
+        bundle = rand_bundle(rng, 12, 3)
+        mats = list(bundle.matrices)
+        mats[5] = SymMat(np.diag([1.0, 1.0, 0.0]))
+        bad = CovarianceBundle(matrices=mats, labels=bundle.labels, nominal_rank=3)
+        with pytest.raises(SingularMatrix) as info:
+            run_pipeline_cv(bad, PipelineSpec(embedding_kind="geometric"), 3, 0)
+        assert str(info.value).startswith("fold ")
+        assert info.value.smallest_eigenvalue is not None
+
 
 def state_digest(state):
     h = hashlib.sha256()
@@ -282,8 +295,8 @@ class TestResultsCSV:
         report = run_pipeline_cv(bundle, spec, folds=3, seed=0)
         rows = results_rows(spec, report, rank=3)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_results_csv(p1, rows)
-        write_results_csv(p2, rows)
+        write_csv(p1, RESULTS_HEADER, rows)
+        write_csv(p2, RESULTS_HEADER, rows)
         assert p1.read_bytes() == p2.read_bytes()
         lines = p1.read_text().splitlines()
         assert lines[0] == "method,filter,embedding,rank,fold,lambda,mae,seed"

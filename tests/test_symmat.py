@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_orthogonal, rand_spd
-from spdreg import NotPSD, SingularMatrix, SymMat, eigh, numerical_rank, svd_rect, sym_func
+from spdreg import NotPSD, SingularMatrix, SymMat, eigh, numerical_rank, sym_func
 
 
 class TestSymMat:
@@ -106,31 +106,6 @@ class TestSymFunc:
     def test_unknown_function_rejected(self):
         with pytest.raises(ValueError):
             sym_func(SymMat(np.eye(2)), "tanh")
-
-
-class TestSvdRect:
-    def test_identity_singular_values(self):
-        _, s, _ = svd_rect(np.eye(3))
-        np.testing.assert_allclose(s, np.ones(3))
-
-    def test_rank_one_outer_product(self):
-        # |u| = 2 and |v| = 3 make the single nonzero singular value 6.
-        u = np.array([2.0, 0.0, 0.0])
-        v = np.array([0.0, 3.0])
-        _, s, _ = svd_rect(np.outer(u, v))
-        np.testing.assert_allclose(s, [6.0, 0.0], atol=1e-14)
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(3)
-        m = rng.standard_normal((4, 2))
-        u, s, v = svd_rect(m)
-        err = np.linalg.norm((u * s) @ v.T - m)
-        assert err <= 1e-10 * max(1.0, np.linalg.norm(m))
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            svd_rect(np.array([[np.inf, 0.0]]))
 
 
 class TestNumericalRank:
