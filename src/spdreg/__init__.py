@@ -31,6 +31,7 @@ from .filters import (
 from .manifold import (
     Embedding,
     FeatureMatrix,
+    FrechetMean,
     dist_geometric,
     dist_wasserstein,
     embed,

@@ -121,7 +121,7 @@ OPTIONS = {
         Opt("specs", _parse_str, "", "comma-separated pipelines, e.g. identity+geometric"),
         Opt("folds", _parse_int, 10, "number of cross-validation folds"),
         Opt("repeats", _parse_int, 3, "repeats per cell (seed offset)"),
-        Opt("jobs", _parse_int, 0, "worker processes (0 means all cores)"),
+        Opt("jobs", _parse_int, 0, "worker processes (0 means all usable cores)"),
         Opt("out", _parse_str, "sweep.csv", "output results file"),
     ],
     "mean": [
@@ -444,6 +444,13 @@ SWEEP_PRESETS = {
 }
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_sweep(opts) -> int:
     preset = opts["preset"]
     if preset:
@@ -467,7 +474,7 @@ def cmd_sweep(opts) -> int:
         raise ConfigError("repeats must be at least 1")
     cfg = _generative_config(opts)
     specs = _sweep_specs(opts, cfg.q)
-    jobs = opts["jobs"] if opts["jobs"] > 0 else (os.cpu_count() or 1)
+    jobs = opts["jobs"] if opts["jobs"] > 0 else _usable_cores()
     rows = simgen.sweep(
         cfg,
         opts["axis"],
@@ -492,10 +499,10 @@ def cmd_mean(opts) -> int:
     if metric == "euclidean":
         m = manifold.mean_euclidean(bund.matrices)
     elif metric == "geometric":
-        m = manifold.mean_geometric(bund.matrices)
+        m = manifold.mean_geometric(bund.matrices).point
     elif metric == "wasserstein":
         rank = opts["rank"] if opts["rank"] > 0 else bund.nominal_rank
-        m = manifold.mean_wasserstein(bund.matrices, rank)
+        m = manifold.mean_wasserstein(bund.matrices, rank).point
     else:
         raise ConfigError(f"unknown metric {metric!r}")
     _write_matrix_file(opts["out"], f"SYMMAT v1 {m.dim}", m.data)
@@ -511,8 +518,7 @@ def cmd_embed(opts) -> int:
             f"unknown embedding {kind!r}; expected one of {manifold.EMBEDDING_KINDS}"
         )
     rank = opts["rank"] if opts["rank"] > 0 else bund.nominal_rank
-    embedding = manifold.fit_embedding(bund.matrices, kind, rank=rank)
-    feats = manifold.embed(embedding, bund.matrices)
+    feats = manifold.fit_embedding(bund.matrices, kind, rank=rank)
     _write_matrix_file(opts["out"], f"FEAT v1 {feats.n} {feats.k}", feats.rows)
     print(f"embedded n={feats.n} k={feats.k} kind={kind} -> {opts['out']}")
     return 0

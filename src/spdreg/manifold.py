@@ -72,9 +72,15 @@ def _whiten(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return isq, sq
 
 
-def _logm_spd_stack(a: np.ndarray, what: str) -> np.ndarray:
-    """Matrix log of each (symmetrized) SPD slice of an (..., p, p) array."""
-    w, v = np.linalg.eigh(_sym(a))
+def _whitened_logs(isq: np.ndarray, stack: np.ndarray, what: str) -> np.ndarray:
+    """``log(isq c_i isq)`` of each SPD slice ``c_i`` of an (n, p, p) stack.
+
+    The whitened stack is made and released here, so at most three
+    (n, p, p) temporaries are alive at once.
+    """
+    a = _sym(isq @ stack @ isq)
+    w, v = np.linalg.eigh(a)
+    del a
     wmax = w[..., -1]
     if np.any(w[..., 0] <= RANK_TOL * wmax) or np.any(wmax <= 0):
         raise SingularMatrix(
@@ -93,8 +99,9 @@ def _upper(mat: np.ndarray) -> np.ndarray:
     """Row-major upper-triangle flattening, sqrt(2) weights off-diagonal."""
     p = mat.shape[-1]
     iu, ju = np.triu_indices(p)
-    wts = np.where(iu == ju, 1.0, np.sqrt(2.0))
-    return wts * mat[..., iu, ju]
+    rows = mat[..., iu, ju]
+    rows *= np.where(iu == ju, 1.0, np.sqrt(2.0))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +221,30 @@ def _wass_logs(y: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return factors @ q - y
 
 
+def _wass_rows(embedding: Embedding, factors: np.ndarray) -> np.ndarray:
+    """Wasserstein feature rows of the samples with eigen-factors ``factors``."""
+    base = factorize(embedding.reference.data[None], embedding.rank)[0]
+    logs = _wass_logs(base, factors)
+    return logs.reshape(len(logs), -1)
+
+
 # ---------------------------------------------------------------------------
 # Means
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FrechetMean:
+    """A Frechet mean ``point`` and the per-sample data its solver holds there.
+
+    ``samples`` is, for :func:`mean_geometric`, the ``(n, p(p+1)/2)``
+    geometric feature rows of the inputs at ``point`` (the rows
+    :func:`embed` gives); for :func:`mean_wasserstein`, the ``(n, p, r)``
+    eigen-factors of the inputs from :func:`factorize`.
+    """
+
+    point: SymMat
+    samples: np.ndarray
 
 
 def mean_euclidean(mats) -> SymMat:
@@ -225,22 +253,24 @@ def mean_euclidean(mats) -> SymMat:
 
 
 def _geo_state(m: np.ndarray, stack: np.ndarray):
-    """One whitening pass: (sqrt factor, gradient sum, objective)."""
+    """One whitening pass: (sqrt factor, gradient sum, objective, feature rows)."""
     isq, sq = _whiten(m)
-    logs = _logm_spd_stack(isq @ stack @ isq, "mean_geometric")
+    logs = _whitened_logs(isq, stack, "mean_geometric")
     grad = logs.sum(axis=0)
     obj = float(np.sum(logs * logs))
-    return sq, grad, obj
+    return sq, grad, obj, _upper(logs)
 
 
-def mean_geometric(mats, max_iter: int = 300, tol: float | None = None) -> SymMat:
+def mean_geometric(mats, max_iter: int = 300, tol: float | None = None) -> FrechetMean:
     """Karcher (Frechet) mean under the affine-invariant metric.
 
     Fixed-point iteration ``m <- m^1/2 exp(step/n sum_i log(m^-1/2 c_i
     m^-1/2)) m^1/2`` starting from the arithmetic mean, with the step
     halved whenever the summed squared distance increases. Converged
     when the gradient ``sum_i log(m^-1/2 c_i m^-1/2)`` has Frobenius
-    norm at most ``tol`` (default ``1e-9 * p``).
+    norm at most ``tol`` (default ``1e-9 * p``). Returns the mean with
+    the geometric feature rows of the inputs at it, from the last
+    accepted iterate.
 
     Raises
     ------
@@ -255,23 +285,26 @@ def mean_geometric(mats, max_iter: int = 300, tol: float | None = None) -> SymMa
     if tol is None:
         tol = 1e-9 * p
     m = stack.mean(axis=0)
-    sq, grad, obj = _geo_state(m, stack)
+    sq, grad, obj, rows = _geo_state(m, stack)
     gnorm = float(np.linalg.norm(grad))
     for _ in range(max_iter):
         if gnorm <= tol:
-            return SymMat(m)
+            return FrechetMean(SymMat(m), rows)
+        # Only one iterate's rows are alive: drop them before each new try.
+        rows = None
         step = 1.0
         slack = 1e-12 * (1.0 + abs(obj))
         while True:
             cand = _sym(sq @ _expm_sym((step / n) * grad) @ sq)
-            sq2, grad2, obj2 = _geo_state(cand, stack)
+            sq2, grad2, obj2, rows = _geo_state(cand, stack)
             if obj2 <= obj + slack or step <= 1e-4:
                 m, sq, grad, obj = cand, sq2, grad2, obj2
                 break
+            rows = None
             step *= 0.5
         gnorm = float(np.linalg.norm(grad))
     if gnorm <= tol:
-        return SymMat(m)
+        return FrechetMean(SymMat(m), rows)
     raise NoConvergence(
         "geometric mean did not converge", gradient_norm=gnorm, iterations=max_iter
     )
@@ -285,7 +318,7 @@ def _wass_state(y: np.ndarray, factors: np.ndarray):
 
 def mean_wasserstein(
     mats, r: int, max_iter: int = 300, tol: float | None = None
-) -> SymMat:
+) -> FrechetMean:
     """Frechet mean under the Bures-Wasserstein metric, rank ``r``.
 
     Gradient descent on the factor ``y`` (p x r) minimizing the summed
@@ -294,7 +327,8 @@ def mean_wasserstein(
     (initial step 1, shrink 0.5, c = 1e-4). Initialized from the top-r
     eigenpairs of the arithmetic mean. Converged when the Riemannian
     gradient ``2 sum_i log_i`` has Frobenius norm at most ``tol``
-    (default ``1e-7 * sqrt(p * r)``).
+    (default ``1e-7 * sqrt(p * r)``). Returns the mean ``y y.T`` with the
+    inputs' eigen-factors.
 
     Raises
     ------
@@ -315,7 +349,7 @@ def mean_wasserstein(
     gnorm = 2.0 * float(np.linalg.norm(grad_sum))
     for _ in range(max_iter):
         if gnorm <= tol:
-            return SymMat(y @ y.T)
+            return FrechetMean(SymMat(y @ y.T), factors)
         direction = grad_sum / n
         slope = -2.0 * float(np.sum(grad_sum * grad_sum)) / n
         step = 1.0
@@ -329,7 +363,7 @@ def mean_wasserstein(
             step *= 0.5
         gnorm = 2.0 * float(np.linalg.norm(grad_sum))
     if gnorm <= tol:
-        return SymMat(y @ y.T)
+        return FrechetMean(SymMat(y @ y.T), factors)
     raise NoConvergence(
         "Wasserstein mean did not converge", gradient_norm=gnorm, iterations=max_iter
     )
@@ -412,21 +446,27 @@ class FeatureMatrix:
         return self.rows.shape[1]
 
 
-def fit_embedding(mats, kind: str, rank: int | None = None) -> Embedding:
-    """Compute the reference point of an embedding on a training set.
+def fit_embedding(mats, kind: str, rank: int | None = None) -> FeatureMatrix:
+    """Fit an embedding on a training set and return that set's features.
 
     The reference is the Frechet mean of ``mats`` under the metric that
     matches ``kind``; ``euclidean`` and ``logdiag`` have no reference.
     Only ``wasserstein`` uses ``rank``, which defaults to the numerical
-    rank of the first matrix.
+    rank of the first matrix. The fitted :class:`Embedding` is the
+    result's ``embedding``, and its rows equal ``embed(embedding,
+    mats).rows``; they are built from what the mean's solver already
+    holds, so the training set is not embedded a second time.
     """
     if kind == "geometric":
-        return Embedding(kind, reference=mean_geometric(mats))
+        fit = mean_geometric(mats)
+        return FeatureMatrix(fit.samples, Embedding(kind, reference=fit.point))
     if kind == "wasserstein":
         if rank is None:
             rank = numerical_rank(mats[0])
-        return Embedding(kind, reference=mean_wasserstein(mats, rank), rank=rank)
-    return Embedding(kind)
+        fit = mean_wasserstein(mats, rank)
+        embedding = Embedding(kind, reference=fit.point, rank=rank)
+        return FeatureMatrix(_wass_rows(embedding, fit.samples), embedding)
+    return embed(Embedding(kind), mats)
 
 
 def embed(embedding: Embedding, mats) -> FeatureMatrix:
@@ -456,9 +496,7 @@ def embed(embedding: Embedding, mats) -> FeatureMatrix:
         rows = np.log(d)
     elif embedding.kind == "geometric":
         isq, _ = _whiten(embedding.reference.data)
-        rows = _upper(_logm_spd_stack(isq @ stack @ isq, "embed"))
+        rows = _upper(_whitened_logs(isq, stack, "embed"))
     else:  # wasserstein
-        base = factorize(embedding.reference.data[None], embedding.rank)[0]
-        logs = _wass_logs(base, factorize(stack, embedding.rank))
-        rows = logs.reshape(len(logs), -1)
+        rows = _wass_rows(embedding, factorize(stack, embedding.rank))
     return FeatureMatrix(rows=rows, embedding=embedding)

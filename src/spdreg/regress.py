@@ -129,8 +129,10 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
     The target is centered and the feature columns are standardized on
     the training data (columns with zero variance get scale 1). The
     criterion ``GCV(lam) = n * ||(I - H_lam) y_c||^2 / tr(I - H_lam)^2``
-    is evaluated for every grid value from a single SVD of the
-    standardized design; ties are broken toward the larger lambda.
+    is evaluated for the whole grid in one array expression from one
+    factorization of the standardized n x k design: a thin SVD when
+    ``k <= n``, an ``eigh`` of the n x n Gram matrix when ``k > n``.
+    Ties are broken toward the larger lambda.
 
     Raises
     ------
@@ -161,20 +163,32 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
     ybar = float(y.mean())
     yc = y - ybar
 
-    u, s, vt = np.linalg.svd(xs, full_matrices=False)
+    # Left singular vectors u and squared singular values s2 of xs. For a
+    # wide design one n x n Gram eigh is several times cheaper than the SVD.
+    # Squaring loses only s2 below about eps * max(s2), which lam damps.
+    wide = k > n
+    if wide:
+        s2, u = np.linalg.eigh(xs @ xs.T)
+        s2 = np.clip(s2, 0.0, None)
+    else:
+        u, s, vt = np.linalg.svd(xs, full_matrices=False)
+        s2 = s**2
     c = u.T @ yc
-    s2 = s**2
-    gcv = np.empty(grid.size)
-    for i, lam in enumerate(grid):
-        h = s2 / (s2 + lam)
-        resid = yc - u @ (h * c)
-        denom = n - h.sum()
-        gcv[i] = n * float(resid @ resid) / denom**2
+    r0 = yc - u @ c
+    # lam / (s2 + lam) is written out, never as 1 - h: where the fit is
+    # exact h ~ 1 and the difference would cancel.
+    shrink = grid[:, None] / (s2 + grid[:, None])
+    rss = float(r0 @ r0) + np.sum((shrink * c) ** 2, axis=1)
+    trace = (n - s2.size) + shrink.sum(axis=1)
+    gcv = n * rss / trace**2
     best = np.min(gcv)
     ties = np.nonzero(gcv == best)[0]
     ibest = ties[np.argmax(grid[ties])]
     lam = float(grid[ibest])
-    beta = vt.T @ (s / (s2 + lam) * c)
+    if wide:
+        beta = xs.T @ (u @ (c / (s2 + lam)))
+    else:
+        beta = vt.T @ (s / (s2 + lam) * c)
     return RidgeModel(
         beta=beta,
         intercept=ybar,
@@ -242,10 +256,9 @@ def fit_fold(train: CovarianceBundle, spec: PipelineSpec) -> FoldState:
     filt = _fit_filter(train, spec)
     projected = apply(filt, train)
     rank = min(filt.rank_out, train.nominal_rank)
-    embedding = fit_embedding(projected.matrices, spec.embedding_kind, rank=rank)
-    feats = embed(embedding, projected.matrices)
+    feats = fit_embedding(projected.matrices, spec.embedding_kind, rank=rank)
     model = fit_ridge_gcv(feats, projected.labels, spec.ridge_grid)
-    return FoldState(filt=filt, embedding=embedding, model=model)
+    return FoldState(filt=filt, embedding=feats.embedding, model=model)
 
 
 def predict_fold(state: FoldState, test: CovarianceBundle) -> np.ndarray:

@@ -151,7 +151,7 @@ def test_c06_mean_suite():
 
     # stationarity of the Karcher mean, recomputed independently
     mats = [rand_spd(rng, 5) for _ in range(25)]
-    m = mean_geometric(mats)
+    m = mean_geometric(mats).point
     isq = sym_func(m, "inv_sqrt").data
     grad = np.zeros((5, 5))
     for c in mats:
@@ -161,23 +161,23 @@ def test_c06_mean_suite():
 
     # affine equivariance of the geometric mean
     w = rand_invertible(rng, 5)
-    direct = mean_geometric([SymMat(w.T @ c.data @ w) for c in mats])
+    direct = mean_geometric([SymMat(w.T @ c.data @ w) for c in mats]).point
     pushed = w.T @ m.data @ w
     geo_equiv = np.linalg.norm(direct.data - pushed) / np.linalg.norm(pushed)
     assert geo_equiv <= 1e-6
 
     # orthogonal equivariance of the Wasserstein mean
     q = rand_orthogonal(rng, 5)
-    mw = mean_wasserstein(mats, 5)
-    direct_w = mean_wasserstein([SymMat(q.T @ c.data @ q) for c in mats], 5)
+    mw = mean_wasserstein(mats, 5).point
+    direct_w = mean_wasserstein([SymMat(q.T @ c.data @ q) for c in mats], 5).point
     pushed_w = q.T @ mw.data @ q
     wass_equiv = np.linalg.norm(direct_w.data - pushed_w) / np.linalg.norm(pushed_w)
     assert wass_equiv <= 1e-6
 
     # scalar closed forms
-    geo_scalar = mean_geometric([SymMat([[4.0]]), SymMat([[1.0]])]).data[0, 0]
+    geo_scalar = mean_geometric([SymMat([[4.0]]), SymMat([[1.0]])]).point.data[0, 0]
     assert abs(geo_scalar - 2.0) <= 1e-10
-    wass_scalar = mean_wasserstein([SymMat([[4.0]]), SymMat([[16.0]])], 1).data[0, 0]
+    wass_scalar = mean_wasserstein([SymMat([[4.0]]), SymMat([[16.0]])], 1).point.data[0, 0]
     assert abs(wass_scalar - 9.0) <= 1e-10
 
     _report(

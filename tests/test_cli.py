@@ -1,7 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
-from spdreg import CovarianceBundle, GenerativeConfig, SymMat, sample_bundle
+from spdreg import CovarianceBundle, GenerativeConfig, SymMat, sample_bundle, simgen
 from spdreg.bundle import read_covb, write_covb
 from spdreg.cli import main, read_model, write_model
 
@@ -227,6 +229,22 @@ class TestSweepCommand:
         sweep_ranks = {line.split(",")[6] for line in swept.read_text().splitlines()[1:]}
         eval_ranks = {line.split(",")[3] for line in evaluated.read_text().splitlines()[1:]}
         assert sweep_ranks == eval_ranks == {"5"}
+
+    def test_jobs_zero_uses_usable_cores(self, tmp_path, monkeypatch):
+        # "All cores" means the CPUs the affinity mask allows, not the
+        # machine's count.
+        seen = {}
+
+        def fake_sweep(*args, jobs, **kwargs):
+            seen["jobs"] = jobs
+            return []
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(simgen, "sweep", fake_sweep)
+        assert run("sweep", "--axis", "sigma", "--values", "0", "--jobs", 0,
+                   "--out", tmp_path / "s.csv") == 0
+        assert seen["jobs"] == 1
 
     def test_preset_deterministic(self, tmp_path):
         o1, o2 = tmp_path / "s1.csv", tmp_path / "s2.csv"

@@ -346,10 +346,26 @@ class TestEmbedding:
         rng = np.random.default_rng(19)
         spd = [rand_spd(rng, 5) for _ in range(3)]
         low = [rand_psd_rank(rng, 5, 3) for _ in range(3)]
-        assert embed(fit_embedding(spd, "euclidean"), spd).k == 15
-        assert embed(fit_embedding(spd, "geometric"), spd).k == 15
-        assert embed(fit_embedding(low, "wasserstein", rank=3), low).k == 15
-        assert embed(fit_embedding(spd, "logdiag"), spd).k == 5
+        assert embed(fit_embedding(spd, "euclidean").embedding, spd).k == 15
+        assert embed(fit_embedding(spd, "geometric").embedding, spd).k == 15
+        assert embed(fit_embedding(low, "wasserstein", rank=3).embedding, low).k == 15
+        assert embed(fit_embedding(spd, "logdiag").embedding, spd).k == 5
+
+    @pytest.mark.parametrize(
+        ("kind", "rank"),
+        [("euclidean", None), ("geometric", None), ("wasserstein", 5),
+         ("wasserstein", 3), ("logdiag", None)],
+    )
+    def test_training_rows_equal_embed(self, kind, rank):
+        # fit_embedding takes the training rows from the mean's solver
+        # state; they must be exactly the rows embed gives at the reference.
+        rng = np.random.default_rng(21)
+        if rank == 3:
+            mats = [rand_psd_rank(rng, 5, 3) for _ in range(12)]
+        else:
+            mats = [rand_spd(rng, 5, spread=2.0) for _ in range(12)]
+        feats = fit_embedding(mats, kind, rank=rank)
+        assert np.array_equal(feats.rows, embed(feats.embedding, mats).rows)
 
     def test_geometric_requires_full_rank_reference(self):
         with pytest.raises(SingularMatrix):
@@ -363,12 +379,12 @@ class TestEmbedding:
         rng = np.random.default_rng(20)
         mats = [rand_spd(rng, 4) for _ in range(6)]
 
-        emb = fit_embedding(mats, "euclidean")
+        emb = fit_embedding(mats, "euclidean").embedding
         rows = embed(emb, mats).rows
         for i, m in enumerate(mats):
             np.testing.assert_allclose(rows[i], upper(m.data), atol=1e-12)
 
-        emb = fit_embedding(mats, "geometric")
+        emb = fit_embedding(mats, "geometric").embedding
         rows = embed(emb, mats).rows
         isq = sym_func(emb.reference, "inv_sqrt").data
         for i, m in enumerate(mats):
@@ -376,14 +392,14 @@ class TestEmbedding:
             np.testing.assert_allclose(rows[i], upper(log), atol=1e-10)
 
         for r, stack in ((4, mats), (2, [rand_psd_rank(rng, 4, 2) for _ in range(6)])):
-            emb = fit_embedding(stack, "wasserstein", rank=r)
+            emb = fit_embedding(stack, "wasserstein", rank=r).embedding
             base = eigen_factor(emb.reference, r)
             rows = embed(emb, stack).rows
             for i, m in enumerate(stack):
                 log = procrustes_log(base, eigen_factor(m, r))
                 np.testing.assert_allclose(rows[i], log.reshape(-1), atol=1e-10)
 
-        emb = fit_embedding(mats, "logdiag")
+        emb = fit_embedding(mats, "logdiag").embedding
         rows = embed(emb, mats).rows
         for i, m in enumerate(mats):
             np.testing.assert_allclose(rows[i], np.log(np.diag(m.data)), atol=1e-12)

@@ -25,43 +25,43 @@ def karcher_gradient(mean, mats):
 class TestMeanGeometric:
     def test_identity_inputs(self):
         mats = [SymMat(np.eye(3))] * 3
-        np.testing.assert_allclose(mean_geometric(mats).data, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(mean_geometric(mats).point.data, np.eye(3), atol=1e-12)
 
     def test_scalar_closed_form(self):
         # 1x1 case: the mean of {a, b} is sqrt(a*b).
-        m = mean_geometric([SymMat([[4.0]]), SymMat([[1.0]])])
+        m = mean_geometric([SymMat([[4.0]]), SymMat([[1.0]])]).point
         assert m.data[0, 0] == pytest.approx(2.0, abs=1e-10)
 
     def test_singleton(self):
         rng = np.random.default_rng(0)
         s = rand_spd(rng, 4)
-        np.testing.assert_allclose(mean_geometric([s]).data, s.data, atol=1e-10)
+        np.testing.assert_allclose(mean_geometric([s]).point.data, s.data, atol=1e-10)
 
     def test_midpoint_of_inverse_pair_is_identity(self):
         rng = np.random.default_rng(1)
         s = rand_spd(rng, 4)
-        m = mean_geometric([s, sym_func(s, "inv")])
+        m = mean_geometric([s, sym_func(s, "inv")]).point
         np.testing.assert_allclose(m.data, np.eye(4), atol=1e-8)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         mats = [rand_spd(rng, 3) for _ in range(5)]
-        m1 = mean_geometric(mats)
-        m2 = mean_geometric(mats[::-1])
+        m1 = mean_geometric(mats).point
+        m2 = mean_geometric(mats[::-1]).point
         assert np.linalg.norm(m1.data - m2.data) <= 1e-8
 
     def test_gradient_norm_at_convergence(self):
         rng = np.random.default_rng(3)
         mats = [rand_spd(rng, 5) for _ in range(20)]
-        m = mean_geometric(mats)
+        m = mean_geometric(mats).point
         assert np.linalg.norm(karcher_gradient(m, mats)) <= 1e-9 * 5
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(4)
         mats = [rand_spd(rng, 4) for _ in range(8)]
         w = rand_invertible(rng, 4)
-        direct = mean_geometric([SymMat(w.T @ m.data @ w) for m in mats])
-        pushed = w.T @ mean_geometric(mats).data @ w
+        direct = mean_geometric([SymMat(w.T @ m.data @ w) for m in mats]).point
+        pushed = w.T @ mean_geometric(mats).point.data @ w
         err = np.linalg.norm(direct.data - pushed) / np.linalg.norm(pushed)
         assert err <= 1e-6
 
@@ -81,20 +81,20 @@ class TestMeanWasserstein:
     def test_identical_inputs(self):
         rng = np.random.default_rng(6)
         s = rand_spd(rng, 4)
-        m = mean_wasserstein([s, s, s], 4)
+        m = mean_wasserstein([s, s, s], 4).point
         assert np.linalg.norm(m.data - s.data) <= 1e-8 * np.linalg.norm(s.data)
 
     def test_scalar_closed_form(self):
         # 1x1 case: the mean of {a, b} is ((sqrt(a) + sqrt(b)) / 2)^2.
-        m = mean_wasserstein([SymMat([[4.0]]), SymMat([[16.0]])], 1)
+        m = mean_wasserstein([SymMat([[4.0]]), SymMat([[16.0]])], 1).point
         assert m.data[0, 0] == pytest.approx(9.0, abs=1e-10)
 
     def test_orthogonal_equivariance(self):
         rng = np.random.default_rng(7)
         mats = [rand_spd(rng, 4) for _ in range(8)]
         q = rand_orthogonal(rng, 4)
-        direct = mean_wasserstein([SymMat(q.T @ m.data @ q) for m in mats], 4)
-        pushed = q.T @ mean_wasserstein(mats, 4).data @ q
+        direct = mean_wasserstein([SymMat(q.T @ m.data @ q) for m in mats], 4).point
+        pushed = q.T @ mean_wasserstein(mats, 4).point.data @ q
         err = np.linalg.norm(direct.data - pushed) / np.linalg.norm(pushed)
         assert err <= 1e-6
 
@@ -103,7 +103,7 @@ class TestMeanWasserstein:
 
         rng = np.random.default_rng(8)
         mats = [rand_spd(rng, 5) for _ in range(15)]
-        m = mean_wasserstein(mats, 5)
+        m = mean_wasserstein(mats, 5).point
         y = factorize(m.data[None], 5)[0]
         grad_sum, _ = _wass_state(y, factorize(np.stack([c.data for c in mats]), 5))
         assert 2 * np.linalg.norm(grad_sum) <= 1e-7 * np.sqrt(5 * 5)
@@ -111,15 +111,15 @@ class TestMeanWasserstein:
     def test_rank_deficient_inputs(self):
         rng = np.random.default_rng(9)
         mats = [rand_psd_rank(rng, 4, 2) for _ in range(6)]
-        m = mean_wasserstein(mats, 2)
+        m = mean_wasserstein(mats, 2).point
         w = np.linalg.eigvalsh(m.data)
         assert np.sum(w > 1e-10 * w[-1]) == 2
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)
         mats = [rand_spd(rng, 3) for _ in range(5)]
-        m1 = mean_wasserstein(mats, 3)
-        m2 = mean_wasserstein(mats[::-1], 3)
+        m1 = mean_wasserstein(mats, 3).point
+        m2 = mean_wasserstein(mats[::-1], 3).point
         assert np.linalg.norm(m1.data - m2.data) <= 1e-8
 
 

@@ -73,15 +73,35 @@ class TestFitRidgeGCV:
         model = fit_ridge_gcv(x, rng.standard_normal(15))
         assert model.feature_scale[1] == 1.0
 
-    def test_fast_path_matches_brute_force(self):
+    @pytest.mark.parametrize(
+        ("n", "k", "noisy"),
+        [(20, 6, True), (20, 60, True), (30, 200, True), (30, 200, False)],
+        ids=["20x6", "20x60", "30x200", "30x200-noisefree"],
+    )
+    def test_fast_path_matches_brute_force(self, n, k, noisy):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((20, 6))
-        y = rng.standard_normal(20)
+        x = rng.standard_normal((n, k))
+        y = rng.standard_normal(n) if noisy else x @ rng.standard_normal(k)
         grid = default_ridge_grid()
         model = fit_ridge_gcv(x, y, grid)
         reference = brute_force_gcv(x, y, grid)
         rel = np.abs(model.gcv_path - reference) / reference
-        assert np.max(rel) <= 1e-8
+        if k <= n:
+            assert np.max(rel) <= 1e-8
+            return
+        # Forward error when k > n. With s the singular values of the
+        # standardized design xs, the fast path takes s^2 from eigh of the
+        # Gram matrix xs xs^T, whose eigenvalues carry an absolute error of
+        # O(eps * s_max^2) (Weyl). Each term lam / (s^2 + lam) and
+        # c / (s^2 + lam) then moves by a relative O(eps * s_max^2 / lam).
+        # The oracle solves xs^T xs + lam I, of condition (s_max^2 + lam) /
+        # lam, so its forward error is of the same order. Both agree to
+        # C * eps * (1 + s_max^2 / lam) per grid point; C = 100 covers the
+        # dimension factors of the LAPACK error bounds at n <= 30.
+        xs = (x - x.mean(axis=0)) / x.std(axis=0)
+        s2max = np.linalg.norm(xs, 2) ** 2
+        bound = 100 * np.finfo(float).eps * (1.0 + s2max / grid)
+        assert np.all(rel <= bound)
 
     def test_ties_break_toward_larger_lambda(self):
         # A zero target makes GCV identically zero across the grid.
