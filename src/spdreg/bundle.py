@@ -1,22 +1,21 @@
-"""Labeled covariance collections and their plain-text file format.
+"""Labeled covariance collections and the package's plain-text files.
 
 A bundle is ``n`` symmetric PSD matrices sharing dimension ``p``, a real
 label per matrix, and a nominal rank bound. Files use the ``COVB v1``
-layout::
+layout: a ``COVB v1 <n> <p> <rank>`` header, then per sample a
+``y <label>`` line and ``p`` rows of ``p`` decimals.
 
-    COVB v1 <n> <p> <rank>
-    y <label_1>
-    <p rows of p decimals>
-    y <label_2>
-    ...
-
-Writers emit 17 significant digits (lossless for float64); readers
-re-symmetrize each matrix on load.
+Every text file (COVB, MODEL, LEADFIELD, command outputs) is written one
+``%``-template per line or sample, with 17 significant digits (lossless
+for float64), and read by :class:`LineReader` with numpy's float parser.
+Readers re-symmetrize each matrix on load.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +26,17 @@ from .symmat import SymMat
 FLOAT_FMT = "%.17g"
 
 
-def fmt_float(x: float) -> str:
-    """Lossless 17-significant-digit decimal of a float."""
-    return FLOAT_FMT % x
+def row_format(count: int, *words: str) -> str:
+    """``%``-template of one line: ``words``, then ``count`` lossless floats."""
+    return " ".join([*words, *[FLOAT_FMT] * count]) + "\n"
+
+
+def write_rows(fh, rows, *words: str) -> None:
+    """Write each row of ``rows`` (a 1-d array is one row) as one line, after ``words``."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.float64))
+    line = row_format(rows.shape[1], *words)
+    for row in rows.tolist():
+        fh.write(line % tuple(row))
 
 
 @dataclass
@@ -85,55 +92,128 @@ class CovarianceBundle:
 
 
 def write_covb(path, bundle: CovarianceBundle) -> None:
-    """Write a bundle as a COVB v1 text file."""
+    """Write a bundle as a COVB v1 text file, one formatted write per sample."""
     p = bundle.dim
-    lines = [f"COVB v1 {bundle.n} {p} {bundle.nominal_rank}"]
-    for mat, label in zip(bundle.matrices, bundle.labels):
-        lines.append("y " + fmt_float(label))
-        for row in mat.data:
-            lines.append(" ".join(fmt_float(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    sample = row_format(1, "y") + row_format(p) * p
+    with open(path, "w") as fh:
+        fh.write(f"COVB v1 {bundle.n} {p} {bundle.nominal_rank}\n")
+        for mat, label in zip(bundle.matrices, bundle.labels.tolist()):
+            fh.write(sample % (label, *mat.data.ravel().tolist()))
 
 
 def read_covb(path) -> CovarianceBundle:
-    """Read a COVB v1 text file; matrices are symmetrized on load."""
+    """Read a COVB v1 text file, streaming every matrix row through one
+    ``np.loadtxt`` call (memory holds arrays, not text); matrices are
+    symmetrized on load."""
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigError(f"{path}: empty bundle file")
-    head = lines[0].split()
-    if len(head) != 5 or head[0] != "COVB" or head[1] != "v1":
-        raise ConfigError(f"{path}: expected header 'COVB v1 N P R', got {lines[0]!r}")
-    try:
-        n, p, rank = int(head[2]), int(head[3]), int(head[4])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad header counts in {lines[0]!r}") from exc
-    expected = 1 + n * (p + 1)
-    if len(lines) != expected:
-        raise ConfigError(
-            f"{path}: expected {expected} non-blank lines for n={n}, p={p}, got {len(lines)}"
-        )
-    matrices: list[SymMat] = []
-    labels = np.empty(n)
-    pos = 1
-    for i in range(n):
-        tag = lines[pos].split()
-        if len(tag) != 2 or tag[0] != "y":
-            raise ConfigError(f"{path}: expected 'y <label>' at line {pos + 1}")
+    with open(path) as fh:
+        src = LineReader(path, fh)
+        n, p, rank = [src.count(w) for w in src.words("COVB v1 <n> <p> <rank>")[2:]]
+        if rank > p:
+            raise src.error(f"nominal rank must be in [1, {p}], got {rank}")
+        rows, labels = src.block(n, p, p, tag="y")
+        src.end()
+    mats = [SymMat(m) for m in rows.reshape(n, p, p)]
+    return CovarianceBundle(mats, labels, nominal_rank=rank, provenance=str(path))
+
+
+def _loadtxt(lines) -> np.ndarray:
+    """Whitespace-separated float rows by numpy's parser, as a 2-d array."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy warns on empty input
+        return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+
+
+def _numbered(fh, after: int = 0):
+    """``(physical line number, text)`` of the non-blank lines past ``after``."""
+    return ((i, text) for i, text in enumerate(fh, 1) if i > after and text.strip())
+
+
+class LineReader:
+    """Non-blank lines of an open text file, numbered by physical line.
+
+    Errors read ``<path>:<line>: [sample <i>: ]<message>`` (``ConfigError``).
+    A block of number rows is one ``np.loadtxt`` call over the line stream;
+    only when that fails is the block read again line by line to find the
+    line to name.
+    """
+
+    def __init__(self, path, fh):
+        self.path, self.lineno, self._lines = path, 0, _numbered(fh)
+
+    def error(self, message: str) -> ConfigError:
+        return ConfigError(f"{self.path}:{self.lineno}: {message}")
+
+    def line(self, what: str, where: str = "") -> str:
+        """The next non-blank line; ``what`` names it if the file ends."""
+        for self.lineno, text in self._lines:
+            return text
+        raise self.error(f"{where}file ends before {what}")
+
+    def words(self, layout: str, where: str = "") -> list[str]:
+        """The next line's words, matched against ``layout``: ``<x>`` is any
+        one word and a final ``...`` any number more."""
+        want, text = layout.split(), self.line(f"'{layout}'", where)
+        got = text.split()
+        if (len(got) != len(want) and want[-1] != "...") or any(
+            w != g for w, g in zip(want, got) if w[0] != "<" and w != "..."
+        ):
+            raise self.error(f"{where}expected '{layout}', got {text.strip()[:40]!r}")
+        return got
+
+    def count(self, word: str, low: int = 1) -> int:
+        """``word`` of the current line as a decimal count of at least ``low``."""
+        if not (word.isascii() and word.isdigit()) or int(word) < low:
+            raise self.error(f"expected a count of at least {low}, got {word!r}")
+        return int(word)
+
+    def floats(self, words, count: int | None = None, where: str = "") -> np.ndarray:
+        """Finite floats from ``words`` of the current line, ``count`` if given."""
+        if count not in (None, len(words)):
+            raise self.error(f"{where}expected {count} numbers, got {len(words)}")
         try:
-            labels[i] = float(tag[1])
-            rows = [
-                [float(x) for x in lines[pos + 1 + j].split()] for j in range(p)
-            ]
-        except ValueError as exc:
-            raise ConfigError(f"{path}: bad number near line {pos + 1}") from exc
-        if any(len(r) != p for r in rows):
-            raise ConfigError(f"{path}: matrix {i} is not {p}x{p}")
-        matrices.append(SymMat(rows))
-        pos += p + 1
-    try:
-        return CovarianceBundle(
-            matrices=matrices, labels=labels, nominal_rank=rank, provenance=str(path)
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+            values = _loadtxt([" ".join(words)])[0] if words else np.empty(0)
+        except ValueError:
+            if len(words) > 1:  # name the first word that fails on its own
+                for word in words:
+                    self.floats([word], 1, where)
+            raise self.error(f"{where}bad number {words[0][:40]!r}") from None
+        if not np.all(np.isfinite(values)):
+            bad = words[int(np.argmin(np.isfinite(values)))]
+            raise self.error(f"{where}non-finite number {bad!r}")
+        return values
+
+    def block(self, groups: int, nrows: int, ncols: int, tag: str | None = None):
+        """``groups`` groups of ``nrows`` lines of ``ncols`` floats, as rows,
+        and with ``tag`` the labels of the ``<tag> <label>`` line opening
+        each group (a sample)."""
+        start, labels = self.lineno, []
+
+        def feed():
+            for _ in range(groups):
+                if tag:
+                    labels.append(self.words(f"{tag} <label>")[1:])
+                for self.lineno, text in islice(self._lines, nrows):
+                    yield text
+
+        try:
+            rows = _loadtxt(feed())
+            values = _loadtxt(w[0] for w in labels)[:, 0]
+            finite = np.all(np.isfinite(rows)) and np.all(np.isfinite(values))
+            if rows.shape == (groups * nrows, ncols) and finite:
+                return rows, values
+        except (ValueError, ConfigError):
+            pass
+        with open(self.path) as fh:  # the parse failed: find the line to name
+            self.lineno, self._lines = start, _numbered(fh, start)
+            for i in range(groups):
+                where = f"sample {i}: " if tag else ""
+                if tag:
+                    self.floats(self.words(f"{tag} <label>", where)[1:], 1, where)
+                for j in range(nrows):
+                    self.floats(self.line(f"row {j + 1} of {nrows}", where).split(), ncols, where)
+        raise self.error("malformed numbers")
+
+    def end(self) -> None:
+        for self.lineno, text in self._lines:
+            raise self.error(f"expected end of file, got {text.strip()[:40]!r}")

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import filters, manifold, regress, simgen
-from .bundle import fmt_float, read_covb, write_covb
+from .bundle import LineReader, read_covb, row_format, write_covb, write_rows
 from .errors import ConfigError, NumericalError
 from .symmat import SymMat
 
@@ -203,17 +203,8 @@ def _require_file(opts, key) -> str:
 
 
 def _generative_config(opts) -> simgen.GenerativeConfig:
-    return simgen.GenerativeConfig(
-        p=opts["p"],
-        q=opts["q"],
-        n=opts["n"],
-        mu=opts["mu"],
-        sigma=opts["sigma"],
-        sigma_mix=opts["sigma_mix"],
-        f_kind=opts["f"],
-        orthogonal_a=opts["orthogonal_a"],
-        seed=opts["seed"],
-    )
+    keys = ("p", "q", "n", "mu", "sigma", "sigma_mix", "orthogonal_a", "seed")
+    return simgen.GenerativeConfig(f_kind=opts["f"], **{k: opts[k] for k in keys})
 
 
 def _ridge_grid(opts) -> np.ndarray:
@@ -241,10 +232,9 @@ def _pipeline_spec(opts) -> regress.PipelineSpec:
 
 
 def _write_matrix_file(path, header: str, rows) -> None:
-    lines = [header]
-    for row in rows:
-        lines.append(" ".join(fmt_float(x) for x in np.atleast_1d(row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        write_rows(fh, np.reshape(rows, (len(rows), -1)))
 
 
 # ---------------------------------------------------------------------------
@@ -254,85 +244,43 @@ def _write_matrix_file(path, header: str, rows) -> None:
 
 def write_model(path, state: regress.FoldState) -> None:
     filt, emb, model = state.filt, state.embedding, state.model
-    p, r = filt.w.shape
-    lines = ["MODEL v1"]
-    lines.append(f"embedding {emb.kind} {emb.rank if emb.rank is not None else 0}")
-    lines.append(f"filter {filt.kind} {p} {r}")
-    for row in filt.w:
-        lines.append(" ".join(fmt_float(x) for x in row))
-    lines.append(("filter_eigs " + " ".join(fmt_float(x) for x in filt.eigenvalues)).rstrip())
-    if emb.reference is None:
-        lines.append("reference none")
-    else:
-        lines.append(f"reference {emb.reference.dim}")
-        for row in emb.reference.data:
-            lines.append(" ".join(fmt_float(x) for x in row))
-    lines.append(
-        f"ridge {model.beta.size} {fmt_float(model.lambda_star)} {fmt_float(model.intercept)}"
-    )
-    lines.append("mean " + " ".join(fmt_float(x) for x in model.feature_mean))
-    lines.append("scale " + " ".join(fmt_float(x) for x in model.feature_scale))
-    lines.append("beta " + " ".join(fmt_float(x) for x in model.beta))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(f"MODEL v1\nembedding {emb.kind} {emb.rank or 0}\n")
+        fh.write("filter {} {} {}\n".format(filt.kind, *filt.w.shape))
+        write_rows(fh, filt.w)
+        write_rows(fh, filt.eigenvalues, "filter_eigs")
+        fh.write(f"reference {'none' if emb.reference is None else emb.reference.dim}\n")
+        if emb.reference is not None:
+            write_rows(fh, emb.reference.data)
+        write_rows(fh, [model.lambda_star, model.intercept], "ridge", str(model.beta.size))
+        for name, values in (("mean", model.feature_mean), ("scale", model.feature_scale),
+                             ("beta", model.beta)):
+            write_rows(fh, values, name)
 
 
 def read_model(path) -> regress.FoldState:
     path = Path(path)
-    lines = path.read_text().splitlines()
-    try:
-        if lines[0].strip() != "MODEL v1":
-            raise ConfigError(f"{path}: expected 'MODEL v1' header, got {lines[0]!r}")
-        _, emb_kind, emb_rank = lines[1].split()
-        _, filt_kind, p, r = lines[2].split()
-        p, r, emb_rank = int(p), int(r), int(emb_rank)
-        pos = 3
-        w = np.array([[float(x) for x in lines[pos + i].split()] for i in range(p)])
-        pos += p
-        eig_tokens = lines[pos].split()
-        if eig_tokens[0] != "filter_eigs":
-            raise ConfigError(f"{path}: expected 'filter_eigs' at line {pos + 1}")
-        eigs = np.array([float(x) for x in eig_tokens[1:]])
-        pos += 1
-        ref_tokens = lines[pos].split()
-        if ref_tokens[0] != "reference":
-            raise ConfigError(f"{path}: expected 'reference' at line {pos + 1}")
-        pos += 1
-        reference = None
-        if ref_tokens[1] != "none":
-            rp = int(ref_tokens[1])
-            reference = SymMat(
-                [[float(x) for x in lines[pos + i].split()] for i in range(rp)]
-            )
-            pos += rp
-        ridge_tokens = lines[pos].split()
-        if ridge_tokens[0] != "ridge":
-            raise ConfigError(f"{path}: expected 'ridge' at line {pos + 1}")
-        k = int(ridge_tokens[1])
-        lam, intercept = float(ridge_tokens[2]), float(ridge_tokens[3])
-        pos += 1
-        vectors = {}
-        for name in ("mean", "scale", "beta"):
-            tokens = lines[pos].split()
-            if tokens[0] != name or len(tokens) != k + 1:
-                raise ConfigError(f"{path}: expected '{name}' with {k} values at line {pos + 1}")
-            vectors[name] = np.array([float(x) for x in tokens[1:]])
-            pos += 1
-    except (IndexError, ValueError) as exc:
-        raise ConfigError(f"{path}: malformed model file: {exc}") from exc
-    filt = filters.SpatialFilter(w=w, kind=filt_kind, rank_out=r, eigenvalues=eigs)
-    emb = manifold.Embedding(
-        kind=emb_kind,
-        reference=reference,
-        rank=emb_rank if emb_rank > 0 else None,
-    )
+    with open(path) as fh:
+        src = LineReader(path, fh)
+        src.words("MODEL v1")
+        _, emb_kind, emb_rank = src.words("embedding <kind> <rank>")
+        emb_rank = src.count(emb_rank, low=0)
+        _, filt_kind, p, r = src.words("filter <kind> <p> <r>")
+        w = src.block(1, src.count(p), src.count(r))[0]
+        eigs = src.floats(src.words("filter_eigs ...")[1:])
+        rp = src.words("reference <p|none>")[1]
+        rp = 0 if rp == "none" else src.count(rp)
+        reference = SymMat(src.block(1, rp, rp)[0]) if rp else None
+        _, k, *ridge = src.words("ridge <k> <lambda> <intercept>")
+        k, (lam, intercept) = src.count(k), src.floats(ridge, 2).tolist()
+        vectors = {v: src.floats(src.words(f"{v} ...")[1:], k) for v in ("mean", "scale", "beta")}
+        src.end()
+    filt = filters.SpatialFilter(w=w, kind=filt_kind, rank_out=w.shape[1], eigenvalues=eigs)
+    emb = manifold.Embedding(kind=emb_kind, reference=reference, rank=emb_rank or None)
     model = regress.RidgeModel(
-        beta=vectors["beta"],
-        intercept=intercept,
-        lambda_star=lam,
-        feature_mean=vectors["mean"],
-        feature_scale=vectors["scale"],
-        grid=np.array([lam]),
-        gcv_path=np.empty(0),
+        beta=vectors["beta"], intercept=intercept, lambda_star=lam,
+        feature_mean=vectors["mean"], feature_scale=vectors["scale"],
+        grid=np.array([lam]), gcv_path=np.empty(0),
     )
     return regress.FoldState(filt=filt, embedding=emb, model=model)
 
@@ -397,23 +345,12 @@ def cmd_predict(opts) -> int:
 def _sweep_specs(opts, q: int) -> list[regress.PipelineSpec]:
     tokens = [t for t in opts["specs"].split(",") if t.strip()]
     if not tokens:
-        return [
-            regress.PipelineSpec(
-                filter_kind="identity", embedding_kind="geometric", name="geometric"
-            ),
-            regress.PipelineSpec(
-                filter_kind="identity", embedding_kind="wasserstein", name="wasserstein"
-            ),
-            regress.PipelineSpec(
-                filter_kind="identity", embedding_kind="logdiag", name="logdiag"
-            ),
-            regress.PipelineSpec(
-                filter_kind="supervised",
-                filter_rank=q,
-                embedding_kind="logdiag",
-                name="supervised+logdiag",
-            ),
-        ]
+        defaults = [("identity", None, "geometric", "geometric"),
+                    ("identity", None, "wasserstein", "wasserstein"),
+                    ("identity", None, "logdiag", "logdiag"),
+                    ("supervised", q, "logdiag", "supervised+logdiag")]
+        return [regress.PipelineSpec(filter_kind=f, filter_rank=r, embedding_kind=e, name=name)
+                for f, r, e, name in defaults]
     specs = []
     for token in tokens:
         token = token.strip()
@@ -526,14 +463,14 @@ def cmd_embed(opts) -> int:
 
 def cmd_witness(opts) -> int:
     a, b, dists = manifold.no_affine_invariance_witness()
-    lines = ["rank-deficient pair: congruence by diag(1, eps) shrinks the distance"]
-    lines.append("wasserstein distance d(a, b) = " + fmt_float(manifold.dist_wasserstein(a, b)))
-    lines.append("eps distance")
-    for eps, d in zip(manifold.WITNESS_EPSILONS, dists):
-        lines.append(f"{fmt_float(eps)} {fmt_float(d)}")
     decreasing = all(d1 > d2 for d1, d2 in zip(dists, dists[1:]))
-    lines.append(f"strictly decreasing: {'yes' if decreasing else 'no'}")
-    text = "\n".join(lines) + "\n"
+    text = (
+        "rank-deficient pair: congruence by diag(1, eps) shrinks the distance\n"
+        + row_format(1, "wasserstein distance d(a, b) =") % manifold.dist_wasserstein(a, b)
+        + "eps distance\n"
+        + "".join(row_format(2) % pair for pair in zip(manifold.WITNESS_EPSILONS, dists))
+        + f"strictly decreasing: {'yes' if decreasing else 'no'}\n"
+    )
     sys.stdout.write(text)
     if opts["out"]:
         Path(opts["out"]).write_text(text)

@@ -20,9 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import CovarianceBundle, fmt_float
+from .bundle import CovarianceBundle, LineReader, write_rows
 from .errors import (
-    ConfigError,
     DegenerateDesign,
     DimensionMismatch,
     RankTooLarge,
@@ -192,27 +191,16 @@ class Leadfield:
 
 def write_leadfield(path, lead: Leadfield) -> None:
     p, q = lead.g.shape
-    lines = [f"LEADFIELD v1 {p} {q}"]
-    for row in lead.g:
-        lines.append(" ".join(fmt_float(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "w") as fh:
+        fh.write(f"LEADFIELD v1 {p} {q}\n")
+        write_rows(fh, lead.g)
 
 
 def read_leadfield(path) -> Leadfield:
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines:
-        raise ConfigError(f"{path}: empty leadfield file")
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "LEADFIELD" or head[1] != "v1":
-        raise ConfigError(
-            f"{path}: expected header 'LEADFIELD v1 P Q', got {lines[0]!r}"
-        )
-    try:
-        p, q = int(head[2]), int(head[3])
-        rows = [[float(x) for x in ln.split()] for ln in lines[1:]]
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad number in leadfield") from exc
-    if len(rows) != p or any(len(r) != q for r in rows):
-        raise ConfigError(f"{path}: expected {p} rows of {q} values")
-    return Leadfield(g=np.array(rows))
+    with open(path) as fh:
+        src = LineReader(path, fh)
+        _, _, p, q = src.words("LEADFIELD v1 <p> <q>")
+        g = src.block(1, src.count(p), src.count(q))[0]
+        src.end()
+    return Leadfield(g=g)

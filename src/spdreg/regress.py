@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bundle import CovarianceBundle, fmt_float
+from .bundle import FLOAT_FMT, CovarianceBundle
 from .errors import (
     ConfigError,
     DegenerateDesign,
@@ -352,18 +352,13 @@ def results_rows(spec: PipelineSpec, report: CVReport, rank: int) -> list[dict]:
     return rows
 
 
-def format_csv_value(value) -> str:
-    if isinstance(value, float):
-        return fmt_float(value)
-    return str(value)
-
-
 def write_csv(path, header: str, rows) -> None:
-    """Write the ``header`` columns of each row with 17-significant-digit
-    decimals."""
+    """Write the ``header`` columns of each row, floats with 17 significant
+    digits."""
     fields = header.split(",")
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(format_csv_value(row[f]) for f in fields))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            values = (row[f] for f in fields)
+            fh.write(",".join(FLOAT_FMT % v if isinstance(v, float) else str(v) for v in values))
+            fh.write("\n")

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -102,6 +103,45 @@ class TestFitRidgeGCV:
         s2max = np.linalg.norm(xs, 2) ** 2
         bound = 100 * np.finfo(float).eps * (1.0 + s2max / grid)
         assert np.all(rel <= bound)
+
+    @pytest.mark.parametrize(
+        ("n", "k", "sigma"), [(20, 60, 0.0), (40, 6, 1e-3)], ids=["wide-noisefree", "tall"]
+    )
+    def test_gcv_path_matches_exact_shrink_form(self, n, k, sigma):
+        # Rebuild the floats fit_ridge_gcv works from: u, s2, c = u^T y_c and
+        # r0 = y_c - u c. From exactly these floats, rss(lam) = |r0|^2 +
+        # sum (lam / (s2 + lam) * c)^2 and tr(I - H) = (n - m) + sum lam /
+        # (s2 + lam) are evaluated in rational arithmetic, so the only error
+        # left is the rounding of the float operations: at most n unit
+        # roundoffs in |r0|^2 (a dot product) and about 30 more in the terms,
+        # the sums over at most 64 of them, the trace squared and the
+        # quotient. Measured here: 10 and 4 units. Writing the shrink factor as
+        # 1 - s2 / (s2 + lam) instead cancels where s2 >> lam and is off by
+        # about eps * s2 / lam relative, far outside this bound.
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((n, k))
+        y = x @ rng.standard_normal(k) + sigma * rng.standard_normal(n)
+        grid = default_ridge_grid()
+        model = fit_ridge_gcv(x, y, grid)
+        xs = (x - x.mean(axis=0)) / x.std(axis=0)
+        yc = y - y.mean()
+        if k > n:
+            s2, u = np.linalg.eigh(xs @ xs.T)
+            s2 = np.clip(s2, 0.0, None)
+        else:
+            u, s, _ = np.linalg.svd(xs, full_matrices=False)
+            s2 = s**2
+        c = u.T @ yc
+        r0 = yc - u @ c
+        r0sq = sum(Fraction(v) ** 2 for v in r0)
+        exact = []
+        for lam in map(Fraction, grid):
+            shrink = [lam / (Fraction(v) + lam) for v in s2]
+            rss = r0sq + sum((h * Fraction(cj)) ** 2 for h, cj in zip(shrink, c))
+            trace = (n - s2.size) + sum(shrink)
+            exact.append(float(n * rss / trace**2))
+        rel = np.abs(model.gcv_path - exact) / np.array(exact)
+        assert np.max(rel) <= (n + 30) * np.finfo(float).eps / 2
 
     def test_ties_break_toward_larger_lambda(self):
         # A zero target makes GCV identically zero across the grid.
