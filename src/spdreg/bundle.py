@@ -80,6 +80,10 @@ class CovarianceBundle:
     def dim(self) -> int:
         return self.matrices[0].dim
 
+    def stack(self) -> np.ndarray:
+        """The matrices as one new ``(n, p, p)`` array."""
+        return np.stack([m.data for m in self.matrices])
+
     def subset(self, indices) -> "CovarianceBundle":
         """Bundle restricted to the given sample indices (order kept)."""
         idx = list(indices)

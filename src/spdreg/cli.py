@@ -31,16 +31,24 @@ from .symmat import SymMat
 # ---------------------------------------------------------------------------
 
 
+def _plain(v: str) -> str:
+    """``v`` if it is ASCII with no digit-group underscores, as numbers in
+    data files must be; ``int`` and ``float`` take both."""
+    if "_" in v or not v.isascii():
+        raise ValueError(v)
+    return v
+
+
 def _parse_int(v: str) -> int:
     try:
-        return int(v)
+        return int(_plain(v))
     except ValueError:
         raise ConfigError(f"expected an integer, got {v!r}") from None
 
 
 def _parse_float(v: str) -> float:
     try:
-        return float(v)
+        return float(_plain(v))
     except ValueError:
         raise ConfigError(f"expected a number, got {v!r}") from None
 
@@ -170,7 +178,7 @@ def resolve_options(command: str, args: argparse.Namespace) -> dict:
     for opt in table:
         flag_val = getattr(args, opt.name, None)
         if flag_val is not None:
-            values[opt.name] = flag_val
+            values[opt.name] = opt.parse(flag_val)
     return values
 
 
@@ -185,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
         cp.add_argument("--config", default=None, help="plain-text config file")
         for opt in table:
             flag = "--" + opt.name.replace("_", "-")
-            cp.add_argument(flag, type=opt.parse, default=None, help=opt.help)
+            cp.add_argument(flag, default=None, help=opt.help)
     return parser
 
 

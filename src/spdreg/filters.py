@@ -9,8 +9,9 @@ Four ways to obtain the projection ``w``:
   power co-varies most with the target;
 * mne -- Tikhonov-regularized inverse of a supplied leadfield matrix.
 
-Applying a filter maps each covariance ``c`` to ``w.T @ c @ w`` and
-carries labels through unchanged.
+Applying a filter maps each covariance ``c`` to ``w.T @ c @ w`` in one
+batched product over the whole ``(n, p, p)`` stack and carries labels
+through unchanged.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def identity_filter(p: int) -> SpatialFilter:
 
 
 def _mean_covariance(bundle: CovarianceBundle) -> SymMat:
-    return SymMat(np.mean([m.data for m in bundle.matrices], axis=0))
+    return SymMat(bundle.stack().mean(axis=0))
 
 
 def fit_unsupervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
@@ -126,7 +127,7 @@ def fit_supervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
             "average covariance is rank-deficient; project with an unsupervised "
             "filter before fitting a supervised one"
         )
-    stack = np.stack([m.data for m in bundle.matrices])
+    stack = bundle.stack()
     cy = np.einsum("i,ijk->jk", ytilde, stack) / bundle.n
     isq = sym_func(cbar, "inv_sqrt").data
     ep = eigh(SymMat(isq @ cy @ isq))
@@ -153,16 +154,29 @@ def fit_mne(lead: "Leadfield", lam: float) -> SpatialFilter:
     return SpatialFilter(w=w, kind="mne", rank_out=g.shape[1], eigenvalues=np.empty(0))
 
 
-def apply(filt: SpatialFilter, bundle: CovarianceBundle) -> CovarianceBundle:
-    """Project every covariance: ``c -> w.T @ c @ w``; labels unchanged."""
-    if filt.w.shape[0] != bundle.dim:
-        raise DimensionMismatch(
-            f"filter expects dimension {filt.w.shape[0]}, bundle has {bundle.dim}"
-        )
+def apply(filt: SpatialFilter, covs):
+    """Project every covariance, ``c -> w.T @ c @ w``, in one batched product.
+
+    ``covs`` is an ``(n, p, p)`` stack, which gives the projected stack,
+    symmetrized as :class:`SymMat` stores it, or a bundle, which gives a
+    bundle with the labels unchanged.
+    """
+    bundle = covs if isinstance(covs, CovarianceBundle) else None
+    stack = covs if bundle is None else bundle.stack()
     w = filt.w
-    mats = [SymMat(w.T @ m.data @ w) for m in bundle.matrices]
+    if w.shape[0] != stack.shape[-1]:
+        raise DimensionMismatch(
+            f"filter expects dimension {w.shape[0]}, bundle has {stack.shape[-1]}"
+        )
+    out = w.T @ stack @ w
+    del stack
+    if not np.all(np.isfinite(out)):
+        raise ValueError("matrix entries must be finite")
+    out = (out + out.swapaxes(-1, -2)) / 2.0
+    if bundle is None:
+        return out
     return CovarianceBundle(
-        matrices=mats,
+        matrices=[SymMat(m) for m in out],
         labels=bundle.labels.copy(),
         nominal_rank=min(filt.rank_out, bundle.nominal_rank),
         provenance=bundle.provenance,

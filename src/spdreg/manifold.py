@@ -14,7 +14,10 @@ Reference points are Frechet means under the matching metric, computed by
 iterative solvers with explicit gradient-norm stopping rules. Every
 operation on samples takes the whole ``(n, p, p)`` stack at once; distances
 and :func:`embed` are pure functions, and the means are deterministic given
-their inputs.
+their inputs. The part of an embedding that needs no reference (the
+Wasserstein eigen-factors, the Euclidean and log-diagonal rows) can be
+done once with :func:`prepare_samples`; means and embeddings take the
+resulting :class:`Samples`, or any subset of them, in place of matrices.
 """
 
 from __future__ import annotations
@@ -46,7 +49,12 @@ WITNESS_EPSILONS = (1.0, 0.1, 0.01, 0.001)
 
 
 def _as_stack(mats) -> np.ndarray:
-    """Stack a nonempty sequence of SymMat into an (n, p, p) array."""
+    """Stack a nonempty sequence of SymMat into an (n, p, p) array; an
+    (n, p, p) array is taken as it is."""
+    if isinstance(mats, np.ndarray):
+        if mats.ndim != 3 or len(mats) == 0 or mats.shape[1] != mats.shape[2]:
+            raise ValueError(f"expected a nonempty (n, p, p) stack, got shape {mats.shape}")
+        return mats
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
     p = mats[0].dim
@@ -229,6 +237,100 @@ def _wass_rows(embedding: Embedding, factors: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Per-sample data: the part of an embedding that needs no reference
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Samples:
+    """``n`` covariances with the reference-free part of embedding ``kind``
+    done for all of them at once.
+
+    ``data`` is what each covariance gives on its own: the ``(n, k)``
+    feature rows for ``euclidean`` and ``logdiag``, the ``(n, p, rank)``
+    eigen-factors of :func:`factorize` for ``wasserstein``, and None for
+    ``geometric``, whose log maps all depend on the reference.
+
+    The kinds whose reference fit reads the covariances (``geometric``,
+    ``wasserstein``) keep them in ``stack``, else None. A :meth:`subset`
+    shares ``stack`` and records its rows in ``index``; they are gathered
+    only when :meth:`covariances` is called, so a training split holds no
+    copy of them past its reference fit.
+
+    Row ``i`` of each array depends on covariance ``i`` alone, and the
+    batched kernels give every slice what they give it alone, so a
+    :meth:`subset` is bit for bit what preparing that subset would give.
+    """
+
+    kind: str
+    stack: np.ndarray | None
+    data: np.ndarray | None
+    rank: int | None = None
+    index: np.ndarray | None = None
+
+    def covariances(self) -> np.ndarray:
+        """The ``(n, p, p)`` covariances, gathered from ``stack`` on each call."""
+        return self.stack if self.index is None else _take_rows(self.stack, self.index)
+
+    def subset(self, indices) -> "Samples":
+        """The samples at ``indices``, in that order."""
+        idx = np.asarray(indices)
+        data = None if self.data is None else _take_rows(self.data, idx)
+        index = idx if self.index is None else self.index[idx]
+        return Samples(self.kind, self.stack, data, self.rank, index)
+
+
+def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx`` of ``a``, laid out in ``a``'s memory order. Sums over
+    rows round by layout (``_upper`` rows are column-major), so a subset
+    must keep the layout the same rows would have if made from scratch."""
+    out = np.empty((len(idx),) + a.shape[1:], order="F" if np.isfortran(a) else "C")
+    return np.take(a, idx, axis=0, out=out)
+
+
+def prepare_samples(mats, kind: str, rank: int | None = None) -> Samples:
+    """The reference-free, per-sample part of embedding ``kind`` for every
+    matrix of ``mats`` (a sequence of SymMat or an ``(n, p, p)`` stack).
+    :class:`Samples` are returned as they are, once checked to match.
+
+    Only ``wasserstein`` uses ``rank``, which defaults to the numerical
+    rank of the first matrix.
+
+    Raises
+    ------
+    NonPositiveDiagonal
+        For ``logdiag``, if a diagonal entry is not positive.
+    NotPSD, RankMismatch
+        For ``wasserstein``, naming the first sample (by its index in
+        ``mats``) that is not PSD or not of rank ``rank``.
+    """
+    if isinstance(mats, Samples):
+        if mats.kind != kind or (kind == "wasserstein" and rank not in (None, mats.rank)):
+            raise ValueError(
+                f"samples prepared for {mats.kind} (rank {mats.rank}) "
+                f"do not fit {kind} (rank {rank})"
+            )
+        return mats
+    if kind not in EMBEDDING_KINDS:
+        raise ValueError(f"unknown embedding kind {kind!r}; expected one of {EMBEDDING_KINDS}")
+    stack = _as_stack(mats)
+    if kind == "euclidean":
+        return Samples(kind, None, _upper(stack))
+    if kind == "logdiag":
+        d = np.diagonal(stack, axis1=1, axis2=2)
+        if np.any(d <= 0):
+            raise NonPositiveDiagonal(
+                f"diagonal entries must be positive (min {d.min():.3e})"
+            )
+        return Samples(kind, None, np.log(d))
+    if kind == "geometric":
+        return Samples(kind, stack, None)
+    if rank is None:
+        rank = numerical_rank(SymMat(stack[0]))
+    return Samples(kind, stack, factorize(stack, rank), rank)
+
+
+# ---------------------------------------------------------------------------
 # Means
 # ---------------------------------------------------------------------------
 
@@ -328,7 +430,8 @@ def mean_wasserstein(
     eigenpairs of the arithmetic mean. Converged when the Riemannian
     gradient ``2 sum_i log_i`` has Frobenius norm at most ``tol``
     (default ``1e-7 * sqrt(p * r)``). Returns the mean ``y y.T`` with the
-    inputs' eigen-factors.
+    inputs' eigen-factors. ``mats`` may be :class:`Samples` prepared for
+    ``wasserstein`` at rank ``r``; their factors are then used as they are.
 
     Raises
     ------
@@ -338,12 +441,12 @@ def mean_wasserstein(
         If the gradient norm is still above ``tol`` after ``max_iter``
         iterations.
     """
-    stack = _as_stack(mats)
-    n, p = stack.shape[0], stack.shape[1]
+    prepared = prepare_samples(mats, "wasserstein", r)
+    factors = prepared.data
+    n, p = factors.shape[0], factors.shape[1]
     if tol is None:
         tol = 1e-7 * np.sqrt(p * r)
-    factors = factorize(stack, r)
-    ep = eigh(SymMat(stack.mean(axis=0)))
+    ep = eigh(SymMat(prepared.covariances().mean(axis=0)))
     y = ep.vectors[:, :r] * np.sqrt(np.clip(ep.values[:r], 0.0, None))
     grad_sum, obj = _wass_state(y, factors)
     gnorm = 2.0 * float(np.linalg.norm(grad_sum))
@@ -451,22 +554,22 @@ def fit_embedding(mats, kind: str, rank: int | None = None) -> FeatureMatrix:
 
     The reference is the Frechet mean of ``mats`` under the metric that
     matches ``kind``; ``euclidean`` and ``logdiag`` have no reference.
-    Only ``wasserstein`` uses ``rank``, which defaults to the numerical
-    rank of the first matrix. The fitted :class:`Embedding` is the
-    result's ``embedding``, and its rows equal ``embed(embedding,
+    ``mats`` is a sequence of SymMat, an ``(n, p, p)`` stack, or
+    :class:`Samples` prepared for ``kind``. Only ``wasserstein`` uses
+    ``rank`` (see :func:`prepare_samples`). The fitted :class:`Embedding`
+    is the result's ``embedding``, and its rows equal ``embed(embedding,
     mats).rows``; they are built from what the mean's solver already
     holds, so the training set is not embedded a second time.
     """
+    prepared = prepare_samples(mats, kind, rank)
     if kind == "geometric":
-        fit = mean_geometric(mats)
+        fit = mean_geometric(prepared.covariances())
         return FeatureMatrix(fit.samples, Embedding(kind, reference=fit.point))
     if kind == "wasserstein":
-        if rank is None:
-            rank = numerical_rank(mats[0])
-        fit = mean_wasserstein(mats, rank)
-        embedding = Embedding(kind, reference=fit.point, rank=rank)
+        fit = mean_wasserstein(prepared, prepared.rank)
+        embedding = Embedding(kind, reference=fit.point, rank=prepared.rank)
         return FeatureMatrix(_wass_rows(embedding, fit.samples), embedding)
-    return embed(Embedding(kind), mats)
+    return FeatureMatrix(prepared.data, Embedding(kind))
 
 
 def embed(embedding: Embedding, mats) -> FeatureMatrix:
@@ -478,25 +581,23 @@ def embed(embedding: Embedding, mats) -> FeatureMatrix:
     the flattened factor-space log maps from the reference (length
     ``p * rank``), ``logdiag`` rows the log of the diagonal. The 2-norm
     of a geometric or wasserstein row is the distance from the reference.
+    ``mats`` is a sequence of SymMat, an ``(n, p, p)`` stack, or
+    :class:`Samples` prepared for the embedding's kind and rank, whose
+    per-sample part is then not redone.
     """
-    stack = _as_stack(mats)
-    p = stack.shape[1]
-    if embedding.reference is not None and embedding.reference.dim != p:
-        raise DimensionMismatch(
-            f"reference dim {embedding.reference.dim} vs matrices dim {p}"
-        )
-    if embedding.kind == "euclidean":
-        rows = _upper(stack)
-    elif embedding.kind == "logdiag":
-        d = np.diagonal(stack, axis1=1, axis2=2)
-        if np.any(d <= 0):
-            raise NonPositiveDiagonal(
-                f"diagonal entries must be positive (min {d.min():.3e})"
+    kind, reference = embedding.kind, embedding.reference
+    if not isinstance(mats, Samples):
+        mats = _as_stack(mats)
+        if reference is not None and reference.dim != mats.shape[-1]:
+            raise DimensionMismatch(
+                f"reference dim {reference.dim} vs matrices dim {mats.shape[-1]}"
             )
-        rows = np.log(d)
-    elif embedding.kind == "geometric":
-        isq, _ = _whiten(embedding.reference.data)
-        rows = _upper(_whitened_logs(isq, stack, "embed"))
-    else:  # wasserstein
-        rows = _wass_rows(embedding, factorize(stack, embedding.rank))
+    prepared = prepare_samples(mats, kind, embedding.rank)
+    if kind == "geometric":
+        isq, _ = _whiten(reference.data)
+        rows = _upper(_whitened_logs(isq, prepared.covariances(), "embed"))
+    elif kind == "wasserstein":
+        rows = _wass_rows(embedding, prepared.data)
+    else:
+        rows = prepared.data
     return FeatureMatrix(rows=rows, embedding=embedding)

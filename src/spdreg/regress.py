@@ -1,10 +1,17 @@
 """Tangent-space ridge regression with generalized cross-validation.
 
-The full pipeline per cross-validation fold is: fit the spatial filter
-on the training split, project both splits, fit the embedding reference
-(a Frechet mean) on the projected training split, vectorize, then fit a
-ridge model whose regularization is chosen by generalized
-cross-validation (GCV) over a fixed grid. Nothing fitted ever sees the
+The pipeline is: fit the spatial filter, project, do the per-sample part
+of the embedding (:func:`~spdreg.manifold.prepare_samples`), fit the
+embedding reference (a Frechet mean) on the training split, vectorize,
+then fit a ridge model whose regularization is chosen by generalized
+cross-validation (GCV) over a fixed grid. :func:`fit_fold` and
+:func:`predict_fold` run it for the CLI and for every CV fold.
+
+In cross-validation the reference, the standardization and the ridge fit
+run per fold on its training split. The projection and the per-sample
+step run once per CV run when the filter is fit without the samples
+(``identity``, ``mne``) and per fold otherwise; :func:`cross_val_states`
+says why sharing them is not leakage. Nothing fitted ever sees the
 held-out fold.
 """
 
@@ -35,8 +42,10 @@ from .manifold import (
     EMBEDDING_KINDS,
     Embedding,
     FeatureMatrix,
+    Samples,
     embed,
     fit_embedding,
+    prepare_samples,
 )
 
 RESULTS_HEADER = "method,filter,embedding,rank,fold,lambda,mae,seed"
@@ -241,6 +250,11 @@ def fold_blocks(n: int, folds: int, seed: int) -> list[np.ndarray]:
     return blocks
 
 
+# Filters fit without reading the samples: cross-validation fits them,
+# projects, and prepares the embedding's per-sample data once per run.
+FIXED_FILTERS = ("identity", "mne")
+
+
 def _fit_filter(train: CovarianceBundle, spec: PipelineSpec) -> SpatialFilter:
     if spec.filter_kind == "identity":
         return identity_filter(train.dim)
@@ -251,21 +265,54 @@ def _fit_filter(train: CovarianceBundle, spec: PipelineSpec) -> SpatialFilter:
     return fit_mne(spec.leadfield, spec.mne_lambda)
 
 
-def fit_fold(train: CovarianceBundle, spec: PipelineSpec) -> FoldState:
-    """Fit filter, embedding reference, and ridge model on one split."""
-    filt = _fit_filter(train, spec)
-    projected = apply(filt, train)
+@dataclass(frozen=True)
+class Projected:
+    """Labeled samples after a fitted filter, with the reference-free part
+    of the embedding done (:class:`~spdreg.manifold.Samples`).
+
+    :func:`fit_fold` and :func:`predict_fold` take one in place of a bundle;
+    :meth:`subset` slices it like :meth:`CovarianceBundle.subset`.
+    """
+
+    filt: SpatialFilter
+    samples: Samples
+    labels: np.ndarray
+
+    def subset(self, indices) -> "Projected":
+        return Projected(self.filt, self.samples.subset(indices), self.labels[indices])
+
+
+def project(filt: SpatialFilter, bundle: CovarianceBundle, kind: str, rank) -> Projected:
+    """Project ``bundle`` with ``filt`` and prepare it for embedding ``kind``
+    (``rank`` is the Wasserstein rank)."""
+    stack = apply(filt, bundle.stack())
+    return Projected(filt, prepare_samples(stack, kind, rank), bundle.labels)
+
+
+def _project_train(filt: SpatialFilter, train: CovarianceBundle, spec: PipelineSpec):
     rank = min(filt.rank_out, train.nominal_rank)
-    feats = fit_embedding(projected.matrices, spec.embedding_kind, rank=rank)
-    model = fit_ridge_gcv(feats, projected.labels, spec.ridge_grid)
-    return FoldState(filt=filt, embedding=feats.embedding, model=model)
+    return project(filt, train, spec.embedding_kind, rank)
 
 
-def predict_fold(state: FoldState, test: CovarianceBundle) -> np.ndarray:
-    """Apply a fitted fold to held-out covariances."""
-    projected = apply(state.filt, test)
-    feats = embed(state.embedding, projected.matrices)
-    return predict(state.model, feats)
+def fit_fold(train, spec: PipelineSpec) -> FoldState:
+    """Fit filter, embedding reference, and ridge model on one split.
+
+    ``train`` is a bundle, or a :class:`Projected` split whose filter was
+    fit without its samples (see :func:`cross_val_states`).
+    """
+    if isinstance(train, CovarianceBundle):
+        train = _project_train(_fit_filter(train, spec), train, spec)
+    feats = fit_embedding(train.samples, spec.embedding_kind)
+    model = fit_ridge_gcv(feats, train.labels, spec.ridge_grid)
+    return FoldState(filt=train.filt, embedding=feats.embedding, model=model)
+
+
+def predict_fold(state: FoldState, test) -> np.ndarray:
+    """Apply a fitted fold to held-out covariances: a bundle, or a
+    :class:`Projected` split made with the fold's own filter."""
+    if isinstance(test, CovarianceBundle):
+        test = project(state.filt, test, state.embedding.kind, state.embedding.rank)
+    return predict(state.model, embed(state.embedding, test.samples))
 
 
 def cross_val_states(
@@ -276,20 +323,38 @@ def cross_val_states(
     Each fold is fit strictly on its training split: spatial filter,
     embedding reference mean, feature standardization, and ridge weights
     never see the held-out block.
+
+    When the filter is fit without the samples (``identity``, ``mne``),
+    the work that depends on one sample alone is done once per run: the
+    projection, and the per-sample part of the embedding (Wasserstein
+    eigen-factors with their rank and PSD checks, Euclidean and
+    log-diagonal rows; geometric log maps all depend on the reference, so
+    only the projection is shared). Each fold slices these arrays: its
+    training rows feed its Frechet mean and ridge fit, and its held-out
+    rows are embedded at its reference. This is not leakage: each shared
+    value is a function of its own sample alone, and the batched kernels
+    give each slice bit for bit what they give it alone, so every fold's
+    state is exactly what fitting that fold from scratch gives. Errors in
+    the shared step name the sample by its bundle index. The
+    ``unsupervised`` and ``supervised`` filters are fit on each training
+    split, so for them the projection and all after it run per fold.
     """
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if bundle.n < folds:
         raise ValueError(f"bundle has {bundle.n} samples but {folds} folds requested")
     blocks = fold_blocks(bundle.n, folds, seed)
+    data = bundle
+    if spec.filter_kind in FIXED_FILTERS:
+        data = _project_train(_fit_filter(bundle, spec), bundle, spec)
     maes, lams, states = [], [], []
     for k, test_idx in enumerate(blocks):
         mask = np.ones(bundle.n, dtype=bool)
         mask[test_idx] = False
         train_idx = np.nonzero(mask)[0]
         try:
-            state = fit_fold(bundle.subset(train_idx), spec)
-            test = bundle.subset(test_idx)
+            state = fit_fold(data.subset(train_idx), spec)
+            test = data.subset(test_idx)
             yhat = predict_fold(state, test)
         except NumericalError as exc:
             exc.args = (f"fold {k}: {exc}",)

@@ -103,6 +103,21 @@ class TestEval:
         assert code == 3
         assert "SingularMatrix" in capsys.readouterr().err
 
+    def test_wasserstein_rank_error_names_the_bundle_sample(self, tmp_path, capsys):
+        # Sample 5 falls in fold 0's training split at this seed, where it
+        # was sample 3; the error must name it by its place in the file.
+        rng = np.random.default_rng(0)
+        mats = [SymMat(y @ y.T) for y in rng.standard_normal((12, 4, 4))]
+        mats[5] = SymMat(np.diag([3.0, 2.0, 1.0, 0.0]))
+        bundle = CovarianceBundle(mats, rng.standard_normal(12), nominal_rank=4)
+        path = tmp_path / "one_low.covb"
+        write_covb(path, bundle)
+        code = run("eval", "--bundle", path, "--embedding", "wasserstein",
+                   "--folds", 3, "--out", tmp_path / "r.csv")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "RankMismatch" in err and "sample 5:" in err
+
     def test_wasserstein_handles_rank_deficient(self, tmp_path, rank_deficient_file):
         code = run(
             "eval",
@@ -305,3 +320,40 @@ class TestArgparseBehavior:
     def test_unknown_flag_exits_2(self, capsys):
         assert run("simulate", "--frobnicate", 1) == 2
         capsys.readouterr()
+
+
+# Option values use the number grammar of the data files: no digit-group
+# underscores and no non-ASCII digits, which int() and float() accept.
+BAD_NUMBERS = [("mu", "1_0"), ("n", "1_0"), ("mu", "\u0661.5"), ("n", "\uff13"),
+               ("sigma", "0.0_1"), ("seed", "\u0663")]
+
+
+class TestNumberGrammar:
+    @pytest.mark.parametrize("key,value", BAD_NUMBERS)
+    def test_flag_value_exits_2_naming_it(self, tmp_path, capsys, key, value):
+        out = tmp_path / "b.covb"
+        assert run("simulate", f"--{key}", value, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: expected {_kind(key)}, got {value!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", BAD_NUMBERS)
+    def test_config_value_exits_2_naming_it(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "b.covb"
+        assert run("simulate", "--config", cfg, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: expected {_kind(key)}, got {value!r}\n"
+        assert not out.exists()
+
+    def test_malformed_flag_exits_2_not_a_traceback(self, tmp_path, capsys):
+        assert run("simulate", "--mu", "abc", "--out", tmp_path / "b.covb") == 2
+        assert capsys.readouterr().err == "error: expected a number, got 'abc'\n"
+
+    def test_plain_numbers_still_parse(self, tmp_path):
+        out = tmp_path / "b.covb"
+        assert run("simulate", "--n", " 12", "--mu", "+2.5e-1", "--seed", "-0", "--out", out) == 0
+        assert read_covb(out).n == 12
+
+
+def _kind(key):
+    return "an integer" if key in ("n", "seed") else "a number"

@@ -10,18 +10,28 @@ from spdreg import (
     DegenerateDesign,
     DimensionMismatch,
     GenerativeConfig,
+    Leadfield,
     PipelineSpec,
+    RankMismatch,
     RidgeModel,
     SingularMatrix,
     SymMat,
+    apply,
     default_ridge_grid,
+    embed,
+    fit_embedding,
+    fit_mne,
     fit_ridge_gcv,
+    fit_supervised,
+    fit_unsupervised,
+    identity_filter,
     predict,
     run_pipeline_cv,
     sample_bundle,
 )
 from spdreg.regress import (
     RESULTS_HEADER,
+    FoldState,
     cross_val_states,
     fold_blocks,
     results_rows,
@@ -258,6 +268,16 @@ class TestRunPipelineCV:
         assert str(info.value).startswith("fold ")
         assert info.value.smallest_eigenvalue is not None
 
+    def test_shared_rank_error_names_the_bundle_sample(self):
+        # At seed 0 sample 5 is in fold 0's training split, as its sample 3.
+        rng = np.random.default_rng(0)
+        bundle = rand_bundle(rng, 12, 4)
+        mats = list(bundle.matrices)
+        mats[5] = SymMat(np.diag([3.0, 2.0, 1.0, 0.0]))
+        bad = CovarianceBundle(matrices=mats, labels=bundle.labels, nominal_rank=4)
+        with pytest.raises(RankMismatch, match=r"^sample 5: numerical rank is 3, expected 4$"):
+            run_pipeline_cv(bad, PipelineSpec(embedding_kind="wasserstein"), 3, 0)
+
 
 def state_digest(state):
     h = hashlib.sha256()
@@ -272,11 +292,21 @@ def state_digest(state):
     return h.hexdigest()
 
 
+def mne_spec(kind, p):
+    lead = Leadfield(np.random.default_rng(99).standard_normal((p, 2)))
+    return PipelineSpec(filter_kind="mne", leadfield=lead, embedding_kind=kind)
+
+
 class TestNoLeakage:
-    def test_held_out_fold_never_touches_fitted_state(self):
+    @pytest.mark.parametrize("kind", ["geometric", "wasserstein", "logdiag", "euclidean"])
+    @pytest.mark.parametrize("filter_kind", ["identity", "mne"])
+    def test_held_out_fold_never_touches_fitted_state(self, filter_kind, kind):
         rng = np.random.default_rng(12)
         bundle = rand_bundle(rng, 12, 3)
-        spec = PipelineSpec(embedding_kind="geometric")
+        if filter_kind == "mne":
+            spec = mne_spec(kind, 3)
+        else:
+            spec = PipelineSpec(embedding_kind=kind)
         _, states = cross_val_states(bundle, spec, folds=3, seed=5)
 
         blocks = fold_blocks(12, 3, seed=5)
@@ -294,6 +324,53 @@ class TestNoLeakage:
         # must be unchanged when block 0 is replaced.
         assert state_digest(states[0]) == state_digest(states2[0])
         assert state_digest(states[1]) != state_digest(states2[1])
+
+
+def cv_from_scratch(bundle, spec, folds, seed):
+    """Each fold fit on its own from the public pieces: per-fold MAE, lambda
+    and state digest."""
+    fit_filter = {
+        "identity": lambda b: identity_filter(b.dim),
+        "unsupervised": lambda b: fit_unsupervised(b, spec.filter_rank),
+        "supervised": lambda b: fit_supervised(b, spec.filter_rank),
+        "mne": lambda b: fit_mne(spec.leadfield, spec.mne_lambda),
+    }[spec.filter_kind]
+    maes, lams, digests = [], [], []
+    for test_idx in fold_blocks(bundle.n, folds, seed):
+        train = bundle.subset(np.setdiff1d(np.arange(bundle.n), test_idx))
+        test = bundle.subset(test_idx)
+        filt = fit_filter(train)
+        projected = apply(filt, train)
+        feats = fit_embedding(
+            projected.matrices, spec.embedding_kind, rank=projected.nominal_rank
+        )
+        model = fit_ridge_gcv(feats, projected.labels, spec.ridge_grid)
+        yhat = predict(model, embed(feats.embedding, apply(filt, test).matrices))
+        maes.append(float(np.mean(np.abs(test.labels - yhat))))
+        lams.append(model.lambda_star)
+        digests.append(state_digest(FoldState(filt, feats.embedding, model)))
+    return np.array(maes), np.array(lams), digests
+
+
+class TestSharedPerSampleWork:
+    """Cross-validation does the per-sample work once for fixed filters;
+    every fold must still be exactly what fitting it from scratch gives."""
+
+    @pytest.mark.parametrize("kind", ["geometric", "wasserstein", "logdiag", "euclidean"])
+    @pytest.mark.parametrize("filter_kind", ["identity", "unsupervised", "supervised", "mne"])
+    def test_folds_equal_fits_from_scratch(self, filter_kind, kind):
+        cfg = GenerativeConfig(p=4, q=2, n=40, mu=0.5, sigma=0.05, seed=21)
+        bundle, _ = sample_bundle(cfg)
+        if filter_kind == "mne":
+            spec = mne_spec(kind, 4)
+        else:
+            rank = 3 if filter_kind in ("unsupervised", "supervised") else None
+            spec = PipelineSpec(filter_kind=filter_kind, filter_rank=rank, embedding_kind=kind)
+        report, states = cross_val_states(bundle, spec, folds=4, seed=2)
+        maes, lams, digests = cv_from_scratch(bundle, spec, folds=4, seed=2)
+        assert np.array_equal(report.per_fold_mae, maes)
+        assert np.array_equal(report.per_fold_lambda, lams)
+        assert [state_digest(s) for s in states] == digests
 
 
 class TestPipelineInvariances:
