@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -71,12 +72,7 @@ def _parse_str(v: str) -> str:
     return v.strip()
 
 
-class Opt:
-    def __init__(self, name, parse, default, help):
-        self.name = name
-        self.parse = parse
-        self.default = default
-        self.help = help
+Opt = namedtuple("Opt", "name parse default help")
 
 
 _GEN_OPTS = [
@@ -315,7 +311,7 @@ def cmd_fit(opts) -> int:
     spec = _pipeline_spec(opts)
     state = regress.fit_fold(bund, spec)
     write_model(opts["out"], state)
-    train_mae = float(np.mean(np.abs(bund.labels - regress.predict_fold(state, bund))))
+    train_mae = float(np.mean(np.abs(bund.labels - state.model.fitted)))
     print(
         f"fitted {spec.label} on n={bund.n} "
         f"lambda={state.model.lambda_star:.6g} train_mae={train_mae:.6g} -> {opts['out']}"
@@ -403,12 +399,7 @@ def cmd_sweep(opts) -> int:
             raise ConfigError(
                 f"unknown preset {preset!r}; expected one of {sorted(SWEEP_PRESETS)}"
             )
-        chosen = SWEEP_PRESETS[preset]
-        opts = dict(opts)
-        opts["axis"] = chosen["axis"]
-        opts["values"] = chosen["values"]
-        if "sigma" in chosen:
-            opts["sigma"] = chosen["sigma"]
+        opts = {**opts, **SWEEP_PRESETS[preset]}
     if opts["axis"] not in simgen.SWEEP_AXES:
         raise ConfigError(
             f"sweep axis must be one of {simgen.SWEEP_AXES}, got {opts['axis']!r}"
@@ -420,15 +411,8 @@ def cmd_sweep(opts) -> int:
     cfg = _generative_config(opts)
     specs = _sweep_specs(opts, cfg.q)
     jobs = opts["jobs"] if opts["jobs"] > 0 else _usable_cores()
-    rows = simgen.sweep(
-        cfg,
-        opts["axis"],
-        opts["values"],
-        specs,
-        folds=opts["folds"],
-        repeats=opts["repeats"],
-        jobs=jobs,
-    )
+    rows = simgen.sweep(cfg, opts["axis"], opts["values"], specs, folds=opts["folds"],
+                        repeats=opts["repeats"], jobs=jobs)
     regress.write_csv(opts["out"], simgen.SWEEP_HEADER, rows)
     errors = sum(1 for r in rows if r["error"])
     print(

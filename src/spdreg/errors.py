@@ -32,11 +32,23 @@ class SingularMatrix(NumericalError):
         self.smallest_eigenvalue = smallest_eigenvalue
 
 
-class NotPSD(NumericalError):
+class SampleError(NumericalError):
+    """A failure that may name one matrix of a stack by its index ``sample``."""
+
+    def __init__(self, message, sample=None):
+        super().__init__(message if sample is None else f"sample {sample}: {message}")
+        self.detail, self.sample = message, sample
+
+    def renumber(self, index) -> None:
+        """Name the sample by ``index[sample]``, its index in the full stack."""
+        self.__init__(self.detail, int(index[self.sample]))
+
+
+class NotPSD(SampleError):
     """A PSD matrix was required but a clearly negative eigenvalue was found."""
 
 
-class RankMismatch(NumericalError):
+class RankMismatch(SampleError):
     """Numerical rank of the input differs from the requested rank."""
 
 

@@ -200,14 +200,13 @@ def factorize(stack: np.ndarray, r: int) -> np.ndarray:
     if bad.size:
         i = bad[0]
         raise NotPSD(
-            f"sample {i} is not PSD (smallest eigenvalue {w[i, 0]:.3e}, "
-            f"threshold {-tau[i]:.3e})"
+            f"not PSD (smallest eigenvalue {w[i, 0]:.3e}, threshold {-tau[i]:.3e})", i
         )
     ranks = np.count_nonzero(w > tau[:, None], axis=1)
     bad = np.flatnonzero(ranks != r)
     if bad.size:
         i = bad[0]
-        raise RankMismatch(f"sample {i}: numerical rank is {ranks[i]}, expected {r}")
+        raise RankMismatch(f"numerical rank is {ranks[i]}, expected {r}", i)
     # Stable descending sort keeps the solver's order inside tie blocks.
     order = np.argsort(-w, axis=1, kind="stable")[:, :r]
     y = np.take_along_axis(v, order[:, None, :], axis=2)

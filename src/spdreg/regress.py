@@ -109,7 +109,8 @@ class RidgeModel:
 
     Predictions are ``((x - feature_mean) / feature_scale) @ beta +
     intercept``. ``gcv_path`` keeps the GCV criterion at every grid
-    value for diagnostics.
+    value for diagnostics, and ``fitted`` the predictions on the training
+    rows (None for a model read from a file).
     """
 
     beta: np.ndarray
@@ -119,6 +120,7 @@ class RidgeModel:
     feature_scale: np.ndarray
     grid: np.ndarray
     gcv_path: np.ndarray
+    fitted: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -139,9 +141,9 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
     the training data (columns with zero variance get scale 1). The
     criterion ``GCV(lam) = n * ||(I - H_lam) y_c||^2 / tr(I - H_lam)^2``
     is evaluated for the whole grid in one array expression from one
-    factorization of the standardized n x k design: a thin SVD when
-    ``k <= n``, an ``eigh`` of the n x n Gram matrix when ``k > n``.
-    Ties are broken toward the larger lambda.
+    ``eigh`` of the smaller Gram matrix of the standardized n x k design:
+    ``xs^T xs`` when ``k <= n``, ``xs xs^T`` when ``k > n``. Ties are
+    broken toward the larger lambda.
 
     Raises
     ------
@@ -172,18 +174,28 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
     ybar = float(y.mean())
     yc = y - ybar
 
-    # Left singular vectors u and squared singular values s2 of xs. For a
-    # wide design one n x n Gram eigh is several times cheaper than the SVD.
-    # Squaring loses only s2 below about eps * max(s2), which lam damps.
-    wide = k > n
-    if wide:
+    # One eigh of the smaller Gram matrix gives the squared singular values
+    # s2 of xs, c = u^T yc for its left singular vectors u, and r0 = yc - u c.
+    # For k > n, u are the eigenvectors of xs xs^T. For k <= n, u = xs v / s
+    # for those v of xs^T xs is poor at small s and is never formed: d = v^T
+    # xs^T yc = s c and r0 = yc - xs v (d / s2). Forward error: the Gram's
+    # eigenvalues are off by O(k eps max(s2)) (Weyl), so each lam / (s2 + lam)
+    # moves by O(k eps max(s2) / lam) relative. Eigenvalues of xs^T xs at or
+    # below that level are dropped as null (shrink 1, their share of yc left
+    # in r0); a kept one splits yc between c and r0 to O(k eps max(s2) / s2)
+    # relative, the squared condition of the normal equations, below 1.
+    if k > n:
         s2, u = np.linalg.eigh(xs @ xs.T)
         s2 = np.clip(s2, 0.0, None)
+        c = u.T @ yc
+        r0 = yc - u @ c
     else:
-        u, s, vt = np.linalg.svd(xs, full_matrices=False)
-        s2 = s**2
-    c = u.T @ yc
-    r0 = yc - u @ c
+        s2, v = np.linalg.eigh(xs.T @ xs)
+        live = s2 > k * np.finfo(float).eps * s2[-1]
+        s2, v = s2[live], v[:, live]
+        d = v.T @ (xs.T @ yc)
+        c = d / np.sqrt(s2)
+        r0 = yc - xs @ (v @ (d / s2))
     # lam / (s2 + lam) is written out, never as 1 - h: where the fit is
     # exact h ~ 1 and the difference would cancel.
     shrink = grid[:, None] / (s2 + grid[:, None])
@@ -194,10 +206,7 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
     ties = np.nonzero(gcv == best)[0]
     ibest = ties[np.argmax(grid[ties])]
     lam = float(grid[ibest])
-    if wide:
-        beta = xs.T @ (u @ (c / (s2 + lam)))
-    else:
-        beta = vt.T @ (s / (s2 + lam) * c)
+    beta = xs.T @ (u @ (c / (s2 + lam))) if k > n else v @ (d / (s2 + lam))
     return RidgeModel(
         beta=beta,
         intercept=ybar,
@@ -206,6 +215,7 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
         feature_scale=scale,
         grid=grid,
         gcv_path=gcv,
+        fitted=xs @ beta + ybar,
     )
 
 
@@ -334,8 +344,8 @@ def cross_val_states(
     rows are embedded at its reference. This is not leakage: each shared
     value is a function of its own sample alone, and the batched kernels
     give each slice bit for bit what they give it alone, so every fold's
-    state is exactly what fitting that fold from scratch gives. Errors in
-    the shared step name the sample by its bundle index. The
+    state is exactly what fitting that fold from scratch gives. Errors
+    name a failing sample by its bundle index. The
     ``unsupervised`` and ``supervised`` filters are fit on each training
     split, so for them the projection and all after it run per fold.
     """
@@ -352,11 +362,15 @@ def cross_val_states(
         mask = np.ones(bundle.n, dtype=bool)
         mask[test_idx] = False
         train_idx = np.nonzero(mask)[0]
+        split = train_idx
         try:
             state = fit_fold(data.subset(train_idx), spec)
+            split = test_idx
             test = data.subset(test_idx)
             yhat = predict_fold(state, test)
         except NumericalError as exc:
+            if getattr(exc, "sample", None) is not None:
+                exc.renumber(split)
             exc.args = (f"fold {k}: {exc}",)
             raise
         maes.append(float(np.mean(np.abs(test.labels - yhat))))
@@ -400,21 +414,12 @@ def effective_rank(spec: PipelineSpec, p: int) -> int:
 
 def results_rows(spec: PipelineSpec, report: CVReport, rank: int) -> list[dict]:
     """One result row per fold in the results CSV schema."""
-    rows = []
-    for k, (mae, lam) in enumerate(zip(report.per_fold_mae, report.per_fold_lambda)):
-        rows.append(
-            {
-                "method": spec.label,
-                "filter": spec.filter_kind,
-                "embedding": spec.embedding_kind,
-                "rank": rank,
-                "fold": k,
-                "lambda": lam,
-                "mae": mae,
-                "seed": report.seed,
-            }
-        )
-    return rows
+    folds = enumerate(zip(report.per_fold_mae, report.per_fold_lambda))
+    return [
+        {"method": spec.label, "filter": spec.filter_kind, "embedding": spec.embedding_kind,
+         "rank": rank, "fold": k, "lambda": lam, "mae": mae, "seed": report.seed}
+        for k, (mae, lam) in folds
+    ]
 
 
 def write_csv(path, header: str, rows) -> None:

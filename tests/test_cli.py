@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from spdreg import CovarianceBundle, GenerativeConfig, SymMat, sample_bundle, simgen
+from spdreg import CovarianceBundle, GenerativeConfig, SymMat, regress, sample_bundle, simgen
 from spdreg.bundle import read_covb, write_covb
 from spdreg.cli import main, read_model, write_model
 
@@ -199,6 +199,29 @@ class TestFitPredict:
         clone = tmp_path / "m2.txt"
         write_model(clone, state)
         assert model_path.read_bytes() == clone.read_bytes()
+
+    def test_fit_projects_once_and_reuses_training_rows(
+        self, tmp_path, bundle_file, monkeypatch, capsys
+    ):
+        # The train MAE comes from the rows fit_embedding returns, so the
+        # training bundle is projected once and never embedded again.
+        calls = {"apply": 0, "embed": 0}
+        for name in calls:
+            inner = getattr(regress, name)
+
+            def counted(*args, _name=name, _inner=inner):
+                calls[_name] += 1
+                return _inner(*args)
+
+            monkeypatch.setattr(regress, name, counted)
+        model = tmp_path / "m.txt"
+        assert run("fit", "--bundle", bundle_file, "--out", model) == 0
+        assert calls == {"apply": 1, "embed": 0}
+        monkeypatch.undo()
+        bundle = read_covb(bundle_file)
+        yhat = regress.predict_fold(read_model(model), bundle)
+        mae = float(np.mean(np.abs(bundle.labels - yhat)))
+        assert f"train_mae={mae:.6g} " in capsys.readouterr().out
 
     def test_fit_deterministic(self, tmp_path, bundle_file):
         m1, m2 = tmp_path / "m1.txt", tmp_path / "m2.txt"

@@ -85,19 +85,47 @@ class TestFitRidgeGCV:
         assert model.feature_scale[1] == 1.0
 
     @pytest.mark.parametrize(
-        ("n", "k", "noisy"),
-        [(20, 6, True), (20, 60, True), (30, 200, True), (30, 200, False)],
-        ids=["20x6", "20x60", "30x200", "30x200-noisefree"],
+        ("n", "k", "rank", "noisy"),
+        [
+            (20, 6, None, True),
+            (20, 60, None, True),
+            (30, 200, None, True),
+            (30, 200, None, False),
+            (60, 40, 5, True),
+            (60, 40, 5, False),
+            (54, 51, 16, True),
+            (54, 51, 16, False),
+        ],
+        ids=[
+            "20x6",
+            "20x60",
+            "30x200",
+            "30x200-noisefree",
+            "60x40-rank5",
+            "60x40-rank5-noisefree",
+            "54x51-rank16",
+            "54x51-rank16-noisefree",
+        ],
     )
-    def test_fast_path_matches_brute_force(self, n, k, noisy):
+    def test_fast_path_matches_brute_force(self, n, k, rank, noisy):
+        # A rank given is that of the design x = a @ b, whose xs^T xs has
+        # k - rank null eigenvalues, as the Wasserstein designs of the
+        # benchmark do.
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((n, k))
+        if rank is None:
+            x = rng.standard_normal((n, k))
+        else:
+            x = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, k))
         y = rng.standard_normal(n) if noisy else x @ rng.standard_normal(k)
         grid = default_ridge_grid()
         model = fit_ridge_gcv(x, y, grid)
         reference = brute_force_gcv(x, y, grid)
         rel = np.abs(model.gcv_path - reference) / reference
         if k <= n:
+            # Measured: below 1e-15 with noise, 4.5e-9 and 2.3e-9 on the
+            # noise-free rank-deficient cases, as a thin SVD gives: there
+            # the gap is the oracle's own, which solves at condition
+            # (s_max^2 + lam) / lam.
             assert np.max(rel) <= 1e-8
             return
         # Forward error when k > n. With s the singular values of the
@@ -118,16 +146,18 @@ class TestFitRidgeGCV:
         ("n", "k", "sigma"), [(20, 60, 0.0), (40, 6, 1e-3)], ids=["wide-noisefree", "tall"]
     )
     def test_gcv_path_matches_exact_shrink_form(self, n, k, sigma):
-        # Rebuild the floats fit_ridge_gcv works from: u, s2, c = u^T y_c and
-        # r0 = y_c - u c. From exactly these floats, rss(lam) = |r0|^2 +
-        # sum (lam / (s2 + lam) * c)^2 and tr(I - H) = (n - m) + sum lam /
-        # (s2 + lam) are evaluated in rational arithmetic, so the only error
-        # left is the rounding of the float operations: at most n unit
-        # roundoffs in |r0|^2 (a dot product) and about 30 more in the terms,
-        # the sums over at most 64 of them, the trace squared and the
-        # quotient. Measured here: 10 and 4 units. Writing the shrink factor as
-        # 1 - s2 / (s2 + lam) instead cancels where s2 >> lam and is off by
-        # about eps * s2 / lam relative, far outside this bound.
+        # Rebuild the floats fit_ridge_gcv works from: s2, c = u^T y_c and
+        # r0 = y_c - u c, where for k <= n u = xs v / s is never formed and
+        # c, r0 come from the kept eigenpairs (s2, v) of xs^T xs. From
+        # exactly these floats, rss(lam) = |r0|^2 + sum (lam / (s2 + lam) *
+        # c)^2 and tr(I - H) = (n - m) + sum lam / (s2 + lam) (m = len(s2))
+        # are evaluated in rational arithmetic, so the only error left is the
+        # rounding of the float operations: at most n unit roundoffs in
+        # |r0|^2 (a dot product) and about 30 more in the terms, the sums
+        # over at most 64 of them, the trace squared and the quotient.
+        # Measured here: 10 and 7 units. Writing the shrink factor as 1 - s2 /
+        # (s2 + lam) instead cancels where s2 >> lam and is off by about
+        # eps * s2 / lam relative, far outside this bound.
         rng = np.random.default_rng(6)
         x = rng.standard_normal((n, k))
         y = x @ rng.standard_normal(k) + sigma * rng.standard_normal(n)
@@ -138,11 +168,15 @@ class TestFitRidgeGCV:
         if k > n:
             s2, u = np.linalg.eigh(xs @ xs.T)
             s2 = np.clip(s2, 0.0, None)
+            c = u.T @ yc
+            r0 = yc - u @ c
         else:
-            u, s, _ = np.linalg.svd(xs, full_matrices=False)
-            s2 = s**2
-        c = u.T @ yc
-        r0 = yc - u @ c
+            s2, v = np.linalg.eigh(xs.T @ xs)
+            live = s2 > k * np.finfo(float).eps * s2[-1]
+            s2, v = s2[live], v[:, live]
+            d = v.T @ (xs.T @ yc)
+            c = d / np.sqrt(s2)
+            r0 = yc - xs @ (v @ (d / s2))
         r0sq = sum(Fraction(v) ** 2 for v in r0)
         exact = []
         for lam in map(Fraction, grid):
@@ -277,6 +311,25 @@ class TestRunPipelineCV:
         bad = CovarianceBundle(matrices=mats, labels=bundle.labels, nominal_rank=4)
         with pytest.raises(RankMismatch, match=r"^sample 5: numerical rank is 3, expected 4$"):
             run_pipeline_cv(bad, PipelineSpec(embedding_kind="wasserstein"), 3, 0)
+
+    @pytest.mark.parametrize("bad", [5, 7], ids=["train", "held-out"])
+    def test_per_fold_rank_error_names_the_bundle_sample(self, bad):
+        # The unsupervised filter is fit on each training split, so the
+        # samples are factorized inside fold 0: sample 5 as its training
+        # split's sample 3, sample 7 as its held-out block's sample 2.
+        rng = np.random.default_rng(0)
+        bundle = rand_bundle(rng, 12, 4)
+        mats = list(bundle.matrices)
+        mats[bad] = SymMat(np.diag([3.0, 2.0, 1.0, 0.0]))
+        bad_bundle = CovarianceBundle(matrices=mats, labels=bundle.labels, nominal_rank=4)
+        spec = PipelineSpec(
+            filter_kind="unsupervised", filter_rank=4, embedding_kind="wasserstein"
+        )
+        with pytest.raises(
+            RankMismatch, match=rf"^fold 0: sample {bad}: numerical rank is 3, expected 4$"
+        ) as info:
+            run_pipeline_cv(bad_bundle, spec, 3, 0)
+        assert info.value.sample == bad
 
 
 def state_digest(state):
