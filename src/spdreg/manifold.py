@@ -228,10 +228,22 @@ def _wass_logs(y: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return factors @ q - y
 
 
+def _wass_state(point: SymMat, factors: np.ndarray):
+    """``(base, logs, their sum, their summed squares)``: ``base`` is the
+    factor of ``point`` from :func:`factorize`, ``logs`` the log maps from
+    it to each sample factor. A point of another numerical rank raises
+    :class:`RankMismatch`, as an :class:`Embedding` at it would."""
+    try:
+        base = factorize(point.data[None], factors.shape[-1])[0]
+    except RankMismatch as exc:
+        raise RankMismatch(f"reference {exc.detail}") from None
+    logs = _wass_logs(base, factors)
+    return base, logs, logs.sum(axis=0), float(np.sum(logs * logs))
+
+
 def _wass_rows(embedding: Embedding, factors: np.ndarray) -> np.ndarray:
     """Wasserstein feature rows of the samples with eigen-factors ``factors``."""
-    base = factorize(embedding.reference.data[None], embedding.rank)[0]
-    logs = _wass_logs(base, factors)
+    logs = _wass_state(embedding.reference, factors)[1]
     return logs.reshape(len(logs), -1)
 
 
@@ -338,10 +350,9 @@ def prepare_samples(mats, kind: str, rank: int | None = None) -> Samples:
 class FrechetMean:
     """A Frechet mean ``point`` and the per-sample data its solver holds there.
 
-    ``samples`` is, for :func:`mean_geometric`, the ``(n, p(p+1)/2)``
-    geometric feature rows of the inputs at ``point`` (the rows
-    :func:`embed` gives); for :func:`mean_wasserstein`, the ``(n, p, r)``
-    eigen-factors of the inputs from :func:`factorize`.
+    ``samples`` holds the inputs' feature rows at ``point`` under the
+    mean's metric, the rows :func:`embed` gives there: ``(n, p(p+1)/2)``
+    for :func:`mean_geometric`, ``(n, p * r)`` for :func:`mean_wasserstein`.
     """
 
     point: SymMat
@@ -411,12 +422,6 @@ def mean_geometric(mats, max_iter: int = 300, tol: float | None = None) -> Frech
     )
 
 
-def _wass_state(y: np.ndarray, factors: np.ndarray):
-    """Log maps from ``y`` to every sample factor: (gradient sum, objective)."""
-    logs = _wass_logs(y, factors)
-    return logs.sum(axis=0), float(np.sum(logs * logs))
-
-
 def mean_wasserstein(
     mats, r: int, max_iter: int = 300, tol: float | None = None
 ) -> FrechetMean:
@@ -426,16 +431,21 @@ def mean_wasserstein(
     squared distances, with the descent direction assembled as the mean
     of the factor-space log maps and an Armijo backtracking line search
     (initial step 1, shrink 0.5, c = 1e-4). Initialized from the top-r
-    eigenpairs of the arithmetic mean. Converged when the Riemannian
-    gradient ``2 sum_i log_i`` has Frobenius norm at most ``tol``
-    (default ``1e-7 * sqrt(p * r)``). Returns the mean ``y y.T`` with the
-    inputs' eigen-factors. ``mats`` may be :class:`Samples` prepared for
+    eigenpairs of the arithmetic mean. Each state is evaluated, and each
+    step taken, at the factor :func:`factorize` gives its point ``y y.T``,
+    as :func:`embed` does; ``y -> y R`` (R orthogonal) leaves the point,
+    objective and gradient norm unchanged (Bhatia, Jain & Lim 2019).
+    Converged when the Riemannian gradient ``2 sum_i log_i`` has Frobenius
+    norm at most ``tol`` (default ``1e-7 * sqrt(p * r)``). Returns the mean
+    with the inputs' ``(n, p * r)`` feature rows at it, from the last
+    accepted state. ``mats`` may be :class:`Samples` prepared for
     ``wasserstein`` at rank ``r``; their factors are then used as they are.
 
     Raises
     ------
     RankMismatch
-        If any input's numerical rank differs from ``r``.
+        If any input's numerical rank differs from ``r``, or an iterate's
+        does (without a sample index).
     NoConvergence
         If the gradient norm is still above ``tol`` after ``max_iter``
         iterations.
@@ -447,25 +457,30 @@ def mean_wasserstein(
         tol = 1e-7 * np.sqrt(p * r)
     ep = eigh(SymMat(prepared.covariances().mean(axis=0)))
     y = ep.vectors[:, :r] * np.sqrt(np.clip(ep.values[:r], 0.0, None))
-    grad_sum, obj = _wass_state(y, factors)
+    point = SymMat(y @ y.T)
+    y, logs, grad_sum, obj = _wass_state(point, factors)
     gnorm = 2.0 * float(np.linalg.norm(grad_sum))
     for _ in range(max_iter):
         if gnorm <= tol:
-            return FrechetMean(SymMat(y @ y.T), factors)
+            return FrechetMean(point, logs.reshape(n, -1))
+        # Only one state's logs are alive: drop them before each new try.
+        logs = None
         direction = grad_sum / n
         slope = -2.0 * float(np.sum(grad_sum * grad_sum)) / n
         step = 1.0
         slack = 1e-12 * (1.0 + abs(obj))
         while True:
             cand = y + step * direction
-            grad2, obj2 = _wass_state(cand, factors)
+            point2 = SymMat(cand @ cand.T)
+            y2, logs, grad2, obj2 = _wass_state(point2, factors)
             if obj2 <= obj + 1e-4 * step * slope + slack or step <= 1e-6:
-                y, grad_sum, obj = cand, grad2, obj2
+                point, y, grad_sum, obj = point2, y2, grad2, obj2
                 break
+            logs = None
             step *= 0.5
         gnorm = 2.0 * float(np.linalg.norm(grad_sum))
     if gnorm <= tol:
-        return FrechetMean(SymMat(y @ y.T), factors)
+        return FrechetMean(point, logs.reshape(n, -1))
     raise NoConvergence(
         "Wasserstein mean did not converge", gradient_norm=gnorm, iterations=max_iter
     )
@@ -557,18 +572,19 @@ def fit_embedding(mats, kind: str, rank: int | None = None) -> FeatureMatrix:
     :class:`Samples` prepared for ``kind``. Only ``wasserstein`` uses
     ``rank`` (see :func:`prepare_samples`). The fitted :class:`Embedding`
     is the result's ``embedding``, and its rows equal ``embed(embedding,
-    mats).rows``; they are built from what the mean's solver already
-    holds, so the training set is not embedded a second time.
+    mats).rows`` bit for bit. For ``geometric`` and ``wasserstein`` they
+    are the rows the mean's solver holds at its last accepted state
+    (:attr:`FrechetMean.samples`), so the training set is not embedded a
+    second time.
     """
     prepared = prepare_samples(mats, kind, rank)
     if kind == "geometric":
         fit = mean_geometric(prepared.covariances())
-        return FeatureMatrix(fit.samples, Embedding(kind, reference=fit.point))
-    if kind == "wasserstein":
+    elif kind == "wasserstein":
         fit = mean_wasserstein(prepared, prepared.rank)
-        embedding = Embedding(kind, reference=fit.point, rank=prepared.rank)
-        return FeatureMatrix(_wass_rows(embedding, fit.samples), embedding)
-    return FeatureMatrix(prepared.data, Embedding(kind))
+    else:
+        return FeatureMatrix(prepared.data, Embedding(kind))
+    return FeatureMatrix(fit.samples, Embedding(kind, fit.point, prepared.rank))
 
 
 def embed(embedding: Embedding, mats) -> FeatureMatrix:

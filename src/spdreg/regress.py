@@ -138,7 +138,12 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
     """Ridge regression with GCV-selected regularization.
 
     The target is centered and the feature columns are standardized on
-    the training data (columns with zero variance get scale 1). The
+    the training data. A column whose standard deviation is at or below
+    ``n * eps * max|x|`` is constant and gets scale 1: an embedding gives
+    all its features in one unit, each with a round-off of order ``eps *
+    max|x|``, and a mean over ``n`` rows is off by up to ``n`` times that,
+    so such a spread is not told from zero. Unit variance would blow a
+    held-out row's round-off up by ``1 / std``. The
     criterion ``GCV(lam) = n * ||(I - H_lam) y_c||^2 / tr(I - H_lam)^2``
     is evaluated for the whole grid in one array expression from one
     ``eigh`` of the smaller Gram matrix of the standardized n x k design:
@@ -166,7 +171,7 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
 
     mean = x.mean(axis=0)
     scale = x.std(axis=0)
-    constant = scale == 0
+    constant = scale <= n * np.finfo(float).eps * np.max(np.abs(x))
     if np.all(constant):
         raise DegenerateDesign("all feature columns are constant")
     scale = np.where(constant, 1.0, scale)

@@ -257,6 +257,19 @@ class TestSweepCommand:
     def test_unknown_preset_exits_2(self, tmp_path):
         assert run("sweep", "--preset", "fig9", "--out", tmp_path / "s.csv") == 2
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--axis", "p", "--values", "0"], ["--axis", "sigma", "--values", "0", "--repeats", 0],
+         ["--axis", "sigma"]],
+        ids=["axis", "repeats", "no-values"],
+    )
+    def test_bad_sweep_grid_exits_2(self, tmp_path, capsys, flags):
+        # simgen.sweep checks the grid; the command adds no second check.
+        out = tmp_path / "s.csv"
+        assert run("sweep", *flags, "--out", out) == 2
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rank_column_matches_eval(self, tmp_path, bundle_file):
         swept, evaluated = tmp_path / "s.csv", tmp_path / "e.csv"
         spec = ["--specs", "identity+logdiag:3"]
@@ -310,6 +323,12 @@ class TestMeanEmbed:
             assert run("embed", "--bundle", bundle_file, "--embedding", kind,
                        "--out", out) == 0
             assert out.read_text().splitlines()[0] == f"FEAT v1 100 {k}"
+
+    def test_unknown_embedding_exits_2(self, tmp_path, capsys, bundle_file):
+        out = tmp_path / "f.txt"
+        assert run("embed", "--bundle", bundle_file, "--embedding", "spd", "--out", out) == 2
+        assert "unknown embedding kind 'spd'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_mean_deterministic(self, tmp_path, bundle_file):
         o1, o2 = tmp_path / "m1.txt", tmp_path / "m2.txt"

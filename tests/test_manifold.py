@@ -16,6 +16,7 @@ from spdreg import (
     no_affine_invariance_witness,
     sym_func,
 )
+from spdreg import manifold
 from spdreg.manifold import WITNESS_EPSILONS, Embedding, embed, fit_embedding
 
 
@@ -31,6 +32,18 @@ def eigen_factor(m, r):
     """Reference single-matrix factor: top-r eigenpairs of ``eigh``."""
     ep = eigh(m)
     return ep.vectors[:, :r] * np.sqrt(ep.values[:r])
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test; element 0 of the result counts calls."""
+    count, fn = [0], getattr(module, name)
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return count
 
 
 def procrustes_log(y, f):
@@ -352,20 +365,64 @@ class TestEmbedding:
         assert embed(fit_embedding(spd, "logdiag").embedding, spd).k == 5
 
     @pytest.mark.parametrize(
-        ("kind", "rank"),
-        [("euclidean", None), ("geometric", None), ("wasserstein", 5),
-         ("wasserstein", 3), ("logdiag", None)],
+        ("kind", "rank", "scale"),
+        [("euclidean", None, 1.0), ("geometric", None, 1.0), ("wasserstein", 5, 1.0),
+         ("wasserstein", 3, 1.0), ("logdiag", None, 1.0), ("wasserstein", 5, 1e-24),
+         ("wasserstein", 3, 1e-24)],
+        ids=["euclidean-None", "geometric-None", "wasserstein-5", "wasserstein-3",
+             "logdiag-None", "wasserstein-5-1e-24", "wasserstein-3-1e-24"],
     )
-    def test_training_rows_equal_embed(self, kind, rank):
+    def test_training_rows_equal_embed(self, kind, rank, scale, monkeypatch):
         # fit_embedding takes the training rows from the mean's solver
-        # state; they must be exactly the rows embed gives at the reference.
+        # state; they must be exactly the rows embed gives at the reference,
+        # also after several steps (counted for the unscaled Wasserstein
+        # cases) and in physical units (1e-24 T^2).
         rng = np.random.default_rng(21)
         if rank == 3:
             mats = [rand_psd_rank(rng, 5, 3) for _ in range(12)]
         else:
             mats = [rand_spd(rng, 5, spread=2.0) for _ in range(12)]
+        mats = [SymMat(scale * m.data) for m in mats]
+        states = count_calls(monkeypatch, manifold, "_wass_state")
         feats = fit_embedding(mats, kind, rank=rank)
+        if kind == "wasserstein" and scale == 1.0:
+            assert states[0] >= 3
         assert np.array_equal(feats.rows, embed(feats.embedding, mats).rows)
+
+    def test_wasserstein_fit_runs_one_log_map_pass_per_state(self, monkeypatch):
+        # Each state the solver evaluates runs one batched SVD over the
+        # training factors (_wass_logs), and the training rows are those of
+        # the last accepted state: no pass after the mean returns.
+        rng = np.random.default_rng(22)
+        mats = [rand_psd_rank(rng, 5, 3) for _ in range(12)]
+        states = count_calls(monkeypatch, manifold, "_wass_state")
+        logs = count_calls(monkeypatch, manifold, "_wass_logs")
+        mean = manifold.mean_wasserstein
+        after = []
+
+        def mean_then_mark(*args, **kwargs):
+            fit = mean(*args, **kwargs)
+            after.append(logs[0])
+            return fit
+
+        monkeypatch.setattr(manifold, "mean_wasserstein", mean_then_mark)
+        fit_embedding(mats, "wasserstein", rank=3)
+        assert states[0] >= 3
+        assert after == [states[0]]
+        assert logs[0] == states[0]
+
+    def test_wasserstein_iterate_losing_rank_raises(self):
+        # Inputs of rank 1 declared (and factored) as rank 2: the start is
+        # the top-2 eigenpairs of their rank-1 arithmetic mean, so the
+        # first iterate has numerical rank 1. The mean stops there with the
+        # error an Embedding at that point raises, naming no sample.
+        f = np.zeros((4, 3, 2))
+        f[:, :, 0] = np.outer(np.arange(1.0, 5.0), [1.0, 2.0, 2.0]) / 3.0
+        stack = f @ f.swapaxes(1, 2)
+        samples = manifold.Samples("wasserstein", stack, f, rank=2)
+        with pytest.raises(RankMismatch, match="rank is 1, expected 2") as info:
+            manifold.mean_wasserstein(samples, 2)
+        assert info.value.sample is None
 
     def test_geometric_requires_full_rank_reference(self):
         with pytest.raises(SingularMatrix):

@@ -40,9 +40,10 @@ from spdreg.regress import (
 
 
 def brute_force_gcv(x, y, grid):
-    """Reference GCV via explicit hat-matrix assembly per grid point."""
+    """Reference GCV via explicit hat-matrix assembly per grid point, with
+    fit_ridge_gcv's rule for constant columns."""
     mean, scale = x.mean(axis=0), x.std(axis=0)
-    scale = np.where(scale == 0, 1.0, scale)
+    scale = np.where(scale <= len(x) * np.finfo(float).eps * np.max(np.abs(x)), 1.0, scale)
     xs = (x - mean) / scale
     yc = y - y.mean()
     n, k = xs.shape
@@ -187,6 +188,54 @@ class TestFitRidgeGCV:
         rel = np.abs(model.gcv_path - exact) / np.array(exact)
         assert np.max(rel) <= (n + 30) * np.finfo(float).eps / 2
 
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("grading", [1e3, 1e5], ids=["graded1e3", "graded1e5"])
+    def test_ill_conditioned_tall_design_matches_thin_svd(self, grading, seed):
+        # Singular values graded geometrically over `grading` (before
+        # standardization). The reference is the thin-SVD path, whose c =
+        # u^T yc and r0 = yc - u c are backward stable. The Gram path splits
+        # yc between c and r0 to O(k eps s_max^2 / s^2) relative (the inline
+        # comment), so per grid point both agree to C k eps (s_max /
+        # s_min)^2 with the standardized design's own extreme singular
+        # values; C = 10 was fixed before the first run.
+        rng = np.random.default_rng(seed)
+        n, k = 200, 60
+        u, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        x = (u * np.geomspace(1.0, 1.0 / grading, k)) @ v.T
+        y = x @ rng.standard_normal(k) + 0.1 * rng.standard_normal(n)
+        grid = default_ridge_grid()
+        model = fit_ridge_gcv(x, y, grid)
+        xs = (x - x.mean(axis=0)) / x.std(axis=0)
+        yc = y - y.mean()
+        us, s, _ = np.linalg.svd(xs, full_matrices=False)
+        c = us.T @ yc
+        r0 = yc - us @ c
+        shrink = grid[:, None] / (s**2 + grid[:, None])
+        rss = r0 @ r0 + np.sum((shrink * c) ** 2, axis=1)
+        reference = n * rss / ((n - k) + shrink.sum(axis=1)) ** 2
+        rel = np.abs(model.gcv_path - reference) / reference
+        assert np.max(rel) <= 10 * k * np.finfo(float).eps * (s[0] / s[-1]) ** 2
+        ties = np.nonzero(reference == reference.min())[0]
+        assert model.lambda_star == grid[ties[np.argmax(grid[ties])]]
+
+    def test_round_off_column_is_not_scaled_up(self):
+        # A column of round-off (1e-32 beside unit features) is constant
+        # to the design's precision. A held-out round-off value of 1e-17
+        # must leave the predictions as they are with 0 there; scaled to
+        # unit variance it would weigh 1e-17 / 1e-32.
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((30, 4))
+        x[:, 2] = 1e-32 * rng.standard_normal(30)
+        y = x @ np.array([1.0, -2.0, 0.0, 0.5]) + 0.1 * rng.standard_normal(30)
+        model = fit_ridge_gcv(x, y)
+        test = rng.standard_normal((8, 4))
+        test[:, 2] = 0.0
+        clean = predict(model, test)
+        test[:, 2] = 1e-17
+        np.testing.assert_array_equal(predict(model, test), clean)
+        assert model.feature_scale[2] == 1.0
+
     def test_ties_break_toward_larger_lambda(self):
         # A zero target makes GCV identically zero across the grid.
         rng = np.random.default_rng(4)
@@ -301,6 +350,17 @@ class TestRunPipelineCV:
             run_pipeline_cv(bad, PipelineSpec(embedding_kind="geometric"), 3, 0)
         assert str(info.value).startswith("fold ")
         assert info.value.smallest_eigenvalue is not None
+
+    def test_round_off_features_do_not_blow_up_a_fold(self):
+        # mu = 0 leaves all covariances diagonal, so most Wasserstein
+        # features are round-off (about 1e-32 in training). A held-out
+        # round-off value standardized by such a column's spread gave a
+        # fold MAE of 1.2e12 * std(y). Bound fixed beforehand: every fold's
+        # MAE below std(y), the error of predicting the mean.
+        bundle, _ = sample_bundle(GenerativeConfig(mu=0.0, sigma=0.0, seed=2))
+        spec = PipelineSpec(filter_kind="identity", embedding_kind="wasserstein")
+        report = run_pipeline_cv(bundle, spec, folds=10, seed=2)
+        assert np.all(report.per_fold_mae / np.std(bundle.labels) < 1)
 
     def test_shared_rank_error_names_the_bundle_sample(self):
         # At seed 0 sample 5 is in fold 0's training split, as its sample 3.
