@@ -1,14 +1,14 @@
 """Labeled covariance collections and the package's plain-text files.
 
-A bundle is ``n`` symmetric PSD matrices sharing dimension ``p``, a real
-label per matrix, and a nominal rank bound. Files use the ``COVB v1``
-layout: a ``COVB v1 <n> <p> <rank>`` header, then per sample a
-``y <label>`` line and ``p`` rows of ``p`` decimals.
+A bundle is one read-only ``(n, p, p)`` array of symmetric PSD matrices,
+a real label per matrix, and a nominal rank bound. Files use the
+``COVB v1`` layout: a ``COVB v1 <n> <p> <rank>`` header, then per sample
+a ``y <label>`` line and ``p`` rows of ``p`` decimals.
 
 Every text file (COVB, MODEL, LEADFIELD, command outputs) is written one
 ``%``-template per line or sample, with 17 significant digits (lossless
 for float64), and read by :class:`LineReader` with numpy's float parser.
-Readers re-symmetrize each matrix on load.
+A bundle read from a file is symmetrized by its constructor.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch
-from .symmat import SymMat
+from .errors import ConfigError
 
 FLOAT_FMT = "%.17g"
 
@@ -43,30 +42,33 @@ def write_rows(fh, rows, *words: str) -> None:
 class CovarianceBundle:
     """``n`` labeled covariance matrices of shared dimension ``p``.
 
+    ``matrices`` is any finite ``(n, p, p)`` array-like (a list of
+    :class:`~spdreg.symmat.SymMat` too), stored as one read-only,
+    C-contiguous float64 array ``(a + a^T) / 2``, as SymMat stores each.
     ``nominal_rank`` is an upper bound on the numerical rank of every
     matrix (equal to it for generated data); ``provenance`` records the
     generating config or source file path.
     """
 
-    matrices: list[SymMat]
+    matrices: np.ndarray
     labels: np.ndarray
     nominal_rank: int
     provenance: object = None
 
     def __post_init__(self):
-        if len(self.matrices) == 0:
-            raise ValueError("bundle must contain at least one matrix")
-        p = self.matrices[0].dim
-        for m in self.matrices:
-            if m.dim != p:
-                raise DimensionMismatch(
-                    f"bundle mixes dimensions {p} and {m.dim}"
-                )
+        a = np.asarray(self.matrices, dtype=np.float64)
+        if a.ndim != 3 or a.shape[1] != a.shape[2] or 0 in a.shape:
+            raise ValueError(f"expected a nonempty (n, p, p) stack, got shape {a.shape}")
+        p = a.shape[1]
+        if not np.all(np.isfinite(a)):
+            raise ValueError("matrix entries must be finite")
+        a = np.add(a, a.swapaxes(1, 2), order="C")
+        a /= 2.0
+        a.flags.writeable = False
+        self.matrices = a
         self.labels = np.asarray(self.labels, dtype=np.float64)
-        if self.labels.shape != (len(self.matrices),):
-            raise ValueError(
-                f"expected {len(self.matrices)} labels, got shape {self.labels.shape}"
-            )
+        if self.labels.shape != (self.n,):
+            raise ValueError(f"expected {self.n} labels, got shape {self.labels.shape}")
         if not np.all(np.isfinite(self.labels)):
             raise ValueError("labels must be finite")
         if not 1 <= self.nominal_rank <= p:
@@ -74,22 +76,17 @@ class CovarianceBundle:
 
     @property
     def n(self) -> int:
-        return len(self.matrices)
+        return self.matrices.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.matrices[0].dim
-
-    def stack(self) -> np.ndarray:
-        """The matrices as one new ``(n, p, p)`` array."""
-        return np.stack([m.data for m in self.matrices])
+        return self.matrices.shape[1]
 
     def subset(self, indices) -> "CovarianceBundle":
         """Bundle restricted to the given sample indices (order kept)."""
-        idx = list(indices)
         return CovarianceBundle(
-            matrices=[self.matrices[i] for i in idx],
-            labels=self.labels[idx],
+            matrices=self.matrices[indices],
+            labels=self.labels[indices],
             nominal_rank=self.nominal_rank,
             provenance=self.provenance,
         )
@@ -102,13 +99,12 @@ def write_covb(path, bundle: CovarianceBundle) -> None:
     with open(path, "w") as fh:
         fh.write(f"COVB v1 {bundle.n} {p} {bundle.nominal_rank}\n")
         for mat, label in zip(bundle.matrices, bundle.labels.tolist()):
-            fh.write(sample % (label, *mat.data.ravel().tolist()))
+            fh.write(sample % (label, *mat.ravel().tolist()))
 
 
 def read_covb(path) -> CovarianceBundle:
     """Read a COVB v1 text file, streaming every matrix row through one
-    ``np.loadtxt`` call (memory holds arrays, not text); matrices are
-    symmetrized on load."""
+    ``np.loadtxt`` call (memory holds arrays, not text)."""
     path = Path(path)
     with open(path) as fh:
         src = LineReader(path, fh)
@@ -117,8 +113,8 @@ def read_covb(path) -> CovarianceBundle:
             raise src.error(f"nominal rank must be in [1, {p}], got {rank}")
         rows, labels = src.block(n, p, p, tag="y")
         src.end()
-    mats = [SymMat(m) for m in rows.reshape(n, p, p)]
-    return CovarianceBundle(mats, labels, nominal_rank=rank, provenance=str(path))
+    return CovarianceBundle(rows.reshape(n, p, p), labels, nominal_rank=rank,
+                            provenance=str(path))
 
 
 def _loadtxt(lines) -> np.ndarray:

@@ -435,9 +435,10 @@ def cmd_embed(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     kind = opts["embedding"]
     rank = opts["rank"] if opts["rank"] > 0 else bund.nominal_rank
-    feats = manifold.fit_embedding(bund.matrices, kind, rank=rank)
-    _write_matrix_file(opts["out"], f"FEAT v1 {feats.n} {feats.k}", feats.rows)
-    print(f"embedded n={feats.n} k={feats.k} kind={kind} -> {opts['out']}")
+    _, rows = manifold.fit_embedding(bund.matrices, kind, rank=rank)
+    n, k = rows.shape
+    _write_matrix_file(opts["out"], f"FEAT v1 {n} {k}", rows)
+    print(f"embedded n={n} k={k} kind={kind} -> {opts['out']}")
     return 0
 
 

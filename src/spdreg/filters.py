@@ -9,9 +9,10 @@ Four ways to obtain the projection ``w``:
   power co-varies most with the target;
 * mne -- Tikhonov-regularized inverse of a supplied leadfield matrix.
 
-Applying a filter maps each covariance ``c`` to ``w.T @ c @ w`` in one
-batched product over the whole ``(n, p, p)`` stack and carries labels
-through unchanged.
+Applying a filter maps a bundle to a bundle: each covariance ``c`` goes
+to ``w.T @ c @ w`` in one batched product over the whole ``(n, p, p)``
+array, and the labels are carried through unchanged. A filter whose ``w``
+is exactly the identity returns the bundle it is given, with no copy.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .bundle import CovarianceBundle, LineReader, write_rows
-from .errors import (
-    DegenerateDesign,
-    DimensionMismatch,
-    RankTooLarge,
-    SingularMatrix,
-)
+from .errors import DegenerateDesign, DimensionMismatch, RankTooLarge
 from .symmat import SymMat, eigh, numerical_rank, sym_func
 
 FILTER_KINDS = ("identity", "unsupervised", "supervised", "mne")
@@ -68,8 +64,17 @@ def identity_filter(p: int) -> SpatialFilter:
     )
 
 
-def _mean_covariance(bundle: CovarianceBundle) -> SymMat:
-    return SymMat(bundle.stack().mean(axis=0))
+def _mean_covariance(bundle: CovarianceBundle, r: int) -> tuple[SymMat, int]:
+    """The average covariance and its numerical rank, which ``r`` may not
+    exceed (:class:`RankTooLarge`)."""
+    p = bundle.dim
+    if not 1 <= r <= p:
+        raise ValueError(f"rank must be in [1, {p}], got {r}")
+    cbar = SymMat(bundle.matrices.mean(axis=0))
+    k = numerical_rank(cbar)
+    if r > k:
+        raise RankTooLarge(f"requested {r} components but the average covariance has rank {k}")
+    return cbar, k
 
 
 def fit_unsupervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
@@ -78,15 +83,7 @@ def fit_unsupervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
     Blind to the labels; raises :class:`RankTooLarge` if ``r`` exceeds
     the numerical rank of the average.
     """
-    p = bundle.dim
-    if not 1 <= r <= p:
-        raise ValueError(f"rank must be in [1, {p}], got {r}")
-    cbar = _mean_covariance(bundle)
-    available = numerical_rank(cbar)
-    if r > available:
-        raise RankTooLarge(
-            f"requested {r} components but the average covariance has rank {available}"
-        )
+    cbar, _ = _mean_covariance(bundle, r)
     ep = eigh(cbar)
     return SpatialFilter(
         w=ep.vectors[:, :r].copy(),
@@ -107,31 +104,31 @@ def fit_supervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
     maximizes the generalized Rayleigh quotient. Solved by whitening
     with ``c_bar^-1/2`` and diagonalizing the whitened ``c_y``.
 
+    If ``c_bar`` has numerical rank ``k < p``, the pair is first reduced
+    to its range (``b.T c b`` for ``b`` the top-``k`` eigenvectors of
+    ``c_bar``) and ``w = b w~``. Nothing is lost: each covariance is PSD,
+    so its range lies in that of ``c_bar``.
+
     Raises
     ------
-    SingularMatrix
-        If the average covariance is rank-deficient; reduce the bundle
-        with an unsupervised filter first.
+    RankTooLarge
+        If ``r`` exceeds the numerical rank of the average covariance.
     """
-    p = bundle.dim
-    if not 1 <= r <= p:
-        raise ValueError(f"rank must be in [1, {p}], got {r}")
+    cbar, k = _mean_covariance(bundle, r)
     y = bundle.labels
     std = float(np.std(y))
     if std == 0:
         raise DegenerateDesign("supervised filter needs a non-constant target")
     ytilde = (y - y.mean()) / std
-    cbar = _mean_covariance(bundle)
-    if numerical_rank(cbar) < p:
-        raise SingularMatrix(
-            "average covariance is rank-deficient; project with an unsupervised "
-            "filter before fitting a supervised one"
-        )
-    stack = bundle.stack()
-    cy = np.einsum("i,ijk->jk", ytilde, stack) / bundle.n
+    cy = np.einsum("i,ijk->jk", ytilde, bundle.matrices) / bundle.n
+    if k < bundle.dim:
+        b = eigh(cbar).vectors[:, :k]
+        cbar, cy = SymMat(b.T @ cbar.data @ b), b.T @ cy @ b
     isq = sym_func(cbar, "inv_sqrt").data
     ep = eigh(SymMat(isq @ cy @ isq))
     w = isq @ ep.vectors[:, :r]
+    if k < bundle.dim:
+        w = b @ w
     return SpatialFilter(
         w=w, kind="supervised", rank_out=r, eigenvalues=ep.values[:r].copy()
     )
@@ -154,31 +151,22 @@ def fit_mne(lead: "Leadfield", lam: float) -> SpatialFilter:
     return SpatialFilter(w=w, kind="mne", rank_out=g.shape[1], eigenvalues=np.empty(0))
 
 
-def apply(filt: SpatialFilter, covs):
-    """Project every covariance, ``c -> w.T @ c @ w``, in one batched product.
-
-    ``covs`` is an ``(n, p, p)`` stack, which gives the projected stack,
-    symmetrized as :class:`SymMat` stores it, or a bundle, which gives a
-    bundle with the labels unchanged.
+def apply(filt: SpatialFilter, bundle: CovarianceBundle) -> CovarianceBundle:
+    """Project every covariance, ``c -> w.T @ c @ w``, in one batched product;
+    the labels are unchanged. A filter whose ``w`` is exactly the identity
+    returns ``bundle`` itself: the product would give its matrices back bit
+    for bit, so no second copy of them is made.
     """
-    bundle = covs if isinstance(covs, CovarianceBundle) else None
-    stack = covs if bundle is None else bundle.stack()
-    w = filt.w
-    if w.shape[0] != stack.shape[-1]:
-        raise DimensionMismatch(
-            f"filter expects dimension {w.shape[0]}, bundle has {stack.shape[-1]}"
-        )
-    out = w.T @ stack @ w
-    del stack
-    if not np.all(np.isfinite(out)):
-        raise ValueError("matrix entries must be finite")
-    out = (out + out.swapaxes(-1, -2)) / 2.0
-    if bundle is None:
-        return out
+    w, p = filt.w, bundle.dim
+    if w.shape[0] != p:
+        raise DimensionMismatch(f"filter expects dimension {w.shape[0]}, bundle has {p}")
+    rank = min(filt.rank_out, bundle.nominal_rank)
+    if rank == bundle.nominal_rank and np.array_equal(w, np.eye(p)):
+        return bundle
     return CovarianceBundle(
-        matrices=[SymMat(m) for m in out],
+        matrices=w.T @ bundle.matrices @ w,
         labels=bundle.labels.copy(),
-        nominal_rank=min(filt.rank_out, bundle.nominal_rank),
+        nominal_rank=rank,
         provenance=bundle.provenance,
     )
 

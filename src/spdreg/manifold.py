@@ -12,8 +12,9 @@ provided, plus the log-diagonal baseline:
 
 Reference points are Frechet means under the matching metric, computed by
 iterative solvers with explicit gradient-norm stopping rules. Every
-operation on samples takes the whole ``(n, p, p)`` stack at once; distances
-and :func:`embed` are pure functions, and the means are deterministic given
+operation on samples takes the whole ``(n, p, p)`` array at once (a
+bundle's ``matrices``) and gives ``(n, k)`` feature rows; distances and
+:func:`embed` are pure functions, and the means are deterministic given
 their inputs. The part of an embedding that needs no reference (the
 Wasserstein eigen-factors, the Euclidean and log-diagonal rows) can be
 done once with :func:`prepare_samples`; means and embeddings take the
@@ -49,19 +50,12 @@ WITNESS_EPSILONS = (1.0, 0.1, 0.01, 0.001)
 
 
 def _as_stack(mats) -> np.ndarray:
-    """Stack a nonempty sequence of SymMat into an (n, p, p) array; an
-    (n, p, p) array is taken as it is."""
-    if isinstance(mats, np.ndarray):
-        if mats.ndim != 3 or len(mats) == 0 or mats.shape[1] != mats.shape[2]:
-            raise ValueError(f"expected a nonempty (n, p, p) stack, got shape {mats.shape}")
-        return mats
-    if len(mats) == 0:
-        raise ValueError("need at least one matrix")
-    p = mats[0].dim
-    for m in mats:
-        if m.dim != p:
-            raise DimensionMismatch(f"mixed matrix dimensions {m.dim} and {p}")
-    return np.stack([m.data for m in mats])
+    """``mats`` as a nonempty ``(n, p, p)`` float64 array, with no copy if it
+    is one already."""
+    stack = np.asarray(mats, dtype=np.float64)
+    if stack.ndim != 3 or len(stack) == 0 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected a nonempty (n, p, p) stack, got shape {stack.shape}")
+    return stack
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -241,12 +235,6 @@ def _wass_state(point: SymMat, factors: np.ndarray):
     return base, logs, logs.sum(axis=0), float(np.sum(logs * logs))
 
 
-def _wass_rows(embedding: Embedding, factors: np.ndarray) -> np.ndarray:
-    """Wasserstein feature rows of the samples with eigen-factors ``factors``."""
-    logs = _wass_state(embedding.reference, factors)[1]
-    return logs.reshape(len(logs), -1)
-
-
 # ---------------------------------------------------------------------------
 # Per-sample data: the part of an embedding that needs no reference
 # ---------------------------------------------------------------------------
@@ -301,7 +289,7 @@ def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def prepare_samples(mats, kind: str, rank: int | None = None) -> Samples:
     """The reference-free, per-sample part of embedding ``kind`` for every
-    matrix of ``mats`` (a sequence of SymMat or an ``(n, p, p)`` stack).
+    matrix of the ``(n, p, p)`` array ``mats``.
     :class:`Samples` are returned as they are, once checked to match.
 
     Only ``wasserstein`` uses ``rank``, which defaults to the numerical
@@ -547,33 +535,17 @@ class Embedding:
                 )
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """N x K feature rows plus the embedding that produced them."""
-
-    rows: np.ndarray
-    embedding: Embedding
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.rows.shape[1]
-
-
-def fit_embedding(mats, kind: str, rank: int | None = None) -> FeatureMatrix:
-    """Fit an embedding on a training set and return that set's features.
+def fit_embedding(mats, kind: str, rank: int | None = None) -> tuple[Embedding, np.ndarray]:
+    """Fit an embedding on a training set; return it with that set's
+    ``(n, k)`` feature rows.
 
     The reference is the Frechet mean of ``mats`` under the metric that
     matches ``kind``; ``euclidean`` and ``logdiag`` have no reference.
-    ``mats`` is a sequence of SymMat, an ``(n, p, p)`` stack, or
-    :class:`Samples` prepared for ``kind``. Only ``wasserstein`` uses
-    ``rank`` (see :func:`prepare_samples`). The fitted :class:`Embedding`
-    is the result's ``embedding``, and its rows equal ``embed(embedding,
-    mats).rows`` bit for bit. For ``geometric`` and ``wasserstein`` they
-    are the rows the mean's solver holds at its last accepted state
+    ``mats`` is an ``(n, p, p)`` array or :class:`Samples` prepared for
+    ``kind``. Only ``wasserstein`` uses ``rank`` (see
+    :func:`prepare_samples`). The rows equal ``embed(embedding, mats)``
+    bit for bit. For ``geometric`` and ``wasserstein`` they are the rows
+    the mean's solver holds at its last accepted state
     (:attr:`FrechetMean.samples`), so the training set is not embedded a
     second time.
     """
@@ -583,12 +555,13 @@ def fit_embedding(mats, kind: str, rank: int | None = None) -> FeatureMatrix:
     elif kind == "wasserstein":
         fit = mean_wasserstein(prepared, prepared.rank)
     else:
-        return FeatureMatrix(prepared.data, Embedding(kind))
-    return FeatureMatrix(fit.samples, Embedding(kind, fit.point, prepared.rank))
+        return Embedding(kind), prepared.data
+    return Embedding(kind, fit.point, prepared.rank), fit.samples
 
 
-def embed(embedding: Embedding, mats) -> FeatureMatrix:
-    """Vectorize matrices with a fitted embedding, one row per matrix.
+def embed(embedding: Embedding, mats) -> np.ndarray:
+    """The ``(n, k)`` feature rows of matrices under a fitted embedding,
+    one row per matrix.
 
     ``euclidean`` rows are the upper triangle of each matrix (sqrt(2)
     weights off the diagonal), ``geometric`` rows the same of
@@ -596,9 +569,9 @@ def embed(embedding: Embedding, mats) -> FeatureMatrix:
     the flattened factor-space log maps from the reference (length
     ``p * rank``), ``logdiag`` rows the log of the diagonal. The 2-norm
     of a geometric or wasserstein row is the distance from the reference.
-    ``mats`` is a sequence of SymMat, an ``(n, p, p)`` stack, or
-    :class:`Samples` prepared for the embedding's kind and rank, whose
-    per-sample part is then not redone.
+    ``mats`` is an ``(n, p, p)`` array or :class:`Samples` prepared for
+    the embedding's kind and rank, whose per-sample part is then not
+    redone.
     """
     kind, reference = embedding.kind, embedding.reference
     if not isinstance(mats, Samples):
@@ -610,9 +583,8 @@ def embed(embedding: Embedding, mats) -> FeatureMatrix:
     prepared = prepare_samples(mats, kind, embedding.rank)
     if kind == "geometric":
         isq, _ = _whiten(reference.data)
-        rows = _upper(_whitened_logs(isq, prepared.covariances(), "embed"))
-    elif kind == "wasserstein":
-        rows = _wass_rows(embedding, prepared.data)
-    else:
-        rows = prepared.data
-    return FeatureMatrix(rows=rows, embedding=embedding)
+        return _upper(_whitened_logs(isq, prepared.covariances(), "embed"))
+    if kind == "wasserstein":
+        logs = _wass_state(reference, prepared.data)[1]
+        return logs.reshape(len(logs), -1)
+    return prepared.data

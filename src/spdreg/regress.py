@@ -41,7 +41,6 @@ from .filters import (
 from .manifold import (
     EMBEDDING_KINDS,
     Embedding,
-    FeatureMatrix,
     Samples,
     embed,
     fit_embedding,
@@ -155,8 +154,7 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
     DegenerateDesign
         If every feature column is constant.
     """
-    x = features.rows if isinstance(features, FeatureMatrix) else np.asarray(features)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(features, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features must be 2-d, got shape {x.shape}")
@@ -226,8 +224,7 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
 
 def predict(model: RidgeModel, features) -> np.ndarray:
     """Predictions of a fitted ridge model on new feature rows."""
-    x = features.rows if isinstance(features, FeatureMatrix) else np.asarray(features)
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.beta.shape[0]:
         raise DimensionMismatch(
             f"expected {model.beta.shape[0]} feature columns, got shape {x.shape}"
@@ -297,16 +294,12 @@ class Projected:
         return Projected(self.filt, self.samples.subset(indices), self.labels[indices])
 
 
-def project(filt: SpatialFilter, bundle: CovarianceBundle, kind: str, rank) -> Projected:
+def project(filt: SpatialFilter, bundle: CovarianceBundle, kind: str, rank=None) -> Projected:
     """Project ``bundle`` with ``filt`` and prepare it for embedding ``kind``
-    (``rank`` is the Wasserstein rank)."""
-    stack = apply(filt, bundle.stack())
-    return Projected(filt, prepare_samples(stack, kind, rank), bundle.labels)
-
-
-def _project_train(filt: SpatialFilter, train: CovarianceBundle, spec: PipelineSpec):
-    rank = min(filt.rank_out, train.nominal_rank)
-    return project(filt, train, spec.embedding_kind, rank)
+    at Wasserstein rank ``rank``, by default the projected nominal rank."""
+    out = apply(filt, bundle)
+    rank = out.nominal_rank if rank is None else rank
+    return Projected(filt, prepare_samples(out.matrices, kind, rank), bundle.labels)
 
 
 def fit_fold(train, spec: PipelineSpec) -> FoldState:
@@ -316,10 +309,10 @@ def fit_fold(train, spec: PipelineSpec) -> FoldState:
     fit without its samples (see :func:`cross_val_states`).
     """
     if isinstance(train, CovarianceBundle):
-        train = _project_train(_fit_filter(train, spec), train, spec)
-    feats = fit_embedding(train.samples, spec.embedding_kind)
-    model = fit_ridge_gcv(feats, train.labels, spec.ridge_grid)
-    return FoldState(filt=train.filt, embedding=feats.embedding, model=model)
+        train = project(_fit_filter(train, spec), train, spec.embedding_kind)
+    embedding, rows = fit_embedding(train.samples, spec.embedding_kind)
+    model = fit_ridge_gcv(rows, train.labels, spec.ridge_grid)
+    return FoldState(filt=train.filt, embedding=embedding, model=model)
 
 
 def predict_fold(state: FoldState, test) -> np.ndarray:
@@ -361,7 +354,7 @@ def cross_val_states(
     blocks = fold_blocks(bundle.n, folds, seed)
     data = bundle
     if spec.filter_kind in FIXED_FILTERS:
-        data = _project_train(_fit_filter(bundle, spec), bundle, spec)
+        data = project(_fit_filter(bundle, spec), bundle, spec.embedding_kind)
     maes, lams, states = [], [], []
     for k, test_idx in enumerate(blocks):
         mask = np.ones(bundle.n, dtype=bool)

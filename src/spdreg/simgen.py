@@ -29,7 +29,6 @@ import scipy.linalg
 from .bundle import CovarianceBundle
 from .errors import SpdregError
 from .regress import PipelineSpec, effective_rank, run_pipeline_cv
-from .symmat import SymMat
 
 F_KINDS = ("identity", "log", "sqrt")
 SWEEP_AXES = ("sigma", "mu", "sigma_mix")
@@ -114,11 +113,11 @@ def sample_bundle(cfg: GenerativeConfig) -> tuple[CovarianceBundle, np.ndarray]:
     link = _LINKS[cfg.f_kind]
     y = link(powers) @ alpha + eps
 
-    mats = []
+    mats = np.empty((cfg.n, cfg.p, cfg.p))
     for i in range(cfg.n):
         ai = a + xi[i]
         e = np.concatenate([powers[i], noise_powers[i]])
-        mats.append(SymMat((ai * e) @ ai.T))
+        mats[i] = (ai * e) @ ai.T
     bundle = CovarianceBundle(
         matrices=mats, labels=y, nominal_rank=cfg.p, provenance=cfg
     )

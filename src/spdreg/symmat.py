@@ -56,6 +56,11 @@ class SymMat:
     def dim(self) -> int:
         return self._data.shape[0]
 
+    def __array__(self, dtype=None, copy=None):
+        """The stored array, so ``np.asarray`` stacks a list of SymMat."""
+        a = np.asarray(self._data, dtype=dtype)
+        return a.copy() if copy else a
+
     def __repr__(self):  # pragma: no cover
         return f"SymMat(dim={self.dim})"
 

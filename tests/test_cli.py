@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import rand_bundle
 from spdreg import CovarianceBundle, GenerativeConfig, SymMat, regress, sample_bundle, simgen
 from spdreg.bundle import read_covb, write_covb
 from spdreg.cli import main, read_model, write_model
@@ -150,6 +151,18 @@ class TestEval:
             "--out",
             tmp_path / "r.csv",
         )
+        assert code == 0
+
+    def test_supervised_filter_on_rank_deficient_average(self, tmp_path):
+        # Every covariance lies in one 3-dimensional subspace of R^5, so
+        # the average has rank 3; the filter is fit on its range.
+        rng = np.random.default_rng(2)
+        u, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+        small = rand_bundle(rng, 12, 3)
+        path = tmp_path / "lifted.covb"
+        write_covb(path, CovarianceBundle(u @ small.matrices @ u.T, small.labels, 3))
+        code = run("eval", "--bundle", path, "--filter", "supervised", "--rank", 2,
+                   "--folds", 3, "--out", tmp_path / "r.csv")
         assert code == 0
 
     def test_mne_filter_from_leadfield_file(self, tmp_path, bundle_file):

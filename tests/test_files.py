@@ -215,9 +215,8 @@ def test_covb_golden_bytes(tmp_path):
     assert path.read_text() == GOLDEN_COVB
     back = read_covb(path)
     assert np.array_equal(back.labels, [0.1, -0.0])
-    assert np.signbit(back.labels[1]) and np.signbit(back.matrices[0].data[0, 1])
-    for m, ref in zip(back.matrices, golden_bundle().matrices):
-        assert np.array_equal(m.data, ref.data)
+    assert np.signbit(back.labels[1]) and np.signbit(back.matrices[0, 0, 1])
+    assert np.array_equal(back.matrices, golden_bundle().matrices)
 
 
 @pytest.mark.parametrize("p", [1, 32])
@@ -235,8 +234,7 @@ def test_covb_round_trip_bit_exact(p, tmp_path):
     assert first.read_bytes() == second.read_bytes()
     assert np.array_equal(back.labels, bund.labels)
     assert back.nominal_rank == bund.nominal_rank
-    for m, ref in zip(back.matrices, bund.matrices):
-        assert np.array_equal(m.data, ref.data)
+    assert np.array_equal(back.matrices, bund.matrices)
 
 
 def joined(header, rows):
@@ -314,7 +312,7 @@ def test_pred_feat_symmat_bytes_match_joined_floats(fitted, tmp_path):
     assert run("embed", "--bundle", covb, "--embedding", "geometric", "--out", feat) == 0
     assert run("mean", "--bundle", covb, "--metric", "geometric", "--out", mean) == 0
     yhat = regress.predict_fold(read_model(model), bund)
-    rows = manifold.fit_embedding(bund.matrices, "geometric", rank=bund.nominal_rank).rows
+    rows = manifold.fit_embedding(bund.matrices, "geometric", rank=bund.nominal_rank)[1]
     point = manifold.mean_geometric(bund.matrices).point.data
     assert pred.read_text() == joined(f"PRED v1 {len(yhat)}", yhat)
     assert feat.read_text() == joined(f"FEAT v1 {rows.shape[0]} {rows.shape[1]}", rows)

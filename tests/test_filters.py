@@ -7,7 +7,7 @@ from spdreg import (
     DimensionMismatch,
     Leadfield,
     RankTooLarge,
-    SingularMatrix,
+    SpatialFilter,
     SymMat,
     apply,
     fit_mne,
@@ -36,7 +36,7 @@ class TestFitUnsupervised:
         bundle = rand_bundle(rng, 10, 4)
         filt = fit_unsupervised(bundle, 4)
         assert np.linalg.norm(filt.w.T @ filt.w - np.eye(4)) <= 1e-10
-        cbar = np.mean([m.data for m in bundle.matrices], axis=0)
+        cbar = bundle.matrices.mean(axis=0)
         proj = filt.w.T @ cbar @ filt.w
         assert np.linalg.norm(proj - np.diag(np.diag(proj))) <= 1e-10
 
@@ -61,7 +61,7 @@ class TestFitUnsupervised:
         rng = np.random.default_rng(2)
         bundle = rand_bundle(rng, 12, 5)
         filt = fit_unsupervised(bundle, 2)
-        cbar = SymMat(np.mean([m.data for m in bundle.matrices], axis=0))
+        cbar = SymMat(bundle.matrices.mean(axis=0))
         w_eig, v_eig = np.linalg.eigh(cbar.data)
         top = v_eig[:, ::-1][:, :2]
         gap = np.linalg.norm(filt.w @ filt.w.T - top @ top.T)
@@ -80,6 +80,14 @@ def power_bundle(rng, n, p, signal_axis=0):
     return CovarianceBundle(matrices=mats, labels=y, nominal_rank=p)
 
 
+def lifted_bundle(rng):
+    """A random full-rank 4 x 4 bundle, an orthonormal 7 x 4 ``u``, and the
+    bundle lifted by it into 7 dimensions (average covariance of rank 4)."""
+    u, _ = np.linalg.qr(rng.standard_normal((7, 4)))
+    small = rand_bundle(rng, 20, 4)
+    return small, u, CovarianceBundle(u @ small.matrices @ u.T, small.labels, nominal_rank=4)
+
+
 class TestFitSupervised:
     def test_recovers_signal_axis(self):
         rng = np.random.default_rng(3)
@@ -92,7 +100,7 @@ class TestFitSupervised:
         rng = np.random.default_rng(4)
         bundle = rand_bundle(rng, 15, 4)
         filt = fit_supervised(bundle, 4)
-        cbar = np.mean([m.data for m in bundle.matrices], axis=0)
+        cbar = bundle.matrices.mean(axis=0)
         for j in range(4):
             w = filt.w[:, j]
             assert abs(w @ cbar @ w - 1.0) <= 1e-8
@@ -103,7 +111,7 @@ class TestFitSupervised:
         filt = fit_supervised(bundle, 4)
         y = bundle.labels
         yt = (y - y.mean()) / y.std()
-        cy = np.einsum("i,ijk->jk", yt, np.stack([m.data for m in bundle.matrices]))
+        cy = np.einsum("i,ijk->jk", yt, bundle.matrices)
         cy /= bundle.n
         for j in range(4):
             w = filt.w[:, j]
@@ -115,7 +123,7 @@ class TestFitSupervised:
         filt = fit_supervised(bundle, 4)
         y = bundle.labels
         yt = (y - y.mean()) / y.std()
-        stack = np.stack([m.data for m in bundle.matrices])
+        stack = bundle.matrices
         cy = np.einsum("i,ijk->jk", yt, stack) / bundle.n
         cbar = stack.mean(axis=0)
         for j in range(4):
@@ -129,7 +137,7 @@ class TestFitSupervised:
         filt = fit_supervised(bundle, 1)
         y = bundle.labels
         yt = (y - y.mean()) / y.std()
-        stack = np.stack([m.data for m in bundle.matrices])
+        stack = bundle.matrices
         cy = np.einsum("i,ijk->jk", yt, stack) / bundle.n
         cbar = stack.mean(axis=0)
         w1 = filt.w[:, 0]
@@ -140,12 +148,37 @@ class TestFitSupervised:
         best = np.max(np.einsum("ij,jk,ik->i", cand, cy, cand))
         assert ours >= best - 1e-3
 
-    def test_rank_deficient_average_raises(self):
+    def test_rank_above_average_rank_raises(self):
         bundle = constant_bundle(
             SymMat(np.diag([1.0, 0.0])), 6, labels=np.arange(6.0)
         )
-        with pytest.raises(SingularMatrix):
-            fit_supervised(bundle, 1)
+        with pytest.raises(RankTooLarge, match="average covariance has rank 1"):
+            fit_supervised(bundle, 2)
+
+    def test_rank_deficient_average_fits_on_its_range(self):
+        # A p=4 bundle lifted into 7 dimensions by an orthonormal u: the
+        # filter fit on its rank-4 average is u times the filter of the
+        # p=4 bundle, up to column sign. Bound fixed beforehand: 1e-10.
+        rng = np.random.default_rng(30)
+        small, u, big = lifted_bundle(rng)
+        want = u @ fit_supervised(small, 4).w
+        got = fit_supervised(big, 4).w
+        signs = np.sign(np.sum(got * want, axis=0))
+        assert np.max(np.abs(got * signs - want)) <= 1e-10
+
+    def test_rank_deficient_average_unit_power(self):
+        # w^T c_bar w = I on the full average, rank 4 of 7; bound 1e-10.
+        rng = np.random.default_rng(31)
+        _, _, big = lifted_bundle(rng)
+        w = fit_supervised(big, 4).w
+        cbar = big.matrices.mean(axis=0)
+        assert np.max(np.abs(w.T @ cbar @ w - np.eye(4))) <= 1e-10
+
+    def test_rank_above_rank_deficient_average_raises(self):
+        rng = np.random.default_rng(32)
+        _, _, big = lifted_bundle(rng)
+        with pytest.raises(RankTooLarge, match="requested 5 components"):
+            fit_supervised(big, 5)
 
 
 class TestFitMne:
@@ -173,32 +206,41 @@ class TestFitMne:
 
 class TestApply:
     def test_identity_filter_is_noop(self):
+        # The identity filter returns its input: no second copy of the stack,
+        # and bit for bit what the symmetrized product would give.
         rng = np.random.default_rng(9)
         bundle = rand_bundle(rng, 5, 3)
         out = apply(identity_filter(3), bundle)
-        for a, b in zip(out.matrices, bundle.matrices):
-            np.testing.assert_array_equal(a.data, b.data)
-        np.testing.assert_array_equal(out.labels, bundle.labels)
+        assert out is bundle
+        eye = np.eye(3)
+        prod = eye.T @ bundle.matrices @ eye
+        assert out.matrices.tobytes() == ((prod + prod.swapaxes(1, 2)) / 2).tobytes()
 
     def test_coordinate_selection(self):
         bundle = constant_bundle(SymMat(np.diag([4.0, 7.0])), 3)
         filt = fit_unsupervised(bundle, 1)
         out = apply(filt, bundle)
         assert out.dim == 1
-        assert out.matrices[0].data[0, 0] == pytest.approx(7.0)
+        assert out.matrices[0, 0, 0] == pytest.approx(7.0)
 
     def test_matches_direct_congruence(self):
         rng = np.random.default_rng(10)
         bundle = rand_bundle(rng, 4, 4)
         w = rng.standard_normal((4, 2))
-        from spdreg import SpatialFilter
-
         filt = SpatialFilter(w=w, kind="identity", rank_out=2, eigenvalues=np.empty(0))
         out = apply(filt, bundle)
         for i, m in enumerate(bundle.matrices):
-            np.testing.assert_allclose(
-                out.matrices[i].data, (w.T @ m.data @ w + (w.T @ m.data @ w).T) / 2
-            )
+            np.testing.assert_allclose(out.matrices[i], (w.T @ m @ w + (w.T @ m @ w).T) / 2)
+
+    def test_identity_kind_with_another_w_projects(self):
+        # The no-copy path is keyed on w, not on the kind.
+        rng = np.random.default_rng(14)
+        bundle = rand_bundle(rng, 5, 3)
+        w = rng.standard_normal((3, 3))
+        filt = SpatialFilter(w=w, kind="identity", rank_out=3, eigenvalues=np.empty(0))
+        out = apply(filt, bundle)
+        assert out is not bundle
+        np.testing.assert_allclose(out.matrices, w.T @ bundle.matrices @ w, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(11)

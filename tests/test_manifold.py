@@ -53,15 +53,15 @@ def procrustes_log(y, f):
 
 
 def geometric_rows(base, mats):
-    return embed(Embedding("geometric", reference=base), mats).rows
+    return embed(Embedding("geometric", reference=base), mats)
 
 
 def wasserstein_rows(base, mats, r):
-    return embed(Embedding("wasserstein", reference=base, rank=r), mats).rows
+    return embed(Embedding("wasserstein", reference=base, rank=r), mats)
 
 
 def plain_rows(kind, mats):
-    return embed(Embedding(kind), mats).rows
+    return embed(Embedding(kind), mats)
 
 
 def gram(y):
@@ -359,10 +359,10 @@ class TestEmbedding:
         rng = np.random.default_rng(19)
         spd = [rand_spd(rng, 5) for _ in range(3)]
         low = [rand_psd_rank(rng, 5, 3) for _ in range(3)]
-        assert embed(fit_embedding(spd, "euclidean").embedding, spd).k == 15
-        assert embed(fit_embedding(spd, "geometric").embedding, spd).k == 15
-        assert embed(fit_embedding(low, "wasserstein", rank=3).embedding, low).k == 15
-        assert embed(fit_embedding(spd, "logdiag").embedding, spd).k == 5
+        assert embed(fit_embedding(spd, "euclidean")[0], spd).shape == (3, 15)
+        assert embed(fit_embedding(spd, "geometric")[0], spd).shape == (3, 15)
+        assert embed(fit_embedding(low, "wasserstein", rank=3)[0], low).shape == (3, 15)
+        assert embed(fit_embedding(spd, "logdiag")[0], spd).shape == (3, 5)
 
     @pytest.mark.parametrize(
         ("kind", "rank", "scale"),
@@ -384,10 +384,10 @@ class TestEmbedding:
             mats = [rand_spd(rng, 5, spread=2.0) for _ in range(12)]
         mats = [SymMat(scale * m.data) for m in mats]
         states = count_calls(monkeypatch, manifold, "_wass_state")
-        feats = fit_embedding(mats, kind, rank=rank)
+        emb, rows = fit_embedding(mats, kind, rank=rank)
         if kind == "wasserstein" and scale == 1.0:
             assert states[0] >= 3
-        assert np.array_equal(feats.rows, embed(feats.embedding, mats).rows)
+        assert np.array_equal(rows, embed(emb, mats))
 
     def test_wasserstein_fit_runs_one_log_map_pass_per_state(self, monkeypatch):
         # Each state the solver evaluates runs one batched SVD over the
@@ -436,27 +436,27 @@ class TestEmbedding:
         rng = np.random.default_rng(20)
         mats = [rand_spd(rng, 4) for _ in range(6)]
 
-        emb = fit_embedding(mats, "euclidean").embedding
-        rows = embed(emb, mats).rows
+        emb = fit_embedding(mats, "euclidean")[0]
+        rows = embed(emb, mats)
         for i, m in enumerate(mats):
             np.testing.assert_allclose(rows[i], upper(m.data), atol=1e-12)
 
-        emb = fit_embedding(mats, "geometric").embedding
-        rows = embed(emb, mats).rows
+        emb = fit_embedding(mats, "geometric")[0]
+        rows = embed(emb, mats)
         isq = sym_func(emb.reference, "inv_sqrt").data
         for i, m in enumerate(mats):
             log = sym_func(SymMat(isq @ m.data @ isq), "log").data
             np.testing.assert_allclose(rows[i], upper(log), atol=1e-10)
 
         for r, stack in ((4, mats), (2, [rand_psd_rank(rng, 4, 2) for _ in range(6)])):
-            emb = fit_embedding(stack, "wasserstein", rank=r).embedding
+            emb = fit_embedding(stack, "wasserstein", rank=r)[0]
             base = eigen_factor(emb.reference, r)
-            rows = embed(emb, stack).rows
+            rows = embed(emb, stack)
             for i, m in enumerate(stack):
                 log = procrustes_log(base, eigen_factor(m, r))
                 np.testing.assert_allclose(rows[i], log.reshape(-1), atol=1e-10)
 
-        emb = fit_embedding(mats, "logdiag").embedding
-        rows = embed(emb, mats).rows
+        emb = fit_embedding(mats, "logdiag")[0]
+        rows = embed(emb, mats)
         for i, m in enumerate(mats):
             np.testing.assert_allclose(rows[i], np.log(np.diag(m.data)), atol=1e-12)

@@ -34,6 +34,7 @@ from spdreg.regress import (
     FoldState,
     cross_val_states,
     fold_blocks,
+    project,
     results_rows,
     write_csv,
 )
@@ -454,14 +455,14 @@ def cv_from_scratch(bundle, spec, folds, seed):
         test = bundle.subset(test_idx)
         filt = fit_filter(train)
         projected = apply(filt, train)
-        feats = fit_embedding(
+        emb, rows = fit_embedding(
             projected.matrices, spec.embedding_kind, rank=projected.nominal_rank
         )
-        model = fit_ridge_gcv(feats, projected.labels, spec.ridge_grid)
-        yhat = predict(model, embed(feats.embedding, apply(filt, test).matrices))
+        model = fit_ridge_gcv(rows, projected.labels, spec.ridge_grid)
+        yhat = predict(model, embed(emb, apply(filt, test).matrices))
         maes.append(float(np.mean(np.abs(test.labels - yhat))))
         lams.append(model.lambda_star)
-        digests.append(state_digest(FoldState(filt, feats.embedding, model)))
+        digests.append(state_digest(FoldState(filt, emb, model)))
     return np.array(maes), np.array(lams), digests
 
 
@@ -486,6 +487,15 @@ class TestSharedPerSampleWork:
         assert [state_digest(s) for s in states] == digests
 
 
+@pytest.mark.parametrize("kind", ["geometric", "wasserstein"])
+def test_identity_projection_keeps_one_copy(kind):
+    # The kinds whose reference fit reads the covariances keep them in
+    # Samples.stack: under the identity filter that is the bundle's array.
+    bundle, _ = sample_bundle(GenerativeConfig(p=4, q=2, n=12, seed=3))
+    projected = project(identity_filter(4), bundle, kind, 4)
+    assert projected.samples.stack is bundle.matrices
+
+
 class TestPipelineInvariances:
     def test_geometric_mae_invariant_under_congruence(self):
         # Exact-fit regime: the tangent features rotate by a fixed
@@ -495,7 +505,7 @@ class TestPipelineInvariances:
         rng = np.random.default_rng(13)
         w = rand_invertible(rng, 5)
         conj = CovarianceBundle(
-            matrices=[SymMat(w.T @ m.data @ w) for m in bundle.matrices],
+            matrices=w.T @ bundle.matrices @ w,
             labels=bundle.labels,
             nominal_rank=5,
         )
@@ -512,7 +522,7 @@ class TestPipelineInvariances:
         rng = np.random.default_rng(14)
         q = rand_orthogonal(rng, 5)
         conj = CovarianceBundle(
-            matrices=[SymMat(q.T @ m.data @ q) for m in bundle.matrices],
+            matrices=q.T @ bundle.matrices @ q,
             labels=bundle.labels,
             nominal_rank=5,
         )

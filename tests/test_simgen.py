@@ -66,7 +66,7 @@ class TestSampleBundle:
             link = {"identity": lambda x: x, "log": np.log, "sqrt": np.sqrt}[f_kind]
             feats = np.stack(
                 [
-                    link(np.diag(ainv @ m.data @ ainv.T)[: cfg.q])
+                    link(np.diag(ainv @ m @ ainv.T)[: cfg.q])
                     for m in bundle.matrices
                 ]
             )
@@ -80,14 +80,14 @@ class TestSampleBundle:
             p=3, q=1, mu=0.0, sigma=0.0, f_kind="identity", seed=5
         )
         bundle, alpha = sample_bundle(cfg)
-        powers = np.array([m.data[0, 0] for m in bundle.matrices])
+        powers = bundle.matrices[:, 0, 0]
         np.testing.assert_allclose(bundle.labels, alpha[0] * powers, atol=1e-12)
 
     def test_mu_zero_keeps_block_diagonal(self):
         cfg = GenerativeConfig(mu=0.0, sigma_mix=0.0, seed=6)
         bundle, _ = sample_bundle(cfg)
         for m in bundle.matrices:
-            off = m.data - np.diag(np.diag(m.data))
+            off = m - np.diag(np.diag(m))
             assert np.all(off == 0)
 
     def test_determinism_bit_identical(self):
@@ -96,14 +96,13 @@ class TestSampleBundle:
         b2, a2 = sample_bundle(cfg)
         np.testing.assert_array_equal(a1, a2)
         np.testing.assert_array_equal(b1.labels, b2.labels)
-        for m1, m2 in zip(b1.matrices, b2.matrices):
-            np.testing.assert_array_equal(m1.data, m2.data)
+        np.testing.assert_array_equal(b1.matrices, b2.matrices)
 
     def test_matrices_are_psd_full_rank(self):
         cfg = GenerativeConfig(mu=1.0, sigma_mix=0.0, seed=10)
         bundle, _ = sample_bundle(cfg)
         for m in bundle.matrices:
-            w = np.linalg.eigvalsh(m.data)
+            w = np.linalg.eigvalsh(m)
             assert w[0] >= -1e-12 * w[-1]
             assert np.sum(w > 1e-12 * w[-1]) == cfg.p
 
@@ -111,8 +110,7 @@ class TestSampleBundle:
         # sigma only scales the label noise; matrices stay identical.
         quiet, _ = sample_bundle(GenerativeConfig(sigma=0.0, seed=12))
         loud, _ = sample_bundle(GenerativeConfig(sigma=0.5, seed=12))
-        for m1, m2 in zip(quiet.matrices, loud.matrices):
-            np.testing.assert_array_equal(m1.data, m2.data)
+        np.testing.assert_array_equal(quiet.matrices, loud.matrices)
         assert not np.array_equal(quiet.labels, loud.labels)
 
 
@@ -126,8 +124,7 @@ class TestCovbFile:
         assert back.n == bundle.n and back.dim == bundle.dim
         assert back.nominal_rank == bundle.nominal_rank
         np.testing.assert_array_equal(back.labels, bundle.labels)
-        for m1, m2 in zip(back.matrices, bundle.matrices):
-            np.testing.assert_array_equal(m1.data, m2.data)
+        np.testing.assert_array_equal(back.matrices, bundle.matrices)
 
     def test_header(self, tmp_path):
         bundle, _ = sample_bundle(GenerativeConfig(seed=1))

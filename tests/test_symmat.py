@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,18 @@ class TestSymMat:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SymMat([[np.nan, 0.0], [0.0, 1.0]])
+
+    def test_array_protocol_takes_copy(self):
+        # numpy 2 passes copy= to __array__ and warns when it is not taken.
+        m = SymMat([[1.0, 2.0], [0.0, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            copied = np.array(m, copy=True)
+            shared = np.asarray(m)
+            single = np.asarray(m, dtype=np.float32)
+        assert copied.flags.writeable and not np.shares_memory(copied, m.data)
+        assert shared is m.data
+        assert single.dtype == np.float32 and np.array_equal(single, m.data)
 
     def test_data_is_frozen(self):
         m = SymMat(np.eye(2))
