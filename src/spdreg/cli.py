@@ -274,6 +274,8 @@ def read_model(path) -> regress.FoldState:
         eigs = src.floats(src.words("filter_eigs ...")[1:])
         rp = src.words("reference <p|none>")[1]
         rp = 0 if rp == "none" else src.count(rp)
+        if rp and rp != w.shape[1]:
+            raise src.error(f"reference dimension {rp} differs from filter width {w.shape[1]}")
         reference = SymMat(src.block(1, rp, rp)[0]) if rp else None
         _, k, *ridge = src.words("ridge <k> <lambda> <intercept>")
         k, (lam, intercept) = src.count(k), src.floats(ridge, 2).tolist()
@@ -309,7 +311,8 @@ def cmd_simulate(opts) -> int:
 def cmd_fit(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     spec = _pipeline_spec(opts)
-    state = regress.fit_fold(bund, spec)
+    train = regress.project(regress.fit_filter(bund, spec), bund, spec.embedding_kind)
+    state = regress.fit_fold(train, spec)
     write_model(opts["out"], state)
     train_mae = float(np.mean(np.abs(bund.labels - state.model.fitted)))
     print(
@@ -339,7 +342,8 @@ def cmd_eval(opts) -> int:
 def cmd_predict(opts) -> int:
     state = read_model(_require_file(opts, "model"))
     bund = read_covb(_require_file(opts, "bundle"))
-    yhat = regress.predict_fold(state, bund)
+    test = regress.project(state.filt, bund, state.embedding.kind, state.embedding.rank)
+    yhat = regress.predict_fold(state, test)
     _write_matrix_file(opts["out"], f"PRED v1 {len(yhat)}", yhat)
     mae = float(np.mean(np.abs(bund.labels - yhat)))
     print(f"predicted n={len(yhat)} mae={mae:.6g} -> {opts['out']}")

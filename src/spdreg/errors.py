@@ -39,10 +39,6 @@ class SampleError(NumericalError):
         super().__init__(message if sample is None else f"sample {sample}: {message}")
         self.detail, self.sample = message, sample
 
-    def renumber(self, index) -> None:
-        """Name the sample by ``index[sample]``, its index in the full stack."""
-        self.__init__(self.detail, int(index[self.sample]))
-
 
 class NotPSD(SampleError):
     """A PSD matrix was required but a clearly negative eigenvalue was found."""

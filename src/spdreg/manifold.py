@@ -10,8 +10,10 @@ provided, plus the log-diagonal baseline:
   fixed-rank factor quotient (handles rank-deficient matrices).
 * ``logdiag`` -- elementwise log of the diagonal.
 
-Reference points are Frechet means under the matching metric, computed by
-iterative solvers with explicit gradient-norm stopping rules. Every
+Reference points are Frechet means under the matching metric. Both are
+computed by one backtracking descent loop, each mean giving its own state
+and step, that stops on the Riemannian gradient norm or raises
+:class:`~spdreg.errors.NoConvergence` after ``MAX_ITER`` steps. Every
 operation on samples takes the whole ``(n, p, p)`` array at once (a
 bundle's ``matrices``) and gives ``(n, k)`` feature rows; distances and
 :func:`embed` are pure functions, and the means are deterministic given
@@ -222,13 +224,14 @@ def _wass_logs(y: np.ndarray, factors: np.ndarray) -> np.ndarray:
     return factors @ q - y
 
 
-def _wass_state(point: SymMat, factors: np.ndarray):
+def _wass_state(point, factors: np.ndarray):
     """``(base, logs, their sum, their summed squares)``: ``base`` is the
-    factor of ``point`` from :func:`factorize`, ``logs`` the log maps from
-    it to each sample factor. A point of another numerical rank raises
-    :class:`RankMismatch`, as an :class:`Embedding` at it would."""
+    factor of ``point`` (a matrix or :class:`SymMat`) from :func:`factorize`,
+    ``logs`` the log maps from it to each sample factor. A point of another
+    numerical rank raises :class:`RankMismatch`, as an :class:`Embedding`
+    at it would."""
     try:
-        base = factorize(point.data[None], factors.shape[-1])[0]
+        base = factorize(np.asarray(point)[None], factors.shape[-1])[0]
     except RankMismatch as exc:
         raise RankMismatch(f"reference {exc.detail}") from None
     logs = _wass_logs(base, factors)
@@ -352,82 +355,105 @@ def mean_euclidean(mats) -> SymMat:
     return SymMat(_as_stack(mats).mean(axis=0))
 
 
+# Iteration budget of both Frechet-mean solvers.
+MAX_ITER = 300
+
+
+def _descend(evaluate, move, x: np.ndarray, n: int, tol: float, what: str) -> FrechetMean:
+    """Backtracking gradient descent from ``x``, the solver of both means.
+
+    ``evaluate(x)`` gives the state at iterate ``x``: ``(base, rows, gsum,
+    obj)``, with ``gsum`` the sum of the ``n`` log maps from ``x`` to the
+    samples, ``obj`` the summed squared distances, ``rows`` the samples'
+    feature rows at ``x`` and ``base`` what ``move(base, gsum, step)`` needs
+    to give the iterate ``step`` along the mean log map. Each step starts
+    at 1 and halves until the Armijo rule (c = 1e-4, slope
+    ``-2 ||gsum||^2 / n``, slack ``1e-12 (1 + |obj|)``) holds or it
+    reaches 1e-6. Converged when the Riemannian gradient norm
+    ``2 ||gsum||`` is at most ``tol``; the mean is then ``x`` with the
+    rows of its state.
+    """
+    base, rows, gsum, obj = evaluate(x)
+    gnorm = 2.0 * float(np.linalg.norm(gsum))
+    for _ in range(MAX_ITER):
+        if gnorm <= tol:
+            break
+        # Only one state's rows are alive: drop them before each new try.
+        rows = None
+        slope = -2.0 * float(np.sum(gsum * gsum)) / n
+        slack = 1e-12 * (1.0 + abs(obj))
+        step = 1.0
+        while True:
+            cand = move(base, gsum, step)
+            base2, rows, gsum2, obj2 = evaluate(cand)
+            if obj2 <= obj + 1e-4 * step * slope + slack or step <= 1e-6:
+                break
+            rows = None
+            step *= 0.5
+        x, base, gsum, obj = cand, base2, gsum2, obj2
+        gnorm = 2.0 * float(np.linalg.norm(gsum))
+    if not gnorm <= tol:
+        raise NoConvergence(
+            f"{what} did not converge", gradient_norm=gnorm, iterations=MAX_ITER
+        )
+    return FrechetMean(SymMat(x), rows.reshape(n, -1))
+
+
 def _geo_state(m: np.ndarray, stack: np.ndarray):
-    """One whitening pass: (sqrt factor, gradient sum, objective, feature rows)."""
+    """One whitening pass: (sqrt factor, feature rows, log sum, objective)."""
     isq, sq = _whiten(m)
     logs = _whitened_logs(isq, stack, "mean_geometric")
-    grad = logs.sum(axis=0)
-    obj = float(np.sum(logs * logs))
-    return sq, grad, obj, _upper(logs)
+    grad, obj = logs.sum(axis=0), float(np.sum(logs * logs))
+    return sq, _upper(logs), grad, obj
 
 
-def mean_geometric(mats, max_iter: int = 300, tol: float | None = None) -> FrechetMean:
+def mean_geometric(mats) -> FrechetMean:
     """Karcher (Frechet) mean under the affine-invariant metric.
 
     Fixed-point iteration ``m <- m^1/2 exp(step/n sum_i log(m^-1/2 c_i
-    m^-1/2)) m^1/2`` starting from the arithmetic mean, with the step
-    halved whenever the summed squared distance increases. Converged
-    when the gradient ``sum_i log(m^-1/2 c_i m^-1/2)`` has Frobenius
-    norm at most ``tol`` (default ``1e-9 * p``). Returns the mean with
-    the geometric feature rows of the inputs at it, from the last
-    accepted iterate.
+    m^-1/2)) m^1/2`` starting from the arithmetic mean, its step chosen
+    by the backtracking rule of the means' shared descent loop. Converged
+    when the Riemannian gradient ``2 sum_i log(m^-1/2 c_i m^-1/2)`` has
+    Frobenius norm at most ``2e-9 * p``. Returns the mean with the
+    geometric feature rows of the inputs at it, from the last accepted
+    iterate.
 
     Raises
     ------
     SingularMatrix
         If any input is rank-deficient.
     NoConvergence
-        If the gradient norm is still above ``tol`` after ``max_iter``
-        iterations.
+        If the gradient norm is still above the tolerance after
+        ``MAX_ITER`` steps.
     """
     stack = _as_stack(mats)
     n, p = stack.shape[0], stack.shape[1]
-    if tol is None:
-        tol = 1e-9 * p
-    m = stack.mean(axis=0)
-    sq, grad, obj, rows = _geo_state(m, stack)
-    gnorm = float(np.linalg.norm(grad))
-    for _ in range(max_iter):
-        if gnorm <= tol:
-            return FrechetMean(SymMat(m), rows)
-        # Only one iterate's rows are alive: drop them before each new try.
-        rows = None
-        step = 1.0
-        slack = 1e-12 * (1.0 + abs(obj))
-        while True:
-            cand = _sym(sq @ _expm_sym((step / n) * grad) @ sq)
-            sq2, grad2, obj2, rows = _geo_state(cand, stack)
-            if obj2 <= obj + slack or step <= 1e-4:
-                m, sq, grad, obj = cand, sq2, grad2, obj2
-                break
-            rows = None
-            step *= 0.5
-        gnorm = float(np.linalg.norm(grad))
-    if gnorm <= tol:
-        return FrechetMean(SymMat(m), rows)
-    raise NoConvergence(
-        "geometric mean did not converge", gradient_norm=gnorm, iterations=max_iter
+
+    def move(sq, grad, step):
+        return _sym(sq @ _expm_sym((step / n) * grad) @ sq)
+
+    return _descend(
+        lambda m: _geo_state(m, stack), move, stack.mean(axis=0), n, 2e-9 * p,
+        "geometric mean",
     )
 
 
-def mean_wasserstein(
-    mats, r: int, max_iter: int = 300, tol: float | None = None
-) -> FrechetMean:
+def mean_wasserstein(mats, r: int) -> FrechetMean:
     """Frechet mean under the Bures-Wasserstein metric, rank ``r``.
 
     Gradient descent on the factor ``y`` (p x r) minimizing the summed
-    squared distances, with the descent direction assembled as the mean
-    of the factor-space log maps and an Armijo backtracking line search
-    (initial step 1, shrink 0.5, c = 1e-4). Initialized from the top-r
+    squared distances: ``y <- y + step/n sum_i log_i`` for the
+    factor-space log maps ``log_i``, its step chosen by the backtracking
+    rule of the means' shared descent loop. Initialized from the top-r
     eigenpairs of the arithmetic mean. Each state is evaluated, and each
     step taken, at the factor :func:`factorize` gives its point ``y y.T``,
     as :func:`embed` does; ``y -> y R`` (R orthogonal) leaves the point,
     objective and gradient norm unchanged (Bhatia, Jain & Lim 2019).
     Converged when the Riemannian gradient ``2 sum_i log_i`` has Frobenius
-    norm at most ``tol`` (default ``1e-7 * sqrt(p * r)``). Returns the mean
-    with the inputs' ``(n, p * r)`` feature rows at it, from the last
-    accepted state. ``mats`` may be :class:`Samples` prepared for
-    ``wasserstein`` at rank ``r``; their factors are then used as they are.
+    norm at most ``1e-7 * sqrt(p * r)``. Returns the mean with the
+    inputs' ``(n, p * r)`` feature rows at it, from the last accepted
+    state. ``mats`` may be :class:`Samples` prepared for ``wasserstein``
+    at rank ``r``; their factors are then used as they are.
 
     Raises
     ------
@@ -435,42 +461,22 @@ def mean_wasserstein(
         If any input's numerical rank differs from ``r``, or an iterate's
         does (without a sample index).
     NoConvergence
-        If the gradient norm is still above ``tol`` after ``max_iter``
-        iterations.
+        If the gradient norm is still above the tolerance after
+        ``MAX_ITER`` steps.
     """
     prepared = prepare_samples(mats, "wasserstein", r)
     factors = prepared.data
     n, p = factors.shape[0], factors.shape[1]
-    if tol is None:
-        tol = 1e-7 * np.sqrt(p * r)
     ep = eigh(SymMat(prepared.covariances().mean(axis=0)))
     y = ep.vectors[:, :r] * np.sqrt(np.clip(ep.values[:r], 0.0, None))
-    point = SymMat(y @ y.T)
-    y, logs, grad_sum, obj = _wass_state(point, factors)
-    gnorm = 2.0 * float(np.linalg.norm(grad_sum))
-    for _ in range(max_iter):
-        if gnorm <= tol:
-            return FrechetMean(point, logs.reshape(n, -1))
-        # Only one state's logs are alive: drop them before each new try.
-        logs = None
-        direction = grad_sum / n
-        slope = -2.0 * float(np.sum(grad_sum * grad_sum)) / n
-        step = 1.0
-        slack = 1e-12 * (1.0 + abs(obj))
-        while True:
-            cand = y + step * direction
-            point2 = SymMat(cand @ cand.T)
-            y2, logs, grad2, obj2 = _wass_state(point2, factors)
-            if obj2 <= obj + 1e-4 * step * slope + slack or step <= 1e-6:
-                point, y, grad_sum, obj = point2, y2, grad2, obj2
-                break
-            logs = None
-            step *= 0.5
-        gnorm = 2.0 * float(np.linalg.norm(grad_sum))
-    if gnorm <= tol:
-        return FrechetMean(point, logs.reshape(n, -1))
-    raise NoConvergence(
-        "Wasserstein mean did not converge", gradient_norm=gnorm, iterations=max_iter
+
+    def move(y, grad, step):
+        c = y + step * (grad / n)
+        return _sym(c @ c.T)
+
+    return _descend(
+        lambda x: _wass_state(x, factors), move, _sym(y @ y.T), n, 1e-7 * np.sqrt(p * r),
+        "Wasserstein mean",
     )
 
 

@@ -4,15 +4,17 @@ The pipeline is: fit the spatial filter, project, do the per-sample part
 of the embedding (:func:`~spdreg.manifold.prepare_samples`), fit the
 embedding reference (a Frechet mean) on the training split, vectorize,
 then fit a ridge model whose regularization is chosen by generalized
-cross-validation (GCV) over a fixed grid. :func:`fit_fold` and
-:func:`predict_fold` run it for the CLI and for every CV fold.
+cross-validation (GCV) over a fixed grid. The CLI and every CV fold take
+one path: :func:`fit_filter`, then :func:`project` to a :class:`Projected`
+split, then :func:`fit_fold` on its training rows and :func:`predict_fold`
+on its held-out rows.
 
 In cross-validation the reference, the standardization and the ridge fit
-run per fold on its training split. The projection and the per-sample
-step run once per CV run when the filter is fit without the samples
-(``identity``, ``mne``) and per fold otherwise; :func:`cross_val_states`
-says why sharing them is not leakage. Nothing fitted ever sees the
-held-out fold.
+run per fold on its training split. The whole bundle is projected once
+per CV run when the filter is fit without the samples (``identity``,
+``mne``) and once per fold, with that fold's filter, otherwise;
+:func:`cross_val_states` says why sharing it is not leakage. Nothing
+fitted ever sees the held-out fold.
 """
 
 from __future__ import annotations
@@ -267,7 +269,9 @@ def fold_blocks(n: int, folds: int, seed: int) -> list[np.ndarray]:
 FIXED_FILTERS = ("identity", "mne")
 
 
-def _fit_filter(train: CovarianceBundle, spec: PipelineSpec) -> SpatialFilter:
+def fit_filter(train: CovarianceBundle, spec: PipelineSpec) -> SpatialFilter:
+    """The spatial filter of ``spec``, fit on ``train`` when its kind reads
+    the samples."""
     if spec.filter_kind == "identity":
         return identity_filter(train.dim)
     if spec.filter_kind == "unsupervised":
@@ -282,8 +286,8 @@ class Projected:
     """Labeled samples after a fitted filter, with the reference-free part
     of the embedding done (:class:`~spdreg.manifold.Samples`).
 
-    :func:`fit_fold` and :func:`predict_fold` take one in place of a bundle;
-    :meth:`subset` slices it like :meth:`CovarianceBundle.subset`.
+    :func:`fit_fold` and :func:`predict_fold` take one; :meth:`subset`
+    slices it like :meth:`CovarianceBundle.subset`.
     """
 
     filt: SpatialFilter
@@ -302,24 +306,17 @@ def project(filt: SpatialFilter, bundle: CovarianceBundle, kind: str, rank=None)
     return Projected(filt, prepare_samples(out.matrices, kind, rank), bundle.labels)
 
 
-def fit_fold(train, spec: PipelineSpec) -> FoldState:
-    """Fit filter, embedding reference, and ridge model on one split.
-
-    ``train`` is a bundle, or a :class:`Projected` split whose filter was
-    fit without its samples (see :func:`cross_val_states`).
-    """
-    if isinstance(train, CovarianceBundle):
-        train = project(_fit_filter(train, spec), train, spec.embedding_kind)
+def fit_fold(train: Projected, spec: PipelineSpec) -> FoldState:
+    """Fit the embedding reference and ridge model on a projected training
+    split; the fold keeps the split's filter."""
     embedding, rows = fit_embedding(train.samples, spec.embedding_kind)
     model = fit_ridge_gcv(rows, train.labels, spec.ridge_grid)
     return FoldState(filt=train.filt, embedding=embedding, model=model)
 
 
-def predict_fold(state: FoldState, test) -> np.ndarray:
-    """Apply a fitted fold to held-out covariances: a bundle, or a
-    :class:`Projected` split made with the fold's own filter."""
-    if isinstance(test, CovarianceBundle):
-        test = project(state.filt, test, state.embedding.kind, state.embedding.rank)
+def predict_fold(state: FoldState, test: Projected) -> np.ndarray:
+    """Apply a fitted fold to held-out covariances projected with the
+    fold's own filter."""
     return predict(state.model, embed(state.embedding, test.samples))
 
 
@@ -332,43 +329,42 @@ def cross_val_states(
     embedding reference mean, feature standardization, and ridge weights
     never see the held-out block.
 
-    When the filter is fit without the samples (``identity``, ``mne``),
-    the work that depends on one sample alone is done once per run: the
-    projection, and the per-sample part of the embedding (Wasserstein
-    eigen-factors with their rank and PSD checks, Euclidean and
-    log-diagonal rows; geometric log maps all depend on the reference, so
-    only the projection is shared). Each fold slices these arrays: its
-    training rows feed its Frechet mean and ridge fit, and its held-out
-    rows are embedded at its reference. This is not leakage: each shared
-    value is a function of its own sample alone, and the batched kernels
-    give each slice bit for bit what they give it alone, so every fold's
-    state is exactly what fitting that fold from scratch gives. Errors
-    name a failing sample by its bundle index. The
-    ``unsupervised`` and ``supervised`` filters are fit on each training
-    split, so for them the projection and all after it run per fold.
+    The whole bundle is projected, and the per-sample part of the
+    embedding done (Wasserstein eigen-factors with their rank and PSD
+    checks, Euclidean and log-diagonal rows; geometric log maps all depend
+    on the reference, so only the projection), in one :class:`Projected`
+    that each fold slices: its training rows feed its Frechet mean and
+    ridge fit, and its held-out rows are embedded at its reference. When
+    the filter is fit without the samples (``identity``, ``mne``) that
+    is done once per run; the ``unsupervised`` and ``supervised`` filters
+    are fit on each training split, and the bundle is projected with each.
+    This is not leakage: each shared value is a function of the filter and
+    its own sample alone, and the batched kernels give each slice bit for
+    bit what they give it alone, so every fold's state is exactly what
+    fitting that fold from scratch gives. Errors name a failing sample by
+    its bundle index.
     """
     if folds < 2:
         raise ValueError(f"need at least 2 folds, got {folds}")
     if bundle.n < folds:
         raise ValueError(f"bundle has {bundle.n} samples but {folds} folds requested")
     blocks = fold_blocks(bundle.n, folds, seed)
-    data = bundle
+    shared = None
     if spec.filter_kind in FIXED_FILTERS:
-        data = project(_fit_filter(bundle, spec), bundle, spec.embedding_kind)
+        shared = project(fit_filter(bundle, spec), bundle, spec.embedding_kind)
     maes, lams, states = [], [], []
     for k, test_idx in enumerate(blocks):
         mask = np.ones(bundle.n, dtype=bool)
         mask[test_idx] = False
         train_idx = np.nonzero(mask)[0]
-        split = train_idx
         try:
+            data = shared or project(
+                fit_filter(bundle.subset(train_idx), spec), bundle, spec.embedding_kind
+            )
             state = fit_fold(data.subset(train_idx), spec)
-            split = test_idx
             test = data.subset(test_idx)
             yhat = predict_fold(state, test)
         except NumericalError as exc:
-            if getattr(exc, "sample", None) is not None:
-                exc.renumber(split)
             exc.args = (f"fold {k}: {exc}",)
             raise
         maes.append(float(np.mean(np.abs(test.labels - yhat))))

@@ -28,7 +28,7 @@ import scipy.linalg
 
 from .bundle import CovarianceBundle
 from .errors import SpdregError
-from .regress import PipelineSpec, effective_rank, run_pipeline_cv
+from .regress import PipelineSpec, effective_rank, results_rows, run_pipeline_cv
 
 F_KINDS = ("identity", "log", "sqrt")
 SWEEP_AXES = ("sigma", "mu", "sigma_mix")
@@ -132,25 +132,17 @@ def sample_bundle(cfg: GenerativeConfig) -> tuple[CovarianceBundle, np.ndarray]:
 def _run_cell(args) -> list[dict]:
     cfg_base, axis, value, spec, repeat, folds = args
     cfg = dataclasses.replace(cfg_base, **{axis: value}, seed=cfg_base.seed + repeat)
-    base = {
-        "axis": axis,
-        "value": value,
-        "repeat": repeat,
-        "method": spec.label,
-        "filter": spec.filter_kind,
-        "embedding": spec.embedding_kind,
-        "rank": effective_rank(spec, cfg.p),
-        "seed": cfg.seed,
-    }
+    cell = {"axis": axis, "value": value, "repeat": repeat}
+    rank = effective_rank(spec, cfg.p)
     try:
         bundle, _ = sample_bundle(cfg)
         report = run_pipeline_cv(bundle, spec, folds, seed=cfg.seed)
     except (SpdregError, ValueError) as exc:
-        return [dict(base, fold="", **{"lambda": ""}, mae="", error=str(exc))]
-    rows = []
-    for k, (mae, lam) in enumerate(zip(report.per_fold_mae, report.per_fold_lambda)):
-        rows.append(dict(base, fold=k, **{"lambda": lam}, mae=mae, error=""))
-    return rows
+        failed = {"method": spec.label, "filter": spec.filter_kind,
+                  "embedding": spec.embedding_kind, "rank": rank, "fold": "",
+                  "lambda": "", "mae": "", "seed": cfg.seed}
+        return [dict(cell, **failed, error=str(exc))]
+    return [dict(cell, **row, error="") for row in results_rows(spec, report, rank)]
 
 
 def sweep(

@@ -288,6 +288,12 @@ def test_c10_preset_sweep_budget(tmp_path):
             "sweep", "--preset", preset, "--repeats", 3, "--jobs", jobs, "--out", out
         )
         assert code == 0
+        # fig3-right is the one preset whose Karcher means take more than one
+        # step, so this also guards the means' descent loop past its first step
+        lines = out.read_text().splitlines()
+        err = lines[0].split(",").index("error")
+        failed = [ln for ln in lines[1:] if ln.split(",")[err]]
+        assert not failed, f"{preset}: {failed[0]}"
     elapsed = time.monotonic() - start
     assert elapsed < 300.0
 

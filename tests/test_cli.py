@@ -232,9 +232,27 @@ class TestFitPredict:
         assert calls == {"apply": 1, "embed": 0}
         monkeypatch.undo()
         bundle = read_covb(bundle_file)
-        yhat = regress.predict_fold(read_model(model), bundle)
+        state = read_model(model)
+        test = regress.project(state.filt, bundle, state.embedding.kind, state.embedding.rank)
+        yhat = regress.predict_fold(state, test)
         mae = float(np.mean(np.abs(bundle.labels - yhat)))
         assert f"train_mae={mae:.6g} " in capsys.readouterr().out
+
+    def test_reference_dimension_must_match_filter_width(self, tmp_path, bundle_file, capsys):
+        model, pred = tmp_path / "m.txt", tmp_path / "p.txt"
+        assert run(
+            "fit", "--bundle", bundle_file, "--filter", "unsupervised", "--rank", 3,
+            "--embedding", "geometric", "--out", model,
+        ) == 0
+        lines = model.read_text().splitlines()
+        at = lines.index("reference 3")
+        eye = [" ".join("1" if j == i else "0" for j in range(4)) for i in range(4)]
+        lines[at : at + 4] = ["reference 4", *eye]
+        model.write_text("\n".join(lines) + "\n")
+        assert run("predict", "--model", model, "--bundle", bundle_file, "--out", pred) == 2
+        err = capsys.readouterr().err
+        assert f"error: {model}:{at + 1}: reference dimension 4 differs from filter width 3" in err
+        assert not pred.exists()
 
     def test_fit_deterministic(self, tmp_path, bundle_file):
         m1, m2 = tmp_path / "m1.txt", tmp_path / "m2.txt"

@@ -267,7 +267,8 @@ def test_model_bytes_match_joined_floats(fitted):
     bund, _, model = fitted
     spec = regress.PipelineSpec(filter_kind="unsupervised", filter_rank=3,
                                 embedding_kind="wasserstein")
-    state = regress.fit_fold(bund, spec)
+    train = regress.project(regress.fit_filter(bund, spec), bund, "wasserstein")
+    state = regress.fit_fold(train, spec)
     filt, emb, ridge = state.filt, state.embedding, state.model
 
     def f(values):
@@ -311,7 +312,9 @@ def test_pred_feat_symmat_bytes_match_joined_floats(fitted, tmp_path):
     assert run("predict", "--model", model, "--bundle", covb, "--out", pred) == 0
     assert run("embed", "--bundle", covb, "--embedding", "geometric", "--out", feat) == 0
     assert run("mean", "--bundle", covb, "--metric", "geometric", "--out", mean) == 0
-    yhat = regress.predict_fold(read_model(model), bund)
+    state = read_model(model)
+    test = regress.project(state.filt, bund, state.embedding.kind, state.embedding.rank)
+    yhat = regress.predict_fold(state, test)
     rows = manifold.fit_embedding(bund.matrices, "geometric", rank=bund.nominal_rank)[1]
     point = manifold.mean_geometric(bund.matrices).point.data
     assert pred.read_text() == joined(f"PRED v1 {len(yhat)}", yhat)
