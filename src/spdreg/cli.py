@@ -23,7 +23,7 @@ import numpy as np
 
 from . import filters, manifold, regress, simgen
 from .bundle import LineReader, read_covb, row_format, write_covb, write_rows
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, SampleError, SingularMatrix
 from .symmat import SymMat
 
 
@@ -262,27 +262,39 @@ def write_model(path, state: regress.FoldState) -> None:
             write_rows(fh, values, name)
 
 
+def _build(src: LineReader, line: int, make, **fields):
+    """``make(**fields)``; a value it rejects is an error of ``src`` at ``line``
+    (a solver failure is not the file's)."""
+    try:
+        return make(**fields)
+    except (ValueError, SampleError, SingularMatrix) as exc:
+        src.lineno = line
+        raise src.error(str(exc)) from None
+
+
 def read_model(path) -> regress.FoldState:
     path = Path(path)
     with open(path) as fh:
         src = LineReader(path, fh)
         src.words("MODEL v1")
         _, emb_kind, emb_rank = src.words("embedding <kind> <rank>")
-        emb_rank = src.count(emb_rank, low=0)
+        emb_line, emb_rank = src.lineno, src.count(emb_rank, low=0)
         _, filt_kind, p, r = src.words("filter <kind> <p> <r>")
-        w = src.block(1, src.count(p), src.count(r))[0]
+        filt_line, w = src.lineno, src.block(1, src.count(p), src.count(r))[0]
         eigs = src.floats(src.words("filter_eigs ...")[1:])
+        filt = _build(src, filt_line, filters.SpatialFilter, w=w, kind=filt_kind,
+                      rank_out=w.shape[1], eigenvalues=eigs)
         rp = src.words("reference <p|none>")[1]
         rp = 0 if rp == "none" else src.count(rp)
         if rp and rp != w.shape[1]:
             raise src.error(f"reference dimension {rp} differs from filter width {w.shape[1]}")
         reference = SymMat(src.block(1, rp, rp)[0]) if rp else None
+        emb = _build(src, emb_line, manifold.Embedding, kind=emb_kind, reference=reference,
+                     rank=emb_rank or None)
         _, k, *ridge = src.words("ridge <k> <lambda> <intercept>")
         k, (lam, intercept) = src.count(k), src.floats(ridge, 2).tolist()
         vectors = {v: src.floats(src.words(f"{v} ...")[1:], k) for v in ("mean", "scale", "beta")}
         src.end()
-    filt = filters.SpatialFilter(w=w, kind=filt_kind, rank_out=w.shape[1], eigenvalues=eigs)
-    emb = manifold.Embedding(kind=emb_kind, reference=reference, rank=emb_rank or None)
     model = regress.RidgeModel(
         beta=vectors["beta"], intercept=intercept, lambda_star=lam,
         feature_mean=vectors["mean"], feature_scale=vectors["scale"],

@@ -34,11 +34,10 @@ from .errors import (
     NoConvergence,
     NonPositiveDiagonal,
     NotPSD,
-    NumericalFailure,
     RankMismatch,
     SingularMatrix,
 )
-from .symmat import RANK_TOL, SymMat, eigh, numerical_rank
+from .symmat import SymMat, _check_spd, _eig, _ranks, eigh, numerical_rank
 
 EMBEDDING_KINDS = ("euclidean", "geometric", "wasserstein", "logdiag")
 
@@ -66,11 +65,8 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 def _whiten(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(m^-1/2, m^1/2)`` of a full-rank SPD matrix from one eigendecomposition."""
-    w, v = np.linalg.eigh(_sym(m))
-    if w[0] <= RANK_TOL * w[-1] or w[-1] <= 0:
-        raise SingularMatrix(
-            "a full-rank SPD matrix is required", smallest_eigenvalue=float(w[0])
-        )
+    w, v = _eig(_sym(m))
+    _check_spd(w, "whitening")
     isq = (v / np.sqrt(w)) @ v.T
     sq = (v * np.sqrt(w)) @ v.T
     return isq, sq
@@ -83,19 +79,14 @@ def _whitened_logs(isq: np.ndarray, stack: np.ndarray, what: str) -> np.ndarray:
     (n, p, p) temporaries are alive at once.
     """
     a = _sym(isq @ stack @ isq)
-    w, v = np.linalg.eigh(a)
+    w, v = _eig(a)
     del a
-    wmax = w[..., -1]
-    if np.any(w[..., 0] <= RANK_TOL * wmax) or np.any(wmax <= 0):
-        raise SingularMatrix(
-            f"{what} requires full-rank SPD matrices",
-            smallest_eigenvalue=float(w.min()),
-        )
+    _check_spd(w, what)
     return (v * np.log(w)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def _expm_sym(a: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(_sym(a))
+    w, v = _eig(_sym(a))
     return (v * np.exp(w)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
@@ -128,22 +119,9 @@ def dist_geometric(s: SymMat, t: SymMat) -> float:
     if s.dim != t.dim:
         raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
     isq, _ = _whiten(s.data)
-    w = np.linalg.eigvalsh(_sym(isq @ t.data @ isq))
-    if w[0] <= RANK_TOL * w[-1] or w[-1] <= 0:
-        raise SingularMatrix(
-            "dist_geometric requires full-rank SPD arguments",
-            smallest_eigenvalue=float(w[0]),
-        )
+    w = _eig(_sym(isq @ t.data @ isq), vectors=False)
+    _check_spd(w, "dist_geometric")
     return float(np.sqrt(np.sum(np.log(w) ** 2)))
-
-
-def _psd_factor(m: SymMat, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (round-off negatives clipped to 0) and a full factor."""
-    w, v = np.linalg.eigh(m.data)
-    if w[0] < -RANK_TOL * max(w[-1], 0.0):
-        raise NotPSD(f"{what} is not PSD (smallest eigenvalue {w[0]:.3e})")
-    w = np.clip(w, 0.0, None)
-    return w, v * np.sqrt(w)
 
 
 def dist_wasserstein(s: SymMat, t: SymMat) -> float:
@@ -155,14 +133,22 @@ def dist_wasserstein(s: SymMat, t: SymMat) -> float:
     inner root is evaluated as the nuclear norm of ``ys.T @ yt`` for
     factors ``ys ys.T = s``, ``yt yt.T = t`` (the two agree exactly, and
     the factor form avoids square-rooting round-off-sized eigenvalues
-    of the triple product).
+    of the triple product). One batched :func:`~spdreg.symmat.eigh` call
+    factors both; eigenvalues in the round-off band of the PSD rule are
+    clipped to zero, and a clearly negative one raises :class:`NotPSD`
+    naming the argument.
     """
     if s.dim != t.dim:
         raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
-    ws, ys = _psd_factor(s, "first argument")
-    wt, yt = _psd_factor(t, "second argument")
+    ep = eigh(np.stack([s.data, t.data]))
+    try:
+        _ranks(ep.values)
+    except NotPSD as exc:
+        raise NotPSD(f"{('first', 'second')[exc.sample]} argument: {exc.detail}") from None
+    w = np.clip(ep.values, 0.0, None)
+    ys, yt = ep.vectors * np.sqrt(w)[:, None, :]
     cross = float(np.sum(np.linalg.svd(ys.T @ yt, compute_uv=False)))
-    d2 = float(np.sum(ws) + np.sum(wt) - 2.0 * cross)
+    d2 = float(np.sum(w[0]) + np.sum(w[1]) - 2.0 * cross)
     return float(np.sqrt(max(d2, 0.0)))
 
 
@@ -175,9 +161,10 @@ def factorize(stack: np.ndarray, r: int) -> np.ndarray:
     """Eigen-factors ``y_i = u_r diag(sqrt(w_r))``, shape (n, p, r), of an
     (n, p, p) stack of rank-``r`` PSD matrices.
 
-    One eigendecomposition per slice applies the PSD and rank rule of
-    :func:`~spdreg.symmat.numerical_rank` and gives the factor, with the
-    column order and signs of :func:`~spdreg.symmat.eigh`.
+    One batched :func:`~spdreg.symmat.eigh` gives the top-``r`` eigenpairs,
+    with its column order and signs, and its eigenvalues the rank of
+    :func:`~spdreg.symmat.numerical_rank`; row ``i`` is bit for bit what
+    factoring slice ``i`` alone gives.
 
     Raises
     ------
@@ -187,32 +174,13 @@ def factorize(stack: np.ndarray, r: int) -> np.ndarray:
     p = stack.shape[-1]
     if not 1 <= r <= p:
         raise ValueError(f"rank must be in [1, {p}], got {r}")
-    try:
-        w, v = np.linalg.eigh(stack)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
-    tau = RANK_TOL * w[:, -1]
-    bad = np.flatnonzero(w[:, 0] < -tau)
-    if bad.size:
-        i = bad[0]
-        raise NotPSD(
-            f"not PSD (smallest eigenvalue {w[i, 0]:.3e}, threshold {-tau[i]:.3e})", i
-        )
-    ranks = np.count_nonzero(w > tau[:, None], axis=1)
+    ep = eigh(stack)
+    ranks = _ranks(ep.values)
     bad = np.flatnonzero(ranks != r)
     if bad.size:
         i = bad[0]
         raise RankMismatch(f"numerical rank is {ranks[i]}, expected {r}", i)
-    # Stable descending sort keeps the solver's order inside tie blocks.
-    order = np.argsort(-w, axis=1, kind="stable")[:, :r]
-    y = np.take_along_axis(v, order[:, None, :], axis=2)
-    del v  # the full eigenvector stack is the largest array here
-    lead = np.argmax(np.abs(y), axis=1)
-    signs = np.sign(np.take_along_axis(y, lead[:, None, :], axis=1))
-    signs[signs == 0] = 1.0
-    y *= signs
-    y *= np.sqrt(np.take_along_axis(w, order, axis=1))[:, None, :]
-    return y
+    return ep.vectors[:, :, :r] * np.sqrt(ep.values[:, None, :r])
 
 
 def _wass_logs(y: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -328,7 +296,7 @@ def prepare_samples(mats, kind: str, rank: int | None = None) -> Samples:
     if kind == "geometric":
         return Samples(kind, stack, None)
     if rank is None:
-        rank = numerical_rank(SymMat(stack[0]))
+        rank = numerical_rank(stack[0])
     return Samples(kind, stack, factorize(stack, rank), rank)
 
 
@@ -467,7 +435,7 @@ def mean_wasserstein(mats, r: int) -> FrechetMean:
     prepared = prepare_samples(mats, "wasserstein", r)
     factors = prepared.data
     n, p = factors.shape[0], factors.shape[1]
-    ep = eigh(SymMat(prepared.covariances().mean(axis=0)))
+    ep = eigh(prepared.covariances().mean(axis=0))
     y = ep.vectors[:, :r] * np.sqrt(np.clip(ep.values[:r], 0.0, None))
 
     def move(y, grad, step):

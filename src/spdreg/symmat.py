@@ -1,10 +1,13 @@
 """Dense symmetric-matrix kernels backed by eigendecomposition.
 
-Every matrix entering the package goes through :class:`SymMat`, which
-symmetrizes once via ``(M + M.T) / 2`` so downstream eigensolvers see an
-exactly symmetric array. Eigenvalue-based functions (``log``, ``sqrt``,
-``inv`` ...) and numerical rank live here; all of them are pure
-functions safe to call concurrently.
+Every matrix entering the package is symmetrized once, via ``(M + M.T) /
+2`` (by :class:`SymMat` or a bundle), so downstream eigensolvers see
+exactly symmetric arrays. This is the only module that decomposes a
+covariance: the batched eigensolver, the PSD/rank rule and the SPD rule
+(both relative to ``RANK_TOL``) are each written once here, over
+``(..., p, p)`` stacks, and a single matrix is a stack of one. Functions
+of the spectrum (``log``, ``sqrt``, ``inv`` ...) live here too; all are
+pure functions safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ class SymMat:
 
 @dataclass(frozen=True)
 class EigenPairs:
-    """Eigendecomposition ``m = vectors @ diag(values) @ vectors.T``.
+    """Eigendecomposition ``m = vectors @ diag(values) @ vectors.T`` of each
+    matrix ``m`` of a stack.
 
     ``values`` are sorted descending; ``vectors`` is orthogonal with a
     deterministic sign convention (the largest-magnitude entry of each
@@ -78,16 +82,45 @@ class EigenPairs:
     vectors: np.ndarray
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip eigenvector columns so the largest-|entry| is nonnegative."""
-    lead = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
+def _eig(a, vectors: bool = True):
+    """``np.linalg.eigh`` (``eigvalsh`` without ``vectors``) of each matrix of
+    ``a``, eigenvalues ascending; a solver failure is :class:`NumericalFailure`."""
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected (..., p, p) matrices, got shape {a.shape}")
+    try:
+        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
 
 
-def eigh(m: SymMat) -> EigenPairs:
-    """Full eigendecomposition of a symmetric matrix.
+def _ranks(w: np.ndarray) -> np.ndarray:
+    """The PSD/rank rule: the ranks of eigenvalue rows ``w`` (..., p), in any
+    order, with :class:`NotPSD` naming the first bad row of a stack."""
+    tau, low = RANK_TOL * w.max(axis=-1), w.min(axis=-1)
+    bad = low < -tau
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise NotPSD(f"matrix is not PSD (smallest eigenvalue {low.flat[i]:.3e}, "
+                     f"threshold {-tau.flat[i]:.3e})", None if w.ndim == 1 else int(i))
+    return (w > tau[..., None]).sum(axis=-1)
+
+
+def _check_spd(w: np.ndarray, what: str) -> None:
+    """The SPD rule: :class:`SingularMatrix` unless every eigenvalue row ``w``
+    (..., p), in any order, has all its values above ``RANK_TOL`` times its
+    largest (which makes that largest positive)."""
+    low = w.min(axis=-1)
+    if (low <= RANK_TOL * w.max(axis=-1)).any():
+        raise SingularMatrix(
+            f"{what} requires full-rank SPD matrices", smallest_eigenvalue=float(low.min())
+        )
+
+
+def eigh(a) -> EigenPairs:
+    """Full eigendecomposition of a symmetric matrix (a :class:`SymMat` too)
+    or of each matrix of a ``(..., p, p)`` stack, in one solver call that
+    reads the lower triangles. Each slice of a stack gets, bit for bit,
+    what that matrix gets alone.
 
     Returns
     -------
@@ -99,22 +132,27 @@ def eigh(m: SymMat) -> EigenPairs:
     NumericalFailure
         If the underlying iterative solver does not converge.
     """
-    try:
-        w, v = np.linalg.eigh(m.data)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
-    # Stable descending sort keeps the solver's order inside tie blocks.
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = _fix_signs(v[:, order])
+    w, v = _eig(np.asarray(a, dtype=np.float64))
+    # A stable descending sort keeps the solver's order inside tie blocks.
+    # The solver's order is ascending, so without ties the sort reverses it.
+    if (w[..., :-1] < w[..., 1:]).all():
+        w, v = w[..., ::-1].copy(), v[..., ::-1]
+    else:
+        order = np.argsort(-w, axis=-1, kind="stable")
+        w = np.take_along_axis(w, order, axis=-1)
+        v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
+    # A new, C-ordered product: matmul on the reversed view would leave BLAS.
+    v = v * np.where(lead < 0, -1.0, 1.0)
     w.flags.writeable = False
     v.flags.writeable = False
     return EigenPairs(values=w, vectors=v)
 
 
-_SYM_FUNCS = ("log", "exp", "sqrt", "inv_sqrt", "inv")
+_SYM_FUNCS = {"log": np.log, "exp": np.exp, "sqrt": np.sqrt,
+              "inv_sqrt": lambda w: 1.0 / np.sqrt(w), "inv": lambda w: 1.0 / w}
 # Functions that need strictly positive spectra.
-_NEEDS_SPD = frozenset({"log", "inv_sqrt", "inv"})
+_NEEDS_SPD = ("log", "inv_sqrt", "inv")
 
 
 def sym_func(m: SymMat, fn: str) -> SymMat:
@@ -134,35 +172,20 @@ def sym_func(m: SymMat, fn: str) -> SymMat:
         For ``sqrt`` when an eigenvalue is clearly negative.
     """
     if fn not in _SYM_FUNCS:
-        raise ValueError(f"unknown spectral function {fn!r}; expected one of {_SYM_FUNCS}")
+        raise ValueError(f"unknown spectral function {fn!r}; expected one of {[*_SYM_FUNCS]}")
     ep = eigh(m)
     w = ep.values
-    wmax = w[0]
     if fn in _NEEDS_SPD:
-        if w[-1] <= RANK_TOL * wmax or wmax <= 0:
-            raise SingularMatrix(
-                f"sym_func({fn!r}) requires a full-rank SPD matrix",
-                smallest_eigenvalue=w[-1],
-            )
-        if fn == "log":
-            fw = np.log(w)
-        elif fn == "inv_sqrt":
-            fw = 1.0 / np.sqrt(w)
-        else:
-            fw = 1.0 / w
+        _check_spd(w, f"sym_func({fn!r})")
     elif fn == "sqrt":
-        if w[-1] < -RANK_TOL * max(wmax, 0.0):
-            raise NotPSD(
-                f"sym_func('sqrt') requires a PSD matrix (smallest eigenvalue {w[-1]:.3e})"
-            )
-        fw = np.sqrt(np.clip(w, 0.0, None))
-    else:  # exp
-        fw = np.exp(w)
-    return SymMat((ep.vectors * fw) @ ep.vectors.T)
+        _ranks(w)
+        w = np.clip(w, 0.0, None)
+    return SymMat((ep.vectors * _SYM_FUNCS[fn](w)) @ ep.vectors.T)
 
 
-def numerical_rank(m: SymMat) -> int:
-    """Count of eigenvalues above ``RANK_TOL`` relative to the largest.
+def numerical_rank(a):
+    """Count of eigenvalues above ``RANK_TOL`` relative to the largest: an
+    int for one matrix, an int array for a ``(..., p, p)`` stack.
 
     The zero matrix has rank 0. Eigenvalues inside the round-off band
     ``(-RANK_TOL * w_max, 0)`` are tolerated; anything below it raises.
@@ -170,13 +193,8 @@ def numerical_rank(m: SymMat) -> int:
     Raises
     ------
     NotPSD
-        If an eigenvalue is clearly negative.
+        If an eigenvalue is clearly negative, naming the first such
+        matrix of a stack.
     """
-    w = eigh(m).values
-    wmax = w[0]
-    tau = RANK_TOL * wmax
-    if w[-1] < -tau:
-        raise NotPSD(
-            f"matrix is not PSD (smallest eigenvalue {w[-1]:.3e}, threshold {-tau:.3e})"
-        )
-    return int(np.count_nonzero(w > tau))
+    ranks = _ranks(_eig(np.asarray(a, dtype=np.float64))[0])
+    return int(ranks) if ranks.ndim == 0 else ranks

@@ -254,6 +254,37 @@ class TestFitPredict:
         assert f"error: {model}:{at + 1}: reference dimension 4 differs from filter width 3" in err
         assert not pred.exists()
 
+    @pytest.mark.parametrize(
+        "embedding, old, new, message",
+        [
+            ("wasserstein", "embedding wasserstein 5", "embedding wasserstein 2",
+             "reference rank 5 differs from embedding rank 2"),
+            ("geometric", "reference 5", "reference none",
+             "geometric embedding requires a reference matrix"),
+            ("geometric", "embedding geometric 0", "embedding bogus 0",
+             "unknown embedding kind 'bogus'"),
+            ("geometric", "filter identity 5 5", "filter bogus 5 5",
+             "unknown filter kind 'bogus'"),
+        ],
+    )
+    def test_model_refused_by_filter_or_embedding_names_its_line(
+        self, tmp_path, bundle_file, capsys, embedding, old, new, message
+    ):
+        # A value the filter or embedding refuses is a file error at the line
+        # opening its record: the reference completes the embedding's record.
+        model, pred = tmp_path / "m.txt", tmp_path / "p.txt"
+        assert run("fit", "--bundle", bundle_file, "--embedding", embedding, "--out", model) == 0
+        lines = model.read_text().splitlines()
+        at = lines.index(old)
+        if new == "reference none":
+            lines[at : at + 6], at = [new], lines.index("embedding geometric 0")
+        else:
+            lines[at] = new
+        model.write_text("\n".join(lines) + "\n")
+        assert run("predict", "--model", model, "--bundle", bundle_file, "--out", pred) == 2
+        assert f"error: {model}:{at + 1}: {message}" in capsys.readouterr().err
+        assert not pred.exists()
+
     def test_fit_deterministic(self, tmp_path, bundle_file):
         m1, m2 = tmp_path / "m1.txt", tmp_path / "m2.txt"
         assert run("fit", "--bundle", bundle_file, "--out", m1) == 0

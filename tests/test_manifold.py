@@ -6,6 +6,7 @@ from spdreg import (
     DimensionMismatch,
     NonPositiveDiagonal,
     NotPSD,
+    NumericalFailure,
     RankMismatch,
     SingularMatrix,
     SymMat,
@@ -154,6 +155,13 @@ class TestDistWasserstein:
             dq = dist_wasserstein(SymMat(q.T @ s.data @ q), SymMat(q.T @ t.data @ q))
             assert abs(dq - d) <= 1e-8 * (1.0 + d)
 
+    @pytest.mark.parametrize("which", ["first", "second"])
+    def test_indefinite_argument_raises(self, which):
+        good, bad = SymMat(np.eye(3)), SymMat(np.diag([1.0, 1.0, -0.5]))
+        args = (bad, good) if which == "first" else (good, bad)
+        with pytest.raises(NotPSD, match=f"^{which} argument: .*not PSD"):
+            dist_wasserstein(*args)
+
     def test_triangle_inequality(self):
         rng = np.random.default_rng(14)
         for _ in range(25):
@@ -237,6 +245,32 @@ class TestVecLogdiag:
             plain_rows("logdiag", [SymMat(np.eye(2)), SymMat(np.diag([1.0, 0.0]))])
 
 
+class TestSolverFailure:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s: dist_geometric(s[0], s[1]),
+            lambda s: dist_wasserstein(s[0], s[1]),
+            lambda s: factorize(np.asarray(s), 4),
+            lambda s: manifold.mean_geometric(s),
+            lambda s: geometric_rows(s[0], s),
+        ],
+        ids=["dist_geometric", "dist_wasserstein", "factorize", "mean_geometric", "embed"],
+    )
+    def test_eigensolver_error_is_numerical_failure(self, monkeypatch, call):
+        # A LinAlgError is a ValueError, which the CLI reports as bad input
+        # (exit 2); every decomposition reports it as a numerical one.
+        mats = [rand_spd(np.random.default_rng(23), 4) for _ in range(3)]
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(NumericalFailure, match="did not converge"):
+            call(mats)
+
+
 class TestFactorize:
     def test_rank_one_diagonal(self):
         y = factorize(np.diag([4.0, 0.0])[None], 1)
@@ -261,7 +295,7 @@ class TestFactorize:
         mats = [rand_psd_rank(rng, 5, 3) for _ in range(6)]
         ys = factorize(np.stack([s.data for s in mats]), 3)
         for s, y in zip(mats, ys):
-            np.testing.assert_allclose(y, eigen_factor(s, 3), rtol=0, atol=1e-12)
+            assert np.array_equal(y, eigen_factor(s, 3))
 
     def test_rank_mismatch_raises(self):
         with pytest.raises(RankMismatch):

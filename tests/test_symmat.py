@@ -72,6 +72,54 @@ class TestEigh:
             assert np.all(ep.vectors[lead, np.arange(4)] >= 0)
 
 
+class TestBatched:
+    """A stack gives each matrix what it gives alone, bit for bit. The mixed
+    stack below has ties, so it is sorted; a tie-free matrix alone is only
+    reversed, and the two must agree."""
+
+    def stack(self):
+        rng = np.random.default_rng(31)
+        mats = [rand_spd(rng, 5) for _ in range(4)]
+        mats += [SymMat(np.diag([3.0, 1.0, 1.0, 0.0, 0.0])), SymMat(np.eye(5))]
+        for r in (1, 3):
+            y = rng.standard_normal((5, r))
+            mats.append(SymMat(y @ y.T))
+        return mats, np.stack([m.data for m in mats])
+
+    def test_eigh_stack_equals_per_matrix(self):
+        mats, stack = self.stack()
+        ep = eigh(stack)
+        assert ep.values.shape == (8, 5) and ep.vectors.shape == (8, 5, 5)
+        for i, m in enumerate(mats):
+            one = eigh(m)
+            assert np.array_equal(ep.values[i], one.values)
+            assert np.array_equal(ep.vectors[i], one.vectors)
+
+    def test_eigh_takes_arrays_and_freezes_its_output(self):
+        m = rand_spd(np.random.default_rng(32), 4)
+        ep, ep_array = eigh(m), eigh(m.data)
+        assert np.array_equal(ep.vectors, ep_array.vectors)
+        with pytest.raises(ValueError):
+            ep.vectors[0, 0] = 1.0
+
+    def test_numerical_rank_stack_equals_per_matrix(self):
+        mats, stack = self.stack()
+        ranks = numerical_rank(stack)
+        assert ranks.tolist() == [numerical_rank(m) for m in mats] == [5] * 4 + [3, 5, 1, 3]
+        assert isinstance(numerical_rank(mats[0]), int)
+
+    def test_indefinite_slice_named(self):
+        _, stack = self.stack()
+        stack[6] = np.diag([1.0, 1.0, 0.0, 0.0, -0.5])
+        with pytest.raises(NotPSD, match="^sample 6: ") as info:
+            numerical_rank(stack)
+        assert info.value.sample == 6
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError):
+            eigh(np.ones((2, 3)))
+
+
 class TestSymFunc:
     def test_log_identity_is_zero(self):
         out = sym_func(SymMat(np.eye(4)), "log")
@@ -143,5 +191,6 @@ class TestNumericalRank:
             assert numerical_rank(m) == numerical_rank(SymMat(q.T @ m.data @ q)) == 3
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPSD):
+        with pytest.raises(NotPSD) as info:
             numerical_rank(SymMat(np.diag([1.0, -0.5])))
+        assert info.value.sample is None
