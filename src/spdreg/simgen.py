@@ -5,9 +5,12 @@ powers followed by ``p - q`` weaker noise powers) mixed through
 ``a_i = a + xi_i`` into a covariance ``c_i = a_i e_i a_i.T``. The shared
 mixing ``a`` is the matrix exponential of ``mu`` times a random square
 matrix (optionally replaced by its orthogonal polar factor), so ``mu``
-dials the distance from the identity. Targets are a fixed linear
-combination of the per-subject signal powers through a link function
-(identity, log, or sqrt) plus Gaussian noise.
+dials the distance from the identity. The exponential is the Padé
+[13/13] scaling-and-squaring method (Higham 2005, SIAM J. Matrix Anal.
+Appl. 26(4)) in numpy alone; a diagonal argument takes the exact shortcut
+``diag(exp(diag))``, so ``mu = 0`` gives the identity exactly. Targets
+are a fixed linear combination of the per-subject signal powers through a
+link function (identity, log, or sqrt) plus Gaussian noise.
 
 All randomness comes from one ``numpy.random.default_rng(seed)`` stream
 with a pinned draw order: mixing seed matrix ``b``, coefficients
@@ -24,7 +27,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .bundle import CovarianceBundle
 from .errors import SpdregError
@@ -66,18 +68,57 @@ class GenerativeConfig:
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
         for name in ("mu", "sigma", "sigma_mix"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be finite and nonnegative")
         if self.f_kind not in F_KINDS:
             raise ValueError(f"unknown link {self.f_kind!r}; expected one of {F_KINDS}")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
 
+# Padé [13/13] numerator coefficients b_0..b_13, and theta_13: the largest
+# 1-norm at which the approximant needs no scaling in double precision.
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """General matrix exponential: Padé [13/13] with scaling and squaring.
+
+    A diagonal argument returns ``diag(exp(diag(a)))`` exactly; the solve
+    would leave the identity one rounding off it (a reciprocal pivot).
+    """
+    d = np.diagonal(a)
+    if not np.any(a - np.diag(d)):
+        return np.diag(np.exp(d))
+    s = max(0, int(np.ceil(np.log2(np.linalg.norm(a, 1) / _THETA13))))
+    a = a / 2.0**s
+    b = _PADE13
+    ident = np.eye(len(a))
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def _draw_mixing(rng: np.random.Generator, cfg: GenerativeConfig) -> np.ndarray:
     b = rng.standard_normal((cfg.p, cfg.p))
-    # General (non-symmetric) matrix exponential: scaling-and-squaring.
-    a = scipy.linalg.expm(cfg.mu * b)
+    # General (non-symmetric) exponential: Padé 13 scaling-and-squaring
+    # (Higham 2005) in numpy alone, so no second BLAS library starts a
+    # spin-waiting thread in a sweep worker. mu = 0 takes the exact
+    # diagonal shortcut and gives the identity.
+    a = _expm(cfg.mu * b)
     if cfg.orthogonal_a:
         u, _, vt = np.linalg.svd(a)
         a = u @ vt

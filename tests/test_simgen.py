@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,12 @@ class TestGenerativeConfig:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             GenerativeConfig(sigma=-0.1)
+
+    @pytest.mark.parametrize("name", ["mu", "sigma", "sigma_mix"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_scale(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GenerativeConfig(**{name: value})
 
     def test_rejects_unknown_link(self):
         with pytest.raises(ValueError):
@@ -35,20 +45,65 @@ class TestMakeMixing:
         assert abs(np.linalg.det(a)) > 0
 
     def test_matches_eigenbasis_path_for_symmetric_seed(self):
-        # Cross-check of the general matrix exponential: symmetrize the
-        # seed matrix and compare against the spectral exponential.
+        # On a symmetric argument the general exponential must agree with
+        # the spectral one, exp(mu b) = v diag(exp(mu w)) v^T.
         from spdreg import SymMat, sym_func
-        from spdreg.simgen import _draw_mixing
+        from spdreg.simgen import _expm
 
-        cfg = GenerativeConfig(mu=0.3, seed=11)
-        rng = np.random.default_rng(cfg.seed)
-        b = rng.standard_normal((cfg.p, cfg.p))
-        bs = SymMat((b + b.T) / 2)
-        via_pade = __import__("scipy.linalg", fromlist=["expm"]).expm(
-            cfg.mu * bs.data
+        rng = np.random.default_rng(11)
+        b = rng.standard_normal((5, 5))
+        bs = 0.3 * (b + b.T) / 2
+        via_pade = _expm(bs)
+        via_eigh = sym_func(SymMat(bs), "exp").data
+        assert np.linalg.norm(via_pade - via_eigh) <= 1e-13 * np.linalg.norm(via_eigh)
+
+    @pytest.mark.parametrize("t", [0.3, 1.0, 2.5, 7.0])
+    def test_skew_generator_gives_rotation(self, t):
+        from spdreg.simgen import _expm
+
+        rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        np.testing.assert_allclose(
+            _expm(np.array([[0.0, -t], [t, 0.0]])), rot, rtol=0, atol=1e-15
         )
-        via_eigh = sym_func(SymMat(cfg.mu * bs.data), "exp").data
-        assert np.linalg.norm(via_pade - via_eigh) <= 1e-10 * np.linalg.norm(via_eigh)
+
+    def test_inverse_is_exponential_of_negation_when_squaring(self):
+        # mu = 10 on a mostly skew generator: the 1-norm is above
+        # 4 theta_13, so the Padé result is squared three times, while
+        # exp(a) stays well conditioned (about 11), so that
+        # exp(a) exp(-a) = I can be checked at round-off.
+        from spdreg.simgen import _THETA13, _expm
+
+        b = np.random.default_rng(0).standard_normal((5, 5))
+        a = 10.0 * (b - b.T) / 2 + b
+        assert np.linalg.norm(a, 1) > 4 * _THETA13
+        np.testing.assert_allclose(_expm(a) @ _expm(-a), np.eye(5), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("p", [2, 5, 16, 32, 64])
+    @pytest.mark.parametrize("mu", [0.1, 0.5, 1.0, 2.0, 10.0])
+    def test_matches_scipy_expm(self, p, mu):
+        scipy_linalg = pytest.importorskip("scipy.linalg")
+        from spdreg.simgen import _expm
+
+        a = mu * np.random.default_rng(p).standard_normal((p, p))
+        ref = scipy_linalg.expm(a)
+        assert np.linalg.norm(_expm(a) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_cli_and_generator_do_not_import_scipy(self):
+        # scipy's bundled BLAS leaves a spin-waiting thread behind its
+        # calls, and importing scipy.linalg costs more than spdreg itself.
+        code = (
+            "import sys\n"
+            "import spdreg.cli\n"
+            "from spdreg import GenerativeConfig, sample_bundle\n"
+            "sample_bundle(GenerativeConfig(p=5, n=20))\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert res.returncode == 0, res.stderr
 
 
 class TestSampleBundle:
