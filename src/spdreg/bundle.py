@@ -46,14 +46,12 @@ class CovarianceBundle:
     :class:`~spdreg.symmat.SymMat` too), stored as one read-only,
     C-contiguous float64 array ``(a + a^T) / 2``, as SymMat stores each.
     ``nominal_rank`` is an upper bound on the numerical rank of every
-    matrix (equal to it for generated data); ``provenance`` records the
-    generating config or source file path.
+    matrix (equal to it for generated data).
     """
 
     matrices: np.ndarray
     labels: np.ndarray
     nominal_rank: int
-    provenance: object = None
 
     def __post_init__(self):
         a = np.asarray(self.matrices, dtype=np.float64)
@@ -88,7 +86,6 @@ class CovarianceBundle:
             matrices=self.matrices[indices],
             labels=self.labels[indices],
             nominal_rank=self.nominal_rank,
-            provenance=self.provenance,
         )
 
 
@@ -113,8 +110,7 @@ def read_covb(path) -> CovarianceBundle:
             raise src.error(f"nominal rank must be in [1, {p}], got {rank}")
         rows, labels = src.block(n, p, p, tag="y")
         src.end()
-    return CovarianceBundle(rows.reshape(n, p, p), labels, nominal_rank=rank,
-                            provenance=str(path))
+    return CovarianceBundle(rows.reshape(n, p, p), labels, nominal_rank=rank)
 
 
 def _loadtxt(lines) -> np.ndarray:

@@ -213,6 +213,9 @@ def _generative_config(opts) -> simgen.GenerativeConfig:
 
 def _ridge_grid(opts) -> np.ndarray:
     lo, hi, count = opts["ridge_min"], opts["ridge_max"], opts["ridge_count"]
+    for key in ("ridge_min", "ridge_max"):
+        if not np.isfinite(opts[key]):
+            raise ConfigError(f"{key} must be a finite number, got {opts[key]}")
     if lo <= 0 or hi <= lo or count < 1:
         raise ConfigError("ridge grid needs 0 < ridge_min < ridge_max and ridge_count >= 1")
     if count == 1:
@@ -283,7 +286,7 @@ def read_model(path) -> regress.FoldState:
         filt_line, w = src.lineno, src.block(1, src.count(p), src.count(r))[0]
         eigs = src.floats(src.words("filter_eigs ...")[1:])
         filt = _build(src, filt_line, filters.SpatialFilter, w=w, kind=filt_kind,
-                      rank_out=w.shape[1], eigenvalues=eigs)
+                      eigenvalues=eigs)
         rp = src.words("reference <p|none>")[1]
         rp = 0 if rp == "none" else src.count(rp)
         if rp and rp != w.shape[1]:

@@ -31,7 +31,7 @@ FILTER_KINDS = ("identity", "unsupervised", "supervised", "mne")
 
 @dataclass(frozen=True)
 class SpatialFilter:
-    """Fitted projection ``w`` (p x r) with its provenance.
+    """Fitted projection ``w`` (p x r), its kind, and its ``rank_out`` r.
 
     ``eigenvalues`` records the selection criterion of the fitted
     columns (component variance for unsupervised filters, power-target
@@ -40,7 +40,6 @@ class SpatialFilter:
 
     w: np.ndarray
     kind: str
-    rank_out: int
     eigenvalues: np.ndarray
 
     def __post_init__(self):
@@ -56,21 +55,24 @@ class SpatialFilter:
             self, "eigenvalues", np.asarray(self.eigenvalues, dtype=np.float64)
         )
 
+    @property
+    def rank_out(self) -> int:
+        """The projected dimension r, the width of ``w``."""
+        return self.w.shape[1]
+
 
 def identity_filter(p: int) -> SpatialFilter:
     """The no-op filter of dimension ``p``."""
-    return SpatialFilter(
-        w=np.eye(p), kind="identity", rank_out=p, eigenvalues=np.empty(0)
-    )
+    return SpatialFilter(w=np.eye(p), kind="identity", eigenvalues=np.empty(0))
 
 
-def _mean_covariance(bundle: CovarianceBundle, r: int) -> tuple[SymMat, int]:
+def _mean_covariance(bundle: CovarianceBundle, r: int) -> tuple[np.ndarray, int]:
     """The average covariance and its numerical rank, which ``r`` may not
     exceed (:class:`RankTooLarge`)."""
     p = bundle.dim
     if not 1 <= r <= p:
         raise ValueError(f"rank must be in [1, {p}], got {r}")
-    cbar = SymMat(bundle.matrices.mean(axis=0))
+    cbar = bundle.matrices.mean(axis=0)
     k = numerical_rank(cbar)
     if r > k:
         raise RankTooLarge(f"requested {r} components but the average covariance has rank {k}")
@@ -83,14 +85,8 @@ def fit_unsupervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
     Blind to the labels; raises :class:`RankTooLarge` if ``r`` exceeds
     the numerical rank of the average.
     """
-    cbar, _ = _mean_covariance(bundle, r)
-    ep = eigh(cbar)
-    return SpatialFilter(
-        w=ep.vectors[:, :r].copy(),
-        kind="unsupervised",
-        rank_out=r,
-        eigenvalues=ep.values[:r].copy(),
-    )
+    vals, vecs = eigh(_mean_covariance(bundle, r)[0])
+    return SpatialFilter(w=vecs[:, :r].copy(), kind="unsupervised", eigenvalues=vals[:r].copy())
 
 
 def fit_supervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
@@ -122,16 +118,14 @@ def fit_supervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
     ytilde = (y - y.mean()) / std
     cy = np.einsum("i,ijk->jk", ytilde, bundle.matrices) / bundle.n
     if k < bundle.dim:
-        b = eigh(cbar).vectors[:, :k]
-        cbar, cy = SymMat(b.T @ cbar.data @ b), b.T @ cy @ b
-    isq = sym_func(cbar, "inv_sqrt").data
-    ep = eigh(SymMat(isq @ cy @ isq))
-    w = isq @ ep.vectors[:, :r]
+        b = eigh(cbar)[1][:, :k]
+        cbar, cy = b.T @ cbar @ b, b.T @ cy @ b
+    isq = sym_func(cbar, "inv_sqrt")
+    vals, vecs = eigh(SymMat(isq @ cy @ isq))
+    w = isq @ vecs[:, :r]
     if k < bundle.dim:
         w = b @ w
-    return SpatialFilter(
-        w=w, kind="supervised", rank_out=r, eigenvalues=ep.values[:r].copy()
-    )
+    return SpatialFilter(w=w, kind="supervised", eigenvalues=vals[:r].copy())
 
 
 def fit_mne(lead: "Leadfield", lam: float) -> SpatialFilter:
@@ -148,7 +142,7 @@ def fit_mne(lead: "Leadfield", lam: float) -> SpatialFilter:
     p = g.shape[0]
     gram = g @ g.T + lam * np.eye(p)
     w = np.linalg.solve(gram, g)
-    return SpatialFilter(w=w, kind="mne", rank_out=g.shape[1], eigenvalues=np.empty(0))
+    return SpatialFilter(w=w, kind="mne", eigenvalues=np.empty(0))
 
 
 def apply(filt: SpatialFilter, bundle: CovarianceBundle) -> CovarianceBundle:
@@ -167,7 +161,6 @@ def apply(filt: SpatialFilter, bundle: CovarianceBundle) -> CovarianceBundle:
         matrices=w.T @ bundle.matrices @ w,
         labels=bundle.labels.copy(),
         nominal_rank=rank,
-        provenance=bundle.provenance,
     )
 
 

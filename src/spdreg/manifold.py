@@ -37,7 +37,7 @@ from .errors import (
     RankMismatch,
     SingularMatrix,
 )
-from .symmat import SymMat, _check_spd, _eig, _ranks, eigh, numerical_rank
+from .symmat import SymMat, _ranks, eigh, numerical_rank, sym_func
 
 EMBEDDING_KINDS = ("euclidean", "geometric", "wasserstein", "logdiag")
 
@@ -63,33 +63,6 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def _whiten(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(m^-1/2, m^1/2)`` of a full-rank SPD matrix from one eigendecomposition."""
-    w, v = _eig(_sym(m))
-    _check_spd(w, "whitening")
-    isq = (v / np.sqrt(w)) @ v.T
-    sq = (v * np.sqrt(w)) @ v.T
-    return isq, sq
-
-
-def _whitened_logs(isq: np.ndarray, stack: np.ndarray, what: str) -> np.ndarray:
-    """``log(isq c_i isq)`` of each SPD slice ``c_i`` of an (n, p, p) stack.
-
-    The whitened stack is made and released here, so at most three
-    (n, p, p) temporaries are alive at once.
-    """
-    a = _sym(isq @ stack @ isq)
-    w, v = _eig(a)
-    del a
-    _check_spd(w, what)
-    return (v * np.log(w)[..., None, :]) @ v.swapaxes(-1, -2)
-
-
-def _expm_sym(a: np.ndarray) -> np.ndarray:
-    w, v = _eig(_sym(a))
-    return (v * np.exp(w)[..., None, :]) @ v.swapaxes(-1, -2)
-
-
 def _upper(mat: np.ndarray) -> np.ndarray:
     """Row-major upper-triangle flattening, sqrt(2) weights off-diagonal."""
     p = mat.shape[-1]
@@ -107,9 +80,9 @@ def _upper(mat: np.ndarray) -> np.ndarray:
 def dist_geometric(s: SymMat, t: SymMat) -> float:
     """Affine-invariant distance between full-rank SPD matrices.
 
-    Equals ``sqrt(sum_k log^2 w_k)`` for ``w_k`` the eigenvalues of
-    ``s^-1 t``; invariant under joint congruence by any invertible
-    matrix.
+    The Frobenius norm of the whitened log ``log(s^-1/2 t s^-1/2)``, which
+    is ``sqrt(sum_k log^2 w_k)`` for ``w_k`` the eigenvalues of ``s^-1 t``;
+    invariant under joint congruence by any invertible matrix.
 
     Raises
     ------
@@ -118,10 +91,8 @@ def dist_geometric(s: SymMat, t: SymMat) -> float:
     """
     if s.dim != t.dim:
         raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
-    isq, _ = _whiten(s.data)
-    w = _eig(_sym(isq @ t.data @ isq), vectors=False)
-    _check_spd(w, "dist_geometric")
-    return float(np.sqrt(np.sum(np.log(w) ** 2)))
+    isq = sym_func(s, "inv_sqrt")
+    return float(np.linalg.norm(sym_func(isq @ t.data @ isq, "log")))
 
 
 def dist_wasserstein(s: SymMat, t: SymMat) -> float:
@@ -140,13 +111,13 @@ def dist_wasserstein(s: SymMat, t: SymMat) -> float:
     """
     if s.dim != t.dim:
         raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
-    ep = eigh(np.stack([s.data, t.data]))
+    w, v = eigh(np.stack([s.data, t.data]))
     try:
-        _ranks(ep.values)
+        _ranks(w)
     except NotPSD as exc:
         raise NotPSD(f"{('first', 'second')[exc.sample]} argument: {exc.detail}") from None
-    w = np.clip(ep.values, 0.0, None)
-    ys, yt = ep.vectors * np.sqrt(w)[:, None, :]
+    w = np.clip(w, 0.0, None)
+    ys, yt = v * np.sqrt(w)[:, None, :]
     cross = float(np.sum(np.linalg.svd(ys.T @ yt, compute_uv=False)))
     d2 = float(np.sum(w[0]) + np.sum(w[1]) - 2.0 * cross)
     return float(np.sqrt(max(d2, 0.0)))
@@ -174,13 +145,13 @@ def factorize(stack: np.ndarray, r: int) -> np.ndarray:
     p = stack.shape[-1]
     if not 1 <= r <= p:
         raise ValueError(f"rank must be in [1, {p}], got {r}")
-    ep = eigh(stack)
-    ranks = _ranks(ep.values)
+    w, v = eigh(stack)
+    ranks = _ranks(w)
     bad = np.flatnonzero(ranks != r)
     if bad.size:
         i = bad[0]
         raise RankMismatch(f"numerical rank is {ranks[i]}, expected {r}", i)
-    return ep.vectors[:, :, :r] * np.sqrt(ep.values[:, None, :r])
+    return v[:, :, :r] * np.sqrt(w[:, None, :r])
 
 
 def _wass_logs(y: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -368,9 +339,10 @@ def _descend(evaluate, move, x: np.ndarray, n: int, tol: float, what: str) -> Fr
 
 
 def _geo_state(m: np.ndarray, stack: np.ndarray):
-    """One whitening pass: (sqrt factor, feature rows, log sum, objective)."""
-    isq, sq = _whiten(m)
-    logs = _whitened_logs(isq, stack, "mean_geometric")
+    """The whitened logs ``log(m^-1/2 c_i m^-1/2)`` of the (n, p, p) stack at
+    ``m``: (``m^1/2``, their feature rows, their sum, their summed squares)."""
+    isq, sq = sym_func(m, "inv_sqrt"), sym_func(m, "sqrt")
+    logs = sym_func(isq @ stack @ isq, "log")
     grad, obj = logs.sum(axis=0), float(np.sum(logs * logs))
     return sq, _upper(logs), grad, obj
 
@@ -398,7 +370,7 @@ def mean_geometric(mats) -> FrechetMean:
     n, p = stack.shape[0], stack.shape[1]
 
     def move(sq, grad, step):
-        return _sym(sq @ _expm_sym((step / n) * grad) @ sq)
+        return _sym(sq @ sym_func((step / n) * grad, "exp") @ sq)
 
     return _descend(
         lambda m: _geo_state(m, stack), move, stack.mean(axis=0), n, 2e-9 * p,
@@ -435,8 +407,8 @@ def mean_wasserstein(mats, r: int) -> FrechetMean:
     prepared = prepare_samples(mats, "wasserstein", r)
     factors = prepared.data
     n, p = factors.shape[0], factors.shape[1]
-    ep = eigh(prepared.covariances().mean(axis=0))
-    y = ep.vectors[:, :r] * np.sqrt(np.clip(ep.values[:r], 0.0, None))
+    w, v = eigh(prepared.covariances().mean(axis=0))
+    y = v[:, :r] * np.sqrt(np.clip(w[:r], 0.0, None))
 
     def move(y, grad, step):
         c = y + step * (grad / n)
@@ -556,8 +528,8 @@ def embed(embedding: Embedding, mats) -> np.ndarray:
             )
     prepared = prepare_samples(mats, kind, embedding.rank)
     if kind == "geometric":
-        isq, _ = _whiten(reference.data)
-        return _upper(_whitened_logs(isq, prepared.covariances(), "embed"))
+        isq = sym_func(reference, "inv_sqrt")
+        return _upper(sym_func(isq @ prepared.covariances() @ isq, "log"))
     if kind == "wasserstein":
         logs = _wass_state(reference, prepared.data)[1]
         return logs.reshape(len(logs), -1)

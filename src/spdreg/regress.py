@@ -57,6 +57,15 @@ def default_ridge_grid() -> np.ndarray:
     return np.logspace(-5.0, 3.0, 100)
 
 
+def _as_grid(grid) -> np.ndarray:
+    """``grid`` as a float64 array; a ValueError unless it is nonempty, finite
+    and positive (a NaN or infinite value would leave GCV no minimum)."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.size == 0 or not np.all(np.isfinite(grid) & (grid > 0)):
+        raise ValueError("ridge grid must be nonempty, finite and positive")
+    return grid
+
+
 @dataclass(frozen=True)
 class PipelineSpec:
     """Choice of filter, embedding, and ridge grid for one pipeline.
@@ -85,9 +94,9 @@ class PipelineSpec:
                 f"unknown embedding kind {self.embedding_kind!r}; "
                 f"expected one of {EMBEDDING_KINDS}"
             )
-        grid = np.asarray(self.ridge_grid, dtype=np.float64)
-        if grid.size == 0 or np.any(grid <= 0) or np.any(np.diff(grid) <= 0):
-            raise ValueError("ridge grid must be nonempty, positive, strictly increasing")
+        grid = _as_grid(self.ridge_grid)
+        if np.any(np.diff(grid) <= 0):
+            raise ValueError("ridge grid must be strictly increasing")
         object.__setattr__(self, "ridge_grid", grid)
         if self.filter_kind in ("unsupervised", "supervised"):
             if self.filter_rank is None or self.filter_rank < 1:
@@ -165,9 +174,7 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
         raise ValueError(f"need at least 3 samples, got {n}")
     if y.shape != (n,):
         raise DimensionMismatch(f"expected {n} targets, got shape {y.shape}")
-    grid = default_ridge_grid() if grid is None else np.asarray(grid, dtype=np.float64)
-    if grid.size == 0 or np.any(grid <= 0):
-        raise ValueError("ridge grid must be nonempty and positive")
+    grid = _as_grid(default_ridge_grid() if grid is None else grid)
 
     mean = x.mean(axis=0)
     scale = x.std(axis=0)

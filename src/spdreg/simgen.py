@@ -159,10 +159,7 @@ def sample_bundle(cfg: GenerativeConfig) -> tuple[CovarianceBundle, np.ndarray]:
         ai = a + xi[i]
         e = np.concatenate([powers[i], noise_powers[i]])
         mats[i] = (ai * e) @ ai.T
-    bundle = CovarianceBundle(
-        matrices=mats, labels=y, nominal_rank=cfg.p, provenance=cfg
-    )
-    return bundle, alpha
+    return CovarianceBundle(matrices=mats, labels=y, nominal_rank=cfg.p), alpha
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,15 @@ Every matrix entering the package is symmetrized once, via ``(M + M.T) /
 exactly symmetric arrays. This is the only module that decomposes a
 covariance: the batched eigensolver, the PSD/rank rule and the SPD rule
 (both relative to ``RANK_TOL``) are each written once here, over
-``(..., p, p)`` stacks, and a single matrix is a stack of one. Functions
-of the spectrum (``log``, ``sqrt``, ``inv`` ...) live here too; all are
+``(..., p, p)`` stacks, and a single matrix is a stack of one.
+:func:`sym_func` is the one path that applies a function to a spectrum
+(``log``, ``exp``, ``sqrt``, ``inv_sqrt``, ``inv``): the whitening, the
+tangent-space logs and the Karcher step all go through it. The kernels
+take any array (a :class:`SymMat` too) and return plain arrays; all are
 pure functions safe to call concurrently.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,27 +69,13 @@ class SymMat:
         return f"SymMat(dim={self.dim})"
 
 
-@dataclass(frozen=True)
-class EigenPairs:
-    """Eigendecomposition ``m = vectors @ diag(values) @ vectors.T`` of each
-    matrix ``m`` of a stack.
-
-    ``values`` are sorted descending; ``vectors`` is orthogonal with a
-    deterministic sign convention (the largest-magnitude entry of each
-    eigenvector is nonnegative) so repeated runs yield identical bases.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def _eig(a, vectors: bool = True):
-    """``np.linalg.eigh`` (``eigvalsh`` without ``vectors``) of each matrix of
-    ``a``, eigenvalues ascending; a solver failure is :class:`NumericalFailure`."""
+def _eig(a):
+    """``np.linalg.eigh`` of each matrix of ``a``, eigenvalues ascending; a
+    solver failure is :class:`NumericalFailure`."""
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected (..., p, p) matrices, got shape {a.shape}")
     try:
-        return np.linalg.eigh(a) if vectors else np.linalg.eigvalsh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigendecomposition did not converge: {exc}") from exc
 
@@ -105,27 +92,29 @@ def _ranks(w: np.ndarray) -> np.ndarray:
     return (w > tau[..., None]).sum(axis=-1)
 
 
-def _check_spd(w: np.ndarray, what: str) -> None:
-    """The SPD rule: :class:`SingularMatrix` unless every eigenvalue row ``w``
-    (..., p), in any order, has all its values above ``RANK_TOL`` times its
-    largest (which makes that largest positive)."""
-    low = w.min(axis=-1)
-    if (low <= RANK_TOL * w.max(axis=-1)).any():
-        raise SingularMatrix(
-            f"{what} requires full-rank SPD matrices", smallest_eigenvalue=float(low.min())
-        )
+def _check_spd(w: np.ndarray) -> None:
+    """The SPD rule: :class:`SingularMatrix`, naming the numerical rank of the
+    first bad row, unless every eigenvalue row ``w`` (..., p), in any order,
+    has all its values above ``RANK_TOL`` times its largest (which makes that
+    largest positive)."""
+    p = w.shape[-1]
+    ranks = (w > RANK_TOL * w.max(axis=-1)[..., None]).sum(axis=-1)
+    if (ranks < p).any():
+        i = np.flatnonzero(ranks < p)[0]
+        raise SingularMatrix(f"full-rank SPD matrix required, numerical rank {ranks.flat[i]} "
+                             f"of {p}", smallest_eigenvalue=float(w.min(axis=-1).flat[i]))
 
 
-def eigh(a) -> EigenPairs:
-    """Full eigendecomposition of a symmetric matrix (a :class:`SymMat` too)
-    or of each matrix of a ``(..., p, p)`` stack, in one solver call that
-    reads the lower triangles. Each slice of a stack gets, bit for bit,
-    what that matrix gets alone.
+def eigh(a) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition ``(w, v)`` of a symmetric matrix (a
+    :class:`SymMat` too) or of each matrix of a ``(..., p, p)`` stack, in one
+    solver call that reads the lower triangles: ``m = v @ diag(w) @ v.T``.
+    Each slice of a stack gets, bit for bit, what that matrix gets alone.
 
-    Returns
-    -------
-    EigenPairs
-        Eigenvalues descending, orthogonal eigenvectors as columns.
+    The read-only eigenvalues ``w`` are sorted descending; the read-only,
+    orthogonal ``v`` has the eigenvectors as columns, with a deterministic
+    sign convention (the largest-magnitude entry of each is nonnegative) so
+    repeated runs yield identical bases.
 
     Raises
     ------
@@ -146,41 +135,56 @@ def eigh(a) -> EigenPairs:
     v = v * np.where(lead < 0, -1.0, 1.0)
     w.flags.writeable = False
     v.flags.writeable = False
-    return EigenPairs(values=w, vectors=v)
+    return w, v
 
 
+# The spectral functions by name. The last two are inverses: their entry is
+# the divisor, sqrt(w) or w, by which the eigenvectors are divided.
 _SYM_FUNCS = {"log": np.log, "exp": np.exp, "sqrt": np.sqrt,
-              "inv_sqrt": lambda w: 1.0 / np.sqrt(w), "inv": lambda w: 1.0 / w}
-# Functions that need strictly positive spectra.
-_NEEDS_SPD = ("log", "inv_sqrt", "inv")
+              "inv_sqrt": np.sqrt, "inv": lambda w: w}
+_DIVIDES = ("inv_sqrt", "inv")
 
 
-def sym_func(m: SymMat, fn: str) -> SymMat:
-    """Apply a scalar function to the spectrum of a symmetric matrix.
+def sym_func(a, fn: str) -> np.ndarray:
+    """Apply a scalar function to the spectrum of a matrix (a :class:`SymMat`
+    too) or of each matrix of a ``(..., p, p)`` stack.
 
-    ``fn`` is one of ``log``, ``exp``, ``sqrt``, ``inv_sqrt``, ``inv``.
-    The result is ``U diag(fn(w)) U.T`` for the eigendecomposition
-    ``m = U diag(w) U.T``. For ``sqrt``, eigenvalues in the round-off
-    band ``(-RANK_TOL * w_max, 0)`` are clipped to zero.
+    ``fn`` is one of ``log``, ``exp``, ``sqrt``, ``inv_sqrt``, ``inv``. Each
+    matrix is symmetrized, ``s = (a + a.T) / 2``, and the result is ``v
+    diag(fn(w)) v.T`` for the eigendecomposition ``s = v diag(w) v.T`` of one
+    batched solver call, so each slice of a stack gets, bit for bit, what
+    that matrix gets alone. ``inv_sqrt`` and ``inv`` divide, ``v / sqrt(w)``
+    and ``v / w``, which rounds otherwise than multiplying by a reciprocal. For
+    ``sqrt``, eigenvalues in the round-off band ``(-RANK_TOL * w_max, 0)``
+    are clipped to zero.
+
+    The argument is released once its symmetrized copy is made, and that
+    copy and ``fn(w)`` before the output product, so neither a temporary
+    stack passed in nor the spectrum's image is alive beside the result
+    (the process's peak memory depends on it).
 
     Raises
     ------
     SingularMatrix
-        For ``log``/``inv_sqrt``/``inv`` when the smallest eigenvalue
-        is at or below ``RANK_TOL * w_max``.
+        For ``log``/``inv_sqrt``/``inv`` when the smallest eigenvalue of a
+        matrix is at or below ``RANK_TOL * w_max``, naming its numerical rank.
     NotPSD
         For ``sqrt`` when an eigenvalue is clearly negative.
     """
     if fn not in _SYM_FUNCS:
         raise ValueError(f"unknown spectral function {fn!r}; expected one of {[*_SYM_FUNCS]}")
-    ep = eigh(m)
-    w = ep.values
-    if fn in _NEEDS_SPD:
-        _check_spd(w, f"sym_func({fn!r})")
+    a = np.asarray(a, dtype=np.float64)
+    s = (a + a.swapaxes(-1, -2)) / 2.0
+    del a
+    w, v = _eig(s)
+    del s
+    if fn == "log" or fn in _DIVIDES:
+        _check_spd(w)
     elif fn == "sqrt":
         _ranks(w)
         w = np.clip(w, 0.0, None)
-    return SymMat((ep.vectors * _SYM_FUNCS[fn](w)) @ ep.vectors.T)
+    scale = np.divide if fn in _DIVIDES else np.multiply
+    return scale(v, _SYM_FUNCS[fn](w)[..., None, :]) @ v.swapaxes(-1, -2)
 
 
 def numerical_rank(a):

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,25 @@ class TestEval:
         assert run("eval", "--bundle", bundle_file, "--seed", 2, "--out", o2) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
+    @pytest.mark.parametrize("key,value", [("ridge_min", "nan"), ("ridge_max", "nan"),
+                                           ("ridge_max", "inf"), ("ridge_min", "-inf")])
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_non_finite_ridge_grid_exits_2_naming_it(
+        self, tmp_path, bundle_file, capsys, key, value, via
+    ):
+        out = tmp_path / "r.csv"
+        if via == "flag":
+            args = [f"--{key.replace('_', '-')}={value}"]
+        else:
+            cfg = tmp_path / "eval.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            args = ["--config", cfg]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("eval", "--bundle", bundle_file, *args, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {key} must be a finite number, got {value}\n"
+        assert not out.exists()
+
     def test_too_many_folds_exits_2(self, tmp_path, bundle_file):
         code = run(
             "eval", "--bundle", bundle_file, "--folds", 150, "--out", tmp_path / "r"
@@ -102,7 +122,8 @@ class TestEval:
             tmp_path / "r.csv",
         )
         assert code == 3
-        assert "SingularMatrix" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "SingularMatrix" in err and "numerical rank 2 of 4" in err
 
     def test_wasserstein_rank_error_names_the_bundle_sample(self, tmp_path, capsys):
         # Sample 5 falls in fold 0's training split at this seed, where it

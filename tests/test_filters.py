@@ -227,8 +227,9 @@ class TestApply:
         rng = np.random.default_rng(10)
         bundle = rand_bundle(rng, 4, 4)
         w = rng.standard_normal((4, 2))
-        filt = SpatialFilter(w=w, kind="identity", rank_out=2, eigenvalues=np.empty(0))
+        filt = SpatialFilter(w=w, kind="identity", eigenvalues=np.empty(0))
         out = apply(filt, bundle)
+        assert filt.rank_out == out.nominal_rank == 2
         for i, m in enumerate(bundle.matrices):
             np.testing.assert_allclose(out.matrices[i], (w.T @ m @ w + (w.T @ m @ w).T) / 2)
 
@@ -237,7 +238,7 @@ class TestApply:
         rng = np.random.default_rng(14)
         bundle = rand_bundle(rng, 5, 3)
         w = rng.standard_normal((3, 3))
-        filt = SpatialFilter(w=w, kind="identity", rank_out=3, eigenvalues=np.empty(0))
+        filt = SpatialFilter(w=w, kind="identity", eigenvalues=np.empty(0))
         out = apply(filt, bundle)
         assert out is not bundle
         np.testing.assert_allclose(out.matrices, w.T @ bundle.matrices @ w, rtol=1e-12)

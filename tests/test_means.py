@@ -16,10 +16,10 @@ from spdreg import (
 
 def karcher_gradient(mean, mats):
     """Independent recomputation of the Karcher-mean stationarity gradient."""
-    isq = sym_func(mean, "inv_sqrt").data
+    isq = sym_func(mean, "inv_sqrt")
     total = np.zeros_like(mean.data)
     for m in mats:
-        total += sym_func(SymMat(isq @ m.data @ isq), "log").data
+        total += sym_func(isq @ m.data @ isq, "log")
     return total
 
 

@@ -262,6 +262,17 @@ class TestFitRidgeGCV:
         model = fit_ridge_gcv(x, y)
         assert model.lambda_star in model.grid
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        rng = np.random.default_rng(6)
+        x, y = rng.standard_normal((10, 2)), rng.standard_normal(10)
+        with pytest.raises(ValueError, match="finite"):
+            fit_ridge_gcv(x, y, grid=[bad])
+        with pytest.raises(ValueError, match="finite"):
+            fit_ridge_gcv(x, y, grid=[1.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            PipelineSpec(ridge_grid=[1.0, bad])
+
 
 class TestPredict:
     def test_zero_row_gives_intercept(self):
@@ -550,7 +561,7 @@ class TestPipelineInvariances:
         from spdreg import SpatialFilter, apply
 
         w = rand_invertible(rng, 5)
-        filt = SpatialFilter(w=w, kind="identity", rank_out=5, eigenvalues=np.empty(0))
+        filt = SpatialFilter(w=w, kind="identity", eigenvalues=np.empty(0))
         r_filtered = run_pipeline_cv(apply(filt, bundle), spec, folds=5, seed=1)
         np.testing.assert_allclose(
             r_plain.per_fold_mae, r_filtered.per_fold_mae, atol=1e-6

@@ -40,36 +40,36 @@ class TestSymMat:
 
 class TestEigh:
     def test_identity(self):
-        ep = eigh(SymMat(np.eye(3)))
-        np.testing.assert_allclose(ep.values, np.ones(3))
-        np.testing.assert_allclose(ep.vectors, np.eye(3))
+        w, v = eigh(SymMat(np.eye(3)))
+        np.testing.assert_allclose(w, np.ones(3))
+        np.testing.assert_allclose(v, np.eye(3))
 
     def test_diagonal_sorted_descending(self):
-        ep = eigh(SymMat(np.diag([2.0, 5.0])))
-        np.testing.assert_allclose(ep.values, [5.0, 2.0])
-        np.testing.assert_allclose(np.abs(ep.vectors), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
+        w, v = eigh(SymMat(np.diag([2.0, 5.0])))
+        np.testing.assert_allclose(w, [5.0, 2.0])
+        np.testing.assert_allclose(np.abs(v), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((6, 6))
         m = SymMat(a + a.T)
-        ep = eigh(m)
-        recon = (ep.vectors * ep.values) @ ep.vectors.T
+        w, v = eigh(m)
+        recon = (v * w) @ v.T
         norm = np.linalg.norm(m.data)
         assert np.linalg.norm(recon - m.data) <= 1e-10 * max(1.0, norm)
 
     def test_orthogonal_vectors(self):
         rng = np.random.default_rng(3)
-        ep = eigh(rand_spd(rng, 5))
-        err = np.linalg.norm(ep.vectors.T @ ep.vectors - np.eye(5))
+        _, v = eigh(rand_spd(rng, 5))
+        err = np.linalg.norm(v.T @ v - np.eye(5))
         assert err <= 1e-10
 
     def test_sign_convention(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            ep = eigh(rand_spd(rng, 4))
-            lead = np.argmax(np.abs(ep.vectors), axis=0)
-            assert np.all(ep.vectors[lead, np.arange(4)] >= 0)
+            _, v = eigh(rand_spd(rng, 4))
+            lead = np.argmax(np.abs(v), axis=0)
+            assert np.all(v[lead, np.arange(4)] >= 0)
 
 
 class TestBatched:
@@ -88,19 +88,37 @@ class TestBatched:
 
     def test_eigh_stack_equals_per_matrix(self):
         mats, stack = self.stack()
-        ep = eigh(stack)
-        assert ep.values.shape == (8, 5) and ep.vectors.shape == (8, 5, 5)
+        w, v = eigh(stack)
+        assert w.shape == (8, 5) and v.shape == (8, 5, 5)
         for i, m in enumerate(mats):
-            one = eigh(m)
-            assert np.array_equal(ep.values[i], one.values)
-            assert np.array_equal(ep.vectors[i], one.vectors)
+            w1, v1 = eigh(m)
+            assert np.array_equal(w[i], w1)
+            assert np.array_equal(v[i], v1)
 
     def test_eigh_takes_arrays_and_freezes_its_output(self):
         m = rand_spd(np.random.default_rng(32), 4)
-        ep, ep_array = eigh(m), eigh(m.data)
-        assert np.array_equal(ep.vectors, ep_array.vectors)
-        with pytest.raises(ValueError):
-            ep.vectors[0, 0] = 1.0
+        (w, v), (_, v_array) = eigh(m), eigh(m.data)
+        assert np.array_equal(v, v_array)
+        for out in (w, v):
+            with pytest.raises(ValueError):
+                out[0] = 1.0
+
+    @pytest.mark.parametrize("fn", ["log", "exp", "sqrt", "inv_sqrt", "inv"])
+    def test_sym_func_stack_equals_per_matrix(self, fn):
+        rng = np.random.default_rng(33)
+        mats = [rand_spd(rng, 5) for _ in range(3)]
+        out = sym_func(np.stack([m.data for m in mats]), fn)
+        assert type(out) is np.ndarray and out.shape == (3, 5, 5)
+        for i, m in enumerate(mats):
+            assert np.array_equal(out[i], sym_func(m, fn))
+
+    @pytest.mark.parametrize("fn", ["log", "inv_sqrt", "inv"])
+    def test_sym_func_singular_slice_raises(self, fn):
+        rng = np.random.default_rng(34)
+        stack = np.stack([rand_spd(rng, 4).data for _ in range(3)])
+        stack[1] = np.diag([2.0, 1.0, 1.0, 0.0])
+        with pytest.raises(SingularMatrix, match="numerical rank 3 of 4"):
+            sym_func(stack, fn)
 
     def test_numerical_rank_stack_equals_per_matrix(self):
         mats, stack = self.stack()
@@ -122,44 +140,44 @@ class TestBatched:
 
 class TestSymFunc:
     def test_log_identity_is_zero(self):
-        out = sym_func(SymMat(np.eye(4)), "log")
-        np.testing.assert_allclose(out.data, np.zeros((4, 4)), atol=1e-15)
+        out = sym_func(np.eye(4), "log")
+        np.testing.assert_allclose(out, np.zeros((4, 4)), atol=1e-15)
 
     def test_sqrt_diagonal(self):
-        out = sym_func(SymMat(np.diag([4.0, 9.0])), "sqrt")
-        np.testing.assert_allclose(out.data, np.diag([2.0, 3.0]), atol=1e-14)
+        out = sym_func(np.diag([4.0, 9.0]), "sqrt")
+        np.testing.assert_allclose(out, np.diag([2.0, 3.0]), atol=1e-14)
 
     def test_exp_log_round_trip(self):
         rng = np.random.default_rng(11)
         s = rand_spd(rng, 5)
         back = sym_func(sym_func(s, "log"), "exp")
-        err = np.linalg.norm(back.data - s.data) / np.linalg.norm(s.data)
+        err = np.linalg.norm(back - s.data) / np.linalg.norm(s.data)
         assert err <= 1e-8
 
     def test_sqrt_squares_back(self):
         rng = np.random.default_rng(5)
         s = rand_spd(rng, 4)
         root = sym_func(s, "sqrt")
-        err = np.linalg.norm(root.data @ root.data - s.data) / np.linalg.norm(s.data)
+        err = np.linalg.norm(root @ root - s.data) / np.linalg.norm(s.data)
         assert err <= 1e-8
 
     def test_inv_sqrt_whitens(self):
         rng = np.random.default_rng(9)
         s = rand_spd(rng, 4)
         isq = sym_func(s, "inv_sqrt")
-        err = np.linalg.norm(isq.data @ s.data @ isq.data - np.eye(4))
+        err = np.linalg.norm(isq @ s.data @ isq - np.eye(4))
         assert err <= 1e-8
 
     def test_inv_matches_numpy(self):
         rng = np.random.default_rng(13)
         s = rand_spd(rng, 4)
         np.testing.assert_allclose(
-            sym_func(s, "inv").data, np.linalg.inv(s.data), atol=1e-10
+            sym_func(s, "inv"), np.linalg.inv(s.data), atol=1e-10
         )
 
     def test_log_of_singular_raises(self):
-        with pytest.raises(SingularMatrix):
-            sym_func(SymMat(np.diag([1.0, 0.0])), "log")
+        with pytest.raises(SingularMatrix, match="numerical rank 1 of 2"):
+            sym_func(np.diag([1.0, 0.0]), "log")
 
     def test_sqrt_of_indefinite_raises(self):
         with pytest.raises(NotPSD):
