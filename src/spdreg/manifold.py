@@ -14,8 +14,11 @@ Reference points are Frechet means under the matching metric. Both are
 computed by one backtracking descent loop, each mean giving its own state
 and step, that stops on the Riemannian gradient norm or raises
 :class:`~spdreg.errors.NoConvergence` after ``MAX_ITER`` steps. Every
-operation on samples takes the whole ``(n, p, p)`` array at once (a
-bundle's ``matrices``) and gives ``(n, k)`` feature rows; distances and
+operation on samples takes an ``(n, p, p)`` array (a bundle's
+``matrices``) and gives ``(n, k)`` feature rows. The geometric tangent map
+streams it in blocks of :func:`~spdreg.symmat.blocks`, writing each
+block's rows into the output, so its working memory does not grow with
+``n``; the other kinds take the whole array at once. Distances and
 :func:`embed` are pure functions, and the means are deterministic given
 their inputs. The part of an embedding that needs no reference (the
 Wasserstein eigen-factors, the Euclidean and log-diagonal rows) can be
@@ -37,7 +40,7 @@ from .errors import (
     RankMismatch,
     SingularMatrix,
 )
-from .symmat import SymMat, _ranks, eigh, numerical_rank, sym_func
+from .symmat import SymMat, _ranks, blocks, eigh, numerical_rank, sym_func
 
 EMBEDDING_KINDS = ("euclidean", "geometric", "wasserstein", "logdiag")
 
@@ -338,13 +341,33 @@ def _descend(evaluate, move, x: np.ndarray, n: int, tol: float, what: str) -> Fr
     return FrechetMean(SymMat(x), rows.reshape(n, -1))
 
 
+def _tangent_map(isq: np.ndarray, stack: np.ndarray):
+    """The whitened logs ``log(isq c_i isq)`` of the (n, p, p) stack, block by
+    block (:func:`~spdreg.symmat.blocks`): (their feature rows, their sum,
+    their summed squares).
+
+    The rows are column-major, the layout ``_upper`` gives a whole stack, as
+    the ridge's column statistics round by layout. The sum is bit for bit
+    ``logs.sum(axis=0)``, which adds the slices in index order: each later
+    block is summed behind the running total. The summed squares, which only
+    feed the Armijo test, round by block.
+    """
+    n, p = stack.shape[0], stack.shape[-1]
+    rows = np.empty((n, p * (p + 1) // 2), order="F")
+    grad, obj = None, 0.0
+    for blk in blocks(n, p):
+        logs = sym_func(isq @ stack[blk] @ isq, "log")
+        rows[blk] = _upper(logs)
+        grad = (logs if grad is None else np.concatenate((grad[None], logs))).sum(axis=0)
+        obj += float(np.sum(logs * logs))
+    return rows, grad, obj
+
+
 def _geo_state(m: np.ndarray, stack: np.ndarray):
     """The whitened logs ``log(m^-1/2 c_i m^-1/2)`` of the (n, p, p) stack at
     ``m``: (``m^1/2``, their feature rows, their sum, their summed squares)."""
     isq, sq = sym_func(m, "inv_sqrt"), sym_func(m, "sqrt")
-    logs = sym_func(isq @ stack @ isq, "log")
-    grad, obj = logs.sum(axis=0), float(np.sum(logs * logs))
-    return sq, _upper(logs), grad, obj
+    return (sq, *_tangent_map(isq, stack))
 
 
 def mean_geometric(mats) -> FrechetMean:
@@ -528,8 +551,7 @@ def embed(embedding: Embedding, mats) -> np.ndarray:
             )
     prepared = prepare_samples(mats, kind, embedding.rank)
     if kind == "geometric":
-        isq = sym_func(reference, "inv_sqrt")
-        return _upper(sym_func(isq @ prepared.covariances() @ isq, "log"))
+        return _tangent_map(sym_func(reference, "inv_sqrt"), prepared.covariances())[0]
     if kind == "wasserstein":
         logs = _wass_state(reference, prepared.data)[1]
         return logs.reshape(len(logs), -1)

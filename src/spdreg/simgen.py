@@ -15,9 +15,13 @@ link function (identity, log, or sqrt) plus Gaussian noise.
 All randomness comes from one ``numpy.random.default_rng(seed)`` stream
 with a pinned draw order: mixing seed matrix ``b``, coefficients
 ``alpha``, per-subject log-powers (signal then noise), label noise
-``eps``, mixing perturbations ``xi``. Identical configs therefore yield
-bit-identical bundles. Noise draws are taken even when their scale is
-zero so the same seed gives the same powers across parameter sweeps.
+``eps``, mixing perturbations ``xi``. The ``xi`` are drawn and mixed in
+blocks of :func:`~spdreg.symmat.blocks`, one draw per block from the same
+stream: the generator fills values in stream order whatever the shape, so
+the blocks hold the values of one ``(n, p, p)`` draw, which is never held
+whole. Identical configs therefore yield bit-identical bundles. Noise
+draws are taken even when their scale is zero so the same seed gives the
+same powers across parameter sweeps.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import numpy as np
 from .bundle import CovarianceBundle
 from .errors import SpdregError
 from .regress import PipelineSpec, effective_rank, results_rows, run_pipeline_cv
+from .symmat import blocks
 
 F_KINDS = ("identity", "log", "sqrt")
 SWEEP_AXES = ("sigma", "mu", "sigma_mix")
@@ -147,18 +152,15 @@ def sample_bundle(cfg: GenerativeConfig) -> tuple[CovarianceBundle, np.ndarray]:
     log_powers = rng.standard_normal((cfg.n, cfg.q))
     log_noise = -2.0 + 0.5 * rng.standard_normal((cfg.n, cfg.p - cfg.q))
     eps = cfg.sigma * rng.standard_normal(cfg.n)
-    xi = cfg.sigma_mix * rng.standard_normal((cfg.n, cfg.p, cfg.p))
 
     powers = np.exp(log_powers)
-    noise_powers = np.exp(log_noise)
-    link = _LINKS[cfg.f_kind]
-    y = link(powers) @ alpha + eps
+    y = _LINKS[cfg.f_kind](powers) @ alpha + eps
+    e = np.concatenate((powers, np.exp(log_noise)), axis=1)
 
     mats = np.empty((cfg.n, cfg.p, cfg.p))
-    for i in range(cfg.n):
-        ai = a + xi[i]
-        e = np.concatenate([powers[i], noise_powers[i]])
-        mats[i] = (ai * e) @ ai.T
+    for blk in blocks(cfg.n, cfg.p):
+        ai = a + cfg.sigma_mix * rng.standard_normal((blk.stop - blk.start, cfg.p, cfg.p))
+        mats[blk] = (ai * e[blk, None, :]) @ ai.swapaxes(1, 2)
     return CovarianceBundle(matrices=mats, labels=y, nominal_rank=cfg.p), alpha
 
 
@@ -197,7 +199,8 @@ def sweep(
     Each repeat re-generates data with seed ``base seed + repeat``; a
     failing cell contributes a single row with the ``error`` column set
     and the sweep continues. Rows come back in deterministic cell order
-    regardless of ``jobs``.
+    regardless of ``jobs``. At most ``min(jobs, cells)`` worker processes
+    run the cells; with one, they run in this process.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
@@ -212,8 +215,10 @@ def sweep(
         for spec in specs
         for repeat in range(repeats)
     ]
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    # The pool starts all its workers at the first submit: no more than cells.
+    workers = min(jobs, len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             per_cell = list(pool.map(_run_cell, cells))
     else:
         per_cell = [_run_cell(cell) for cell in cells]

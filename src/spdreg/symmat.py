@@ -11,6 +11,11 @@ covariance: the batched eigensolver, the PSD/rank rule and the SPD rule
 tangent-space logs and the Karcher step all go through it. The kernels
 take any array (a :class:`SymMat` too) and return plain arrays; all are
 pure functions safe to call concurrently.
+
+:func:`blocks` is the one block rule of the paths that stream per-sample
+work (the geometric tangent map, the generator): it cuts ``range(n)`` into
+slices of about ``BLOCK_BYTES`` of ``p x p`` float64 matrices each, so
+their working memory depends on the block size, not on ``n``.
 """
 
 from __future__ import annotations
@@ -22,6 +27,9 @@ from .errors import NotPSD, NumericalFailure, SingularMatrix
 # Relative eigenvalue threshold for rank and positivity decisions.
 # Double-precision eigensolver noise floor with safety margin.
 RANK_TOL = 1e-12
+
+# Bytes of p x p float64 matrices in one block of a streamed per-sample path.
+BLOCK_BYTES = 1 << 20
 
 
 class SymMat:
@@ -67,6 +75,13 @@ class SymMat:
 
     def __repr__(self):  # pragma: no cover
         return f"SymMat(dim={self.dim})"
+
+
+def blocks(n: int, p: int) -> list[slice]:
+    """Consecutive slices covering ``range(n)``, each of about
+    ``BLOCK_BYTES`` of ``p x p`` float64 matrices and at least one."""
+    size = max(1, BLOCK_BYTES // (8 * p * p))
+    return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
 
 def _eig(a):

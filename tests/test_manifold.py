@@ -17,7 +17,7 @@ from spdreg import (
     no_affine_invariance_witness,
     sym_func,
 )
-from spdreg import manifold
+from spdreg import manifold, symmat
 from spdreg.manifold import WITNESS_EPSILONS, Embedding, embed, fit_embedding
 
 
@@ -494,3 +494,47 @@ class TestEmbedding:
         rows = embed(emb, mats)
         for i, m in enumerate(mats):
             np.testing.assert_allclose(rows[i], np.log(np.diag(m.data)), atol=1e-12)
+
+
+class TestBlockedTangentMap:
+    """The geometric tangent map streams the stack in blocks; a forced block
+    of 3 matrices must give what one whole-stack pass gives."""
+
+    @staticmethod
+    def small_blocks(monkeypatch):
+        monkeypatch.setattr(symmat, "BLOCK_BYTES", 3 * 8 * 5 * 5)
+        assert symmat.blocks(7, 5) == [slice(0, 3), slice(3, 6), slice(6, 7)]
+
+    @staticmethod
+    def stack(n, seed=0):
+        rng = np.random.default_rng(seed)
+        return np.stack([rand_spd(rng, 5).data for _ in range(n)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_embed_rows_equal_whole_stack_logs(self, monkeypatch, n):
+        self.small_blocks(monkeypatch)
+        mats = self.stack(n)
+        ref = rand_spd(np.random.default_rng(1), 5)
+        isq = sym_func(ref, "inv_sqrt")
+        rows = geometric_rows(ref, mats)
+        np.testing.assert_array_equal(rows, manifold._upper(sym_func(isq @ mats @ isq, "log")))
+        assert rows.flags.f_contiguous
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_mean_equals_default_block_size(self, monkeypatch, n):
+        mats = self.stack(n)
+        whole = manifold.mean_geometric(mats)
+        self.small_blocks(monkeypatch)
+        blocked = manifold.mean_geometric(mats)
+        np.testing.assert_array_equal(blocked.point.data, whole.point.data)
+        np.testing.assert_array_equal(blocked.samples, whole.samples)
+        assert blocked.samples.flags.f_contiguous
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+    def test_training_rows_equal_embed(self, monkeypatch, n):
+        self.small_blocks(monkeypatch)
+        mats = self.stack(n + 3)
+        prepared = manifold.prepare_samples(mats, "geometric")
+        for samples in (mats[:n], prepared.subset(np.arange(n + 2, 2, -1)[:n])):
+            emb, rows = fit_embedding(samples, "geometric")
+            np.testing.assert_array_equal(rows, embed(emb, samples))

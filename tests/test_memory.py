@@ -1,0 +1,55 @@
+"""Working memory of the streamed per-sample paths, traced by tracemalloc.
+
+Each bound is on the traced peak above the memory held before the call, so
+it counts the result and every temporary, and it does not depend on the
+allocator's placement the way a resident-set size does. The streamed paths
+hold a few blocks of ``symmat.BLOCK_BYTES`` beside their output, whatever n.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from conftest import rand_orthogonal
+from spdreg import GenerativeConfig, SymMat, sample_bundle, symmat
+from spdreg.manifold import Embedding, embed, mean_geometric
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes it allocated above what was already held."""
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak - held
+
+
+def near_identity_stack(n, p, seed=0):
+    """n SPD matrices with eigenvalues in [exp(-0.2), exp(0.2)]."""
+    rng = np.random.default_rng(seed)
+    q = np.stack([rand_orthogonal(rng, p) for _ in range(n)])
+    w = np.exp(rng.uniform(-0.2, 0.2, size=(n, 1, p)))
+    return (q * w) @ q.swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("p", [64, 32])
+def test_geometric_mean_and_embed_hold_a_few_blocks(p):
+    stack = near_identity_stack(400, p)
+    fit, peak = traced_peak(lambda: mean_geometric(stack))
+    bound = fit.samples.nbytes + 6 * symmat.BLOCK_BYTES
+    assert peak <= bound, f"mean_geometric peaked {peak} bytes above the bound {bound}"
+    emb = Embedding("geometric", reference=SymMat(fit.point))
+    rows, peak = traced_peak(lambda: embed(emb, stack))
+    bound = rows.nbytes + 6 * symmat.BLOCK_BYTES
+    assert peak <= bound, f"embed peaked {peak} bytes above the bound {bound}"
+
+
+def test_generator_holds_a_few_blocks():
+    cfg = GenerativeConfig(p=64, q=2, n=400, mu=0.1, sigma_mix=0.02, seed=0)
+    (bundle, _), peak = traced_peak(lambda: sample_bundle(cfg))
+    bound = 2 * bundle.matrices.nbytes + 3 * symmat.BLOCK_BYTES
+    assert peak <= bound, f"sample_bundle peaked {peak} bytes above the bound {bound}"

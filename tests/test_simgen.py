@@ -7,7 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdreg import GenerativeConfig, PipelineSpec, make_mixing, sample_bundle, sweep
+from spdreg import (
+    CovarianceBundle,
+    GenerativeConfig,
+    PipelineSpec,
+    make_mixing,
+    sample_bundle,
+    simgen,
+    sweep,
+    symmat,
+)
 from spdreg.bundle import read_covb, write_covb
 
 
@@ -169,6 +178,45 @@ class TestSampleBundle:
         assert not np.array_equal(quiet.labels, loud.labels)
 
 
+def reference_bundle(cfg):
+    """The documented draw order, whole: mixing seed ``b``, ``alpha``, signal
+    then noise log-powers, ``eps``, then one (n, p, p) ``xi`` draw, mixed
+    one subject at a time."""
+    rng = np.random.default_rng(cfg.seed)
+    rng.standard_normal((cfg.p, cfg.p))
+    a = make_mixing(cfg)
+    alpha = rng.standard_normal(cfg.q)
+    powers = np.exp(rng.standard_normal((cfg.n, cfg.q)))
+    noise = np.exp(-2.0 + 0.5 * rng.standard_normal((cfg.n, cfg.p - cfg.q)))
+    eps = cfg.sigma * rng.standard_normal(cfg.n)
+    xi = cfg.sigma_mix * rng.standard_normal((cfg.n, cfg.p, cfg.p))
+    link = {"identity": lambda x: x, "log": np.log, "sqrt": np.sqrt}[cfg.f_kind]
+    mats = np.empty((cfg.n, cfg.p, cfg.p))
+    for i in range(cfg.n):
+        ai = a + xi[i]
+        mats[i] = (ai * np.concatenate([powers[i], noise[i]])) @ ai.T
+    bundle = CovarianceBundle(matrices=mats, labels=link(powers) @ alpha + eps,
+                              nominal_rank=cfg.p)
+    return bundle, alpha
+
+
+class TestBlockedDraws:
+    @pytest.mark.parametrize("sigma_mix", [0.0, 0.05])
+    @pytest.mark.parametrize("orthogonal_a", [False, True])
+    @pytest.mark.parametrize("block", [None, 3])
+    def test_equals_one_whole_draw(self, monkeypatch, sigma_mix, orthogonal_a, block):
+        cfg = GenerativeConfig(p=5, q=2, n=11, mu=0.7, sigma=0.1, sigma_mix=sigma_mix,
+                               orthogonal_a=orthogonal_a, seed=4)
+        if block is not None:
+            monkeypatch.setattr(symmat, "BLOCK_BYTES", block * 8 * cfg.p * cfg.p)
+            assert len(symmat.blocks(cfg.n, cfg.p)) == 4
+        bundle, alpha = sample_bundle(cfg)
+        ref, ref_alpha = reference_bundle(cfg)
+        np.testing.assert_array_equal(alpha, ref_alpha)
+        np.testing.assert_array_equal(bundle.labels, ref.labels)
+        np.testing.assert_array_equal(bundle.matrices, ref.matrices)
+
+
 class TestCovbFile:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = GenerativeConfig(seed=13, sigma=0.1)
@@ -212,6 +260,30 @@ class TestSweep:
         r1 = sweep(cfg, "sigma", [0.0, 0.1], self._specs(), folds=4, repeats=1, jobs=1)
         r2 = sweep(cfg, "sigma", [0.0, 0.1], self._specs(), folds=4, repeats=1, jobs=2)
         assert r1 == r2
+
+    @pytest.mark.parametrize("values,workers", [([0.0, 0.1], [2]), ([0.0], [])])
+    def test_pool_no_larger_than_the_cells(self, monkeypatch, values, workers):
+        # Records the pool's size and maps in-process: no worker starts.
+        asked = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells):
+                return map(fn, cells)
+
+        monkeypatch.setattr(simgen.concurrent.futures, "ProcessPoolExecutor", Recorder)
+        cfg = GenerativeConfig(n=20, seed=0)
+        rows = sweep(cfg, "sigma", values, self._specs()[:1], folds=4, repeats=1, jobs=64)
+        assert asked == workers
+        assert rows == sweep(cfg, "sigma", values, self._specs()[:1], folds=4, repeats=1)
 
     def test_cell_errors_recorded_not_raised(self):
         # Geometric embedding on rank-deficient data fails per cell; the

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_orthogonal, rand_spd
-from spdreg import NotPSD, SingularMatrix, SymMat, eigh, numerical_rank, sym_func
+from spdreg import NotPSD, SingularMatrix, SymMat, eigh, numerical_rank, sym_func, symmat
 
 
 class TestSymMat:
@@ -212,3 +212,20 @@ class TestNumericalRank:
         with pytest.raises(NotPSD) as info:
             numerical_rank(SymMat(np.diag([1.0, -0.5])))
         assert info.value.sample is None
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("n,p", [(1, 5), (7, 5), (1000, 32), (480, 64), (3, 400)])
+    def test_cover_range_in_order(self, n, p):
+        parts = symmat.blocks(n, p)
+        assert [i for s in parts for i in range(s.start, s.stop)] == list(range(n))
+        size = max(1, symmat.BLOCK_BYTES // (8 * p * p))
+        assert all(s.stop - s.start == size for s in parts[:-1])
+        assert 1 <= parts[-1].stop - parts[-1].start <= size
+
+    def test_at_least_one_matrix_per_block(self, monkeypatch):
+        monkeypatch.setattr(symmat, "BLOCK_BYTES", 8)
+        assert symmat.blocks(3, 5) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    def test_empty_range(self):
+        assert symmat.blocks(0, 5) == []
