@@ -51,6 +51,6 @@ from .regress import (
     run_pipeline_cv,
 )
 from .simgen import GenerativeConfig, make_mixing, sample_bundle, sweep
-from .symmat import SymMat, eigh, numerical_rank, sym_func
+from .symmat import eigh, numerical_rank, sym_func
 
 __version__ = "0.1.0"

@@ -8,7 +8,7 @@ a ``y <label>`` line and ``p`` rows of ``p`` decimals.
 Every text file (COVB, MODEL, LEADFIELD, command outputs) is written one
 ``%``-template per line or sample, with 17 significant digits (lossless
 for float64), and read by :class:`LineReader` with numpy's float parser.
-A bundle read from a file is symmetrized by its constructor.
+A bundle read from a file is validated and symmetrized by its constructor.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
+from .symmat import SymMat, _as_stack
 
 FLOAT_FMT = "%.17g"
 
@@ -42,9 +43,9 @@ def write_rows(fh, rows, *words: str) -> None:
 class CovarianceBundle:
     """``n`` labeled covariance matrices of shared dimension ``p``.
 
-    ``matrices`` is any finite ``(n, p, p)`` array-like (a list of
-    :class:`~spdreg.symmat.SymMat` too), stored as one read-only,
-    C-contiguous float64 array ``(a + a^T) / 2``, as SymMat stores each.
+    ``matrices`` is any finite ``(n, p, p)`` array-like (a list of ``(p, p)``
+    arrays too), stored by :func:`~spdreg.symmat.SymMat` as one read-only,
+    C-contiguous float64 array ``(a + a^T) / 2``.
     ``nominal_rank`` is an upper bound on the numerical rank of every
     matrix (equal to it for generated data).
     """
@@ -54,16 +55,8 @@ class CovarianceBundle:
     nominal_rank: int
 
     def __post_init__(self):
-        a = np.asarray(self.matrices, dtype=np.float64)
-        if a.ndim != 3 or a.shape[1] != a.shape[2] or 0 in a.shape:
-            raise ValueError(f"expected a nonempty (n, p, p) stack, got shape {a.shape}")
-        p = a.shape[1]
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        a = np.add(a, a.swapaxes(1, 2), order="C")
-        a /= 2.0
-        a.flags.writeable = False
-        self.matrices = a
+        self.matrices = SymMat(_as_stack(self.matrices))
+        p = self.dim
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.labels.shape != (self.n,):
             raise ValueError(f"expected {self.n} labels, got shape {self.labels.shape}")

@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 from collections import namedtuple
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ import numpy as np
 from . import filters, manifold, regress, simgen
 from .bundle import LineReader, read_covb, row_format, write_covb, write_rows
 from .errors import ConfigError, NumericalError, SampleError, SingularMatrix
-from .symmat import SymMat
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +256,9 @@ def write_model(path, state: regress.FoldState) -> None:
         fh.write("filter {} {} {}\n".format(filt.kind, *filt.w.shape))
         write_rows(fh, filt.w)
         write_rows(fh, filt.eigenvalues, "filter_eigs")
-        fh.write(f"reference {'none' if emb.reference is None else emb.reference.dim}\n")
+        fh.write(f"reference {'none' if emb.reference is None else len(emb.reference)}\n")
         if emb.reference is not None:
-            write_rows(fh, emb.reference.data)
+            write_rows(fh, emb.reference)
         write_rows(fh, [model.lambda_star, model.intercept], "ridge", str(model.beta.size))
         for name, values in (("mean", model.feature_mean), ("scale", model.feature_scale),
                              ("beta", model.beta)):
@@ -291,7 +291,7 @@ def read_model(path) -> regress.FoldState:
         rp = 0 if rp == "none" else src.count(rp)
         if rp and rp != w.shape[1]:
             raise src.error(f"reference dimension {rp} differs from filter width {w.shape[1]}")
-        reference = SymMat(src.block(1, rp, rp)[0]) if rp else None
+        reference = src.block(1, rp, rp)[0] if rp else None
         emb = _build(src, emb_line, manifold.Embedding, kind=emb_kind, reference=reference,
                      rank=emb_rank or None)
         _, k, *ridge = src.words("ridge <k> <lambda> <intercept>")
@@ -323,11 +323,25 @@ def cmd_simulate(opts) -> int:
     return 0
 
 
+@contextmanager
+def _filter_hint(spec: regress.PipelineSpec):
+    """Name, in the error of a geometric embedding on a singular matrix of
+    numerical rank ``r > 0``, the projection that makes it full-rank."""
+    try:
+        yield
+    except SingularMatrix as exc:
+        if spec.embedding_kind == "geometric" and exc.rank:
+            exc.args = (f"{exc}; project onto the common full-rank subspace with "
+                        f"--filter unsupervised --rank {exc.rank}",)
+        raise
+
+
 def cmd_fit(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     spec = _pipeline_spec(opts)
-    train = regress.project(regress.fit_filter(bund, spec), bund, spec.embedding_kind)
-    state = regress.fit_fold(train, spec)
+    with _filter_hint(spec):
+        train = regress.project(regress.fit_filter(bund, spec), bund, spec.embedding_kind)
+        state = regress.fit_fold(train, spec)
     write_model(opts["out"], state)
     train_mae = float(np.mean(np.abs(bund.labels - state.model.fitted)))
     print(
@@ -343,7 +357,8 @@ def cmd_eval(opts) -> int:
     if folds < 2 or folds > bund.n:
         raise ConfigError(f"folds must be in [2, {bund.n}], got {folds}")
     spec = _pipeline_spec(opts)
-    report = regress.run_pipeline_cv(bund, spec, folds, seed=opts["seed"])
+    with _filter_hint(spec):
+        report = regress.run_pipeline_cv(bund, spec, folds, seed=opts["seed"])
     rank = regress.effective_rank(spec, bund.dim)
     rows = regress.results_rows(spec, report, rank=rank)
     regress.write_csv(opts["out"], regress.RESULTS_HEADER, rows)
@@ -445,8 +460,8 @@ def cmd_mean(opts) -> int:
         m = manifold.mean_wasserstein(bund.matrices, rank).point
     else:
         raise ConfigError(f"unknown metric {metric!r}")
-    _write_matrix_file(opts["out"], f"SYMMAT v1 {m.dim}", m.data)
-    print(f"{metric} mean of n={bund.n} p={m.dim} trace={np.trace(m.data):.6g} -> {opts['out']}")
+    _write_matrix_file(opts["out"], f"SYMMAT v1 {len(m)}", m)
+    print(f"{metric} mean of n={bund.n} p={len(m)} trace={np.trace(m):.6g} -> {opts['out']}")
     return 0
 
 

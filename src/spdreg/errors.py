@@ -23,13 +23,14 @@ class NumericalFailure(NumericalError):
 
 
 class SingularMatrix(NumericalError):
-    """A full-rank SPD matrix was required but the input is singular."""
+    """A full-rank SPD matrix was required but the input is singular; ``rank``
+    is its numerical rank where the rule that found it counts one."""
 
-    def __init__(self, message, smallest_eigenvalue=None):
+    def __init__(self, message, smallest_eigenvalue=None, rank=None):
         if smallest_eigenvalue is not None:
             message = f"{message} (smallest eigenvalue {smallest_eigenvalue:.3e})"
         super().__init__(message)
-        self.smallest_eigenvalue = smallest_eigenvalue
+        self.smallest_eigenvalue, self.rank = smallest_eigenvalue, rank
 
 
 class SampleError(NumericalError):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bundle import CovarianceBundle, LineReader, write_rows
 from .errors import DegenerateDesign, DimensionMismatch, RankTooLarge
-from .symmat import SymMat, eigh, numerical_rank, sym_func
+from .symmat import _sym, eigh, numerical_rank, sym_func
 
 FILTER_KINDS = ("identity", "unsupervised", "supervised", "mne")
 
@@ -121,7 +121,7 @@ def fit_supervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
         b = eigh(cbar)[1][:, :k]
         cbar, cy = b.T @ cbar @ b, b.T @ cy @ b
     isq = sym_func(cbar, "inv_sqrt")
-    vals, vecs = eigh(SymMat(isq @ cy @ isq))
+    vals, vecs = eigh(_sym(isq @ cy @ isq))
     w = isq @ vecs[:, :r]
     if k < bundle.dim:
         w = b @ w

@@ -10,11 +10,11 @@ provided, plus the log-diagonal baseline:
   fixed-rank factor quotient (handles rank-deficient matrices).
 * ``logdiag`` -- elementwise log of the diagonal.
 
-Reference points are Frechet means under the matching metric. Both are
-computed by one backtracking descent loop, each mean giving its own state
-and step, that stops on the Riemannian gradient norm or raises
-:class:`~spdreg.errors.NoConvergence` after ``MAX_ITER`` steps. Every
-operation on samples takes an ``(n, p, p)`` array (a bundle's
+Reference points are read-only ``(p, p)`` arrays, Frechet means under the
+matching metric. Both are computed by one backtracking descent loop, each
+mean giving its own state and step, that stops on the Riemannian gradient
+norm or raises :class:`~spdreg.errors.NoConvergence` after ``MAX_ITER``
+steps. Every operation on samples takes an ``(n, p, p)`` array (a bundle's
 ``matrices``) and gives ``(n, k)`` feature rows. The geometric tangent map
 streams it in blocks of :func:`~spdreg.symmat.blocks`, writing each
 block's rows into the output, so its working memory does not grow with
@@ -40,7 +40,7 @@ from .errors import (
     RankMismatch,
     SingularMatrix,
 )
-from .symmat import SymMat, _ranks, blocks, eigh, numerical_rank, sym_func
+from .symmat import SymMat, _as_stack, _ranks, _sym, blocks, eigh, numerical_rank, sym_func
 
 EMBEDDING_KINDS = ("euclidean", "geometric", "wasserstein", "logdiag")
 
@@ -53,17 +53,11 @@ WITNESS_EPSILONS = (1.0, 0.1, 0.01, 0.001)
 # ---------------------------------------------------------------------------
 
 
-def _as_stack(mats) -> np.ndarray:
-    """``mats`` as a nonempty ``(n, p, p)`` float64 array, with no copy if it
-    is one already."""
-    stack = np.asarray(mats, dtype=np.float64)
-    if stack.ndim != 3 or len(stack) == 0 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"expected a nonempty (n, p, p) stack, got shape {stack.shape}")
-    return stack
-
-
-def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.swapaxes(-1, -2)) / 2.0
+def _matrix(a) -> np.ndarray:
+    """Outside input ``a`` as one :func:`SymMat`-validated ``(p, p)`` matrix."""
+    if np.ndim(a) != 2:
+        raise ValueError(f"expected a (p, p) matrix, got shape {np.shape(a)}")
+    return SymMat(a)
 
 
 def _upper(mat: np.ndarray) -> np.ndarray:
@@ -80,7 +74,7 @@ def _upper(mat: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def dist_geometric(s: SymMat, t: SymMat) -> float:
+def dist_geometric(s, t) -> float:
     """Affine-invariant distance between full-rank SPD matrices.
 
     The Frobenius norm of the whitened log ``log(s^-1/2 t s^-1/2)``, which
@@ -92,13 +86,14 @@ def dist_geometric(s: SymMat, t: SymMat) -> float:
     SingularMatrix
         If either argument is rank-deficient.
     """
-    if s.dim != t.dim:
-        raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
+    s, t = _matrix(s), _matrix(t)
+    if len(s) != len(t):
+        raise DimensionMismatch(f"dimensions differ: {len(s)} vs {len(t)}")
     isq = sym_func(s, "inv_sqrt")
-    return float(np.linalg.norm(sym_func(isq @ t.data @ isq, "log")))
+    return float(np.linalg.norm(sym_func(isq @ t @ isq, "log")))
 
 
-def dist_wasserstein(s: SymMat, t: SymMat) -> float:
+def dist_wasserstein(s, t) -> float:
     """Bures-Wasserstein distance between PSD matrices of any rank.
 
     ``[tr(s) + tr(t) - 2 tr((s^1/2 t s^1/2)^1/2)]^(1/2)`` with the inner
@@ -112,9 +107,10 @@ def dist_wasserstein(s: SymMat, t: SymMat) -> float:
     clipped to zero, and a clearly negative one raises :class:`NotPSD`
     naming the argument.
     """
-    if s.dim != t.dim:
-        raise DimensionMismatch(f"dimensions differ: {s.dim} vs {t.dim}")
-    w, v = eigh(np.stack([s.data, t.data]))
+    s, t = _matrix(s), _matrix(t)
+    if len(s) != len(t):
+        raise DimensionMismatch(f"dimensions differ: {len(s)} vs {len(t)}")
+    w, v = eigh(np.stack([s, t]))
     try:
         _ranks(w)
     except NotPSD as exc:
@@ -168,12 +164,12 @@ def _wass_logs(y: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
 def _wass_state(point, factors: np.ndarray):
     """``(base, logs, their sum, their summed squares)``: ``base`` is the
-    factor of ``point`` (a matrix or :class:`SymMat`) from :func:`factorize`,
+    factor of the matrix ``point`` from :func:`factorize`,
     ``logs`` the log maps from it to each sample factor. A point of another
     numerical rank raises :class:`RankMismatch`, as an :class:`Embedding`
     at it would."""
     try:
-        base = factorize(np.asarray(point)[None], factors.shape[-1])[0]
+        base = factorize(point[None], factors.shape[-1])[0]
     except RankMismatch as exc:
         raise RankMismatch(f"reference {exc.detail}") from None
     logs = _wass_logs(base, factors)
@@ -281,19 +277,20 @@ def prepare_samples(mats, kind: str, rank: int | None = None) -> Samples:
 
 @dataclass(frozen=True)
 class FrechetMean:
-    """A Frechet mean ``point`` and the per-sample data its solver holds there.
+    """A Frechet mean ``point``, a read-only ``(p, p)`` array, and the
+    per-sample data its solver holds there.
 
     ``samples`` holds the inputs' feature rows at ``point`` under the
     mean's metric, the rows :func:`embed` gives there: ``(n, p(p+1)/2)``
     for :func:`mean_geometric`, ``(n, p * r)`` for :func:`mean_wasserstein`.
     """
 
-    point: SymMat
+    point: np.ndarray
     samples: np.ndarray
 
 
-def mean_euclidean(mats) -> SymMat:
-    """Arithmetic mean."""
+def mean_euclidean(mats) -> np.ndarray:
+    """Arithmetic mean, a read-only ``(p, p)`` array."""
     return SymMat(_as_stack(mats).mean(axis=0))
 
 
@@ -338,7 +335,7 @@ def _descend(evaluate, move, x: np.ndarray, n: int, tol: float, what: str) -> Fr
         raise NoConvergence(
             f"{what} did not converge", gradient_norm=gnorm, iterations=MAX_ITER
         )
-    return FrechetMean(SymMat(x), rows.reshape(n, -1))
+    return FrechetMean(x, rows.reshape(n, -1))
 
 
 def _tangent_map(isq: np.ndarray, stack: np.ndarray):
@@ -396,7 +393,7 @@ def mean_geometric(mats) -> FrechetMean:
         return _sym(sq @ sym_func((step / n) * grad, "exp") @ sq)
 
     return _descend(
-        lambda m: _geo_state(m, stack), move, stack.mean(axis=0), n, 2e-9 * p,
+        lambda m: _geo_state(m, stack), move, _sym(stack.mean(axis=0)), n, 2e-9 * p,
         "geometric mean",
     )
 
@@ -460,9 +457,7 @@ def no_affine_invariance_witness():
     dists = []
     for eps in WITNESS_EPSILONS:
         w = np.diag([1.0, eps])
-        dists.append(
-            dist_wasserstein(SymMat(w @ a.data @ w.T), SymMat(w @ b.data @ w.T))
-        )
+        dists.append(dist_wasserstein(w @ a @ w.T, w @ b @ w.T))
     return a, b, dists
 
 
@@ -475,13 +470,14 @@ def no_affine_invariance_witness():
 class Embedding:
     """Vectorization recipe: a kind plus its fitted reference point.
 
-    ``euclidean`` and ``logdiag`` need no reference. ``geometric``
-    carries a full-rank SPD reference; ``wasserstein`` carries a PSD
-    reference whose numerical rank equals ``rank``.
+    ``euclidean`` and ``logdiag`` take no reference and ``geometric`` no
+    rank (``ValueError``). ``geometric`` carries a full-rank SPD reference;
+    ``wasserstein`` carries a PSD reference whose numerical rank equals
+    ``rank``. The reference is stored as :func:`~spdreg.symmat.SymMat` gives it.
     """
 
     kind: str
-    reference: SymMat | None = None
+    reference: np.ndarray | None = None
     rank: int | None = None
 
     def __post_init__(self):
@@ -489,19 +485,22 @@ class Embedding:
             raise ValueError(
                 f"unknown embedding kind {self.kind!r}; expected one of {EMBEDDING_KINDS}"
             )
-        if self.kind == "geometric":
-            if self.reference is None:
-                raise ValueError("geometric embedding requires a reference matrix")
-            if numerical_rank(self.reference) != self.reference.dim:
-                raise SingularMatrix("geometric embedding requires a full-rank reference")
-        if self.kind == "wasserstein":
-            if self.reference is None or self.rank is None:
-                raise ValueError("wasserstein embedding requires a reference and a rank")
-            nr = numerical_rank(self.reference)
-            if nr != self.rank:
-                raise RankMismatch(
-                    f"reference rank {nr} differs from embedding rank {self.rank}"
-                )
+        if self.kind != "wasserstein" and self.rank is not None:
+            raise ValueError(f"{self.kind} embedding takes no rank")
+        if self.kind in ("euclidean", "logdiag"):
+            if self.reference is not None:
+                raise ValueError(f"{self.kind} embedding takes no reference")
+            return
+        if self.reference is None:
+            raise ValueError(f"{self.kind} embedding requires a reference matrix")
+        if self.kind == "wasserstein" and self.rank is None:
+            raise ValueError("wasserstein embedding requires a rank")
+        object.__setattr__(self, "reference", _matrix(self.reference))
+        nr = numerical_rank(self.reference)
+        if self.kind == "geometric" and nr != len(self.reference):
+            raise SingularMatrix("geometric embedding requires a full-rank reference")
+        if self.kind == "wasserstein" and nr != self.rank:
+            raise RankMismatch(f"reference rank {nr} differs from embedding rank {self.rank}")
 
 
 def fit_embedding(mats, kind: str, rank: int | None = None) -> tuple[Embedding, np.ndarray]:
@@ -545,9 +544,9 @@ def embed(embedding: Embedding, mats) -> np.ndarray:
     kind, reference = embedding.kind, embedding.reference
     if not isinstance(mats, Samples):
         mats = _as_stack(mats)
-        if reference is not None and reference.dim != mats.shape[-1]:
+        if reference is not None and len(reference) != mats.shape[-1]:
             raise DimensionMismatch(
-                f"reference dim {reference.dim} vs matrices dim {mats.shape[-1]}"
+                f"reference dim {len(reference)} vs matrices dim {mats.shape[-1]}"
             )
     prepared = prepare_samples(mats, kind, embedding.rank)
     if kind == "geometric":

@@ -1,16 +1,16 @@
 """Dense symmetric-matrix kernels backed by eigendecomposition.
 
-Every matrix entering the package is symmetrized once, via ``(M + M.T) /
-2`` (by :class:`SymMat` or a bundle), so downstream eigensolvers see
-exactly symmetric arrays. This is the only module that decomposes a
-covariance: the batched eigensolver, the PSD/rank rule and the SPD rule
-(both relative to ``RANK_TOL``) are each written once here, over
-``(..., p, p)`` stacks, and a single matrix is a stack of one.
-:func:`sym_func` is the one path that applies a function to a spectrum
-(``log``, ``exp``, ``sqrt``, ``inv_sqrt``, ``inv``): the whitening, the
-tangent-space logs and the Karcher step all go through it. The kernels
-take any array (a :class:`SymMat` too) and return plain arrays; all are
-pure functions safe to call concurrently.
+Every matrix the package stores (a bundle's stack, a reference point) is a
+read-only float64 array, symmetrized by the one rule ``(a + a^T) / 2``
+written here; :func:`SymMat` validates input from outside the package and
+applies it. This is the only module that decomposes a covariance: the
+batched eigensolver, the PSD/rank rule and the SPD rule (both relative to
+``RANK_TOL``) are each written once here, over ``(..., p, p)`` stacks, and
+a single matrix is a stack of one. :func:`sym_func` is the one path that
+applies a function to a spectrum (``log``, ``exp``, ``sqrt``,
+``inv_sqrt``, ``inv``): the whitening, the tangent-space logs and the
+Karcher step all go through it. The kernels take any array and return
+plain arrays; all are pure functions safe to call concurrently.
 
 :func:`blocks` is the one block rule of the paths that stream per-sample
 work (the geometric tangent map, the generator): it cuts ``range(n)`` into
@@ -32,49 +32,37 @@ RANK_TOL = 1e-12
 BLOCK_BYTES = 1 << 20
 
 
-class SymMat:
-    """Symmetric ``P x P`` real matrix.
+def _sym(a: np.ndarray) -> np.ndarray:
+    """The one symmetrization rule: ``(a + a^T) / 2`` of each matrix of the
+    float64 array ``a``, as a new read-only, C-contiguous array (an exactly
+    symmetric ``a`` comes back bit for bit)."""
+    s = np.add(a, a.swapaxes(-1, -2), order="C")
+    s /= 2.0
+    s.flags.writeable = False
+    return s
 
-    Construction copies, casts to float64, and symmetrizes the input;
-    the stored array is frozen so instances can be shared freely.
 
-    Parameters
-    ----------
-    data : array-like, shape (p, p)
-        Square matrix with finite entries. The upper triangle is
-        authoritative: the constructor stores ``(data + data.T) / 2``.
-    """
+def _as_stack(mats) -> np.ndarray:
+    """``mats`` as a nonempty ``(n, p, p)`` float64 array, with no copy if it
+    is one already."""
+    stack = np.asarray(mats, dtype=np.float64)
+    if stack.ndim != 3 or len(stack) == 0 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"expected a nonempty (n, p, p) stack, got shape {stack.shape}")
+    return stack
 
-    __slots__ = ("_data",)
 
-    def __init__(self, data):
-        a = np.array(data, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ValueError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("matrix entries must be finite")
-        a = (a + a.T) / 2.0
-        a.flags.writeable = False
-        self._data = a
-
-    @property
-    def data(self) -> np.ndarray:
-        """Read-only ndarray view of the symmetrized matrix."""
-        return self._data
-
-    @property
-    def dim(self) -> int:
-        return self._data.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        """The stored array, so ``np.asarray`` stacks a list of SymMat."""
-        a = np.asarray(self._data, dtype=dtype)
-        return a.copy() if copy else a
-
-    def __repr__(self):  # pragma: no cover
-        return f"SymMat(dim={self.dim})"
+def SymMat(data) -> np.ndarray:  # noqa: N802 - the name perfbench/workloads.py imports
+    """A matrix or ``(..., p, p)`` stack from outside the package as float64,
+    checked square, nonempty and finite (else ``ValueError``), symmetrized
+    by the one rule. ``data`` is read with ``np.asarray``, so no copy of a
+    float64 array is made beside the output (a bundle's peak memory
+    depends on it)."""
+    a = np.asarray(data, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or 0 in a.shape:
+        raise ValueError(f"expected nonempty square matrices, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    return _sym(a)
 
 
 def blocks(n: int, p: int) -> list[slice]:
@@ -117,13 +105,14 @@ def _check_spd(w: np.ndarray) -> None:
     if (ranks < p).any():
         i = np.flatnonzero(ranks < p)[0]
         raise SingularMatrix(f"full-rank SPD matrix required, numerical rank {ranks.flat[i]} "
-                             f"of {p}", smallest_eigenvalue=float(w.min(axis=-1).flat[i]))
+                             f"of {p}", smallest_eigenvalue=float(w.min(axis=-1).flat[i]),
+                             rank=int(ranks.flat[i]))
 
 
 def eigh(a) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition ``(w, v)`` of a symmetric matrix (a
-    :class:`SymMat` too) or of each matrix of a ``(..., p, p)`` stack, in one
-    solver call that reads the lower triangles: ``m = v @ diag(w) @ v.T``.
+    """Full eigendecomposition ``(w, v)`` of a symmetric matrix or of each
+    matrix of a ``(..., p, p)`` stack, in one solver call that reads the
+    lower triangles: ``m = v @ diag(w) @ v.T``.
     Each slice of a stack gets, bit for bit, what that matrix gets alone.
 
     The read-only eigenvalues ``w`` are sorted descending; the read-only,
@@ -161,8 +150,8 @@ _DIVIDES = ("inv_sqrt", "inv")
 
 
 def sym_func(a, fn: str) -> np.ndarray:
-    """Apply a scalar function to the spectrum of a matrix (a :class:`SymMat`
-    too) or of each matrix of a ``(..., p, p)`` stack.
+    """Apply a scalar function to the spectrum of a matrix or of each matrix
+    of a ``(..., p, p)`` stack.
 
     ``fn`` is one of ``log``, ``exp``, ``sqrt``, ``inv_sqrt``, ``inv``. Each
     matrix is symmetrized, ``s = (a + a.T) / 2``, and the result is ``v
@@ -188,8 +177,7 @@ def sym_func(a, fn: str) -> np.ndarray:
     """
     if fn not in _SYM_FUNCS:
         raise ValueError(f"unknown spectral function {fn!r}; expected one of {[*_SYM_FUNCS]}")
-    a = np.asarray(a, dtype=np.float64)
-    s = (a + a.swapaxes(-1, -2)) / 2.0
+    s = _sym(np.asarray(a, dtype=np.float64))
     del a
     w, v = _eig(s)
     del s

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from spdreg import CovarianceBundle, SymMat
+from spdreg import CovarianceBundle
+from spdreg.symmat import SymMat
 
 
 def rand_spd(rng, p, spread=1.0):

@@ -16,7 +16,6 @@ from spdreg import (
     CovarianceBundle,
     GenerativeConfig,
     PipelineSpec,
-    SymMat,
     default_ridge_grid,
     dist_geometric,
     dist_wasserstein,
@@ -31,6 +30,7 @@ from spdreg import (
 )
 from spdreg.cli import main
 from spdreg.manifold import WITNESS_EPSILONS
+from spdreg.symmat import SymMat
 
 
 def _report(num, name, detail):
@@ -116,7 +116,7 @@ def test_c05_distance_invariance_suite():
         s, t = rand_spd(rng, p), rand_spd(rng, p)
         w = rand_invertible(rng, p)
         d = dist_geometric(s, t)
-        dw = dist_geometric(SymMat(w.T @ s.data @ w), SymMat(w.T @ t.data @ w))
+        dw = dist_geometric(w.T @ s @ w, w.T @ t @ w)
         worst_geo = max(worst_geo, abs(dw - d) / (1.0 + d))
     assert worst_geo <= 1e-8
 
@@ -130,7 +130,7 @@ def test_c05_distance_invariance_suite():
             s, t = rand_psd_rank(rng, p, r), rand_psd_rank(rng, p, r)
         q = rand_orthogonal(rng, p)
         d = dist_wasserstein(s, t)
-        dq = dist_wasserstein(SymMat(q.T @ s.data @ q), SymMat(q.T @ t.data @ q))
+        dq = dist_wasserstein(q.T @ s @ q, q.T @ t @ q)
         worst_wass = max(worst_wass, abs(dq - d) / (1.0 + d))
     assert worst_wass <= 1e-8
 
@@ -155,29 +155,29 @@ def test_c06_mean_suite():
     isq = sym_func(m, "inv_sqrt")
     grad = np.zeros((5, 5))
     for c in mats:
-        grad += sym_func(isq @ c.data @ isq, "log")
+        grad += sym_func(isq @ c @ isq, "log")
     gnorm = float(np.linalg.norm(grad))
     assert gnorm <= 1e-9 * 5
 
     # affine equivariance of the geometric mean
     w = rand_invertible(rng, 5)
-    direct = mean_geometric([SymMat(w.T @ c.data @ w) for c in mats]).point
-    pushed = w.T @ m.data @ w
-    geo_equiv = np.linalg.norm(direct.data - pushed) / np.linalg.norm(pushed)
+    direct = mean_geometric([SymMat(w.T @ c @ w) for c in mats]).point
+    pushed = w.T @ m @ w
+    geo_equiv = np.linalg.norm(direct - pushed) / np.linalg.norm(pushed)
     assert geo_equiv <= 1e-6
 
     # orthogonal equivariance of the Wasserstein mean
     q = rand_orthogonal(rng, 5)
     mw = mean_wasserstein(mats, 5).point
-    direct_w = mean_wasserstein([SymMat(q.T @ c.data @ q) for c in mats], 5).point
-    pushed_w = q.T @ mw.data @ q
-    wass_equiv = np.linalg.norm(direct_w.data - pushed_w) / np.linalg.norm(pushed_w)
+    direct_w = mean_wasserstein([SymMat(q.T @ c @ q) for c in mats], 5).point
+    pushed_w = q.T @ mw @ q
+    wass_equiv = np.linalg.norm(direct_w - pushed_w) / np.linalg.norm(pushed_w)
     assert wass_equiv <= 1e-6
 
     # scalar closed forms
-    geo_scalar = mean_geometric([SymMat([[4.0]]), SymMat([[1.0]])]).point.data[0, 0]
+    geo_scalar = mean_geometric([[[4.0]], [[1.0]]]).point[0, 0]
     assert abs(geo_scalar - 2.0) <= 1e-10
-    wass_scalar = mean_wasserstein([SymMat([[4.0]]), SymMat([[16.0]])], 1).point.data[0, 0]
+    wass_scalar = mean_wasserstein([[[4.0]], [[16.0]]], 1).point[0, 0]
     assert abs(wass_scalar - 9.0) <= 1e-10
 
     _report(
@@ -199,7 +199,7 @@ def test_c07_supervised_filter_random_search_oracle():
         filt = fit_supervised(bundle, 4)
         y = bundle.labels
         yt = (y - y.mean()) / y.std()
-        stack = np.stack([m.data for m in mats])
+        stack = np.stack(mats)
         cy = np.einsum("i,ijk->jk", yt, stack) / bundle.n
         cbar = stack.mean(axis=0)
 

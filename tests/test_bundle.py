@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from spdreg import CovarianceBundle, SymMat
+from spdreg import CovarianceBundle
+from spdreg.symmat import SymMat
 
 
 def raw_stack(n=6, p=4, seed=0):
@@ -34,7 +35,7 @@ def test_non_symmetric_input_stored_symmetrized_bit_for_bit():
     bundle = CovarianceBundle(a, np.zeros(6), nominal_rank=4)
     want = np.stack([(m + m.T) / 2.0 for m in a])
     assert bundle.matrices.tobytes() == want.tobytes()
-    assert np.array_equal(bundle.matrices, [SymMat(m).data for m in a])
+    assert np.array_equal(bundle.matrices, [SymMat(m) for m in a])
 
 
 @pytest.mark.parametrize(

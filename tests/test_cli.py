@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import rand_bundle
-from spdreg import CovarianceBundle, GenerativeConfig, SymMat, regress, sample_bundle, simgen
+from conftest import rand_bundle, rand_orthogonal, rand_spd
+from spdreg import CovarianceBundle, GenerativeConfig, regress, sample_bundle, simgen
 from spdreg.bundle import read_covb, write_covb
 from spdreg.cli import main, read_model, write_model
 
@@ -59,7 +59,7 @@ def rank_deficient_file(tmp_path):
     mats = []
     for _ in range(12):
         y = rng.standard_normal((4, 2))
-        mats.append(SymMat(y @ y.T))
+        mats.append(y @ y.T)
     bundle = CovarianceBundle(
         matrices=mats, labels=rng.standard_normal(12), nominal_rank=2
     )
@@ -125,12 +125,29 @@ class TestEval:
         err = capsys.readouterr().err
         assert "SingularMatrix" in err and "numerical rank 2 of 4" in err
 
+    @pytest.mark.parametrize("command", ["eval", "fit"])
+    def test_geometric_on_rank_deficient_names_the_projection(self, tmp_path, capsys, command):
+        # Rank 6 in 8 dimensions, all in one subspace: projecting onto it
+        # with the suggested filter makes every matrix full-rank.
+        rng = np.random.default_rng(1)
+        u = rand_orthogonal(rng, 8)[:, :6]
+        mats = [u @ rand_spd(rng, 6) @ u.T for _ in range(30)]
+        path = tmp_path / "rank6.covb"
+        write_covb(path, CovarianceBundle(mats, rng.standard_normal(30), nominal_rank=6))
+        args = [command, "--bundle", path, "--embedding", "geometric", "--out", tmp_path / "o"]
+        assert run(*args) == 3
+        err = capsys.readouterr().err
+        assert "numerical rank 6 of 8" in err
+        hint = "project onto the common full-rank subspace with --filter unsupervised --rank 6"
+        assert err.endswith(hint + "\n")
+        assert run(*args, *hint.split(" with ")[1].split()) == 0
+
     def test_wasserstein_rank_error_names_the_bundle_sample(self, tmp_path, capsys):
         # Sample 5 falls in fold 0's training split at this seed, where it
         # was sample 3; the error must name it by its place in the file.
         rng = np.random.default_rng(0)
-        mats = [SymMat(y @ y.T) for y in rng.standard_normal((12, 4, 4))]
-        mats[5] = SymMat(np.diag([3.0, 2.0, 1.0, 0.0]))
+        mats = [y @ y.T for y in rng.standard_normal((12, 4, 4))]
+        mats[5] = np.diag([3.0, 2.0, 1.0, 0.0])
         bundle = CovarianceBundle(mats, rng.standard_normal(12), nominal_rank=4)
         path = tmp_path / "one_low.covb"
         write_covb(path, bundle)
@@ -286,6 +303,10 @@ class TestFitPredict:
              "unknown embedding kind 'bogus'"),
             ("geometric", "filter identity 5 5", "filter bogus 5 5",
              "unknown filter kind 'bogus'"),
+            ("geometric", "embedding geometric 0", "embedding geometric 5",
+             "geometric embedding takes no rank"),
+            ("geometric", "embedding geometric 0", "embedding euclidean 0",
+             "euclidean embedding takes no reference"),
         ],
     )
     def test_model_refused_by_filter_or_embedding_names_its_line(

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spdreg import CovarianceBundle, GenerativeConfig, SymMat, manifold, regress, sample_bundle
+from spdreg import CovarianceBundle, GenerativeConfig, manifold, regress, sample_bundle
 from spdreg.bundle import read_covb, write_covb
 from spdreg.cli import main, read_model, write_model
 from spdreg.errors import ConfigError
@@ -194,7 +194,7 @@ def golden_bundle():
     a = np.array([[1e300, -0.0], [-0.0, 5e-324]])
     b = np.array([[2.5, 1.0 / 3.0], [1.0 / 3.0, 0.7]]) * 1e-24
     return CovarianceBundle(
-        matrices=[SymMat(a), SymMat(b)], labels=[0.1, -0.0], nominal_rank=2
+        matrices=[a, b], labels=[0.1, -0.0], nominal_rank=2
     )
 
 
@@ -223,7 +223,7 @@ def test_covb_golden_bytes(tmp_path):
 def test_covb_round_trip_bit_exact(p, tmp_path):
     if p == 1:
         rng = np.random.default_rng(1)
-        mats = [SymMat([[v]]) for v in rng.lognormal(sigma=20.0, size=7)]
+        mats = rng.lognormal(sigma=20.0, size=(7, 1, 1))
         bund = CovarianceBundle(mats, rng.standard_normal(7), nominal_rank=1)
     else:
         bund, _ = sample_bundle(GenerativeConfig(p=32, n=20, mu=0.1, seed=4))
@@ -280,8 +280,8 @@ def test_model_bytes_match_joined_floats(fitted):
         f"filter {filt.kind} {filt.w.shape[0]} {filt.w.shape[1]}",
         *[f(row) for row in filt.w],
         ("filter_eigs " + f(filt.eigenvalues)).rstrip(),
-        f"reference {emb.reference.dim}",
-        *[f(row) for row in emb.reference.data],
+        f"reference {len(emb.reference)}",
+        *[f(row) for row in emb.reference],
         f"ridge {ridge.beta.size} {f([ridge.lambda_star, ridge.intercept])}",
         "mean " + f(ridge.feature_mean),
         "scale " + f(ridge.feature_scale),
@@ -291,7 +291,7 @@ def test_model_bytes_match_joined_floats(fitted):
     back = read_model(model)
     assert np.array_equal(back.filt.w, filt.w)
     assert np.array_equal(back.filt.eigenvalues, filt.eigenvalues)
-    assert np.array_equal(back.embedding.reference.data, emb.reference.data)
+    assert np.array_equal(back.embedding.reference, emb.reference)
     for name in ("beta", "feature_mean", "feature_scale"):
         assert np.array_equal(getattr(back.model, name), getattr(ridge, name))
     assert back.model.lambda_star == ridge.lambda_star
@@ -316,7 +316,7 @@ def test_pred_feat_symmat_bytes_match_joined_floats(fitted, tmp_path):
     test = regress.project(state.filt, bund, state.embedding.kind, state.embedding.rank)
     yhat = regress.predict_fold(state, test)
     rows = manifold.fit_embedding(bund.matrices, "geometric", rank=bund.nominal_rank)[1]
-    point = manifold.mean_geometric(bund.matrices).point.data
+    point = manifold.mean_geometric(bund.matrices).point
     assert pred.read_text() == joined(f"PRED v1 {len(yhat)}", yhat)
     assert feat.read_text() == joined(f"FEAT v1 {rows.shape[0]} {rows.shape[1]}", rows)
     assert mean.read_text() == joined(f"SYMMAT v1 {point.shape[0]}", point)

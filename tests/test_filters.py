@@ -8,7 +8,6 @@ from spdreg import (
     Leadfield,
     RankTooLarge,
     SpatialFilter,
-    SymMat,
     apply,
     fit_mne,
     fit_supervised,
@@ -21,12 +20,12 @@ from spdreg import (
 
 def constant_bundle(mat, n, labels=None):
     labels = np.zeros(n) if labels is None else labels
-    return CovarianceBundle(matrices=[mat] * n, labels=labels, nominal_rank=mat.dim)
+    return CovarianceBundle(matrices=[mat] * n, labels=labels, nominal_rank=len(mat))
 
 
 class TestFitUnsupervised:
     def test_dominant_axis_of_diagonal(self):
-        bundle = constant_bundle(SymMat(np.diag([3.0, 1.0])), 4)
+        bundle = constant_bundle(np.diag([3.0, 1.0]), 4)
         filt = fit_unsupervised(bundle, 1)
         np.testing.assert_allclose(filt.w, [[1.0], [0.0]], atol=1e-12)
         np.testing.assert_allclose(filt.eigenvalues, [3.0])
@@ -53,7 +52,7 @@ class TestFitUnsupervised:
         np.testing.assert_array_equal(f1.w, f2.w)
 
     def test_rank_too_large(self):
-        bundle = constant_bundle(SymMat(np.diag([1.0, 0.0])), 3)
+        bundle = constant_bundle(np.diag([1.0, 0.0]), 3)
         with pytest.raises(RankTooLarge):
             fit_unsupervised(bundle, 2)
 
@@ -61,8 +60,8 @@ class TestFitUnsupervised:
         rng = np.random.default_rng(2)
         bundle = rand_bundle(rng, 12, 5)
         filt = fit_unsupervised(bundle, 2)
-        cbar = SymMat(bundle.matrices.mean(axis=0))
-        w_eig, v_eig = np.linalg.eigh(cbar.data)
+        cbar = bundle.matrices.mean(axis=0)
+        w_eig, v_eig = np.linalg.eigh(cbar)
         top = v_eig[:, ::-1][:, :2]
         gap = np.linalg.norm(filt.w @ filt.w.T - top @ top.T)
         assert gap <= 1e-8
@@ -76,7 +75,7 @@ def power_bundle(rng, n, p, signal_axis=0):
     for yi in y:
         d = np.ones(p)
         d[signal_axis] = 1.0 + 0.5 * yi
-        mats.append(SymMat(np.diag(d)))
+        mats.append(np.diag(d))
     return CovarianceBundle(matrices=mats, labels=y, nominal_rank=p)
 
 
@@ -150,7 +149,7 @@ class TestFitSupervised:
 
     def test_rank_above_average_rank_raises(self):
         bundle = constant_bundle(
-            SymMat(np.diag([1.0, 0.0])), 6, labels=np.arange(6.0)
+            np.diag([1.0, 0.0]), 6, labels=np.arange(6.0)
         )
         with pytest.raises(RankTooLarge, match="average covariance has rank 1"):
             fit_supervised(bundle, 2)
@@ -217,7 +216,7 @@ class TestApply:
         assert out.matrices.tobytes() == ((prod + prod.swapaxes(1, 2)) / 2).tobytes()
 
     def test_coordinate_selection(self):
-        bundle = constant_bundle(SymMat(np.diag([4.0, 7.0])), 3)
+        bundle = constant_bundle(np.diag([4.0, 7.0]), 3)
         filt = fit_unsupervised(bundle, 1)
         out = apply(filt, bundle)
         assert out.dim == 1

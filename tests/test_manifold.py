@@ -9,7 +9,6 @@ from spdreg import (
     NumericalFailure,
     RankMismatch,
     SingularMatrix,
-    SymMat,
     dist_geometric,
     dist_wasserstein,
     eigh,
@@ -19,6 +18,26 @@ from spdreg import (
 )
 from spdreg import manifold, symmat
 from spdreg.manifold import WITNESS_EPSILONS, Embedding, embed, fit_embedding
+from spdreg.symmat import SymMat
+
+
+@pytest.mark.parametrize(
+    "call, want",
+    [
+        (lambda: dist_geometric(np.eye(3), 2 * np.eye(3)), np.sqrt(3) * np.log(2)),
+        (lambda: dist_wasserstein(np.eye(3), 2 * np.eye(3)), np.sqrt(3) * (np.sqrt(2) - 1)),
+        (lambda: Embedding("geometric", 2 * np.eye(3)).reference, 2 * np.eye(3)),
+        (lambda: embed(Embedding("geometric", np.eye(3)), 2 * np.eye(3)[None]),
+         [[np.log(2), 0, 0, np.log(2), 0, np.log(2)]]),
+        (lambda: eigh(np.diag([1.0, 3.0, 2.0]))[0], [3.0, 2.0, 1.0]),
+        (lambda: sym_func(2 * np.eye(3), "log"), np.log(2) * np.eye(3)),
+        (lambda: symmat.numerical_rank(np.diag([1.0, 2.0, 0.0])), 2),
+    ],
+    ids=["dist_geometric", "dist_wasserstein", "Embedding", "embed", "eigh", "sym_func",
+         "numerical_rank"],
+)
+def test_public_functions_take_plain_arrays(call, want):
+    np.testing.assert_allclose(call(), want, atol=1e-14)
 
 
 def upper(a):
@@ -78,8 +97,8 @@ class TestDistGeometric:
 
     def test_scaled_identity(self):
         # eigenvalues of s^-1 t are (e^2, e^2), so d = sqrt(4 + 4).
-        s = SymMat(np.eye(2))
-        t = SymMat(np.diag([np.e**2, np.e**2]))
+        s = np.eye(2)
+        t = np.diag([np.e**2, np.e**2])
         assert dist_geometric(s, t) == pytest.approx(2.8284271247461903, abs=1e-12)
 
     def test_affine_invariance(self):
@@ -88,7 +107,7 @@ class TestDistGeometric:
         d = dist_geometric(s, t)
         for _ in range(10):
             w = rand_invertible(rng, 4)
-            dw = dist_geometric(SymMat(w.T @ s.data @ w), SymMat(w.T @ t.data @ w))
+            dw = dist_geometric(w.T @ s @ w, w.T @ t @ w)
             assert abs(dw - d) <= 1e-8 * (1.0 + d)
 
     def test_symmetry(self):
@@ -97,8 +116,8 @@ class TestDistGeometric:
         assert abs(dist_geometric(s, t) - dist_geometric(t, s)) <= 1e-10
 
     def test_rank_deficient_raises(self):
-        full = SymMat(np.eye(2))
-        flat = SymMat(np.diag([1.0, 0.0]))
+        full = np.eye(2)
+        flat = np.diag([1.0, 0.0])
         with pytest.raises(SingularMatrix):
             dist_geometric(flat, full)
         with pytest.raises(SingularMatrix):
@@ -119,13 +138,13 @@ class TestDistWasserstein:
 
     def test_commuting_scalars(self):
         # commuting case: d^2 = sum (sqrt(a) - sqrt(b))^2
-        assert dist_wasserstein(SymMat([[4.0]]), SymMat([[1.0]])) == pytest.approx(
+        assert dist_wasserstein([[4.0]], [[1.0]]) == pytest.approx(
             1.0, abs=1e-10
         )
 
     def test_rank_deficient_pair(self):
-        a = SymMat(np.diag([4.0, 0.0]))
-        b = SymMat(np.diag([1.0, 0.0]))
+        a = np.diag([4.0, 0.0])
+        b = np.diag([1.0, 0.0])
         assert dist_wasserstein(a, b) == pytest.approx(1.0, abs=1e-7)
 
     def test_symmetry(self):
@@ -139,8 +158,8 @@ class TestDistWasserstein:
         for _ in range(10):
             s, t = rand_spd(rng, 4), rand_spd(rng, 4)
             s12 = sym_func(s, "sqrt")
-            w = np.linalg.eigvalsh(s12 @ t.data @ s12)
-            d2 = np.trace(s.data) + np.trace(t.data) - 2 * np.sum(
+            w = np.linalg.eigvalsh(s12 @ t @ s12)
+            d2 = np.trace(s) + np.trace(t) - 2 * np.sum(
                 np.sqrt(np.clip(w, 0.0, None))
             )
             assert dist_wasserstein(s, t) == pytest.approx(np.sqrt(d2), abs=1e-8)
@@ -152,12 +171,12 @@ class TestDistWasserstein:
             t = rand_psd_rank(rng, 4, 3)
             d = dist_wasserstein(s, t)
             q = rand_orthogonal(rng, 4)
-            dq = dist_wasserstein(SymMat(q.T @ s.data @ q), SymMat(q.T @ t.data @ q))
+            dq = dist_wasserstein(q.T @ s @ q, q.T @ t @ q)
             assert abs(dq - d) <= 1e-8 * (1.0 + d)
 
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_indefinite_argument_raises(self, which):
-        good, bad = SymMat(np.eye(3)), SymMat(np.diag([1.0, 1.0, -0.5]))
+        good, bad = np.eye(3), np.diag([1.0, 1.0, -0.5])
         args = (bad, good) if which == "first" else (good, bad)
         with pytest.raises(NotPSD, match=f"^{which} argument: .*not PSD"):
             dist_wasserstein(*args)
@@ -178,7 +197,7 @@ class TestLogGeometric:
         np.testing.assert_allclose(geometric_rows(s, [s]), np.zeros((1, 6)), atol=1e-10)
 
     def test_diagonal_case(self):
-        rows = geometric_rows(SymMat(np.eye(2)), [SymMat(np.diag([np.e, np.e**2]))])
+        rows = geometric_rows(np.eye(2), [np.diag([np.e, np.e**2])])
         np.testing.assert_allclose(rows, [[1.0, 0.0, 2.0]], atol=1e-12)
 
     def test_exp_map_round_trip(self):
@@ -190,17 +209,17 @@ class TestLogGeometric:
         inner[iu, ju] = inner[ju, iu] = row / np.where(iu == ju, 1.0, np.sqrt(2.0))
         sq = sym_func(base, "sqrt")
         back = sq @ sym_func(inner, "exp") @ sq
-        assert np.linalg.norm(back - s.data) / np.linalg.norm(s.data) <= 1e-8
+        assert np.linalg.norm(back - s) / np.linalg.norm(s) <= 1e-8
 
 
 class TestVecGeometric:
     def test_zero_at_base(self):
-        rows = geometric_rows(SymMat(np.eye(2)), [SymMat(np.eye(2))])
+        rows = geometric_rows(np.eye(2), [np.eye(2)])
         np.testing.assert_allclose(rows, np.zeros((1, 3)), atol=1e-12)
 
     def test_diagonal_ordering(self):
         # row-major upper triangle: (0,0), (0,1), (1,1)
-        rows = geometric_rows(SymMat(np.eye(2)), [SymMat(np.diag([np.e, 1.0]))])
+        rows = geometric_rows(np.eye(2), [np.diag([np.e, 1.0])])
         np.testing.assert_allclose(rows, [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_norm_equals_distance(self):
@@ -212,11 +231,11 @@ class TestVecGeometric:
 
 class TestVecEuclidean:
     def test_zero_matrix(self):
-        rows = plain_rows("euclidean", [SymMat(np.zeros((2, 2)))])
+        rows = plain_rows("euclidean", [np.zeros((2, 2))])
         np.testing.assert_allclose(rows, np.zeros((1, 3)))
 
     def test_diagonal_case(self):
-        rows = plain_rows("euclidean", [SymMat(np.diag([1.0, 2.0]))])
+        rows = plain_rows("euclidean", [np.diag([1.0, 2.0])])
         np.testing.assert_allclose(rows, [[1.0, 0.0, 2.0]])
 
     def test_frobenius_isometry(self):
@@ -224,25 +243,25 @@ class TestVecEuclidean:
         s, t = rand_spd(rng, 5), rand_spd(rng, 5)
         rows = plain_rows("euclidean", [s, t])
         gap = np.linalg.norm(rows[0] - rows[1])
-        assert abs(gap - np.linalg.norm(s.data - t.data)) <= 1e-10
+        assert abs(gap - np.linalg.norm(s - t)) <= 1e-10
 
 
 class TestVecLogdiag:
     def test_identity(self):
-        np.testing.assert_allclose(plain_rows("logdiag", [SymMat(np.eye(4))]), np.zeros((1, 4)))
+        np.testing.assert_allclose(plain_rows("logdiag", [np.eye(4)]), np.zeros((1, 4)))
 
     def test_diagonal_values(self):
-        rows = plain_rows("logdiag", [SymMat(np.diag([np.e, np.e**2]))])
+        rows = plain_rows("logdiag", [np.diag([np.e, np.e**2])])
         np.testing.assert_allclose(rows, [[1.0, 2.0]], atol=1e-14)
 
     def test_matches_scalar_log(self):
         rng = np.random.default_rng(10)
         s = rand_spd(rng, 4)
-        np.testing.assert_allclose(plain_rows("logdiag", [s])[0], np.log(np.diag(s.data)))
+        np.testing.assert_allclose(plain_rows("logdiag", [s])[0], np.log(np.diag(s)))
 
     def test_nonpositive_diagonal_raises(self):
         with pytest.raises(NonPositiveDiagonal):
-            plain_rows("logdiag", [SymMat(np.eye(2)), SymMat(np.diag([1.0, 0.0]))])
+            plain_rows("logdiag", [np.eye(2), np.diag([1.0, 0.0])])
 
 
 class TestSolverFailure:
@@ -283,17 +302,17 @@ class TestFactorize:
     def test_random_rank_two_reconstruction(self):
         rng = np.random.default_rng(9)
         mats = [rand_psd_rank(rng, 5, 2) for _ in range(4)]
-        ys = factorize(np.stack([s.data for s in mats]), 2)
+        ys = factorize(np.stack(mats), 2)
         assert ys.shape == (4, 5, 2)
         for s, y in zip(mats, ys):
-            err = np.linalg.norm(y @ y.T - s.data) / np.linalg.norm(s.data)
+            err = np.linalg.norm(y @ y.T - s) / np.linalg.norm(s)
             assert err <= 1e-8
 
     def test_matches_single_matrix_eigen_factor(self):
         # Order and signs of the factor columns fix the feature coordinates.
         rng = np.random.default_rng(11)
         mats = [rand_psd_rank(rng, 5, 3) for _ in range(6)]
-        ys = factorize(np.stack([s.data for s in mats]), 3)
+        ys = factorize(np.stack(mats), 3)
         for s, y in zip(mats, ys):
             assert np.array_equal(y, eigen_factor(s, 3))
 
@@ -306,7 +325,7 @@ class TestFactorize:
         mats = [rand_psd_rank(rng, 4, 2) for _ in range(4)]
         mats[2] = rand_psd_rank(rng, 4, 3)
         with pytest.raises(RankMismatch, match="sample 2"):
-            factorize(np.stack([s.data for s in mats]), 2)
+            factorize(np.stack(mats), 2)
 
     def test_indefinite_slice_raises(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -1.0])])
@@ -416,7 +435,7 @@ class TestEmbedding:
             mats = [rand_psd_rank(rng, 5, 3) for _ in range(12)]
         else:
             mats = [rand_spd(rng, 5, spread=2.0) for _ in range(12)]
-        mats = [SymMat(scale * m.data) for m in mats]
+        mats = [scale * m for m in mats]
         states = count_calls(monkeypatch, manifold, "_wass_state")
         emb, rows = fit_embedding(mats, kind, rank=rank)
         if kind == "wasserstein" and scale == 1.0:
@@ -460,11 +479,19 @@ class TestEmbedding:
 
     def test_geometric_requires_full_rank_reference(self):
         with pytest.raises(SingularMatrix):
-            Embedding(kind="geometric", reference=SymMat(np.diag([1.0, 0.0])))
+            Embedding(kind="geometric", reference=np.diag([1.0, 0.0]))
 
     def test_wasserstein_reference_rank_checked(self):
         with pytest.raises(RankMismatch):
-            Embedding(kind="wasserstein", reference=SymMat(np.eye(3)), rank=2)
+            Embedding(kind="wasserstein", reference=np.eye(3), rank=2)
+
+    def test_euclidean_takes_no_reference(self):
+        with pytest.raises(ValueError, match="euclidean embedding takes no reference"):
+            Embedding(kind="euclidean", reference=np.eye(3))
+
+    def test_geometric_takes_no_rank(self):
+        with pytest.raises(ValueError, match="geometric embedding takes no rank"):
+            Embedding(kind="geometric", reference=np.eye(3), rank=3)
 
     def test_embed_matches_single_sample_ops(self):
         rng = np.random.default_rng(20)
@@ -473,13 +500,13 @@ class TestEmbedding:
         emb = fit_embedding(mats, "euclidean")[0]
         rows = embed(emb, mats)
         for i, m in enumerate(mats):
-            np.testing.assert_allclose(rows[i], upper(m.data), atol=1e-12)
+            np.testing.assert_allclose(rows[i], upper(m), atol=1e-12)
 
         emb = fit_embedding(mats, "geometric")[0]
         rows = embed(emb, mats)
         isq = sym_func(emb.reference, "inv_sqrt")
         for i, m in enumerate(mats):
-            log = sym_func(isq @ m.data @ isq, "log")
+            log = sym_func(isq @ m @ isq, "log")
             np.testing.assert_allclose(rows[i], upper(log), atol=1e-10)
 
         for r, stack in ((4, mats), (2, [rand_psd_rank(rng, 4, 2) for _ in range(6)])):
@@ -493,7 +520,7 @@ class TestEmbedding:
         emb = fit_embedding(mats, "logdiag")[0]
         rows = embed(emb, mats)
         for i, m in enumerate(mats):
-            np.testing.assert_allclose(rows[i], np.log(np.diag(m.data)), atol=1e-12)
+            np.testing.assert_allclose(rows[i], np.log(np.diag(m)), atol=1e-12)
 
 
 class TestBlockedTangentMap:
@@ -508,7 +535,7 @@ class TestBlockedTangentMap:
     @staticmethod
     def stack(n, seed=0):
         rng = np.random.default_rng(seed)
-        return np.stack([rand_spd(rng, 5).data for _ in range(n)])
+        return np.stack([rand_spd(rng, 5) for _ in range(n)])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_embed_rows_equal_whole_stack_logs(self, monkeypatch, n):
@@ -526,7 +553,7 @@ class TestBlockedTangentMap:
         whole = manifold.mean_geometric(mats)
         self.small_blocks(monkeypatch)
         blocked = manifold.mean_geometric(mats)
-        np.testing.assert_array_equal(blocked.point.data, whole.point.data)
+        np.testing.assert_array_equal(blocked.point, whole.point)
         np.testing.assert_array_equal(blocked.samples, whole.samples)
         assert blocked.samples.flags.f_contiguous
 

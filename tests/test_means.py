@@ -5,51 +5,51 @@ from conftest import rand_invertible, rand_orthogonal, rand_psd_rank, rand_spd
 from spdreg import (
     NoConvergence,
     SingularMatrix,
-    SymMat,
     manifold,
     mean_euclidean,
     mean_geometric,
     mean_wasserstein,
     sym_func,
 )
+from spdreg.symmat import SymMat
 
 
 def karcher_gradient(mean, mats):
     """Independent recomputation of the Karcher-mean stationarity gradient."""
     isq = sym_func(mean, "inv_sqrt")
-    total = np.zeros_like(mean.data)
+    total = np.zeros_like(mean)
     for m in mats:
-        total += sym_func(isq @ m.data @ isq, "log")
+        total += sym_func(isq @ m @ isq, "log")
     return total
 
 
 class TestMeanGeometric:
     def test_identity_inputs(self):
-        mats = [SymMat(np.eye(3))] * 3
-        np.testing.assert_allclose(mean_geometric(mats).point.data, np.eye(3), atol=1e-12)
+        mats = [np.eye(3)] * 3
+        np.testing.assert_allclose(mean_geometric(mats).point, np.eye(3), atol=1e-12)
 
     def test_scalar_closed_form(self):
         # 1x1 case: the mean of {a, b} is sqrt(a*b).
-        m = mean_geometric([SymMat([[4.0]]), SymMat([[1.0]])]).point
-        assert m.data[0, 0] == pytest.approx(2.0, abs=1e-10)
+        m = mean_geometric([[[4.0]], [[1.0]]]).point
+        assert m[0, 0] == pytest.approx(2.0, abs=1e-10)
 
     def test_singleton(self):
         rng = np.random.default_rng(0)
         s = rand_spd(rng, 4)
-        np.testing.assert_allclose(mean_geometric([s]).point.data, s.data, atol=1e-10)
+        np.testing.assert_allclose(mean_geometric([s]).point, s, atol=1e-10)
 
     def test_midpoint_of_inverse_pair_is_identity(self):
         rng = np.random.default_rng(1)
         s = rand_spd(rng, 4)
         m = mean_geometric([s, sym_func(s, "inv")]).point
-        np.testing.assert_allclose(m.data, np.eye(4), atol=1e-8)
+        np.testing.assert_allclose(m, np.eye(4), atol=1e-8)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         mats = [rand_spd(rng, 3) for _ in range(5)]
         m1 = mean_geometric(mats).point
         m2 = mean_geometric(mats[::-1]).point
-        assert np.linalg.norm(m1.data - m2.data) <= 1e-8
+        assert np.linalg.norm(m1 - m2) <= 1e-8
 
     def test_gradient_norm_at_convergence(self):
         rng = np.random.default_rng(3)
@@ -61,14 +61,14 @@ class TestMeanGeometric:
         rng = np.random.default_rng(4)
         mats = [rand_spd(rng, 4) for _ in range(8)]
         w = rand_invertible(rng, 4)
-        direct = mean_geometric([SymMat(w.T @ m.data @ w) for m in mats]).point
-        pushed = w.T @ mean_geometric(mats).point.data @ w
-        err = np.linalg.norm(direct.data - pushed) / np.linalg.norm(pushed)
+        direct = mean_geometric([SymMat(w.T @ m @ w) for m in mats]).point
+        pushed = w.T @ mean_geometric(mats).point @ w
+        err = np.linalg.norm(direct - pushed) / np.linalg.norm(pushed)
         assert err <= 1e-6
 
     def test_rank_deficient_input_raises(self):
         with pytest.raises(SingularMatrix):
-            mean_geometric([SymMat(np.eye(2)), SymMat(np.diag([1.0, 0.0]))])
+            mean_geometric([np.eye(2), np.diag([1.0, 0.0])])
 
 
 class TestMeanWasserstein:
@@ -76,20 +76,20 @@ class TestMeanWasserstein:
         rng = np.random.default_rng(6)
         s = rand_spd(rng, 4)
         m = mean_wasserstein([s, s, s], 4).point
-        assert np.linalg.norm(m.data - s.data) <= 1e-8 * np.linalg.norm(s.data)
+        assert np.linalg.norm(m - s) <= 1e-8 * np.linalg.norm(s)
 
     def test_scalar_closed_form(self):
         # 1x1 case: the mean of {a, b} is ((sqrt(a) + sqrt(b)) / 2)^2.
-        m = mean_wasserstein([SymMat([[4.0]]), SymMat([[16.0]])], 1).point
-        assert m.data[0, 0] == pytest.approx(9.0, abs=1e-10)
+        m = mean_wasserstein([[[4.0]], [[16.0]]], 1).point
+        assert m[0, 0] == pytest.approx(9.0, abs=1e-10)
 
     def test_orthogonal_equivariance(self):
         rng = np.random.default_rng(7)
         mats = [rand_spd(rng, 4) for _ in range(8)]
         q = rand_orthogonal(rng, 4)
-        direct = mean_wasserstein([SymMat(q.T @ m.data @ q) for m in mats], 4).point
-        pushed = q.T @ mean_wasserstein(mats, 4).point.data @ q
-        err = np.linalg.norm(direct.data - pushed) / np.linalg.norm(pushed)
+        direct = mean_wasserstein([SymMat(q.T @ m @ q) for m in mats], 4).point
+        pushed = q.T @ mean_wasserstein(mats, 4).point @ q
+        err = np.linalg.norm(direct - pushed) / np.linalg.norm(pushed)
         assert err <= 1e-6
 
     def test_gradient_norm_at_convergence(self):
@@ -98,14 +98,14 @@ class TestMeanWasserstein:
         rng = np.random.default_rng(8)
         mats = [rand_spd(rng, 5) for _ in range(15)]
         m = mean_wasserstein(mats, 5).point
-        _, _, grad_sum, _ = _wass_state(m, factorize(np.stack([c.data for c in mats]), 5))
+        _, _, grad_sum, _ = _wass_state(m, factorize(np.stack(mats), 5))
         assert 2 * np.linalg.norm(grad_sum) <= 1e-7 * np.sqrt(5 * 5)
 
     def test_rank_deficient_inputs(self):
         rng = np.random.default_rng(9)
         mats = [rand_psd_rank(rng, 4, 2) for _ in range(6)]
         m = mean_wasserstein(mats, 2).point
-        w = np.linalg.eigvalsh(m.data)
+        w = np.linalg.eigvalsh(m)
         assert np.sum(w > 1e-10 * w[-1]) == 2
 
     def test_permutation_invariance(self):
@@ -113,7 +113,7 @@ class TestMeanWasserstein:
         mats = [rand_spd(rng, 3) for _ in range(5)]
         m1 = mean_wasserstein(mats, 3).point
         m2 = mean_wasserstein(mats[::-1], 3).point
-        assert np.linalg.norm(m1.data - m2.data) <= 1e-8
+        assert np.linalg.norm(m1 - m2) <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -130,10 +130,25 @@ def test_no_convergence_reports_gradient(mean, monkeypatch):
     assert info.value.iterations == 1
 
 
+def test_points_are_read_only_arrays():
+    rng = np.random.default_rng(12)
+    mats = np.stack([rand_spd(rng, 3) for _ in range(4)])
+    points = {
+        "mean_euclidean": mean_euclidean(mats),
+        "mean_geometric": mean_geometric(mats).point,
+        "mean_wasserstein": mean_wasserstein(mats, 3).point,
+        "Embedding.reference": manifold.fit_embedding(mats, "geometric")[0].reference,
+        "witness": manifold.no_affine_invariance_witness()[0],
+    }
+    for name, point in points.items():
+        assert type(point) is np.ndarray and point.ndim == 2, name
+        assert point.dtype == np.float64 and not point.flags.writeable, name
+
+
 class TestMeanEuclidean:
     def test_matches_numpy_average(self):
         rng = np.random.default_rng(11)
         mats = [rand_spd(rng, 3) for _ in range(4)]
         np.testing.assert_allclose(
-            mean_euclidean(mats).data, np.mean([m.data for m in mats], axis=0)
+            mean_euclidean(mats), np.mean(mats, axis=0)
         )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_orthogonal
-from spdreg import GenerativeConfig, SymMat, sample_bundle, symmat
+from spdreg import GenerativeConfig, sample_bundle, symmat
 from spdreg.manifold import Embedding, embed, mean_geometric
 
 
@@ -42,7 +42,7 @@ def test_geometric_mean_and_embed_hold_a_few_blocks(p):
     fit, peak = traced_peak(lambda: mean_geometric(stack))
     bound = fit.samples.nbytes + 6 * symmat.BLOCK_BYTES
     assert peak <= bound, f"mean_geometric peaked {peak} bytes above the bound {bound}"
-    emb = Embedding("geometric", reference=SymMat(fit.point))
+    emb = Embedding("geometric", reference=fit.point)
     rows, peak = traced_peak(lambda: embed(emb, stack))
     bound = rows.nbytes + 6 * symmat.BLOCK_BYTES
     assert peak <= bound, f"embed peaked {peak} bytes above the bound {bound}"

@@ -15,7 +15,6 @@ from spdreg import (
     RankMismatch,
     RidgeModel,
     SingularMatrix,
-    SymMat,
     apply,
     default_ridge_grid,
     embed,
@@ -366,7 +365,7 @@ class TestRunPipelineCV:
         rng = np.random.default_rng(12)
         bundle = rand_bundle(rng, 12, 3)
         mats = list(bundle.matrices)
-        mats[5] = SymMat(np.diag([1.0, 1.0, 0.0]))
+        mats[5] = np.diag([1.0, 1.0, 0.0])
         bad = CovarianceBundle(matrices=mats, labels=bundle.labels, nominal_rank=3)
         with pytest.raises(SingularMatrix) as info:
             run_pipeline_cv(bad, PipelineSpec(embedding_kind="geometric"), 3, 0)
@@ -389,7 +388,7 @@ class TestRunPipelineCV:
         rng = np.random.default_rng(0)
         bundle = rand_bundle(rng, 12, 4)
         mats = list(bundle.matrices)
-        mats[5] = SymMat(np.diag([3.0, 2.0, 1.0, 0.0]))
+        mats[5] = np.diag([3.0, 2.0, 1.0, 0.0])
         bad = CovarianceBundle(matrices=mats, labels=bundle.labels, nominal_rank=4)
         with pytest.raises(RankMismatch, match=r"^sample 5: numerical rank is 3, expected 4$"):
             run_pipeline_cv(bad, PipelineSpec(embedding_kind="wasserstein"), 3, 0)
@@ -402,7 +401,7 @@ class TestRunPipelineCV:
         rng = np.random.default_rng(0)
         bundle = rand_bundle(rng, 12, 4)
         mats = list(bundle.matrices)
-        mats[bad] = SymMat(np.diag([3.0, 2.0, 1.0, 0.0]))
+        mats[bad] = np.diag([3.0, 2.0, 1.0, 0.0])
         bad_bundle = CovarianceBundle(matrices=mats, labels=bundle.labels, nominal_rank=4)
         spec = PipelineSpec(
             filter_kind="unsupervised", filter_rank=4, embedding_kind="wasserstein"
@@ -418,7 +417,7 @@ def state_digest(state):
     h = hashlib.sha256()
     h.update(state.filt.w.tobytes())
     if state.embedding.reference is not None:
-        h.update(state.embedding.reference.data.tobytes())
+        h.update(state.embedding.reference.tobytes())
     h.update(state.model.beta.tobytes())
     h.update(state.model.feature_mean.tobytes())
     h.update(state.model.feature_scale.tobytes())

@@ -1,16 +1,15 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from conftest import rand_orthogonal, rand_spd
-from spdreg import NotPSD, SingularMatrix, SymMat, eigh, numerical_rank, sym_func, symmat
+from spdreg import NotPSD, SingularMatrix, eigh, numerical_rank, sym_func, symmat
+from spdreg.symmat import SymMat
 
 
 class TestSymMat:
     def test_symmetrizes_on_construction(self):
         m = SymMat([[1.0, 2.0], [0.0, 3.0]])
-        assert m.data[0, 1] == m.data[1, 0] == 1.0
+        assert m[0, 1] == m[1, 0] == 1.0
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -20,43 +19,26 @@ class TestSymMat:
         with pytest.raises(ValueError):
             SymMat([[np.nan, 0.0], [0.0, 1.0]])
 
-    def test_array_protocol_takes_copy(self):
-        # numpy 2 passes copy= to __array__ and warns when it is not taken.
-        m = SymMat([[1.0, 2.0], [0.0, 3.0]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            copied = np.array(m, copy=True)
-            shared = np.asarray(m)
-            single = np.asarray(m, dtype=np.float32)
-        assert copied.flags.writeable and not np.shares_memory(copied, m.data)
-        assert shared is m.data
-        assert single.dtype == np.float32 and np.array_equal(single, m.data)
-
-    def test_data_is_frozen(self):
-        m = SymMat(np.eye(2))
-        with pytest.raises(ValueError):
-            m.data[0, 0] = 5.0
-
 
 class TestEigh:
     def test_identity(self):
-        w, v = eigh(SymMat(np.eye(3)))
+        w, v = eigh(np.eye(3))
         np.testing.assert_allclose(w, np.ones(3))
         np.testing.assert_allclose(v, np.eye(3))
 
     def test_diagonal_sorted_descending(self):
-        w, v = eigh(SymMat(np.diag([2.0, 5.0])))
+        w, v = eigh(np.diag([2.0, 5.0]))
         np.testing.assert_allclose(w, [5.0, 2.0])
         np.testing.assert_allclose(np.abs(v), [[0.0, 1.0], [1.0, 0.0]], atol=1e-15)
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(7)
         a = rng.standard_normal((6, 6))
-        m = SymMat(a + a.T)
+        m = a + a.T
         w, v = eigh(m)
         recon = (v * w) @ v.T
-        norm = np.linalg.norm(m.data)
-        assert np.linalg.norm(recon - m.data) <= 1e-10 * max(1.0, norm)
+        norm = np.linalg.norm(m)
+        assert np.linalg.norm(recon - m) <= 1e-10 * max(1.0, norm)
 
     def test_orthogonal_vectors(self):
         rng = np.random.default_rng(3)
@@ -80,11 +62,11 @@ class TestBatched:
     def stack(self):
         rng = np.random.default_rng(31)
         mats = [rand_spd(rng, 5) for _ in range(4)]
-        mats += [SymMat(np.diag([3.0, 1.0, 1.0, 0.0, 0.0])), SymMat(np.eye(5))]
+        mats += [np.diag([3.0, 1.0, 1.0, 0.0, 0.0]), np.eye(5)]
         for r in (1, 3):
             y = rng.standard_normal((5, r))
             mats.append(SymMat(y @ y.T))
-        return mats, np.stack([m.data for m in mats])
+        return mats, np.stack(mats)
 
     def test_eigh_stack_equals_per_matrix(self):
         mats, stack = self.stack()
@@ -97,8 +79,7 @@ class TestBatched:
 
     def test_eigh_takes_arrays_and_freezes_its_output(self):
         m = rand_spd(np.random.default_rng(32), 4)
-        (w, v), (_, v_array) = eigh(m), eigh(m.data)
-        assert np.array_equal(v, v_array)
+        w, v = eigh(np.array(m))  # a writeable copy
         for out in (w, v):
             with pytest.raises(ValueError):
                 out[0] = 1.0
@@ -107,7 +88,7 @@ class TestBatched:
     def test_sym_func_stack_equals_per_matrix(self, fn):
         rng = np.random.default_rng(33)
         mats = [rand_spd(rng, 5) for _ in range(3)]
-        out = sym_func(np.stack([m.data for m in mats]), fn)
+        out = sym_func(np.stack(mats), fn)
         assert type(out) is np.ndarray and out.shape == (3, 5, 5)
         for i, m in enumerate(mats):
             assert np.array_equal(out[i], sym_func(m, fn))
@@ -115,7 +96,7 @@ class TestBatched:
     @pytest.mark.parametrize("fn", ["log", "inv_sqrt", "inv"])
     def test_sym_func_singular_slice_raises(self, fn):
         rng = np.random.default_rng(34)
-        stack = np.stack([rand_spd(rng, 4).data for _ in range(3)])
+        stack = np.stack([rand_spd(rng, 4) for _ in range(3)])
         stack[1] = np.diag([2.0, 1.0, 1.0, 0.0])
         with pytest.raises(SingularMatrix, match="numerical rank 3 of 4"):
             sym_func(stack, fn)
@@ -151,28 +132,28 @@ class TestSymFunc:
         rng = np.random.default_rng(11)
         s = rand_spd(rng, 5)
         back = sym_func(sym_func(s, "log"), "exp")
-        err = np.linalg.norm(back - s.data) / np.linalg.norm(s.data)
+        err = np.linalg.norm(back - s) / np.linalg.norm(s)
         assert err <= 1e-8
 
     def test_sqrt_squares_back(self):
         rng = np.random.default_rng(5)
         s = rand_spd(rng, 4)
         root = sym_func(s, "sqrt")
-        err = np.linalg.norm(root @ root - s.data) / np.linalg.norm(s.data)
+        err = np.linalg.norm(root @ root - s) / np.linalg.norm(s)
         assert err <= 1e-8
 
     def test_inv_sqrt_whitens(self):
         rng = np.random.default_rng(9)
         s = rand_spd(rng, 4)
         isq = sym_func(s, "inv_sqrt")
-        err = np.linalg.norm(isq @ s.data @ isq - np.eye(4))
+        err = np.linalg.norm(isq @ s @ isq - np.eye(4))
         assert err <= 1e-8
 
     def test_inv_matches_numpy(self):
         rng = np.random.default_rng(13)
         s = rand_spd(rng, 4)
         np.testing.assert_allclose(
-            sym_func(s, "inv"), np.linalg.inv(s.data), atol=1e-10
+            sym_func(s, "inv"), np.linalg.inv(s), atol=1e-10
         )
 
     def test_log_of_singular_raises(self):
@@ -181,20 +162,20 @@ class TestSymFunc:
 
     def test_sqrt_of_indefinite_raises(self):
         with pytest.raises(NotPSD):
-            sym_func(SymMat(np.diag([1.0, -1.0])), "sqrt")
+            sym_func(np.diag([1.0, -1.0]), "sqrt")
 
     def test_unknown_function_rejected(self):
         with pytest.raises(ValueError):
-            sym_func(SymMat(np.eye(2)), "tanh")
+            sym_func(np.eye(2), "tanh")
 
 
 class TestNumericalRank:
     def test_zero_matrix(self):
-        assert numerical_rank(SymMat(np.zeros((4, 4)))) == 0
+        assert numerical_rank(np.zeros((4, 4))) == 0
 
     def test_threshold_arithmetic(self):
         # 1e-16 is below 1e-12 relative to the top eigenvalue 1.
-        assert numerical_rank(SymMat(np.diag([1.0, 1.0, 1e-16]))) == 2
+        assert numerical_rank(np.diag([1.0, 1.0, 1e-16])) == 2
 
     def test_full_rank_random(self):
         rng = np.random.default_rng(21)
@@ -206,11 +187,11 @@ class TestNumericalRank:
             y = rng.standard_normal((5, 3))
             m = SymMat(y @ y.T)
             q = rand_orthogonal(rng, 5)
-            assert numerical_rank(m) == numerical_rank(SymMat(q.T @ m.data @ q)) == 3
+            assert numerical_rank(m) == numerical_rank(SymMat(q.T @ m @ q)) == 3
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSD) as info:
-            numerical_rank(SymMat(np.diag([1.0, -0.5])))
+            numerical_rank(np.diag([1.0, -0.5]))
         assert info.value.sample is None
 
 
