@@ -323,23 +323,26 @@ def cmd_simulate(opts) -> int:
     return 0
 
 
+PROJECTION_HINT = ("project onto the common full-rank subspace with "
+                   "--filter unsupervised --rank {}")
+
+
 @contextmanager
-def _filter_hint(spec: regress.PipelineSpec):
-    """Name, in the error of a geometric embedding on a singular matrix of
-    numerical rank ``r > 0``, the projection that makes it full-rank."""
+def _filter_hint(kind: str, hint: str):
+    """Append ``hint``, formatted with the numerical rank ``r > 0``, to the
+    error of geometric ``kind`` on a singular matrix of that rank."""
     try:
         yield
     except SingularMatrix as exc:
-        if spec.embedding_kind == "geometric" and exc.rank:
-            exc.args = (f"{exc}; project onto the common full-rank subspace with "
-                        f"--filter unsupervised --rank {exc.rank}",)
+        if kind == "geometric" and exc.rank:
+            exc.args = (f"{exc}; {hint.format(exc.rank)}",)
         raise
 
 
 def cmd_fit(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     spec = _pipeline_spec(opts)
-    with _filter_hint(spec):
+    with _filter_hint(spec.embedding_kind, PROJECTION_HINT):
         train = regress.project(regress.fit_filter(bund, spec), bund, spec.embedding_kind)
         state = regress.fit_fold(train, spec)
     write_model(opts["out"], state)
@@ -354,10 +357,8 @@ def cmd_fit(opts) -> int:
 def cmd_eval(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     folds = opts["folds"]
-    if folds < 2 or folds > bund.n:
-        raise ConfigError(f"folds must be in [2, {bund.n}], got {folds}")
     spec = _pipeline_spec(opts)
-    with _filter_hint(spec):
+    with _filter_hint(spec.embedding_kind, PROJECTION_HINT):
         report = regress.run_pipeline_cv(bund, spec, folds, seed=opts["seed"])
     rank = regress.effective_rank(spec, bund.dim)
     rows = regress.results_rows(spec, report, rank=rank)
@@ -436,7 +437,9 @@ def cmd_sweep(opts) -> int:
         opts = {**opts, **SWEEP_PRESETS[preset]}
     cfg = _generative_config(opts)
     specs = _sweep_specs(opts, cfg.q)
-    jobs = opts["jobs"] if opts["jobs"] > 0 else _usable_cores()
+    if opts["jobs"] < 0:
+        raise ConfigError(f"jobs must be 0 (all usable cores) or more, got {opts['jobs']}")
+    jobs = opts["jobs"] or _usable_cores()
     rows = simgen.sweep(cfg, opts["axis"], opts["values"], specs, folds=opts["folds"],
                         repeats=opts["repeats"], jobs=jobs)
     regress.write_csv(opts["out"], simgen.SWEEP_HEADER, rows)
@@ -454,7 +457,8 @@ def cmd_mean(opts) -> int:
     if metric == "euclidean":
         m = manifold.mean_euclidean(bund.matrices)
     elif metric == "geometric":
-        m = manifold.mean_geometric(bund.matrices).point
+        with _filter_hint(metric, "use --metric wasserstein --rank {}"):
+            m = manifold.mean_geometric(bund.matrices).point
     elif metric == "wasserstein":
         rank = opts["rank"] if opts["rank"] > 0 else bund.nominal_rank
         m = manifold.mean_wasserstein(bund.matrices, rank).point
@@ -469,7 +473,8 @@ def cmd_embed(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     kind = opts["embedding"]
     rank = opts["rank"] if opts["rank"] > 0 else bund.nominal_rank
-    _, rows = manifold.fit_embedding(bund.matrices, kind, rank=rank)
+    with _filter_hint(kind, "use --embedding wasserstein --rank {}"):
+        _, rows = manifold.fit_embedding(bund.matrices, kind, rank=rank)
     n, k = rows.shape
     _write_matrix_file(opts["out"], f"FEAT v1 {n} {k}", rows)
     print(f"embedded n={n} k={k} kind={kind} -> {opts['out']}")

@@ -20,10 +20,9 @@ streams it in blocks of :func:`~spdreg.symmat.blocks`, writing each
 block's rows into the output, so its working memory does not grow with
 ``n``; the other kinds take the whole array at once. Distances and
 :func:`embed` are pure functions, and the means are deterministic given
-their inputs. The part of an embedding that needs no reference (the
-Wasserstein eigen-factors, the Euclidean and log-diagonal rows) can be
-done once with :func:`prepare_samples`; means and embeddings take the
-resulting :class:`Samples`, or any subset of them, in place of matrices.
+their inputs. :func:`prepare_samples` does the reference-free part of an
+embedding once, giving :class:`Samples` that hold one per-sample array;
+means and embeddings take them, or any lazy subset, in place of matrices.
 """
 
 from __future__ import annotations
@@ -184,40 +183,38 @@ def _wass_state(point, factors: np.ndarray):
 @dataclass(frozen=True)
 class Samples:
     """``n`` covariances with the reference-free part of embedding ``kind``
-    done for all of them at once.
+    done for all of them at once, in one per-sample array ``data``: the
+    ``(n, p, p)`` covariances themselves for ``geometric`` (no copy of a
+    float64 input), whose log maps all depend on the reference; the
+    ``(n, p, rank)`` eigen-factors of :func:`factorize` for
+    ``wasserstein``; the ``(n, k)`` feature rows for ``euclidean`` and
+    ``logdiag``.
 
-    ``data`` is what each covariance gives on its own: the ``(n, k)``
-    feature rows for ``euclidean`` and ``logdiag``, the ``(n, p, rank)``
-    eigen-factors of :func:`factorize` for ``wasserstein``, and None for
-    ``geometric``, whose log maps all depend on the reference.
-
-    The kinds whose reference fit reads the covariances (``geometric``,
-    ``wasserstein``) keep them in ``stack``, else None. A :meth:`subset`
-    shares ``stack`` and records its rows in ``index``; they are gathered
-    only when :meth:`covariances` is called, so a training split holds no
-    copy of them past its reference fit.
-
-    Row ``i`` of each array depends on covariance ``i`` alone, and the
-    batched kernels give every slice what they give it alone, so a
-    :meth:`subset` is bit for bit what preparing that subset would give.
+    A :meth:`subset` shares ``data`` and records its rows in ``index``;
+    :meth:`gather` takes them on each call, so a training split holds no
+    copy of them past its reference fit. Row ``i`` of ``data`` depends on
+    covariance ``i`` alone, and the batched kernels give every slice what
+    they give it alone, so a :meth:`subset` is bit for bit what preparing
+    that subset would give.
     """
 
     kind: str
-    stack: np.ndarray | None
-    data: np.ndarray | None
-    rank: int | None = None
+    data: np.ndarray
     index: np.ndarray | None = None
 
-    def covariances(self) -> np.ndarray:
-        """The ``(n, p, p)`` covariances, gathered from ``stack`` on each call."""
-        return self.stack if self.index is None else _take_rows(self.stack, self.index)
+    @property
+    def rank(self) -> int | None:
+        """Width of the ``wasserstein`` factors, else None."""
+        return self.data.shape[-1] if self.kind == "wasserstein" else None
+
+    def gather(self) -> np.ndarray:
+        """``data`` at ``index``, gathered on each call."""
+        return self.data if self.index is None else _take_rows(self.data, self.index)
 
     def subset(self, indices) -> "Samples":
         """The samples at ``indices``, in that order."""
         idx = np.asarray(indices)
-        data = None if self.data is None else _take_rows(self.data, idx)
-        index = idx if self.index is None else self.index[idx]
-        return Samples(self.kind, self.stack, data, self.rank, index)
+        return Samples(self.kind, self.data, idx if self.index is None else self.index[idx])
 
 
 def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -255,19 +252,19 @@ def prepare_samples(mats, kind: str, rank: int | None = None) -> Samples:
         raise ValueError(f"unknown embedding kind {kind!r}; expected one of {EMBEDDING_KINDS}")
     stack = _as_stack(mats)
     if kind == "euclidean":
-        return Samples(kind, None, _upper(stack))
+        return Samples(kind, _upper(stack))
     if kind == "logdiag":
         d = np.diagonal(stack, axis1=1, axis2=2)
         if np.any(d <= 0):
             raise NonPositiveDiagonal(
                 f"diagonal entries must be positive (min {d.min():.3e})"
             )
-        return Samples(kind, None, np.log(d))
+        return Samples(kind, np.log(d))
     if kind == "geometric":
-        return Samples(kind, stack, None)
+        return Samples(kind, stack)
     if rank is None:
         rank = numerical_rank(stack[0])
-    return Samples(kind, stack, factorize(stack, rank), rank)
+    return Samples(kind, factorize(stack, rank))
 
 
 # ---------------------------------------------------------------------------
@@ -405,9 +402,10 @@ def mean_wasserstein(mats, r: int) -> FrechetMean:
     squared distances: ``y <- y + step/n sum_i log_i`` for the
     factor-space log maps ``log_i``, its step chosen by the backtracking
     rule of the means' shared descent loop. Initialized from the top-r
-    eigenpairs of the arithmetic mean. Each state is evaluated, and each
-    step taken, at the factor :func:`factorize` gives its point ``y y.T``,
-    as :func:`embed` does; ``y -> y R`` (R orthogonal) leaves the point,
+    eigenpairs of ``sum_i f_i f_i.T / n`` over the inputs' factors ``f_i``
+    (no covariance is read). Each state is evaluated, and each step taken,
+    at the factor :func:`factorize` gives its point ``y y.T``, as
+    :func:`embed` does; ``y -> y R`` (R orthogonal) leaves the point,
     objective and gradient norm unchanged (Bhatia, Jain & Lim 2019).
     Converged when the Riemannian gradient ``2 sum_i log_i`` has Frobenius
     norm at most ``1e-7 * sqrt(p * r)``. Returns the mean with the
@@ -424,10 +422,9 @@ def mean_wasserstein(mats, r: int) -> FrechetMean:
         If the gradient norm is still above the tolerance after
         ``MAX_ITER`` steps.
     """
-    prepared = prepare_samples(mats, "wasserstein", r)
-    factors = prepared.data
+    factors = prepare_samples(mats, "wasserstein", r).gather()
     n, p = factors.shape[0], factors.shape[1]
-    w, v = eigh(prepared.covariances().mean(axis=0))
+    w, v = eigh(np.tensordot(factors, factors, axes=([0, 2], [0, 2])) / n)
     y = v[:, :r] * np.sqrt(np.clip(w[:r], 0.0, None))
 
     def move(y, grad, step):
@@ -519,11 +516,11 @@ def fit_embedding(mats, kind: str, rank: int | None = None) -> tuple[Embedding, 
     """
     prepared = prepare_samples(mats, kind, rank)
     if kind == "geometric":
-        fit = mean_geometric(prepared.covariances())
+        fit = mean_geometric(prepared.gather())
     elif kind == "wasserstein":
         fit = mean_wasserstein(prepared, prepared.rank)
     else:
-        return Embedding(kind), prepared.data
+        return Embedding(kind), prepared.gather()
     return Embedding(kind, fit.point, prepared.rank), fit.samples
 
 
@@ -548,10 +545,10 @@ def embed(embedding: Embedding, mats) -> np.ndarray:
             raise DimensionMismatch(
                 f"reference dim {len(reference)} vs matrices dim {mats.shape[-1]}"
             )
-    prepared = prepare_samples(mats, kind, embedding.rank)
+    data = prepare_samples(mats, kind, embedding.rank).gather()
     if kind == "geometric":
-        return _tangent_map(sym_func(reference, "inv_sqrt"), prepared.covariances())[0]
+        return _tangent_map(sym_func(reference, "inv_sqrt"), data)[0]
     if kind == "wasserstein":
-        logs = _wass_state(reference, prepared.data)[1]
+        logs = _wass_state(reference, data)[1]
         return logs.reshape(len(logs), -1)
-    return prepared.data
+    return data

@@ -9,12 +9,12 @@ one path: :func:`fit_filter`, then :func:`project` to a :class:`Projected`
 split, then :func:`fit_fold` on its training rows and :func:`predict_fold`
 on its held-out rows.
 
-In cross-validation the reference, the standardization and the ridge fit
-run per fold on its training split. The whole bundle is projected once
-per CV run when the filter is fit without the samples (``identity``,
-``mne``) and once per fold, with that fold's filter, otherwise;
-:func:`cross_val_states` says why sharing it is not leakage. Nothing
-fitted ever sees the held-out fold.
+In cross-validation, :func:`run_pipeline_cv`, the reference, the
+standardization and the ridge fit run per fold on its training split. The
+whole bundle is projected once per CV run when the filter is fit without
+the samples (``identity``, ``mne``) and once per fold, with that fold's
+filter, otherwise; :func:`run_pipeline_cv` says why sharing it is not
+leakage. Nothing fitted ever sees the held-out fold.
 """
 
 from __future__ import annotations
@@ -133,17 +133,6 @@ class RidgeModel:
     fitted: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class CVReport:
-    """Per-fold out-of-sample mean absolute errors and selected lambdas."""
-
-    per_fold_mae: np.ndarray
-    mean_mae: float
-    per_fold_lambda: np.ndarray
-    seed: int
-    ridge_grid: np.ndarray
-
-
 def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
     """Ridge regression with GCV-selected regularization.
 
@@ -255,6 +244,18 @@ class FoldState:
     model: RidgeModel
 
 
+@dataclass(frozen=True)
+class CVReport:
+    """Per-fold out-of-sample mean absolute errors, selected lambdas and
+    fitted states."""
+
+    per_fold_mae: np.ndarray
+    mean_mae: float
+    per_fold_lambda: np.ndarray
+    seed: int
+    states: list[FoldState]
+
+
 def fold_blocks(n: int, folds: int, seed: int) -> list[np.ndarray]:
     """Seeded shuffle split into ``folds`` contiguous blocks.
 
@@ -327,10 +328,11 @@ def predict_fold(state: FoldState, test: Projected) -> np.ndarray:
     return predict(state.model, embed(state.embedding, test.samples))
 
 
-def cross_val_states(
+def run_pipeline_cv(
     bundle: CovarianceBundle, spec: PipelineSpec, folds: int, seed: int
-) -> tuple[CVReport, list[FoldState]]:
-    """K-fold evaluation returning the report plus per-fold fitted state.
+) -> CVReport:
+    """K-fold out-of-sample evaluation of a pipeline, with each fold's
+    fitted state.
 
     Each fold is fit strictly on its training split: spatial filter,
     embedding reference mean, feature standardization, and ridge weights
@@ -340,21 +342,20 @@ def cross_val_states(
     embedding done (Wasserstein eigen-factors with their rank and PSD
     checks, Euclidean and log-diagonal rows; geometric log maps all depend
     on the reference, so only the projection), in one :class:`Projected`
-    that each fold slices: its training rows feed its Frechet mean and
-    ridge fit, and its held-out rows are embedded at its reference. When
-    the filter is fit without the samples (``identity``, ``mne``) that
-    is done once per run; the ``unsupervised`` and ``supervised`` filters
-    are fit on each training split, and the bundle is projected with each.
+    that each fold slices lazily: its training rows are gathered for its
+    Frechet mean alone, whose feature rows feed the ridge fit, and its
+    held-out rows are embedded at its reference. When the filter is fit
+    without the samples (``identity``, ``mne``) that is done once per run;
+    the ``unsupervised`` and ``supervised`` filters are fit on each
+    training split, and the bundle is projected with each.
     This is not leakage: each shared value is a function of the filter and
     its own sample alone, and the batched kernels give each slice bit for
     bit what they give it alone, so every fold's state is exactly what
     fitting that fold from scratch gives. Errors name a failing sample by
     its bundle index.
     """
-    if folds < 2:
-        raise ValueError(f"need at least 2 folds, got {folds}")
-    if bundle.n < folds:
-        raise ValueError(f"bundle has {bundle.n} samples but {folds} folds requested")
+    if not 2 <= folds <= bundle.n:
+        raise ValueError(f"folds must be in [2, {bundle.n}], got {folds}")
     blocks = fold_blocks(bundle.n, folds, seed)
     shared = None
     if spec.filter_kind in FIXED_FILTERS:
@@ -378,24 +379,13 @@ def cross_val_states(
         lams.append(state.model.lambda_star)
         states.append(state)
     per_fold = np.array(maes)
-    return (
-        CVReport(
-            per_fold_mae=per_fold,
-            mean_mae=float(np.mean(per_fold)),
-            per_fold_lambda=np.array(lams),
-            seed=seed,
-            ridge_grid=spec.ridge_grid,
-        ),
-        states,
+    return CVReport(
+        per_fold_mae=per_fold,
+        mean_mae=float(np.mean(per_fold)),
+        per_fold_lambda=np.array(lams),
+        seed=seed,
+        states=states,
     )
-
-
-def run_pipeline_cv(
-    bundle: CovarianceBundle, spec: PipelineSpec, folds: int, seed: int
-) -> CVReport:
-    """K-fold out-of-sample evaluation of a pipeline (see module docs)."""
-    report, _ = cross_val_states(bundle, spec, folds, seed)
-    return report
 
 
 # ---------------------------------------------------------------------------

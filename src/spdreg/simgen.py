@@ -209,6 +209,8 @@ def sweep(
         raise ValueError("sweep needs at least one axis value")
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
+    if not 2 <= folds <= cfg_base.n:
+        raise ValueError(f"folds must be in [2, {cfg_base.n}], got {folds}")
     cells = [
         (cfg_base, axis, value, spec, repeat, folds)
         for value in values

@@ -68,6 +68,18 @@ def rank_deficient_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def rank6_file(tmp_path):
+    # Rank 6 in 8 dimensions, all in one subspace: projecting onto it
+    # makes every matrix full-rank.
+    rng = np.random.default_rng(1)
+    u = rand_orthogonal(rng, 8)[:, :6]
+    mats = [u @ rand_spd(rng, 6) @ u.T for _ in range(30)]
+    path = tmp_path / "rank6.covb"
+    write_covb(path, CovarianceBundle(mats, rng.standard_normal(30), nominal_rank=6))
+    return path
+
+
 class TestEval:
     def test_writes_results_csv(self, tmp_path, bundle_file):
         out = tmp_path / "r.csv"
@@ -126,15 +138,11 @@ class TestEval:
         assert "SingularMatrix" in err and "numerical rank 2 of 4" in err
 
     @pytest.mark.parametrize("command", ["eval", "fit"])
-    def test_geometric_on_rank_deficient_names_the_projection(self, tmp_path, capsys, command):
-        # Rank 6 in 8 dimensions, all in one subspace: projecting onto it
-        # with the suggested filter makes every matrix full-rank.
-        rng = np.random.default_rng(1)
-        u = rand_orthogonal(rng, 8)[:, :6]
-        mats = [u @ rand_spd(rng, 6) @ u.T for _ in range(30)]
-        path = tmp_path / "rank6.covb"
-        write_covb(path, CovarianceBundle(mats, rng.standard_normal(30), nominal_rank=6))
-        args = [command, "--bundle", path, "--embedding", "geometric", "--out", tmp_path / "o"]
+    def test_geometric_on_rank_deficient_names_the_projection(
+        self, tmp_path, capsys, rank6_file, command
+    ):
+        args = [command, "--bundle", rank6_file, "--embedding", "geometric",
+                "--out", tmp_path / "o"]
         assert run(*args) == 3
         err = capsys.readouterr().err
         assert "numerical rank 6 of 8" in err
@@ -385,6 +393,25 @@ class TestSweepCommand:
         eval_ranks = {line.split(",")[3] for line in evaluated.read_text().splitlines()[1:]}
         assert sweep_ranks == eval_ranks == {"5"}
 
+    @pytest.mark.parametrize("folds", [1, 21])
+    def test_folds_out_of_range_exits_2_before_any_cell(
+        self, tmp_path, capsys, monkeypatch, folds
+    ):
+        cells = []
+        monkeypatch.setattr(simgen, "_run_cell", cells.append)
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--n", 20, "--axis", "sigma", "--values", "0",
+                   "--folds", folds, "--jobs", 1, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: folds must be in [2, 20], got {folds}\n"
+        assert cells == [] and not out.exists()
+
+    def test_negative_jobs_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--axis", "sigma", "--values", "0", "--jobs", -4,
+                   "--out", out) == 2
+        assert "jobs must be 0 (all usable cores) or more, got -4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_jobs_zero_uses_usable_cores(self, tmp_path, monkeypatch):
         # "All cores" means the CPUs the affinity mask allows, not the
         # machine's count.
@@ -433,6 +460,18 @@ class TestMeanEmbed:
         assert run("embed", "--bundle", bundle_file, "--embedding", "spd", "--out", out) == 2
         assert "unknown embedding kind 'spd'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag", [("mean", "--metric"), ("embed", "--embedding")])
+    def test_geometric_on_rank_deficient_names_the_wasserstein_command(
+        self, tmp_path, capsys, rank6_file, command, flag
+    ):
+        args = [command, "--bundle", rank6_file, "--out", tmp_path / "o"]
+        assert run(*args, flag, "geometric") == 3
+        err = capsys.readouterr().err
+        assert "numerical rank 6 of 8" in err
+        hint = f"use {flag} wasserstein --rank 6"
+        assert err.endswith(hint + "\n")
+        assert run(*args, *hint.split()[1:]) == 0
 
     def test_mean_deterministic(self, tmp_path, bundle_file):
         o1, o2 = tmp_path / "m1.txt", tmp_path / "m2.txt"

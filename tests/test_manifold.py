@@ -465,14 +465,13 @@ class TestEmbedding:
         assert logs[0] == states[0]
 
     def test_wasserstein_iterate_losing_rank_raises(self):
-        # Inputs of rank 1 declared (and factored) as rank 2: the start is
-        # the top-2 eigenpairs of their rank-1 arithmetic mean, so the
-        # first iterate has numerical rank 1. The mean stops there with the
-        # error an Embedding at that point raises, naming no sample.
+        # Rank-1 factors of width 2: the start is the top-2 eigenpairs of
+        # their rank-1 mean product, so the first iterate has numerical
+        # rank 1. The mean stops there with the error an Embedding at that
+        # point raises, naming no sample.
         f = np.zeros((4, 3, 2))
         f[:, :, 0] = np.outer(np.arange(1.0, 5.0), [1.0, 2.0, 2.0]) / 3.0
-        stack = f @ f.swapaxes(1, 2)
-        samples = manifold.Samples("wasserstein", stack, f, rank=2)
+        samples = manifold.Samples("wasserstein", f)
         with pytest.raises(RankMismatch, match="rank is 1, expected 2") as info:
             manifold.mean_wasserstein(samples, 2)
         assert info.value.sample is None

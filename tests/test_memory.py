@@ -12,7 +12,15 @@ import numpy as np
 import pytest
 
 from conftest import rand_orthogonal
-from spdreg import GenerativeConfig, sample_bundle, symmat
+from spdreg import (
+    CovarianceBundle,
+    GenerativeConfig,
+    PipelineSpec,
+    identity_filter,
+    regress,
+    sample_bundle,
+    symmat,
+)
 from spdreg.manifold import Embedding, embed, mean_geometric
 
 
@@ -53,3 +61,35 @@ def test_generator_holds_a_few_blocks():
     (bundle, _), peak = traced_peak(lambda: sample_bundle(cfg))
     bound = 2 * bundle.matrices.nbytes + 3 * symmat.BLOCK_BYTES
     assert peak <= bound, f"sample_bundle peaked {peak} bytes above the bound {bound}"
+
+
+def test_fit_fold_drops_the_training_stack_before_the_ridge_fit(monkeypatch):
+    # A training subset of shared samples gathers its (n, p, p) stack for
+    # the geometric mean alone: the ridge fit holds the mean's feature
+    # rows, not the stack beside them.
+    stack = near_identity_stack(200, 64)
+    labels = np.random.default_rng(1).standard_normal(200)
+    bundle = CovarianceBundle(stack, labels, nominal_rank=64)
+    shared = regress.project(identity_filter(64), bundle, "geometric")
+    train_idx = np.arange(0, 200, 2)
+    stack_bytes = stack[train_idx].nbytes
+    assert stack_bytes > symmat.BLOCK_BYTES
+    fit_ridge_gcv, held = regress.fit_ridge_gcv, []
+
+    def ridge_noting_memory(rows, *args):
+        held.append(tracemalloc.get_traced_memory()[0] - rows.nbytes)
+        return fit_ridge_gcv(rows, *args)
+
+    monkeypatch.setattr(regress, "fit_ridge_gcv", ridge_noting_memory)
+    spec = PipelineSpec(embedding_kind="geometric")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        regress.fit_fold(shared.subset(train_idx), spec)
+    finally:
+        tracemalloc.stop()
+    extra = held[0] - start
+    assert extra <= symmat.BLOCK_BYTES, (
+        f"the ridge fit began holding {extra} bytes beside its rows "
+        f"(the training stack is {stack_bytes})"
+    )

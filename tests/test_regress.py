@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import rand_bundle, rand_invertible, rand_orthogonal
+from conftest import rand_bundle, rand_invertible, rand_orthogonal, rand_psd_rank
 from spdreg import (
     CovarianceBundle,
     DegenerateDesign,
@@ -31,7 +32,6 @@ from spdreg import (
 from spdreg.regress import (
     RESULTS_HEADER,
     FoldState,
-    cross_val_states,
     fold_blocks,
     project,
     results_rows,
@@ -441,7 +441,7 @@ class TestNoLeakage:
             spec = mne_spec(kind, 3)
         else:
             spec = PipelineSpec(embedding_kind=kind)
-        _, states = cross_val_states(bundle, spec, folds=3, seed=5)
+        states = run_pipeline_cv(bundle, spec, folds=3, seed=5).states
 
         blocks = fold_blocks(12, 3, seed=5)
         tampered_mats = list(bundle.matrices)
@@ -452,7 +452,7 @@ class TestNoLeakage:
         tampered = CovarianceBundle(
             matrices=tampered_mats, labels=tampered_labels, nominal_rank=3
         )
-        _, states2 = cross_val_states(tampered, spec, folds=3, seed=5)
+        states2 = run_pipeline_cv(tampered, spec, folds=3, seed=5).states
 
         # Fold 0 trains on blocks 1 and 2 only, so its fitted state
         # must be unchanged when block 0 is replaced.
@@ -500,20 +500,25 @@ class TestSharedPerSampleWork:
         else:
             rank = 3 if filter_kind in ("unsupervised", "supervised") else None
             spec = PipelineSpec(filter_kind=filter_kind, filter_rank=rank, embedding_kind=kind)
-        report, states = cross_val_states(bundle, spec, folds=4, seed=2)
+        report = run_pipeline_cv(bundle, spec, folds=4, seed=2)
         maes, lams, digests = cv_from_scratch(bundle, spec, folds=4, seed=2)
         assert np.array_equal(report.per_fold_mae, maes)
         assert np.array_equal(report.per_fold_lambda, lams)
-        assert [state_digest(s) for s in states] == digests
+        assert [state_digest(s) for s in report.states] == digests
 
 
-@pytest.mark.parametrize("kind", ["geometric", "wasserstein"])
-def test_identity_projection_keeps_one_copy(kind):
-    # The kinds whose reference fit reads the covariances keep them in
-    # Samples.stack: under the identity filter that is the bundle's array.
-    bundle, _ = sample_bundle(GenerativeConfig(p=4, q=2, n=12, seed=3))
-    projected = project(identity_filter(4), bundle, kind, 4)
-    assert projected.samples.stack is bundle.matrices
+def test_prepared_samples_hold_one_array():
+    # Geometric samples are the covariances themselves, with no copy under
+    # the identity filter; Wasserstein samples are their factors alone.
+    rng = np.random.default_rng(3)
+    mats = np.stack([rand_psd_rank(rng, 4, 3) for _ in range(12)])
+    bundle = CovarianceBundle(mats, rng.standard_normal(12), nominal_rank=3)
+    geometric = project(identity_filter(4), bundle, "geometric").samples
+    assert geometric.data is bundle.matrices
+    wasserstein = project(identity_filter(4), bundle, "wasserstein").samples
+    assert wasserstein.data.shape == (12, 4, 3)
+    assert wasserstein.rank == 3
+    assert [f.name for f in dataclasses.fields(wasserstein)] == ["kind", "data", "index"]
 
 
 class TestPipelineInvariances:
