@@ -507,18 +507,20 @@ class TestSharedPerSampleWork:
         assert [state_digest(s) for s in report.states] == digests
 
 
-def test_prepared_samples_hold_one_array():
+@pytest.mark.parametrize("kind", ["geometric", "wasserstein"])
+def test_identity_projection_keeps_one_copy(kind):
     # Geometric samples are the covariances themselves, with no copy under
     # the identity filter; Wasserstein samples are their factors alone.
     rng = np.random.default_rng(3)
     mats = np.stack([rand_psd_rank(rng, 4, 3) for _ in range(12)])
     bundle = CovarianceBundle(mats, rng.standard_normal(12), nominal_rank=3)
-    geometric = project(identity_filter(4), bundle, "geometric").samples
-    assert geometric.data is bundle.matrices
-    wasserstein = project(identity_filter(4), bundle, "wasserstein").samples
-    assert wasserstein.data.shape == (12, 4, 3)
-    assert wasserstein.rank == 3
-    assert [f.name for f in dataclasses.fields(wasserstein)] == ["kind", "data", "index"]
+    samples = project(identity_filter(4), bundle, kind).samples
+    assert [f.name for f in dataclasses.fields(samples)] == ["kind", "data", "index"]
+    if kind == "geometric":
+        assert samples.data is bundle.matrices
+    else:
+        assert samples.data.shape == (12, 4, 3)
+        assert samples.rank == 3
 
 
 class TestPipelineInvariances:
