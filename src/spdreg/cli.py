@@ -245,14 +245,14 @@ def _write_matrix_file(path, header: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Model file: MODEL v1
+# Model file: MODEL v2
 # ---------------------------------------------------------------------------
 
 
 def write_model(path, state: regress.FoldState) -> None:
     filt, emb, model = state.filt, state.embedding, state.model
     with open(path, "w") as fh:
-        fh.write(f"MODEL v1\nembedding {emb.kind} {emb.rank or 0}\n")
+        fh.write(f"MODEL v2\nembedding {emb.kind} {emb.rank or 0}\n")
         fh.write("filter {} {} {}\n".format(filt.kind, *filt.w.shape))
         write_rows(fh, filt.w)
         write_rows(fh, filt.eigenvalues, "filter_eigs")
@@ -279,7 +279,7 @@ def read_model(path) -> regress.FoldState:
     path = Path(path)
     with open(path) as fh:
         src = LineReader(path, fh)
-        src.words("MODEL v1")
+        src.words("MODEL v2")
         _, emb_kind, emb_rank = src.words("embedding <kind> <rank>")
         emb_line, emb_rank = src.lineno, src.count(emb_rank, low=0)
         _, filt_kind, p, r = src.words("filter <kind> <p> <r>")
@@ -296,13 +296,14 @@ def read_model(path) -> regress.FoldState:
                      rank=emb_rank or None)
         _, k, *ridge = src.words("ridge <k> <lambda> <intercept>")
         k, (lam, intercept) = src.count(k), src.floats(ridge, 2).tolist()
-        vectors = {v: src.floats(src.words(f"{v} ...")[1:], k) for v in ("mean", "scale", "beta")}
+        mean = src.floats(src.words("mean ...")[1:], k)
+        scale = src.floats(src.words("scale <s>")[1:])[0]
+        if scale <= 0:
+            raise src.error(f"feature scale must be positive, got {scale!r}")
+        beta = src.floats(src.words("beta ...")[1:], k)
         src.end()
-    model = regress.RidgeModel(
-        beta=vectors["beta"], intercept=intercept, lambda_star=lam,
-        feature_mean=vectors["mean"], feature_scale=vectors["scale"],
-        grid=np.array([lam]), gcv_path=np.empty(0),
-    )
+    model = regress.RidgeModel(beta=beta, intercept=intercept, lambda_star=lam,
+                               feature_mean=mean, feature_scale=scale)
     return regress.FoldState(filt=filt, embedding=emb, model=model)
 
 

@@ -9,12 +9,12 @@ one path: :func:`fit_filter`, then :func:`project` to a :class:`Projected`
 split, then :func:`fit_fold` on its training rows and :func:`predict_fold`
 on its held-out rows.
 
-In cross-validation, :func:`run_pipeline_cv`, the reference, the
-standardization and the ridge fit run per fold on its training split. The
-whole bundle is projected once per CV run when the filter is fit without
-the samples (``identity``, ``mne``) and once per fold, with that fold's
-filter, otherwise; :func:`run_pipeline_cv` says why sharing it is not
-leakage. Nothing fitted ever sees the held-out fold.
+In cross-validation, :func:`run_pipeline_cv`, the reference, the feature
+centring and scale and the ridge fit run per fold on its training split.
+The whole bundle is projected once per CV run when the filter is fit
+without the samples (``identity``, ``mne``) and once per fold, with that
+fold's filter, otherwise; :func:`run_pipeline_cv` says why sharing it is
+not leakage. Nothing fitted ever sees the held-out fold.
 """
 
 from __future__ import annotations
@@ -115,44 +115,43 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class RidgeModel:
-    """Fitted ridge regressor on standardized features.
+    """Fitted ridge regressor on centred, scaled features.
 
     Predictions are ``((x - feature_mean) / feature_scale) @ beta +
-    intercept``. ``gcv_path`` keeps the GCV criterion at every grid
-    value for diagnostics, and ``fitted`` the predictions on the training
-    rows (None for a model read from a file).
+    intercept``, one positive ``feature_scale`` for all columns. ``gcv_path``
+    keeps the GCV criterion at every grid value and ``fitted`` the
+    predictions on the training rows; a model read from a file has neither.
     """
 
     beta: np.ndarray
     intercept: float
     lambda_star: float
     feature_mean: np.ndarray
-    feature_scale: np.ndarray
-    grid: np.ndarray
-    gcv_path: np.ndarray
+    feature_scale: np.float64
+    gcv_path: np.ndarray = field(default_factory=lambda: np.empty(0))
     fitted: np.ndarray | None = None
 
 
 def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
     """Ridge regression with GCV-selected regularization.
 
-    The target is centered and the feature columns are standardized on
-    the training data. A column whose standard deviation is at or below
-    ``n * eps * max|x|`` is constant and gets scale 1: an embedding gives
-    all its features in one unit, each with a round-off of order ``eps *
-    max|x|``, and a mean over ``n`` rows is off by up to ``n`` times that,
-    so such a spread is not told from zero. Unit variance would blow a
-    held-out row's round-off up by ``1 / std``. The
-    criterion ``GCV(lam) = n * ||(I - H_lam) y_c||^2 / tr(I - H_lam)^2``
-    is evaluated for the whole grid in one array expression from one
-    ``eigh`` of the smaller Gram matrix of the standardized n x k design:
-    ``xs^T xs`` when ``k <= n``, ``xs xs^T`` when ``k > n``. Ties are
-    broken toward the larger lambda.
+    The target and the feature columns are centred on the training data,
+    and the design is divided by one scale, its root mean column variance
+    ``s = ||x - mean||_F / sqrt(n * k)``, so ``trace(xs^T xs) = n * k`` as
+    for unit-variance columns. One scale keeps the model equivariant under
+    an orthogonal map of feature space, which is what a congruence in a
+    metric's isometry group does to isometric tangent rows; a scale per
+    column would not. The criterion ``GCV(lam) = n * ||(I - H_lam) y_c||^2
+    / tr(I - H_lam)^2`` is evaluated for the whole grid in one array
+    expression from one ``eigh`` of the smaller Gram matrix of the scaled
+    n x k design: ``xs^T xs`` when ``k <= n``, ``xs xs^T`` when ``k > n``.
+    Ties are broken toward the larger lambda.
 
     Raises
     ------
     DegenerateDesign
-        If every feature column is constant.
+        If ``s <= n * eps * max|x|``: every column is constant to the
+        round-off of its mean.
     """
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -165,13 +164,13 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
         raise DimensionMismatch(f"expected {n} targets, got shape {y.shape}")
     grid = _as_grid(default_ridge_grid() if grid is None else grid)
 
+    # Centre into xs and scale it in place: the only n x k array made here.
     mean = x.mean(axis=0)
-    scale = x.std(axis=0)
-    constant = scale <= n * np.finfo(float).eps * np.max(np.abs(x))
-    if np.all(constant):
+    xs = x - mean
+    scale = np.linalg.norm(xs) / np.sqrt(n * k)
+    if scale <= n * np.finfo(float).eps * max(x.max(), -x.min()):
         raise DegenerateDesign("all feature columns are constant")
-    scale = np.where(constant, 1.0, scale)
-    xs = (x - mean) / scale
+    xs /= scale
     ybar = float(y.mean())
     yc = y - ybar
 
@@ -214,7 +213,6 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
         lambda_star=lam,
         feature_mean=mean,
         feature_scale=scale,
-        grid=grid,
         gcv_path=gcv,
         fitted=xs @ beta + ybar,
     )
@@ -335,7 +333,7 @@ def run_pipeline_cv(
     fitted state.
 
     Each fold is fit strictly on its training split: spatial filter,
-    embedding reference mean, feature standardization, and ridge weights
+    embedding reference mean, feature centring and scale, and ridge weights
     never see the held-out block.
 
     The whole bundle is projected, and the per-sample part of the

@@ -8,7 +8,7 @@ batched eigensolver, the PSD/rank rule and the SPD rule (both relative to
 ``RANK_TOL``) are each written once here, over ``(..., p, p)`` stacks, and
 a single matrix is a stack of one. :func:`sym_func` is the one path that
 applies a function to a spectrum (``log``, ``exp``, ``sqrt``,
-``inv_sqrt``, ``inv``): the whitening, the tangent-space logs and the
+``inv_sqrt``): the whitening, the tangent-space logs and the
 Karcher step all go through it. The kernels take any array and return
 plain arrays; all are pure functions safe to call concurrently.
 
@@ -142,23 +142,22 @@ def eigh(a) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-# The spectral functions by name. The last two are inverses: their entry is
-# the divisor, sqrt(w) or w, by which the eigenvectors are divided.
-_SYM_FUNCS = {"log": np.log, "exp": np.exp, "sqrt": np.sqrt,
-              "inv_sqrt": np.sqrt, "inv": lambda w: w}
-_DIVIDES = ("inv_sqrt", "inv")
+# The spectral functions by name. The last is an inverse: its entry is the
+# divisor, sqrt(w), by which the eigenvectors are divided.
+_SYM_FUNCS = {"log": np.log, "exp": np.exp, "sqrt": np.sqrt, "inv_sqrt": np.sqrt}
+_DIVIDES = ("inv_sqrt",)
 
 
 def sym_func(a, fn: str) -> np.ndarray:
     """Apply a scalar function to the spectrum of a matrix or of each matrix
     of a ``(..., p, p)`` stack.
 
-    ``fn`` is one of ``log``, ``exp``, ``sqrt``, ``inv_sqrt``, ``inv``. Each
+    ``fn`` is one of ``log``, ``exp``, ``sqrt``, ``inv_sqrt``. Each
     matrix is symmetrized, ``s = (a + a.T) / 2``, and the result is ``v
     diag(fn(w)) v.T`` for the eigendecomposition ``s = v diag(w) v.T`` of one
     batched solver call, so each slice of a stack gets, bit for bit, what
-    that matrix gets alone. ``inv_sqrt`` and ``inv`` divide, ``v / sqrt(w)``
-    and ``v / w``, which rounds otherwise than multiplying by a reciprocal. For
+    that matrix gets alone. ``inv_sqrt`` divides, ``v / sqrt(w)``, which
+    rounds otherwise than multiplying by a reciprocal. For
     ``sqrt``, eigenvalues in the round-off band ``(-RANK_TOL * w_max, 0)``
     are clipped to zero.
 
@@ -170,7 +169,7 @@ def sym_func(a, fn: str) -> np.ndarray:
     Raises
     ------
     SingularMatrix
-        For ``log``/``inv_sqrt``/``inv`` when the smallest eigenvalue of a
+        For ``log``/``inv_sqrt`` when the smallest eigenvalue of a
         matrix is at or below ``RANK_TOL * w_max``, naming its numerical rank.
     NotPSD
         For ``sqrt`` when an eigenvalue is clearly negative.

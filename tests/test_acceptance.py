@@ -233,8 +233,8 @@ def test_c08_gcv_fast_path_matches_hat_matrix():
     assert grid.size == 100
     model = fit_ridge_gcv(x, y, grid)
 
-    mean, scale = x.mean(axis=0), x.std(axis=0)
-    xs = (x - mean) / scale
+    xs = x - x.mean(axis=0)
+    xs /= np.linalg.norm(xs) / np.sqrt(xs.size)
     yc = y - y.mean()
     worst = 0.0
     for i, lam in enumerate(grid):
@@ -316,5 +316,54 @@ def test_c10_preset_sweep_budget(tmp_path):
     geo = [r.split(",") for r in rows[1:] if r.split(",")[idx["method"]] == "geometric"]
     maes = [float(r[idx["mae"]]) for r in geo]
     assert max(maes) - min(maes) < 1e-6
+    per_fold = {}
+    for r in geo:
+        per_fold.setdefault((r[idx["repeat"]], r[idx["fold"]]), []).append(float(r[idx["mae"]]))
+    assert all(len(v) == 5 and max(v) - min(v) <= 1e-5 * min(v) for v in per_fold.values())
 
     _report(10, "three preset sweeps within budget", f"{elapsed:.1f}s on {jobs} cores")
+
+
+def test_c12_predictions_inherit_the_metric_invariance():
+    # A congruence C -> A C A^T in a metric's isometry group maps the
+    # isometric tangent rows by one orthogonal map of feature space, which
+    # the one-scale ridge follows: per-fold MAE and lambda* stay put. The
+    # Wasserstein metric is invariant under orthogonal A only, and its
+    # pipeline moves under an invertible one: the abstract's contrast.
+    # cond(A) <= 100: at 1e3 some draws stop the Karcher mean at its
+    # iteration budget.
+    base = dict(p=6, q=2, n=80, mu=0.5, sigma=0.1, sigma_mix=0.01, seed=1)
+    log_data, _ = sample_bundle(GenerativeConfig(**base, f_kind="log"))
+    sqrt_data, _ = sample_bundle(GenerativeConfig(**base, f_kind="sqrt", orthogonal_a=True))
+
+    def cv(bundle, kind, a=None):
+        if a is not None:
+            bundle = CovarianceBundle(a @ bundle.matrices @ a.T, bundle.labels, bundle.nominal_rank)
+        spec = PipelineSpec(filter_kind="identity", embedding_kind=kind)
+        return run_pipeline_cv(bundle, spec, folds=5, seed=1)
+
+    def move(report, other):
+        return float(np.max(np.abs(other.per_fold_mae - report.per_fold_mae) / report.per_fold_mae))
+
+    rng = np.random.default_rng(1200)
+    worst = {}
+    for kind, bundle, draw in (
+        ("geometric", log_data, lambda: rand_invertible(rng, 6, spread=np.log(10.0))),
+        ("wasserstein", sqrt_data, lambda: rand_orthogonal(rng, 6)),
+        ("euclidean", log_data, lambda: rand_orthogonal(rng, 6)),
+    ):
+        ref = cv(bundle, kind)
+        for _ in range(6):
+            other = cv(bundle, kind, draw())
+            assert np.array_equal(other.per_fold_lambda, ref.per_fold_lambda)
+            worst[kind] = max(worst.get(kind, 0.0), move(ref, other))
+        assert worst[kind] <= 1e-8, kind
+    fixed = rand_invertible(np.random.default_rng(1201), 6, spread=np.log(10.0))
+    contrast = move(cv(sqrt_data, "wasserstein"), cv(sqrt_data, "wasserstein", fixed))
+    assert contrast > 1e-3
+    _report(
+        12,
+        "predictions inherit each metric's invariance",
+        ", ".join(f"{k} {v:.1e}" for k, v in worst.items())
+        + f"; wasserstein under invertible A {contrast:.1e}",
+    )

@@ -28,7 +28,7 @@ y -0.25
 1 2
 """
 
-MODEL = """MODEL v1
+MODEL = """MODEL v2
 embedding geometric 0
 filter identity 2 2
 1 0
@@ -39,7 +39,7 @@ reference 2
 0.5 1
 ridge 3 1.0000000000000001e-05 0.5
 mean 0.10000000000000001 0.20000000000000001 0.29999999999999999
-scale 1 1 1
+scale 1
 beta 0.5 -0.5 0.25
 """
 
@@ -77,7 +77,7 @@ CASES = [
     ("covb-hash-token", "covb", 11, "3 #", 11),
     ("covb-n-zero", "covb", 1, "COVB v1 0 2 2", 1),
     ("covb-infinite-label", "covb", 6, "y inf", 6),
-    ("model-bad-header", "model", 1, "MODEL v2", 1),
+    ("model-bad-header", "model", 1, "MODEL v1", 1),
     ("model-bad-counts", "model", 3, "filter identity 2 x", 3),
     ("model-too-few-lines", "model", 13, None, 12),
     ("model-bad-section-tag", "model", 6, "filter_eig", 6),
@@ -97,6 +97,8 @@ CASES = [
     ("covb-nan-entry", "covb", 8, "0 nan", 8),
     ("model-too-many-lines", "model", 14, "beta 1 2 3", 14),
     ("model-nan-beta", "model", 13, "beta 0.5 nan 0.25", 13),
+    ("model-scale-per-column", "model", 12, "scale 1 1 1", 12),
+    ("model-zero-scale", "model", 12, "scale 0", 12),
     ("leadfield-nan-entry", "leadfield", 3, "1 nan 0.5", 3),
 ]
 
@@ -275,7 +277,7 @@ def test_model_bytes_match_joined_floats(fitted):
         return " ".join("%.17g" % x for x in values)
 
     lines = [
-        "MODEL v1",
+        "MODEL v2",
         f"embedding {emb.kind} {emb.rank or 0}",
         f"filter {filt.kind} {filt.w.shape[0]} {filt.w.shape[1]}",
         *[f(row) for row in filt.w],
@@ -284,7 +286,7 @@ def test_model_bytes_match_joined_floats(fitted):
         *[f(row) for row in emb.reference],
         f"ridge {ridge.beta.size} {f([ridge.lambda_star, ridge.intercept])}",
         "mean " + f(ridge.feature_mean),
-        "scale " + f(ridge.feature_scale),
+        "scale " + f([ridge.feature_scale]),
         "beta " + f(ridge.beta),
     ]
     assert model.read_text() == "\n".join(lines) + "\n"

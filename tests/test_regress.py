@@ -39,19 +39,64 @@ from spdreg.regress import (
 )
 
 
+def scaled(x):
+    """fit_ridge_gcv's design, bit for bit: the columns centred and the whole
+    divided by one scale, its root mean column variance."""
+    xs = x - x.mean(axis=0)
+    xs /= np.linalg.norm(xs) / np.sqrt(xs.size)
+    return xs
+
+
 def brute_force_gcv(x, y, grid):
-    """Reference GCV via explicit hat-matrix assembly per grid point, with
-    fit_ridge_gcv's rule for constant columns."""
-    mean, scale = x.mean(axis=0), x.std(axis=0)
-    scale = np.where(scale <= len(x) * np.finfo(float).eps * np.max(np.abs(x)), 1.0, scale)
-    xs = (x - mean) / scale
-    yc = y - y.mean()
-    n, k = xs.shape
+    """Reference GCV in long double (64-bit significand on x86-64), one
+    elimination per grid point. By the push-through identity I - H_lam =
+    lam (xs xs^T + lam I)^-1 for every shape, so the residual lam a^-1 y_c
+    and the trace lam tr(a^-1) of a = xs xs^T + lam I need no subtraction.
+    a is SPD, so Gaussian elimination without pivoting is backward stable;
+    the forward error is eps_ld * (s_max^2 + lam) / lam, the condition of a.
+    numpy's solvers are float64 only, hence the explicit elimination."""
+    ld = np.longdouble
+    xs = scaled(x).astype(ld)
+    n = len(xs)
+    lam = np.asarray(grid, dtype=ld)[:, None, None]
+    a = xs @ xs.T + lam * np.eye(n, dtype=ld)
+    rhs = np.hstack([(y - y.mean())[:, None], np.eye(n)]).astype(ld)
+    b = np.repeat(rhs[None], len(lam), axis=0)
+    for j in range(n):
+        f = a[:, j + 1 :, j : j + 1] / a[:, j : j + 1, j : j + 1]
+        a[:, j + 1 :, j:] -= f * a[:, j : j + 1, j:]
+        b[:, j + 1 :] -= f * b[:, j : j + 1]
+    z = np.empty_like(b)
+    for j in reversed(range(n)):
+        z[:, j] = (b[:, j] - (a[:, j : j + 1, j + 1 :] @ z[:, j + 1 :])[:, 0]) / a[:, j, j : j + 1]
+    lam = lam[:, 0, 0]
+    rss = lam**2 * np.sum(z[:, :, 0] ** 2, axis=1)
+    trace = lam * np.trace(z[:, :, 1:], axis1=1, axis2=2)
+    return (n * rss / trace**2).astype(np.float64)
+
+
+def exact_gcv(x, y, grid):
+    """GCV of fit_ridge_gcv's float design and centred target in rational
+    arithmetic, by the identity of brute_force_gcv: Gauss-Jordan on
+    [xs xs^T + lam I | y_c | I] gives a^-1 y_c and tr(a^-1) exactly."""
+    xs = [[Fraction(v) for v in row] for row in scaled(x)]
+    yc = [Fraction(v) for v in y - float(y.mean())]
+    n = len(xs)
+    gram = [[sum(p * q for p, q in zip(ri, rj)) for rj in xs] for ri in xs]
     out = []
-    for lam in grid:
-        hat = xs @ np.linalg.solve(xs.T @ xs + lam * np.eye(k), xs.T)
-        resid = yc - hat @ yc
-        out.append(n * float(resid @ resid) / (n - np.trace(hat)) ** 2)
+    for lam in map(Fraction, grid):
+        a = [[*row, yc[i], *(Fraction(int(i == j)) for j in range(n))]
+             for i, row in enumerate(gram)]
+        for i in range(n):
+            a[i][i] += lam
+        for j in range(n):
+            a[j] = [v / a[j][j] for v in a[j]]
+            for i in range(n):
+                if i != j and a[i][j]:
+                    a[i] = [u - a[i][j] * v for u, v in zip(a[i], a[j])]
+        rss = lam**2 * sum(row[n] ** 2 for row in a)
+        trace = lam * sum(a[i][n + 1 + i] for i in range(n))
+        out.append(float(n * rss / trace**2))
     return np.array(out)
 
 
@@ -61,7 +106,7 @@ class TestFitRidgeGCV:
         x = rng.standard_normal((30, 1))
         y = 2.0 * x[:, 0]
         model = fit_ridge_gcv(x, y, grid=[1e-8])
-        slope = model.beta[0] / model.feature_scale[0]
+        slope = model.beta[0] / model.feature_scale
         assert slope == pytest.approx(2.0, abs=1e-6)
         train_mae = np.mean(np.abs(predict(model, x) - y))
         assert train_mae < 1e-6
@@ -77,13 +122,6 @@ class TestFitRidgeGCV:
     def test_all_constant_features_raise(self):
         with pytest.raises(DegenerateDesign):
             fit_ridge_gcv(np.ones((10, 2)), np.arange(10.0))
-
-    def test_zero_variance_column_gets_unit_scale(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((15, 3))
-        x[:, 1] = 4.0
-        model = fit_ridge_gcv(x, rng.standard_normal(15))
-        assert model.feature_scale[1] == 1.0
 
     @pytest.mark.parametrize(
         ("n", "k", "rank", "noisy"),
@@ -122,36 +160,57 @@ class TestFitRidgeGCV:
         model = fit_ridge_gcv(x, y, grid)
         reference = brute_force_gcv(x, y, grid)
         rel = np.abs(model.gcv_path - reference) / reference
-        xs = (x - x.mean(axis=0)) / x.std(axis=0)
-        s2max = np.linalg.norm(xs, 2) ** 2
+        s2max = np.linalg.norm(scaled(x), 2) ** 2
         if k <= n:
-            # Measured: below 1e-15 with noise, 4.5e-9 and 2.3e-9 on the
-            # noise-free rank-deficient cases, as a thin SVD gives: there
-            # the gap is the oracle's own, which solves at condition
-            # (s_max^2 + lam) / lam. The fixed bound therefore holds only
-            # while the oracle's forward error eps * s_max^2 / lam_min stays
-            # near it. That estimate is good to a factor of about two
-            # (measured gap / estimate: 0.03 to 2.1 on noise-free designs
-            # with n <= 700); the listed cases sit at or below 1.46e-8,
-            # while a noise-free 900 x 32 design sits at 2.8e-8 and misses
-            # the bound. A case enlarged past the scope fails here, by name.
-            scope = np.finfo(float).eps * s2max / np.min(grid)
+            # The fixed bound holds only while the oracle's own forward
+            # error eps_ld * s_max^2 / lam_min stays below it. In double
+            # precision that estimate is 1.52e-8 on the 60 x 40 cases and
+            # good only to a factor of about two, so the reference is the
+            # long-double one; test_oracle_matches_rational_arithmetic
+            # checks it against exact arithmetic. A case enlarged past the
+            # scope fails here, by name.
+            scope = np.finfo(np.longdouble).eps * s2max / np.min(grid)
             assert scope <= 1.5e-8, (
                 f"case outside the oracle's scope: eps * s_max^2 / lam_min = "
                 f"{scope:.2e} > 1.5e-8; the 1e-8 bound does not apply")
             assert np.max(rel) <= 1e-8
             return
         # Forward error when k > n. With s the singular values of the
-        # standardized design xs, the fast path takes s^2 from eigh of the
-        # Gram matrix xs xs^T, whose eigenvalues carry an absolute error of
-        # O(eps * s_max^2) (Weyl). Each term lam / (s^2 + lam) and
-        # c / (s^2 + lam) then moves by a relative O(eps * s_max^2 / lam).
-        # The oracle solves xs^T xs + lam I, of condition (s_max^2 + lam) /
-        # lam, so its forward error is of the same order. Both agree to
-        # C * eps * (1 + s_max^2 / lam) per grid point; C = 100 covers the
-        # dimension factors of the LAPACK error bounds at n <= 30.
+        # scaled design xs, the fast path takes s^2 from eigh of the Gram
+        # matrix xs xs^T, whose eigenvalues carry an absolute error of
+        # O(eps * s_max^2) (Weyl). Each term lam / (s^2 + lam) and c / (s^2 +
+        # lam) then moves by a relative O(eps * s_max^2 / lam), so the fast
+        # path is within C * eps * (1 + s_max^2 / lam) of the truth per grid
+        # point; C = 100 covers the dimension factors of the LAPACK error
+        # bounds at n <= 30. The long-double oracle adds a far smaller error.
         bound = 100 * np.finfo(float).eps * (1.0 + s2max / grid)
         assert np.all(rel <= bound)
+
+    @pytest.mark.parametrize(
+        ("n", "k", "rank", "noisy"),
+        [(10, 4, None, True), (10, 6, 2, False), (8, 12, None, True)],
+        ids=["10x4", "10x6-rank2-noisefree", "8x12"],
+    )
+    def test_oracle_matches_rational_arithmetic(self, n, k, rank, noisy):
+        # Exact GCV of the same floats at three grid points, lam_min among
+        # them. Bounds fixed before the first run: the fast path within the
+        # 1e-8 of test_fast_path_matches_brute_force, and the long-double
+        # oracle within its forward error 100 * eps_ld * (1 + s_max^2 / lam).
+        rng = np.random.default_rng(8)
+        if rank is None:
+            x = rng.standard_normal((n, k))
+        else:
+            x = rng.standard_normal((n, rank)) @ rng.standard_normal((rank, k))
+        y = rng.standard_normal(n) if noisy else x @ rng.standard_normal(k)
+        grid = default_ridge_grid()
+        picks = [0, 50, 99]
+        exact = exact_gcv(x, y, grid[picks])
+        model = fit_ridge_gcv(x, y, grid)
+        assert np.max(np.abs(model.gcv_path[picks] - exact) / exact) <= 1e-8
+        oracle = brute_force_gcv(x, y, grid[picks])
+        s2max = np.linalg.norm(scaled(x), 2) ** 2
+        bound = 100 * np.finfo(np.longdouble).eps * (1.0 + s2max / grid[picks])
+        assert np.all(np.abs(oracle - exact) / exact <= bound)
 
     @pytest.mark.parametrize(
         ("n", "k", "sigma"), [(20, 60, 0.0), (40, 6, 1e-3)], ids=["wide-noisefree", "tall"]
@@ -174,7 +233,7 @@ class TestFitRidgeGCV:
         y = x @ rng.standard_normal(k) + sigma * rng.standard_normal(n)
         grid = default_ridge_grid()
         model = fit_ridge_gcv(x, y, grid)
-        xs = (x - x.mean(axis=0)) / x.std(axis=0)
+        xs = scaled(x)
         yc = y - y.mean()
         if k > n:
             s2, u = np.linalg.eigh(xs @ xs.T)
@@ -202,12 +261,12 @@ class TestFitRidgeGCV:
     @pytest.mark.parametrize("grading", [1e3, 1e5], ids=["graded1e3", "graded1e5"])
     def test_ill_conditioned_tall_design_matches_thin_svd(self, grading, seed):
         # Singular values graded geometrically over `grading` (before
-        # standardization). The reference is the thin-SVD path, whose c =
-        # u^T yc and r0 = yc - u c are backward stable. The Gram path splits
-        # yc between c and r0 to O(k eps s_max^2 / s^2) relative (the inline
-        # comment), so per grid point both agree to C k eps (s_max /
-        # s_min)^2 with the standardized design's own extreme singular
-        # values; C = 10 was fixed before the first run.
+        # centring and scaling). The reference is the thin-SVD path, whose
+        # c = u^T yc and r0 = yc - u c are backward stable. The Gram path
+        # splits yc between c and r0 to O(k eps s_max^2 / s^2) relative (the
+        # inline comment), so per grid point both agree to C k eps (s_max /
+        # s_min)^2 with the scaled design's own extreme singular values;
+        # C = 10 was fixed before the first run.
         rng = np.random.default_rng(seed)
         n, k = 200, 60
         u, _ = np.linalg.qr(rng.standard_normal((n, k)))
@@ -216,7 +275,7 @@ class TestFitRidgeGCV:
         y = x @ rng.standard_normal(k) + 0.1 * rng.standard_normal(n)
         grid = default_ridge_grid()
         model = fit_ridge_gcv(x, y, grid)
-        xs = (x - x.mean(axis=0)) / x.std(axis=0)
+        xs = scaled(x)
         yc = y - y.mean()
         us, s, _ = np.linalg.svd(xs, full_matrices=False)
         c = us.T @ yc
@@ -233,7 +292,8 @@ class TestFitRidgeGCV:
         # A column of round-off (1e-32 beside unit features) is constant
         # to the design's precision. A held-out round-off value of 1e-17
         # must leave the predictions as they are with 0 there; scaled to
-        # unit variance it would weigh 1e-17 / 1e-32.
+        # unit variance it would weigh 1e-17 / 1e-32. One scale for all
+        # columns keeps it at its own size.
         rng = np.random.default_rng(7)
         x = rng.standard_normal((30, 4))
         x[:, 2] = 1e-32 * rng.standard_normal(30)
@@ -244,7 +304,6 @@ class TestFitRidgeGCV:
         clean = predict(model, test)
         test[:, 2] = 1e-17
         np.testing.assert_array_equal(predict(model, test), clean)
-        assert model.feature_scale[2] == 1.0
 
     def test_ties_break_toward_larger_lambda(self):
         # A zero target makes GCV identically zero across the grid.
@@ -258,8 +317,9 @@ class TestFitRidgeGCV:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((25, 4))
         y = x @ rng.standard_normal(4) + 0.1 * rng.standard_normal(25)
-        model = fit_ridge_gcv(x, y)
-        assert model.lambda_star in model.grid
+        grid = default_ridge_grid()
+        model = fit_ridge_gcv(x, y, grid)
+        assert model.lambda_star in grid
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_grid_rejected(self, bad):
@@ -280,9 +340,7 @@ class TestPredict:
             intercept=3.25,
             lambda_star=1.0,
             feature_mean=np.zeros(2),
-            feature_scale=np.ones(2),
-            grid=np.array([1.0]),
-            gcv_path=np.array([0.0]),
+            feature_scale=np.float64(1.0),
         )
         np.testing.assert_allclose(predict(model, np.zeros((1, 2))), [3.25])
 
