@@ -2,8 +2,10 @@
 
 A bundle is one read-only ``(n, p, p)`` array of symmetric PSD matrices,
 a real label per matrix, and a nominal rank bound. Files use the
-``COVB v1`` layout: a ``COVB v1 <n> <p> <rank>`` header, then per sample
-a ``y <label>`` line and ``p`` rows of ``p`` decimals.
+``COVB v2`` layout: a ``COVB v2 <n> <p> <rank>`` header, then per sample
+a ``y <label>`` line and one line of the ``p(p+1)/2`` upper-triangle
+entries in row-major ``np.triu_indices(p)`` order. A stored matrix is
+exactly symmetric, so its triangle is lossless.
 
 Every text file (COVB, MODEL, LEADFIELD, command outputs) is written one
 ``%``-template per line or sample, with 17 significant digits (lossless
@@ -83,27 +85,32 @@ class CovarianceBundle:
 
 
 def write_covb(path, bundle: CovarianceBundle) -> None:
-    """Write a bundle as a COVB v1 text file, one formatted write per sample."""
+    """Write a bundle as a COVB v2 text file, one formatted write per sample."""
     p = bundle.dim
-    sample = row_format(1, "y") + row_format(p) * p
+    iu, ju = np.triu_indices(p)
+    sample = row_format(1, "y") + row_format(len(iu))
     with open(path, "w") as fh:
-        fh.write(f"COVB v1 {bundle.n} {p} {bundle.nominal_rank}\n")
+        fh.write(f"COVB v2 {bundle.n} {p} {bundle.nominal_rank}\n")
         for mat, label in zip(bundle.matrices, bundle.labels.tolist()):
-            fh.write(sample % (label, *mat.ravel().tolist()))
+            fh.write(sample % (label, *mat[iu, ju].tolist()))
 
 
 def read_covb(path) -> CovarianceBundle:
-    """Read a COVB v1 text file, streaming every matrix row through one
-    ``np.loadtxt`` call (memory holds arrays, not text)."""
+    """Read a COVB v2 text file, streaming every triangle line through one
+    ``np.loadtxt`` call (memory holds arrays, not text) into one stack."""
     path = Path(path)
     with open(path) as fh:
         src = LineReader(path, fh)
-        n, p, rank = [src.count(w) for w in src.words("COVB v1 <n> <p> <rank>")[2:]]
+        n, p, rank = [src.count(w) for w in src.words("COVB v2 <n> <p> <rank>")[2:]]
         if rank > p:
             raise src.error(f"nominal rank must be in [1, {p}], got {rank}")
-        rows, labels = src.block(n, p, p, tag="y")
+        rows, labels = src.block(n, 1, p * (p + 1) // 2, tag="y")
         src.end()
-    return CovarianceBundle(rows.reshape(n, p, p), labels, nominal_rank=rank)
+    iu, ju = np.triu_indices(p)  # after block(), which rejects a p the file lacks
+    mats = np.empty((n, p, p))
+    mats[:, iu, ju] = mats[:, ju, iu] = rows
+    del rows  # the constructor's copy need not sit beside the triangles
+    return CovarianceBundle(mats, labels, nominal_rank=rank)
 
 
 def _loadtxt(lines) -> np.ndarray:
@@ -157,9 +164,8 @@ class LineReader:
         return int(word)
 
     def floats(self, words, count: int | None = None, where: str = "") -> np.ndarray:
-        """Finite floats from ``words`` of the current line, ``count`` if given."""
-        if count not in (None, len(words)):
-            raise self.error(f"{where}expected {count} numbers, got {len(words)}")
+        """Finite floats from ``words`` of the current line (a bad word is named
+        before a wrong count), ``count`` if given."""
         try:
             values = _loadtxt([" ".join(words)])[0] if words else np.empty(0)
         except ValueError:
@@ -170,6 +176,8 @@ class LineReader:
         if not np.all(np.isfinite(values)):
             bad = words[int(np.argmin(np.isfinite(values)))]
             raise self.error(f"{where}non-finite number {bad!r}")
+        if count not in (None, len(words)):
+            raise self.error(f"{where}expected {count} numbers, got {len(words)}")
         return values
 
     def block(self, groups: int, nrows: int, ncols: int, tag: str | None = None):

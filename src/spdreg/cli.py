@@ -24,7 +24,7 @@ import numpy as np
 
 from . import filters, manifold, regress, simgen
 from .bundle import LineReader, read_covb, row_format, write_covb, write_rows
-from .errors import ConfigError, NumericalError, SampleError, SingularMatrix
+from .errors import ConfigError, NumericalError, RankMismatch, SampleError, SingularMatrix
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +329,14 @@ PROJECTION_HINT = ("project onto the common full-rank subspace with "
 
 
 @contextmanager
-def _filter_hint(kind: str, hint: str):
-    """Append ``hint``, formatted with the numerical rank ``r > 0``, to the
-    error of geometric ``kind`` on a singular matrix of that rank."""
+def _filter_hint(kind: str, hint: str, kinds=("geometric",)):
+    """Append ``hint``, formatted with the numerical rank ``r > 0`` the error
+    names (the lowest of a stack), to the singular-matrix or rank-mismatch
+    error of a ``kind`` in ``kinds``."""
     try:
         yield
-    except SingularMatrix as exc:
-        if kind == "geometric" and exc.rank:
+    except (SingularMatrix, RankMismatch) as exc:
+        if kind in kinds and exc.rank:
             exc.args = (f"{exc}; {hint.format(exc.rank)}",)
         raise
 
@@ -343,7 +344,7 @@ def _filter_hint(kind: str, hint: str):
 def cmd_fit(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     spec = _pipeline_spec(opts)
-    with _filter_hint(spec.embedding_kind, PROJECTION_HINT):
+    with _filter_hint(spec.embedding_kind, PROJECTION_HINT, ("geometric", "wasserstein")):
         train = regress.project(regress.fit_filter(bund, spec), bund, spec.embedding_kind)
         state = regress.fit_fold(train, spec)
     write_model(opts["out"], state)
@@ -359,7 +360,7 @@ def cmd_eval(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     folds = opts["folds"]
     spec = _pipeline_spec(opts)
-    with _filter_hint(spec.embedding_kind, PROJECTION_HINT):
+    with _filter_hint(spec.embedding_kind, PROJECTION_HINT, ("geometric", "wasserstein")):
         report = regress.run_pipeline_cv(bund, spec, folds, seed=opts["seed"])
     rank = regress.effective_rank(spec, bund.dim)
     rows = regress.results_rows(spec, report, rank=rank)

@@ -34,11 +34,12 @@ class SingularMatrix(NumericalError):
 
 
 class SampleError(NumericalError):
-    """A failure that may name one matrix of a stack by its index ``sample``."""
+    """A failure that may name one matrix of a stack by its index ``sample``,
+    and the lowest numerical ``rank`` of the stack where the check counts one."""
 
-    def __init__(self, message, sample=None):
+    def __init__(self, message, sample=None, rank=None):
         super().__init__(message if sample is None else f"sample {sample}: {message}")
-        self.detail, self.sample = message, sample
+        self.detail, self.sample, self.rank = message, sample, rank
 
 
 class NotPSD(SampleError):

@@ -148,7 +148,7 @@ def factorize(stack: np.ndarray, r: int) -> np.ndarray:
     bad = np.flatnonzero(ranks != r)
     if bad.size:
         i = bad[0]
-        raise RankMismatch(f"numerical rank is {ranks[i]}, expected {r}", i)
+        raise RankMismatch(f"numerical rank is {ranks[i]}, expected {r}", i, int(ranks.min()))
     return v[:, :, :r] * np.sqrt(w[:, None, :r])
 
 

@@ -159,11 +159,15 @@ class TestEval:
         bundle = CovarianceBundle(mats, rng.standard_normal(12), nominal_rank=4)
         path = tmp_path / "one_low.covb"
         write_covb(path, bundle)
-        code = run("eval", "--bundle", path, "--embedding", "wasserstein",
-                   "--folds", 3, "--out", tmp_path / "r.csv")
-        assert code == 3
+        args = ["eval", "--bundle", path, "--embedding", "wasserstein",
+                "--folds", 3, "--out", tmp_path / "r.csv"]
+        assert run(*args) == 3
         err = capsys.readouterr().err
         assert "RankMismatch" in err and "sample 5:" in err
+        # The hint names the bundle's lowest rank, and its command runs.
+        hint = "--filter unsupervised --rank 3"
+        assert err.endswith(hint + "\n")
+        assert run(*args, *hint.split()) == 0
 
     def test_wasserstein_handles_rank_deficient(self, tmp_path, rank_deficient_file):
         code = run(

@@ -14,18 +14,17 @@ from spdreg.filters import Leadfield, read_leadfield, write_leadfield
 # Small valid files with blank lines, so physical and non-blank line numbers
 # differ. Each malformed case edits one of them and names the physical line
 # its error must report.
-COVB = """COVB v1 3 2 2
+COVB = """COVB v2 3 2 2
 
 y 0.5
-2 0.5
-0.5 1
+2 0.5 1
+
 y 1.5
-1 0
-0 1
+
+1 0 1
 
 y -0.25
-3 1
-1 2
+3 1 2
 """
 
 MODEL = """MODEL v2
@@ -66,17 +65,22 @@ def edit(base, line, text):
 
 # (id, format, physical line edited, its new text, line the error names)
 CASES = [
-    ("covb-bad-header", "covb", 1, "COVB v2 3 2 2", 1),
-    ("covb-bad-counts", "covb", 1, "COVB v1 3 two 2", 1),
-    ("covb-too-few-lines", "covb", 12, None, 11),
-    ("covb-too-many-lines", "covb", 13, "0 0", 13),
+    ("covb-bad-header", "covb", 1, "COVB v3 3 2 2", 1),
+    ("covb-v1-header", "covb", 1, "COVB v1 3 2 2", 1),
+    ("covb-bad-counts", "covb", 1, "COVB v2 3 two 2", 1),
+    ("covb-too-few-lines", "covb", 11, None, 10),
+    ("covb-too-many-lines", "covb", 12, "0 0 0", 12),
     ("covb-non-y-tag", "covb", 6, "x 1.5", 6),
     ("covb-bad-label", "covb", 6, "y abc", 6),
-    ("covb-bad-matrix-token", "covb", 8, "0 one", 8),
-    ("covb-ragged-row", "covb", 7, "1", 7),
-    ("covb-hash-token", "covb", 11, "3 #", 11),
-    ("covb-n-zero", "covb", 1, "COVB v1 0 2 2", 1),
+    ("covb-bad-matrix-token", "covb", 8, "1 one 1", 8),
+    ("covb-ragged-row", "covb", 8, "1 0", 8),
+    ("covb-long-triangle", "covb", 8, "1 0 1 0", 8),
+    ("covb-hash-token", "covb", 11, "3 1 #", 11),
+    ("covb-n-zero", "covb", 1, "COVB v2 0 2 2", 1),
     ("covb-infinite-label", "covb", 6, "y inf", 6),
+    # A header p whose triangle index would not fit in memory: the count
+    # error comes from the first short triangle line, before any index.
+    ("covb-huge-p", "covb", 1, "COVB v2 1 100000000 1", 4),
     ("model-bad-header", "model", 1, "MODEL v1", 1),
     ("model-bad-counts", "model", 3, "filter identity 2 x", 3),
     ("model-too-few-lines", "model", 13, None, 12),
@@ -94,7 +98,7 @@ CASES = [
     ("leadfield-ragged-row", "leadfield", 3, "1 0", 3),
     ("leadfield-hash-token", "leadfield", 4, "0 1 #", 4),
     ("leadfield-p-zero", "leadfield", 1, "LEADFIELD v1 0 3", 1),
-    ("covb-nan-entry", "covb", 8, "0 nan", 8),
+    ("covb-nan-entry", "covb", 8, "1 nan 1", 8),
     ("model-too-many-lines", "model", 14, "beta 1 2 3", 14),
     ("model-nan-beta", "model", 13, "beta 0.5 nan 0.25", 13),
     ("model-scale-per-column", "model", 12, "scale 1 1 1", 12),
@@ -161,8 +165,8 @@ def test_malformed_names_the_physical_line(case, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line, text, sample",
-    [(6, "x 1.5", 1), (6, "y abc", 1), (8, "0 one", 1), (7, "1", 1), (11, "3 #", 2),
-     (8, "0 nan", 1), (4, "inf 0.5", 0)],
+    [(6, "x 1.5", 1), (6, "y abc", 1), (8, "0 one", 1), (7, "1", 1), (8, "1 0 1 0", 1),
+     (11, "3 #", 2), (8, "0 nan", 1), (4, "inf 0.5", 0)],
 )
 def test_covb_errors_name_the_sample(line, text, sample, tmp_path):
     path = tmp_path / "bad.covb"
@@ -182,7 +186,7 @@ def test_model_ignores_blank_lines(tmp_path):
 
 def test_underscore_digits_rejected(tmp_path):
     path = tmp_path / "bad.covb"
-    path.write_text(edit(COVB, 4, "2 0.5_0"))
+    path.write_text(edit(COVB, 4, "2 0.5_0 1"))
     with pytest.raises(ConfigError, match=f"^{path}:4: sample 0: "):
         read_covb(path)
 
@@ -201,13 +205,11 @@ def golden_bundle():
 
 
 GOLDEN_COVB = (
-    "COVB v1 2 2 2\n"
+    "COVB v2 2 2 2\n"
     "y 0.10000000000000001\n"
-    "1.0000000000000001e+300 -0\n"
-    "-0 4.9406564584124654e-324\n"
+    "1.0000000000000001e+300 -0 4.9406564584124654e-324\n"
     "y -0\n"
-    "2.4999999999999999e-24 3.3333333333333331e-25\n"
-    "3.3333333333333331e-25 6.9999999999999995e-25\n"
+    "2.4999999999999999e-24 3.3333333333333331e-25 6.9999999999999995e-25\n"
 )
 
 

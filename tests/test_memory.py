@@ -14,6 +14,8 @@ import pytest
 from conftest import rand_orthogonal
 from spdreg import (
     CovarianceBundle,
+    read_covb,
+    write_covb,
     GenerativeConfig,
     PipelineSpec,
     identity_filter,
@@ -61,6 +63,20 @@ def test_generator_holds_a_few_blocks():
     (bundle, _), peak = traced_peak(lambda: sample_bundle(cfg))
     bound = 2 * bundle.matrices.nbytes + 3 * symmat.BLOCK_BYTES
     assert peak <= bound, f"sample_bundle peaked {peak} bytes above the bound {bound}"
+
+
+def test_covb_io_holds_the_arrays_not_the_text(tmp_path):
+    # The reader parses the file's triangle lines straight into one array,
+    # mirrors them into the (n, p, p) stack and drops them before the
+    # bundle's symmetrized copy; the writer formats one sample at a time.
+    bundle, _ = sample_bundle(GenerativeConfig(p=32, n=400, mu=0.1, seed=0))
+    path = tmp_path / "b.covb"
+    _, peak = traced_peak(lambda: write_covb(path, bundle))
+    bound = 256 << 10
+    assert peak <= bound, f"write_covb peaked {peak} bytes above the bound {bound}"
+    back, peak = traced_peak(lambda: read_covb(path))
+    bound = 2.25 * back.matrices.nbytes + (256 << 10)
+    assert peak <= bound, f"read_covb peaked {peak} bytes above the bound {bound}"
 
 
 def test_fit_fold_drops_the_training_stack_before_the_ridge_fit(monkeypatch):
