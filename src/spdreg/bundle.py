@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +103,7 @@ def read_covb(path) -> CovarianceBundle:
         n, p, rank = [src.count(w) for w in src.words("COVB v2 <n> <p> <rank>")[2:]]
         if rank > p:
             raise src.error(f"nominal rank must be in [1, {p}], got {rank}")
-        rows, labels = src.block(n, 1, p * (p + 1) // 2, tag="y")
+        rows, labels = src.block(n, p * (p + 1) // 2, tag="y", row="triangle line")
         src.end()
     iu, ju = np.triu_indices(p)  # after block(), which rejects a p the file lacks
     mats = np.empty((n, p, p))
@@ -180,35 +179,34 @@ class LineReader:
             raise self.error(f"{where}expected {count} numbers, got {len(words)}")
         return values
 
-    def block(self, groups: int, nrows: int, ncols: int, tag: str | None = None):
-        """``groups`` groups of ``nrows`` lines of ``ncols`` floats, as rows,
-        and with ``tag`` the labels of the ``<tag> <label>`` line opening
-        each group (a sample)."""
+    def block(self, count: int, ncols: int, tag: str | None = None, row: str = "row"):
+        """``count`` lines of ``ncols`` floats, as rows. With ``tag`` each is a
+        sample's, after a ``<tag> <label>`` line, and the labels come too; a
+        missing line is then named ``its <row>``, else ``<row> <i> of <count>``."""
         start, labels = self.lineno, []
 
         def feed():
-            for _ in range(groups):
+            for _ in range(count):
                 if tag:
                     labels.append(self.words(f"{tag} <label>")[1:])
-                for self.lineno, text in islice(self._lines, nrows):
-                    yield text
+                yield self.line(row)
 
         try:
             rows = _loadtxt(feed())
             values = _loadtxt(w[0] for w in labels)[:, 0]
             finite = np.all(np.isfinite(rows)) and np.all(np.isfinite(values))
-            if rows.shape == (groups * nrows, ncols) and finite:
+            if rows.shape == (count, ncols) and finite:
                 return rows, values
         except (ValueError, ConfigError):
             pass
         with open(self.path) as fh:  # the parse failed: find the line to name
             self.lineno, self._lines = start, _numbered(fh, start)
-            for i in range(groups):
+            for i in range(count):
                 where = f"sample {i}: " if tag else ""
                 if tag:
                     self.floats(self.words(f"{tag} <label>", where)[1:], 1, where)
-                for j in range(nrows):
-                    self.floats(self.line(f"row {j + 1} of {nrows}", where).split(), ncols, where)
+                what = f"its {row}" if tag else f"{row} {i + 1} of {count}"
+                self.floats(self.line(what, where).split(), ncols, where)
         raise self.error("malformed numbers")
 
     def end(self) -> None:

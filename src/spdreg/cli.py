@@ -283,7 +283,7 @@ def read_model(path) -> regress.FoldState:
         _, emb_kind, emb_rank = src.words("embedding <kind> <rank>")
         emb_line, emb_rank = src.lineno, src.count(emb_rank, low=0)
         _, filt_kind, p, r = src.words("filter <kind> <p> <r>")
-        filt_line, w = src.lineno, src.block(1, src.count(p), src.count(r))[0]
+        filt_line, w = src.lineno, src.block(src.count(p), src.count(r))[0]
         eigs = src.floats(src.words("filter_eigs ...")[1:])
         filt = _build(src, filt_line, filters.SpatialFilter, w=w, kind=filt_kind,
                       eigenvalues=eigs)
@@ -291,7 +291,7 @@ def read_model(path) -> regress.FoldState:
         rp = 0 if rp == "none" else src.count(rp)
         if rp and rp != w.shape[1]:
             raise src.error(f"reference dimension {rp} differs from filter width {w.shape[1]}")
-        reference = src.block(1, rp, rp)[0] if rp else None
+        reference = src.block(rp, rp)[0] if rp else None
         emb = _build(src, emb_line, manifold.Embedding, kind=emb_kind, reference=reference,
                      rank=emb_rank or None)
         _, k, *ridge = src.words("ridge <k> <lambda> <intercept>")

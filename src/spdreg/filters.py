@@ -24,7 +24,7 @@ import numpy as np
 
 from .bundle import CovarianceBundle, LineReader, write_rows
 from .errors import DegenerateDesign, DimensionMismatch, RankTooLarge
-from .symmat import _sym, eigh, numerical_rank, sym_func
+from .symmat import _sym, eigh, numerical_rank
 
 FILTER_KINDS = ("identity", "unsupervised", "supervised", "mne")
 
@@ -97,13 +97,14 @@ def fit_supervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
     ``(c_y, c_bar)`` where ``c_y`` is the label-weighted average
     covariance, sorted by decreasing eigenvalue and normalized so each
     column ``w`` satisfies ``w.T @ c_bar @ w == 1``; the first column
-    maximizes the generalized Rayleigh quotient. Solved by whitening
-    with ``c_bar^-1/2`` and diagonalizing the whitened ``c_y``.
+    maximizes the generalized Rayleigh quotient.
 
-    If ``c_bar`` has numerical rank ``k < p``, the pair is first reduced
-    to its range (``b.T c b`` for ``b`` the top-``k`` eigenvectors of
-    ``c_bar``) and ``w = b w~``. Nothing is lost: each covariance is PSD,
-    so its range lies in that of ``c_bar``.
+    Always solved on the range of ``c_bar``, full rank or not: for the
+    top-``k`` eigenpairs ``(lam_k, v_k)`` of one eigendecomposition of
+    ``c_bar``, ``k`` its numerical rank, the whitening is ``b = v_k /
+    sqrt(lam_k)`` (p x k), the whitened ``b.T c_y b`` is diagonalized, and
+    ``w = b w~``. Nothing is lost: each covariance is PSD, so its range
+    lies in that of ``c_bar``.
 
     Raises
     ------
@@ -117,15 +118,10 @@ def fit_supervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
         raise DegenerateDesign("supervised filter needs a non-constant target")
     ytilde = (y - y.mean()) / std
     cy = np.einsum("i,ijk->jk", ytilde, bundle.matrices) / bundle.n
-    if k < bundle.dim:
-        b = eigh(cbar)[1][:, :k]
-        cbar, cy = b.T @ cbar @ b, b.T @ cy @ b
-    isq = sym_func(cbar, "inv_sqrt")
-    vals, vecs = eigh(_sym(isq @ cy @ isq))
-    w = isq @ vecs[:, :r]
-    if k < bundle.dim:
-        w = b @ w
-    return SpatialFilter(w=w, kind="supervised", eigenvalues=vals[:r].copy())
+    lam, v = eigh(cbar)
+    b = v[:, :k] / np.sqrt(lam[:k])
+    vals, vecs = eigh(_sym(b.T @ cy @ b))
+    return SpatialFilter(w=b @ vecs[:, :r], kind="supervised", eigenvalues=vals[:r].copy())
 
 
 def fit_mne(lead: "Leadfield", lam: float) -> SpatialFilter:
@@ -196,6 +192,6 @@ def read_leadfield(path) -> Leadfield:
     with open(path) as fh:
         src = LineReader(path, fh)
         _, _, p, q = src.words("LEADFIELD v1 <p> <q>")
-        g = src.block(1, src.count(p), src.count(q))[0]
+        g = src.block(src.count(p), src.count(q))[0]
         src.end()
     return Leadfield(g=g)

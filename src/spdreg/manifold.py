@@ -60,10 +60,11 @@ def _matrix(a) -> np.ndarray:
 
 
 def _upper(mat: np.ndarray) -> np.ndarray:
-    """Row-major upper-triangle flattening, sqrt(2) weights off-diagonal."""
+    """Row-major upper-triangle flattening, sqrt(2) weights off-diagonal, as
+    C-ordered rows."""
     p = mat.shape[-1]
     iu, ju = np.triu_indices(p)
-    rows = mat[..., iu, ju]
+    rows = np.take(mat.reshape(*mat.shape[:-2], p * p), iu * p + ju, axis=-1)
     rows *= np.where(iu == ju, 1.0, np.sqrt(2.0))
     return rows
 
@@ -95,14 +96,13 @@ def dist_geometric(s, t) -> float:
 def dist_wasserstein(s, t) -> float:
     """Bures-Wasserstein distance between PSD matrices of any rank.
 
-    ``[tr(s) + tr(t) - 2 tr((s^1/2 t s^1/2)^1/2)]^(1/2)`` with the inner
-    root taken over eigenvalues clipped to be nonnegative; invariant
-    under joint congruence by orthogonal matrices. The trace of the
-    inner root is evaluated as the nuclear norm of ``ys.T @ yt`` for
-    factors ``ys ys.T = s``, ``yt yt.T = t`` (the two agree exactly, and
-    the factor form avoids square-rooting round-off-sized eigenvalues
-    of the triple product). One batched :func:`~spdreg.symmat.eigh` call
-    factors both; eigenvalues in the round-off band of the PSD rule are
+    ``min_q ||yt q - ys||_F`` over orthogonal ``q`` for factors
+    ``ys ys.T = s``, ``yt yt.T = t``: the norm of the factor-space log map
+    that :func:`embed` gives, so a small distance is not the cancelling
+    difference of traces (Bhatia, Jain & Lim 2019); invariant under joint
+    congruence by orthogonal matrices. One batched
+    :func:`~spdreg.symmat.eigh` call gives both full-width factors
+    ``v sqrt(w)``; eigenvalues in the round-off band of the PSD rule are
     clipped to zero, and a clearly negative one raises :class:`NotPSD`
     naming the argument.
     """
@@ -114,11 +114,8 @@ def dist_wasserstein(s, t) -> float:
         _ranks(w)
     except NotPSD as exc:
         raise NotPSD(f"{('first', 'second')[exc.sample]} argument: {exc.detail}") from None
-    w = np.clip(w, 0.0, None)
-    ys, yt = v * np.sqrt(w)[:, None, :]
-    cross = float(np.sum(np.linalg.svd(ys.T @ yt, compute_uv=False)))
-    d2 = float(np.sum(w[0]) + np.sum(w[1]) - 2.0 * cross)
-    return float(np.sqrt(max(d2, 0.0)))
+    ys, yt = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
+    return float(np.linalg.norm(_wass_logs(ys, yt[None])))
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +185,8 @@ class Samples:
     float64 input), whose log maps all depend on the reference; the
     ``(n, p, rank)`` eigen-factors of :func:`factorize` for
     ``wasserstein``; the ``(n, k)`` feature rows for ``euclidean`` and
-    ``logdiag``.
+    ``logdiag``. Every kind's array, and every feature row the package
+    makes, is C-ordered.
 
     A :meth:`subset` shares ``data`` and records its rows in ``index``;
     :meth:`gather` takes them on each call, so a training split holds no
@@ -209,20 +207,12 @@ class Samples:
 
     def gather(self) -> np.ndarray:
         """``data`` at ``index``, gathered on each call."""
-        return self.data if self.index is None else _take_rows(self.data, self.index)
+        return self.data if self.index is None else self.data[self.index]
 
     def subset(self, indices) -> "Samples":
         """The samples at ``indices``, in that order."""
         idx = np.asarray(indices)
         return Samples(self.kind, self.data, idx if self.index is None else self.index[idx])
-
-
-def _take_rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Rows ``idx`` of ``a``, laid out in ``a``'s memory order. Sums over
-    rows round by layout (``_upper`` rows are column-major), so a subset
-    must keep the layout the same rows would have if made from scratch."""
-    out = np.empty((len(idx),) + a.shape[1:], order="F" if np.isfortran(a) else "C")
-    return np.take(a, idx, axis=0, out=out)
 
 
 def prepare_samples(mats, kind: str, rank: int | None = None) -> Samples:
@@ -337,17 +327,16 @@ def _descend(evaluate, move, x: np.ndarray, n: int, tol: float, what: str) -> Fr
 
 def _tangent_map(isq: np.ndarray, stack: np.ndarray):
     """The whitened logs ``log(isq c_i isq)`` of the (n, p, p) stack, block by
-    block (:func:`~spdreg.symmat.blocks`): (their feature rows, their sum,
-    their summed squares).
+    block (:func:`~spdreg.symmat.blocks`): (their C-ordered feature rows,
+    their sum, their summed squares).
 
-    The rows are column-major, the layout ``_upper`` gives a whole stack, as
-    the ridge's column statistics round by layout. The sum is bit for bit
-    ``logs.sum(axis=0)``, which adds the slices in index order: each later
-    block is summed behind the running total. The summed squares, which only
-    feed the Armijo test, round by block.
+    The rows are bit for bit what ``_upper`` gives the whole stack. The sum is
+    bit for bit ``logs.sum(axis=0)``, which adds the slices in index order:
+    each later block is summed behind the running total. The summed
+    squares, which only feed the Armijo test, round by block.
     """
     n, p = stack.shape[0], stack.shape[-1]
-    rows = np.empty((n, p * (p + 1) // 2), order="F")
+    rows = np.empty((n, p * (p + 1) // 2))
     grad, obj = None, 0.0
     for blk in blocks(n, p):
         logs = sym_func(isq @ stack[blk] @ isq, "log")

@@ -96,14 +96,14 @@ def _ranks(w: np.ndarray) -> np.ndarray:
 
 
 def _check_spd(w: np.ndarray) -> None:
-    """The SPD rule: :class:`SingularMatrix`, naming the numerical rank of the
-    first bad row, unless every eigenvalue row ``w`` (..., p), in any order,
+    """The SPD rule: unless every eigenvalue row ``w`` (..., p), in any order,
     has all its values above ``RANK_TOL`` times its largest (which makes that
-    largest positive)."""
+    largest positive), :class:`SingularMatrix` naming the lowest numerical
+    rank among the rows and the smallest eigenvalue of the first row of it."""
     p = w.shape[-1]
     ranks = (w > RANK_TOL * w.max(axis=-1)[..., None]).sum(axis=-1)
-    if (ranks < p).any():
-        i = np.flatnonzero(ranks < p)[0]
+    i = np.argmin(ranks)
+    if ranks.flat[i] < p:
         raise SingularMatrix(f"full-rank SPD matrix required, numerical rank {ranks.flat[i]} "
                              f"of {p}", smallest_eigenvalue=float(w.min(axis=-1).flat[i]),
                              rank=int(ranks.flat[i]))

@@ -47,3 +47,15 @@ def test_non_symmetric_input_stored_symmetrized_bit_for_bit():
 def test_bad_matrices_raise_value_error(matrices):
     with pytest.raises(ValueError):
         CovarianceBundle(matrices, np.zeros(len(matrices)), nominal_rank=1)
+
+
+@pytest.mark.parametrize(
+    "labels, rank, match",
+    [(np.zeros((2, 1)), 2, "expected 2 labels"), (np.zeros(3), 2, "expected 2 labels"),
+     ([0.0, np.nan], 2, "labels must be finite"), ([0.0, -np.inf], 2, "labels must be finite"),
+     (np.zeros(2), 0, "nominal rank must be in"), (np.zeros(2), 3, "nominal rank must be in")],
+    ids=["labels-2d", "labels-too-many", "label-nan", "label-inf", "rank-0", "rank-above-p"],
+)
+def test_bad_labels_or_rank_raise_value_error(labels, rank, match):
+    with pytest.raises(ValueError, match=match):
+        CovarianceBundle(np.stack([np.eye(2)] * 2), labels, nominal_rank=rank)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rand_bundle, rand_orthogonal, rand_spd
-from spdreg import CovarianceBundle, GenerativeConfig, regress, sample_bundle, simgen
+from spdreg import CovarianceBundle, GenerativeConfig, cli, regress, sample_bundle, simgen
 from spdreg.bundle import read_covb, write_covb
 from spdreg.cli import main, read_model, write_model
 
@@ -149,6 +149,26 @@ class TestEval:
         hint = "project onto the common full-rank subspace with --filter unsupervised --rank 6"
         assert err.endswith(hint + "\n")
         assert run(*args, *hint.split(" with ")[1].split()) == 0
+
+    def test_geometric_hint_names_the_lowest_rank(self, tmp_path, capsys):
+        # Sample 0 has rank 5, the rest rank 4, each tilted a little out of
+        # one 4-d subspace: a projection to rank 5 leaves the rest singular.
+        rng = np.random.default_rng(0)
+        u = rand_orthogonal(rng, 6)
+        mats = []
+        for r in [5] + [4] * 39:
+            y = u[:, :r] @ rng.standard_normal((r, r))
+            y += 0.05 * u[:, r:] @ rng.standard_normal((6 - r, r))
+            mats.append(y @ y.T)
+        path = tmp_path / "mixed.covb"
+        write_covb(path, CovarianceBundle(mats, rng.standard_normal(40), nominal_rank=6))
+        args = ["eval", "--bundle", path, "--embedding", "geometric", "--out", tmp_path / "r.csv"]
+        assert run(*args) == 3
+        err = capsys.readouterr().err
+        assert "numerical rank 4 of 6" in err
+        hint = "--filter unsupervised --rank 4"
+        assert err.endswith(hint + "\n")
+        assert run(*args, *hint.split()) == 0
 
     def test_wasserstein_rank_error_names_the_bundle_sample(self, tmp_path, capsys):
         # Sample 5 falls in fold 0's training split at this seed, where it
@@ -499,6 +519,39 @@ class TestWitness:
         out = tmp_path / "w.txt"
         assert run("witness", "--out", out) == 0
         assert out.read_text() == capsys.readouterr().out
+
+
+class TestOutsideInput:
+    """Option values and config files the CLI reads: accepted spellings give
+    what their canonical spelling gives; the rest exit 2 naming the fault."""
+
+    @pytest.mark.parametrize(
+        "case, same_as, err",
+        [(["--orthogonal-a", "yes"], ["--orthogonal-a", "true"], None),
+         (["--orthogonal-a", "off"], ["--orthogonal-a", "false"], None),
+         (["--orthogonal-a", "maybe"], None, "error: expected a boolean, got 'maybe'\n"),
+         (["--config", "missing.cfg"], None, "error: config file not found: missing.cfg\n"),
+         (["--config", "sim.cfg"], None, "error: sim.cfg:2: expected 'key = value', "
+                                         "got 'seed 5'\n")],
+        ids=["bool-yes", "bool-off", "bool-maybe", "config-missing", "config-no-equals"],
+    )
+    def test_simulate_options(self, tmp_path, monkeypatch, capsys, case, same_as, err):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sim.cfg").write_text("n = 30\nseed 5\n")
+        code = run("simulate", "--n", 20, *case, "--out", "a.covb")
+        if err is None:
+            assert code == 0
+            assert run("simulate", "--n", 20, *same_as, "--out", "b.covb") == 0
+            assert (tmp_path / "a.covb").read_bytes() == (tmp_path / "b.covb").read_bytes()
+        else:
+            assert code == 2
+            assert capsys.readouterr().err == err
+            assert not (tmp_path / "a.covb").exists()
+
+    def test_sweep_spec_rank_defaults_to_q(self):
+        specs = cli._sweep_specs({"specs": "unsupervised+geometric, supervised+logdiag:3"}, 2)
+        got = [(s.filter_kind, s.filter_rank, s.embedding_kind) for s in specs]
+        assert got == [("unsupervised", 2, "geometric"), ("supervised", 3, "logdiag")]
 
 
 class TestArgparseBehavior:

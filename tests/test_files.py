@@ -77,6 +77,7 @@ CASES = [
     ("covb-long-triangle", "covb", 8, "1 0 1 0", 8),
     ("covb-hash-token", "covb", 11, "3 1 #", 11),
     ("covb-n-zero", "covb", 1, "COVB v2 0 2 2", 1),
+    ("covb-rank-above-p", "covb", 1, "COVB v2 3 2 3", 1),
     ("covb-infinite-label", "covb", 6, "y inf", 6),
     # A header p whose triangle index would not fit in memory: the count
     # error comes from the first short triangle line, before any index.
@@ -173,6 +174,19 @@ def test_covb_errors_name_the_sample(line, text, sample, tmp_path):
     path.write_text(edit(COVB, line, text))
     with pytest.raises(ConfigError, match=f"^{path}:{line}: sample {sample}: "):
         read_covb(path)
+
+
+@pytest.mark.parametrize(
+    "kind, line, err_line, what",
+    [("covb", 11, 10, "sample 2: file ends before its triangle line"),
+     ("leadfield", 4, 3, "file ends before row 2 of 2")],
+    ids=["covb", "leadfield"],
+)
+def test_missing_line_is_named(kind, line, err_line, what, tmp_path):
+    path = tmp_path / f"short.{kind}"
+    path.write_text(edit(BASES[kind], line, None))
+    with pytest.raises(ConfigError, match=f"^{path}:{err_line}: {what}$"):
+        READERS[kind](path)
 
 
 def test_model_ignores_blank_lines(tmp_path):

@@ -249,6 +249,18 @@ class TestApply:
             apply(identity_filter(4), bundle)
 
 
+@pytest.mark.parametrize(
+    "g, match",
+    [(np.ones(3), "leadfield must be p x q"), (np.ones((3, 0)), "leadfield must be p x q"),
+     (np.ones((2, 2, 2)), "leadfield must be p x q"),
+     (np.array([[1.0, np.nan]]), "must be finite"), (np.array([[np.inf, 1.0]]), "must be finite")],
+    ids=["1d", "q-0", "3d", "nan", "inf"],
+)
+def test_leadfield_rejects_bad_shape_or_entries(g, match):
+    with pytest.raises(ValueError, match=match):
+        Leadfield(g)
+
+
 class TestLeadfieldFile:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(12)

@@ -406,6 +406,14 @@ class TestWitness:
         _, _, dists = no_affine_invariance_witness()
         assert dists[-1] < 1e-2
 
+    def test_distances_equal_eps(self):
+        # The images are [[1, 0], [0, 0]] and [[1, eps], [eps, eps^2]], whose
+        # factors differ by eps in one entry: the distance is eps exactly,
+        # which the difference of traces would lose to cancellation.
+        _, _, dists = no_affine_invariance_witness()
+        for eps, d in zip(WITNESS_EPSILONS, dists):
+            assert abs(d - eps) <= 1e-14 * eps
+
 
 class TestEmbedding:
     def test_feature_dims(self):
@@ -544,7 +552,7 @@ class TestBlockedTangentMap:
         isq = sym_func(ref, "inv_sqrt")
         rows = geometric_rows(ref, mats)
         np.testing.assert_array_equal(rows, manifold._upper(sym_func(isq @ mats @ isq, "log")))
-        assert rows.flags.f_contiguous
+        assert rows.flags.c_contiguous
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_mean_equals_default_block_size(self, monkeypatch, n):
@@ -554,7 +562,7 @@ class TestBlockedTangentMap:
         blocked = manifold.mean_geometric(mats)
         np.testing.assert_array_equal(blocked.point, whole.point)
         np.testing.assert_array_equal(blocked.samples, whole.samples)
-        assert blocked.samples.flags.f_contiguous
+        assert blocked.samples.flags.c_contiguous
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_training_rows_equal_embed(self, monkeypatch, n):
@@ -564,3 +572,15 @@ class TestBlockedTangentMap:
         for samples in (mats[:n], prepared.subset(np.arange(n + 2, 2, -1)[:n])):
             emb, rows = fit_embedding(samples, "geometric")
             np.testing.assert_array_equal(rows, embed(emb, samples))
+
+
+@pytest.mark.parametrize("kind", manifold.EMBEDDING_KINDS)
+def test_feature_rows_are_c_ordered(kind):
+    # One layout for every kind, whole or gathered from a subset, so the
+    # ridge's column sums round alike wherever the rows come from.
+    rng = np.random.default_rng(23)
+    mats = np.stack([rand_spd(rng, 4) for _ in range(6)])
+    subset = manifold.prepare_samples(mats, kind).subset([4, 0, 2])
+    emb, rows = fit_embedding(subset, kind)
+    for out in (rows, embed(emb, subset), embed(emb, mats)):
+        assert out.flags.c_contiguous

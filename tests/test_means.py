@@ -130,6 +130,57 @@ def test_no_convergence_reports_gradient(mean, monkeypatch):
     assert info.value.iterations == 1
 
 
+class TestDescend:
+    """The shared descent loop on a toy problem: the squared distances from
+    ``x`` to points in the plane, whose minimizer is their mean. ``move``
+    goes ``gain`` times the mean log map, so a unit step overshoots when
+    ``gain > 2`` and goes uphill when ``gain < 0``. The tolerance stays above
+    the gradient at which the Armijo slack would accept an overshoot."""
+
+    points = np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 0.5]])
+
+    def run(self, gain, tol=1e-4):
+        """``_descend`` from the origin; the objective of every state it
+        evaluates and the step of every move it tries go to ``self``."""
+        self.states, self.steps = states, steps = [], []
+
+        def evaluate(x):
+            logs = self.points - x
+            states.append(float(np.sum(logs * logs)))
+            return x, logs.copy(), logs.sum(axis=0), states[-1]
+
+        def move(x, gsum, step):
+            steps.append(step)
+            return x + gain * step * gsum / len(self.points)
+
+        return manifold._descend(evaluate, move, np.zeros(2), len(self.points), tol, "toy mean")
+
+    def test_overshoot_halves_and_converges(self):
+        fit = self.run(gain=3.0)
+        states, steps = self.states, self.steps
+        assert 0.5 in steps and 1.0 in steps
+        # The state a move gives is accepted when the next move starts over
+        # at step 1 (or none follows).
+        accepted = [states[0]] + [
+            obj for obj, nxt in zip(states[1:], steps[1:] + [1.0]) if nxt == 1.0
+        ]
+        assert all(b < a for a, b in zip(accepted, accepted[1:]))
+        # Converged: the gradient 2 * 3 * (mean - x) has norm at most tol.
+        mean = self.points.mean(axis=0)
+        assert 6.0 * np.linalg.norm(fit.point - mean) <= 1e-4
+        np.testing.assert_array_equal(fit.samples, (self.points - fit.point).reshape(3, -1))
+
+    def test_step_floor_ends_in_no_convergence(self):
+        with pytest.raises(NoConvergence) as info:
+            self.run(gain=-1.0)
+        assert info.value.iterations == manifold.MAX_ITER
+        assert info.value.gradient_norm > 0
+        # Every step was halved down to the floor, and the floor was taken.
+        tries = len(self.steps) // manifold.MAX_ITER
+        assert len(self.steps) == tries * manifold.MAX_ITER
+        assert self.steps[tries - 1] <= 1e-6 < self.steps[tries - 2]
+
+
 def test_points_are_read_only_arrays():
     rng = np.random.default_rng(12)
     mats = np.stack([rand_spd(rng, 3) for _ in range(4)])

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import rand_bundle, rand_invertible, rand_orthogonal, rand_psd_rank
 from spdreg import (
+    ConfigError,
     CovarianceBundle,
     DegenerateDesign,
     DimensionMismatch,
@@ -647,3 +648,35 @@ class TestResultsCSV:
         assert lines[0] == "method,filter,embedding,rank,fold,lambda,mae,seed"
         assert len(lines) == 4
         assert lines[1].startswith("identity+euclidean,identity,euclidean,3,0,")
+
+
+@pytest.mark.parametrize(
+    "features, y, error, match",
+    [(np.ones(5), np.ones(5), ValueError, "features must be 2-d"),
+     (np.ones((2, 3, 1)), np.ones(2), ValueError, "features must be 2-d"),
+     (np.eye(2), np.ones(2), ValueError, "at least 3 samples"),
+     (np.eye(4), np.ones(3), DimensionMismatch, "expected 4 targets"),
+     (np.eye(4), np.ones((4, 1)), DimensionMismatch, "expected 4 targets")],
+    ids=["features-1d", "features-3d", "n-2", "y-short", "y-2d"],
+)
+def test_fit_ridge_gcv_rejects_bad_shapes(features, y, error, match):
+    with pytest.raises(error, match=match):
+        fit_ridge_gcv(features, y)
+
+
+@pytest.mark.parametrize(
+    "fields, error, match",
+    [({"filter_kind": "pca"}, ValueError, "unknown filter kind"),
+     ({"embedding_kind": "riemann"}, ValueError, "unknown embedding kind"),
+     ({"ridge_grid": [1.0, np.nan]}, ValueError, "nonempty, finite and positive"),
+     ({"ridge_grid": [1.0, 1.0]}, ValueError, "strictly increasing"),
+     ({"filter_kind": "supervised"}, ValueError, "needs filter_rank >= 1"),
+     ({"filter_kind": "unsupervised", "filter_rank": 0}, ValueError, "needs filter_rank >= 1"),
+     ({"filter_kind": "mne"}, ConfigError, "needs a leadfield"),
+     ({"mne_lambda": 0.0}, ValueError, "mne_lambda must be positive")],
+    ids=["filter-kind", "embedding-kind", "grid-nan", "grid-flat", "supervised-no-rank",
+         "unsupervised-rank-0", "mne-no-leadfield", "mne-lambda-0"],
+)
+def test_pipeline_spec_rejections(fields, error, match):
+    with pytest.raises(error, match=match):
+        PipelineSpec(**fields)

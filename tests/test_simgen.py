@@ -39,6 +39,16 @@ class TestGenerativeConfig:
         with pytest.raises(ValueError):
             GenerativeConfig(f_kind="cube")
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [({"n": 1}, "need n >= 2"), ({"n": -3}, "need n >= 2"),
+         ({"seed": -1}, "seed must be nonnegative")],
+        ids=["n-1", "n-negative", "seed-negative"],
+    )
+    def test_rejects_small_n_or_negative_seed(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            GenerativeConfig(**fields)
+
 
 class TestMakeMixing:
     def test_mu_zero_is_exact_identity(self):
