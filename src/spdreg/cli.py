@@ -131,13 +131,11 @@ OPTIONS = {
     "mean": [
         Opt("bundle", _parse_str, "", "input bundle file"),
         Opt("metric", _parse_str, "geometric", "mean metric: euclidean, geometric, wasserstein"),
-        Opt("rank", _parse_int, 0, "rank for the wasserstein mean (0: bundle rank)"),
         Opt("out", _parse_str, "mean.txt", "output matrix file"),
     ],
     "embed": [
         Opt("bundle", _parse_str, "", "input bundle file"),
         Opt("embedding", _parse_str, "geometric", "embedding kind"),
-        Opt("rank", _parse_int, 0, "rank for the wasserstein embedding (0: bundle rank)"),
         Opt("out", _parse_str, "features.txt", "output feature file"),
     ],
     "witness": [
@@ -375,7 +373,7 @@ def cmd_eval(opts) -> int:
 def cmd_predict(opts) -> int:
     state = read_model(_require_file(opts, "model"))
     bund = read_covb(_require_file(opts, "bundle"))
-    test = regress.project(state.filt, bund, state.embedding.kind, state.embedding.rank)
+    test = regress.project(state.filt, bund, state.embedding.kind)
     yhat = regress.predict_fold(state, test)
     _write_matrix_file(opts["out"], f"PRED v1 {len(yhat)}", yhat)
     mae = float(np.mean(np.abs(bund.labels - yhat)))
@@ -459,11 +457,10 @@ def cmd_mean(opts) -> int:
     if metric == "euclidean":
         m = manifold.mean_euclidean(bund.matrices)
     elif metric == "geometric":
-        with _filter_hint(metric, "use --metric wasserstein --rank {}"):
+        with _filter_hint(metric, "use --metric wasserstein"):
             m = manifold.mean_geometric(bund.matrices).point
     elif metric == "wasserstein":
-        rank = opts["rank"] if opts["rank"] > 0 else bund.nominal_rank
-        m = manifold.mean_wasserstein(bund.matrices, rank).point
+        m = manifold.mean_wasserstein(bund.matrices).point
     else:
         raise ConfigError(f"unknown metric {metric!r}")
     _write_matrix_file(opts["out"], f"SYMMAT v1 {len(m)}", m)
@@ -474,9 +471,8 @@ def cmd_mean(opts) -> int:
 def cmd_embed(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     kind = opts["embedding"]
-    rank = opts["rank"] if opts["rank"] > 0 else bund.nominal_rank
-    with _filter_hint(kind, "use --embedding wasserstein --rank {}"):
-        _, rows = manifold.fit_embedding(bund.matrices, kind, rank=rank)
+    with _filter_hint(kind, "use --embedding wasserstein"):
+        _, rows = manifold.fit_embedding(bund.matrices, kind)
     n, k = rows.shape
     _write_matrix_file(opts["out"], f"FEAT v1 {n} {k}", rows)
     print(f"embedded n={n} k={k} kind={kind} -> {opts['out']}")

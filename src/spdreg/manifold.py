@@ -123,29 +123,30 @@ def dist_wasserstein(s, t) -> float:
 # ---------------------------------------------------------------------------
 
 
-def factorize(stack: np.ndarray, r: int) -> np.ndarray:
+def factorize(stack: np.ndarray) -> np.ndarray:
     """Eigen-factors ``y_i = u_r diag(sqrt(w_r))``, shape (n, p, r), of an
-    (n, p, p) stack of rank-``r`` PSD matrices.
+    (n, p, p) stack of PSD matrices of one rank ``r``, their most common
+    nonzero numerical rank.
 
     One batched :func:`~spdreg.symmat.eigh` gives the top-``r`` eigenpairs,
-    with its column order and signs, and its eigenvalues the rank of
+    with its column order and signs, and its eigenvalues the ranks of
     :func:`~spdreg.symmat.numerical_rank`; row ``i`` is bit for bit what
     factoring slice ``i`` alone gives.
 
     Raises
     ------
     NotPSD, RankMismatch
-        Naming the first slice that is not PSD or not of rank ``r``.
+        Naming the first slice that is not PSD, or not of rank ``r`` (a zero
+        slice never is); a rank mismatch carries the stack's lowest rank.
     """
-    p = stack.shape[-1]
-    if not 1 <= r <= p:
-        raise ValueError(f"rank must be in [1, {p}], got {r}")
     w, v = eigh(stack)
     ranks = _ranks(w)
-    bad = np.flatnonzero(ranks != r)
+    r = int(np.argmax(np.bincount(ranks, weights=ranks > 0)))
+    bad = np.flatnonzero((ranks != r) | (ranks == 0))
     if bad.size:
         i = bad[0]
-        raise RankMismatch(f"numerical rank is {ranks[i]}, expected {r}", i, int(ranks.min()))
+        raise RankMismatch(f"numerical rank is {ranks[i]}, expected {r or 'a nonzero rank'}",
+                           i, int(ranks.min()))
     return v[:, :, :r] * np.sqrt(w[:, None, :r])
 
 
@@ -162,12 +163,13 @@ def _wass_state(point, factors: np.ndarray):
     """``(base, logs, their sum, their summed squares)``: ``base`` is the
     factor of the matrix ``point`` from :func:`factorize`,
     ``logs`` the log maps from it to each sample factor. A point of another
-    numerical rank raises :class:`RankMismatch`, as an :class:`Embedding`
-    at it would."""
-    try:
-        base = factorize(point[None], factors.shape[-1])[0]
-    except RankMismatch as exc:
-        raise RankMismatch(f"reference {exc.detail}") from None
+    numerical rank than the factors raises :class:`RankMismatch` naming
+    both ranks and carrying the lower."""
+    base = factorize(point[None])[0]
+    r, rs = base.shape[-1], factors.shape[-1]
+    if r != rs:
+        raise RankMismatch(f"samples have numerical rank {rs}, the reference has {r}",
+                           rank=min(r, rs))
     logs = _wass_logs(base, factors)
     return base, logs, logs.sum(axis=0), float(np.sum(logs * logs))
 
@@ -215,13 +217,13 @@ class Samples:
         return Samples(self.kind, self.data, idx if self.index is None else self.index[idx])
 
 
-def prepare_samples(mats, kind: str, rank: int | None = None) -> Samples:
+def prepare_samples(mats, kind: str) -> Samples:
     """The reference-free, per-sample part of embedding ``kind`` for every
     matrix of the ``(n, p, p)`` array ``mats``.
     :class:`Samples` are returned as they are, once checked to match.
 
-    Only ``wasserstein`` uses ``rank``, which defaults to the numerical
-    rank of the first matrix.
+    ``wasserstein`` factors have the samples' common numerical rank, which
+    :func:`factorize` measures.
 
     Raises
     ------
@@ -229,14 +231,11 @@ def prepare_samples(mats, kind: str, rank: int | None = None) -> Samples:
         For ``logdiag``, if a diagonal entry is not positive.
     NotPSD, RankMismatch
         For ``wasserstein``, naming the first sample (by its index in
-        ``mats``) that is not PSD or not of rank ``rank``.
+        ``mats``) that is not PSD or not of the common rank.
     """
     if isinstance(mats, Samples):
-        if mats.kind != kind or (kind == "wasserstein" and rank not in (None, mats.rank)):
-            raise ValueError(
-                f"samples prepared for {mats.kind} (rank {mats.rank}) "
-                f"do not fit {kind} (rank {rank})"
-            )
+        if mats.kind != kind:
+            raise ValueError(f"samples prepared for {mats.kind} do not fit {kind}")
         return mats
     if kind not in EMBEDDING_KINDS:
         raise ValueError(f"unknown embedding kind {kind!r}; expected one of {EMBEDDING_KINDS}")
@@ -252,9 +251,7 @@ def prepare_samples(mats, kind: str, rank: int | None = None) -> Samples:
         return Samples(kind, np.log(d))
     if kind == "geometric":
         return Samples(kind, stack)
-    if rank is None:
-        rank = numerical_rank(stack[0])
-    return Samples(kind, factorize(stack, rank))
+    return Samples(kind, factorize(stack))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +364,8 @@ def mean_geometric(mats) -> FrechetMean:
     Raises
     ------
     SingularMatrix
-        If any input is rank-deficient.
+        If any input is rank-deficient, naming the lowest numerical rank
+        among the inputs.
     NoConvergence
         If the gradient norm is still above the tolerance after
         ``MAX_ITER`` steps.
@@ -378,14 +376,25 @@ def mean_geometric(mats) -> FrechetMean:
     def move(sq, grad, step):
         return _sym(sq @ sym_func((step / n) * grad, "exp") @ sq)
 
-    return _descend(
-        lambda m: _geo_state(m, stack), move, _sym(stack.mean(axis=0)), n, 2e-9 * p,
-        "geometric mean",
-    )
+    try:
+        return _descend(
+            lambda m: _geo_state(m, stack), move, _sym(stack.mean(axis=0)), n, 2e-9 * p,
+            "geometric mean",
+        )
+    except SingularMatrix as exc:
+        # The singular matrix may be the starting mean, or one block's lowest
+        # rank: a projection to either rank may leave other inputs singular.
+        ranks = numerical_rank(stack)
+        i = int(np.argmin(ranks))
+        if ranks[i] in (p, exc.rank):
+            raise
+        raise SingularMatrix(f"full-rank SPD matrix required, sample {i} has numerical rank "
+                             f"{ranks[i]} of {p}", rank=int(ranks[i])) from None
 
 
-def mean_wasserstein(mats, r: int) -> FrechetMean:
-    """Frechet mean under the Bures-Wasserstein metric, rank ``r``.
+def mean_wasserstein(mats) -> FrechetMean:
+    """Frechet mean under the Bures-Wasserstein metric, at the inputs'
+    common numerical rank ``r`` (see :func:`factorize`).
 
     Gradient descent on the factor ``y`` (p x r) minimizing the summed
     squared distances: ``y <- y + step/n sum_i log_i`` for the
@@ -399,20 +408,20 @@ def mean_wasserstein(mats, r: int) -> FrechetMean:
     Converged when the Riemannian gradient ``2 sum_i log_i`` has Frobenius
     norm at most ``1e-7 * sqrt(p * r)``. Returns the mean with the
     inputs' ``(n, p * r)`` feature rows at it, from the last accepted
-    state. ``mats`` may be :class:`Samples` prepared for ``wasserstein``
-    at rank ``r``; their factors are then used as they are.
+    state. ``mats`` may be :class:`Samples` prepared for ``wasserstein``;
+    their factors are then used as they are.
 
     Raises
     ------
     RankMismatch
-        If any input's numerical rank differs from ``r``, or an iterate's
-        does (without a sample index).
+        If any input's numerical rank differs from the others', or an
+        iterate's from ``r`` (without a sample index).
     NoConvergence
         If the gradient norm is still above the tolerance after
         ``MAX_ITER`` steps.
     """
-    factors = prepare_samples(mats, "wasserstein", r).gather()
-    n, p = factors.shape[0], factors.shape[1]
+    factors = prepare_samples(mats, "wasserstein").gather()
+    n, p, r = factors.shape
     w, v = eigh(np.tensordot(factors, factors, axes=([0, 2], [0, 2])) / n)
     y = v[:, :r] * np.sqrt(np.clip(w[:r], 0.0, None))
 
@@ -489,25 +498,25 @@ class Embedding:
             raise RankMismatch(f"reference rank {nr} differs from embedding rank {self.rank}")
 
 
-def fit_embedding(mats, kind: str, rank: int | None = None) -> tuple[Embedding, np.ndarray]:
+def fit_embedding(mats, kind: str) -> tuple[Embedding, np.ndarray]:
     """Fit an embedding on a training set; return it with that set's
     ``(n, k)`` feature rows.
 
     The reference is the Frechet mean of ``mats`` under the metric that
     matches ``kind``; ``euclidean`` and ``logdiag`` have no reference.
     ``mats`` is an ``(n, p, p)`` array or :class:`Samples` prepared for
-    ``kind``. Only ``wasserstein`` uses ``rank`` (see
-    :func:`prepare_samples`). The rows equal ``embed(embedding, mats)``
+    ``kind``; a ``wasserstein`` embedding's rank is the one
+    :func:`prepare_samples` measures. The rows equal ``embed(embedding, mats)``
     bit for bit. For ``geometric`` and ``wasserstein`` they are the rows
     the mean's solver holds at its last accepted state
     (:attr:`FrechetMean.samples`), so the training set is not embedded a
     second time.
     """
-    prepared = prepare_samples(mats, kind, rank)
+    prepared = prepare_samples(mats, kind)
     if kind == "geometric":
         fit = mean_geometric(prepared.gather())
     elif kind == "wasserstein":
-        fit = mean_wasserstein(prepared, prepared.rank)
+        fit = mean_wasserstein(prepared)
     else:
         return Embedding(kind), prepared.gather()
     return Embedding(kind, fit.point, prepared.rank), fit.samples
@@ -524,8 +533,9 @@ def embed(embedding: Embedding, mats) -> np.ndarray:
     ``p * rank``), ``logdiag`` rows the log of the diagonal. The 2-norm
     of a geometric or wasserstein row is the distance from the reference.
     ``mats`` is an ``(n, p, p)`` array or :class:`Samples` prepared for
-    the embedding's kind and rank, whose per-sample part is then not
-    redone.
+    the embedding's kind, whose per-sample part is then not redone. Samples
+    of another numerical rank than a ``wasserstein`` reference raise
+    :class:`RankMismatch`.
     """
     kind, reference = embedding.kind, embedding.reference
     if not isinstance(mats, Samples):
@@ -534,7 +544,7 @@ def embed(embedding: Embedding, mats) -> np.ndarray:
             raise DimensionMismatch(
                 f"reference dim {len(reference)} vs matrices dim {mats.shape[-1]}"
             )
-    data = prepare_samples(mats, kind, embedding.rank).gather()
+    data = prepare_samples(mats, kind).gather()
     if kind == "geometric":
         return _tangent_map(sym_func(reference, "inv_sqrt"), data)[0]
     if kind == "wasserstein":

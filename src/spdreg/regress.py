@@ -259,15 +259,7 @@ def fold_blocks(n: int, folds: int, seed: int) -> list[np.ndarray]:
 
     The ``n % folds`` leftover samples go one each to the first folds.
     """
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    base, extra = divmod(n, folds)
-    blocks, start = [], 0
-    for i in range(folds):
-        size = base + (1 if i < extra else 0)
-        blocks.append(perm[start : start + size])
-        start += size
-    return blocks
+    return np.array_split(np.random.default_rng(seed).permutation(n), folds)
 
 
 # Filters fit without reading the samples: cross-validation fits them,
@@ -304,12 +296,10 @@ class Projected:
         return Projected(self.filt, self.samples.subset(indices), self.labels[indices])
 
 
-def project(filt: SpatialFilter, bundle: CovarianceBundle, kind: str, rank=None) -> Projected:
+def project(filt: SpatialFilter, bundle: CovarianceBundle, kind: str) -> Projected:
     """Project ``bundle`` with ``filt`` and prepare it for embedding ``kind``
-    at Wasserstein rank ``rank``, by default the projected nominal rank."""
-    out = apply(filt, bundle)
-    rank = out.nominal_rank if rank is None else rank
-    return Projected(filt, prepare_samples(out.matrices, kind, rank), bundle.labels)
+    (Wasserstein factors at the projected samples' measured rank)."""
+    return Projected(filt, prepare_samples(apply(filt, bundle).matrices, kind), bundle.labels)
 
 
 def fit_fold(train: Projected, spec: PipelineSpec) -> FoldState:

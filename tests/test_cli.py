@@ -80,6 +80,19 @@ def rank6_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def upper_bound_file(tmp_path):
+    # Rank 6 in 10 dimensions under the sqrt link with orthogonal mixing,
+    # declared with the upper bound nominal_rank = 10: the Wasserstein route
+    # measures the rank and recovers the labels exactly.
+    base, _ = sample_bundle(GenerativeConfig(p=6, q=2, n=60, f_kind="sqrt",
+                                             orthogonal_a=True, seed=0))
+    u = rand_orthogonal(np.random.default_rng(5), 10)[:, :6]
+    path = tmp_path / "upper.covb"
+    write_covb(path, CovarianceBundle(u @ base.matrices @ u.T, base.labels, nominal_rank=10))
+    return path
+
+
 class TestEval:
     def test_writes_results_csv(self, tmp_path, bundle_file):
         out = tmp_path / "r.csv"
@@ -169,6 +182,32 @@ class TestEval:
         hint = "--filter unsupervised --rank 4"
         assert err.endswith(hint + "\n")
         assert run(*args, *hint.split()) == 0
+
+    def test_geometric_hint_when_the_mean_is_singular(self, tmp_path, capsys):
+        # Sample 0 has rank 5, the rest rank 4, all in one 5-d subspace: the
+        # arithmetic mean, where the geometric mean starts, has rank 5, but a
+        # projection to rank 5 leaves the rest singular.
+        rng = np.random.default_rng(0)
+        u = rand_orthogonal(rng, 6)
+        mats = [y @ y.T for y in (u[:, :r] @ rng.standard_normal((r, r)) for r in [5] + [4] * 39)]
+        path = tmp_path / "nested.covb"
+        write_covb(path, CovarianceBundle(mats, rng.standard_normal(40), nominal_rank=6))
+        args = ["eval", "--bundle", path, "--embedding", "geometric", "--out", tmp_path / "r.csv"]
+        assert run(*args) == 3
+        err = capsys.readouterr().err
+        assert "numerical rank 4 of 6" in err
+        hint = "--filter unsupervised --rank 4"
+        assert err.endswith(hint + "\n")
+        assert run(*args, *hint.split()) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "fit", "mean", "embed"])
+    def test_wasserstein_measures_the_rank(self, tmp_path, upper_bound_file, command):
+        flag = "--metric" if command == "mean" else "--embedding"
+        out = tmp_path / "o"
+        assert run(command, "--bundle", upper_bound_file, flag, "wasserstein", "--out", out) == 0
+        if command == "eval":
+            maes = [float(line.split(",")[6]) for line in out.read_text().splitlines()[1:]]
+            assert np.mean(maes) < 1e-6 * read_covb(upper_bound_file).labels.std()
 
     def test_wasserstein_rank_error_names_the_bundle_sample(self, tmp_path, capsys):
         # Sample 5 falls in fold 0's training split at this seed, where it
@@ -303,7 +342,7 @@ class TestFitPredict:
         monkeypatch.undo()
         bundle = read_covb(bundle_file)
         state = read_model(model)
-        test = regress.project(state.filt, bundle, state.embedding.kind, state.embedding.rank)
+        test = regress.project(state.filt, bundle, state.embedding.kind)
         yhat = regress.predict_fold(state, test)
         mae = float(np.mean(np.abs(bundle.labels - yhat)))
         assert f"train_mae={mae:.6g} " in capsys.readouterr().out
@@ -357,6 +396,20 @@ class TestFitPredict:
         model.write_text("\n".join(lines) + "\n")
         assert run("predict", "--model", model, "--bundle", bundle_file, "--out", pred) == 2
         assert f"error: {model}:{at + 1}: {message}" in capsys.readouterr().err
+        assert not pred.exists()
+
+    def test_predict_rank_mismatch_names_both_ranks(self, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        files = {}
+        for r in (5, 6):
+            mats = [y @ y.T for y in rng.standard_normal((20, 8, r))]
+            files[r] = tmp_path / f"rank{r}.covb"
+            write_covb(files[r], CovarianceBundle(mats, rng.standard_normal(20), nominal_rank=r))
+        model, pred = tmp_path / "m.txt", tmp_path / "p.txt"
+        assert run("fit", "--bundle", files[5], "--embedding", "wasserstein", "--out", model) == 0
+        assert run("predict", "--model", model, "--bundle", files[6], "--out", pred) == 3
+        err = capsys.readouterr().err
+        assert "RankMismatch" in err and "samples have numerical rank 6, the reference has 5" in err
         assert not pred.exists()
 
     def test_fit_deterministic(self, tmp_path, bundle_file):
@@ -493,7 +546,7 @@ class TestMeanEmbed:
         assert run(*args, flag, "geometric") == 3
         err = capsys.readouterr().err
         assert "numerical rank 6 of 8" in err
-        hint = f"use {flag} wasserstein --rank 6"
+        hint = f"use {flag} wasserstein"
         assert err.endswith(hint + "\n")
         assert run(*args, *hint.split()[1:]) == 0
 
@@ -547,6 +600,50 @@ class TestOutsideInput:
             assert code == 2
             assert capsys.readouterr().err == err
             assert not (tmp_path / "a.covb").exists()
+
+    GRID = "error: ridge grid needs 0 < ridge_min < ridge_max and ridge_count >= 1\n"
+
+    @pytest.mark.parametrize(
+        "args, cfg, err",
+        [(["eval"], "\n# a one-value grid\n\n  # of ridge_min\nridge_count = 1\nridge_min = 0.5\n",
+          None),
+         (["eval", "--ridge-count", 1, "--ridge-min", 0.5], None, None),
+         (["eval", "--ridge-min", 1, "--ridge-max", 0.5], None, GRID),
+         (["eval", "--ridge-min", 1, "--ridge-max", 1], None, GRID),
+         (["eval", "--ridge-count", 0], None, GRID),
+         (["sweep", "--specs", "identity"], None,
+          "error: bad pipeline spec 'identity'; expected filter+embedding\n"),
+         (["sweep", "--specs", "identity+spd"], None,
+          "error: bad pipeline spec 'identity+spd': unknown embedding kind 'spd'; "
+          "expected one of ('euclidean', 'geometric', 'wasserstein', 'logdiag')\n"),
+         (["mean", "--metric", "spd"], None, "error: unknown metric 'spd'\n"),
+         (["mean", "--rank", 3], None, "error: unrecognized arguments: --rank 3\n"),
+         (["mean"], "rank = 3\n", "error: unknown config key 'rank' for command 'mean'\n"),
+         (["embed"], "rank = 3\n", "error: unknown config key 'rank' for command 'embed'\n")],
+        ids=["config-comments-one-value-grid", "one-value-grid", "ridge-max-below-min",
+             "ridge-max-at-min", "ridge-count-0", "spec-no-plus", "spec-unknown-embedding",
+             "mean-metric-spd", "mean-rank-flag", "mean-rank-key", "embed-rank-key"],
+    )
+    def test_pipeline_options(self, tmp_path, bundle_file, capsys, args, cfg, err):
+        # A one-value grid is ridge_min alone; blank and comment lines of a
+        # config file are skipped. The Wasserstein rank is measured, never set.
+        command, out = args[0], tmp_path / "o"
+        if command != "sweep":
+            args = [*args, "--bundle", bundle_file]
+        if cfg is not None:
+            (tmp_path / "o.cfg").write_text(cfg)
+            args = [*args, "--config", tmp_path / "o.cfg"]
+        if command == "eval":
+            args = [*args, "--folds", 3]
+        code = run(*args, "--out", out)
+        if err is None:
+            assert code == 0
+            rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+            assert len(rows) == 3 and {row[5] for row in rows} == {"0.5"}
+        else:
+            assert code == 2
+            assert capsys.readouterr().err.endswith(err)
+            assert not out.exists()
 
     def test_sweep_spec_rank_defaults_to_q(self):
         specs = cli._sweep_specs({"specs": "unsupervised+geometric, supervised+logdiag:3"}, 2)

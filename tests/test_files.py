@@ -331,9 +331,9 @@ def test_pred_feat_symmat_bytes_match_joined_floats(fitted, tmp_path):
     assert run("embed", "--bundle", covb, "--embedding", "geometric", "--out", feat) == 0
     assert run("mean", "--bundle", covb, "--metric", "geometric", "--out", mean) == 0
     state = read_model(model)
-    test = regress.project(state.filt, bund, state.embedding.kind, state.embedding.rank)
+    test = regress.project(state.filt, bund, state.embedding.kind)
     yhat = regress.predict_fold(state, test)
-    rows = manifold.fit_embedding(bund.matrices, "geometric", rank=bund.nominal_rank)[1]
+    rows = manifold.fit_embedding(bund.matrices, "geometric")[1]
     point = manifold.mean_geometric(bund.matrices).point
     assert pred.read_text() == joined(f"PRED v1 {len(yhat)}", yhat)
     assert feat.read_text() == joined(f"FEAT v1 {rows.shape[0]} {rows.shape[1]}", rows)

@@ -4,6 +4,7 @@ import pytest
 from conftest import rand_bundle, rand_spd
 from spdreg import (
     CovarianceBundle,
+    DegenerateDesign,
     DimensionMismatch,
     Leadfield,
     RankTooLarge,
@@ -259,6 +260,19 @@ class TestApply:
 def test_leadfield_rejects_bad_shape_or_entries(g, match):
     with pytest.raises(ValueError, match=match):
         Leadfield(g)
+
+
+@pytest.mark.parametrize(
+    "make, error, match",
+    [(lambda: SpatialFilter(np.ones(3), "identity", np.empty(0)), ValueError,
+      "filter matrix must be 2-d"),
+     (lambda: fit_supervised(constant_bundle(np.eye(3), 6, np.full(6, 2.0)), 2),
+      DegenerateDesign, "supervised filter needs a non-constant target")],
+    ids=["1d-w", "constant-labels"],
+)
+def test_filter_rejects_outside_input(make, error, match):
+    with pytest.raises(error, match=match):
+        make()
 
 
 class TestLeadfieldFile:

@@ -270,7 +270,7 @@ class TestSolverFailure:
         [
             lambda s: dist_geometric(s[0], s[1]),
             lambda s: dist_wasserstein(s[0], s[1]),
-            lambda s: factorize(np.asarray(s), 4),
+            lambda s: factorize(np.asarray(s)),
             lambda s: manifold.mean_geometric(s),
             lambda s: geometric_rows(s[0], s),
         ],
@@ -290,19 +290,38 @@ class TestSolverFailure:
             call(mats)
 
 
+@pytest.mark.parametrize(
+    "call, error, match",
+    [(lambda: dist_geometric(np.eye(2)[None], np.eye(2)), ValueError, "expected a .p, p. matrix"),
+     (lambda: dist_wasserstein(np.eye(2), np.ones(2)), ValueError, "expected a .p, p. matrix"),
+     (lambda: dist_geometric(np.eye(2), np.eye(3)), DimensionMismatch, "dimensions differ"),
+     (lambda: dist_wasserstein(np.eye(3), np.eye(2)), DimensionMismatch, "dimensions differ"),
+     (lambda: Embedding("wasserstein", np.eye(2)), ValueError,
+      "wasserstein embedding requires a rank"),
+     (lambda: manifold.prepare_samples(manifold.prepare_samples(np.eye(2)[None], "euclidean"),
+                                       "wasserstein"),
+      ValueError, "samples prepared for euclidean do not fit wasserstein")],
+    ids=["dist_geometric-3d", "dist_wasserstein-1d", "dist_geometric-dims",
+         "dist_wasserstein-dims", "wasserstein-without-rank", "samples-of-another-kind"],
+)
+def test_rejects_outside_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
+
+
 class TestFactorize:
     def test_rank_one_diagonal(self):
-        y = factorize(np.diag([4.0, 0.0])[None], 1)
+        y = factorize(np.diag([4.0, 0.0])[None])
         np.testing.assert_allclose(y, [[[2.0], [0.0]]], atol=1e-12)
 
     def test_identity_full_rank(self):
-        y = factorize(np.eye(3)[None], 3)
+        y = factorize(np.eye(3)[None])
         np.testing.assert_allclose(y, [np.eye(3)], atol=1e-12)
 
     def test_random_rank_two_reconstruction(self):
         rng = np.random.default_rng(9)
         mats = [rand_psd_rank(rng, 5, 2) for _ in range(4)]
-        ys = factorize(np.stack(mats), 2)
+        ys = factorize(np.stack(mats))
         assert ys.shape == (4, 5, 2)
         for s, y in zip(mats, ys):
             err = np.linalg.norm(y @ y.T - s) / np.linalg.norm(s)
@@ -312,35 +331,42 @@ class TestFactorize:
         # Order and signs of the factor columns fix the feature coordinates.
         rng = np.random.default_rng(11)
         mats = [rand_psd_rank(rng, 5, 3) for _ in range(6)]
-        ys = factorize(np.stack(mats), 3)
+        ys = factorize(np.stack(mats))
         for s, y in zip(mats, ys):
             assert np.array_equal(y, eigen_factor(s, 3))
-
-    def test_rank_mismatch_raises(self):
-        with pytest.raises(RankMismatch):
-            factorize(np.eye(3)[None], 2)
 
     def test_rank_mismatch_names_the_sample(self):
         rng = np.random.default_rng(12)
         mats = [rand_psd_rank(rng, 4, 2) for _ in range(4)]
         mats[2] = rand_psd_rank(rng, 4, 3)
         with pytest.raises(RankMismatch, match="sample 2"):
-            factorize(np.stack(mats), 2)
+            factorize(np.stack(mats))
+
+    def test_rank_is_the_most_common_nonzero_rank(self):
+        # Slice 0 is off the common rank 2, and zero slices never set it.
+        rng = np.random.default_rng(14)
+        mats = [rand_psd_rank(rng, 4, r) for r in (3, 2, 2, 2)] + [np.zeros((4, 4))] * 5
+        assert factorize(np.stack(mats[1:4])).shape == (3, 4, 2)
+        with pytest.raises(RankMismatch, match="sample 0: numerical rank is 3, expected 2") as info:
+            factorize(np.stack(mats))
+        assert info.value.rank == 0
+        with pytest.raises(RankMismatch, match="sample 0: numerical rank is 0, expected a nonzero"):
+            factorize(np.zeros((2, 3, 3)))
 
     def test_indefinite_slice_raises(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -1.0])])
         with pytest.raises(NotPSD, match="sample 1"):
-            factorize(stack, 2)
+            factorize(stack)
 
     def test_zero_slice_raises(self):
         stack = np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2))])
         with pytest.raises(RankMismatch, match="sample 1"):
-            factorize(stack, 1)
+            factorize(stack)
 
     def test_round_off_negative_eigenvalue_accepted(self):
         q = rand_orthogonal(np.random.default_rng(13), 3)
         s = (q * [2.0, 1.0, -1e-14]) @ q.T
-        y = factorize(s[None], 2)[0]
+        y = factorize(s[None])[0]
         expected = (q[:, :2] * [2.0, 1.0]) @ q[:, :2].T
         np.testing.assert_allclose(y @ y.T, expected, atol=1e-12)
 
@@ -422,7 +448,7 @@ class TestEmbedding:
         low = [rand_psd_rank(rng, 5, 3) for _ in range(3)]
         assert embed(fit_embedding(spd, "euclidean")[0], spd).shape == (3, 15)
         assert embed(fit_embedding(spd, "geometric")[0], spd).shape == (3, 15)
-        assert embed(fit_embedding(low, "wasserstein", rank=3)[0], low).shape == (3, 15)
+        assert embed(fit_embedding(low, "wasserstein")[0], low).shape == (3, 15)
         assert embed(fit_embedding(spd, "logdiag")[0], spd).shape == (3, 5)
 
     @pytest.mark.parametrize(
@@ -445,7 +471,7 @@ class TestEmbedding:
             mats = [rand_spd(rng, 5, spread=2.0) for _ in range(12)]
         mats = [scale * m for m in mats]
         states = count_calls(monkeypatch, manifold, "_wass_state")
-        emb, rows = fit_embedding(mats, kind, rank=rank)
+        emb, rows = fit_embedding(mats, kind)
         if kind == "wasserstein" and scale == 1.0:
             assert states[0] >= 3
         assert np.array_equal(rows, embed(emb, mats))
@@ -467,7 +493,7 @@ class TestEmbedding:
             return fit
 
         monkeypatch.setattr(manifold, "mean_wasserstein", mean_then_mark)
-        fit_embedding(mats, "wasserstein", rank=3)
+        fit_embedding(mats, "wasserstein")
         assert states[0] >= 3
         assert after == [states[0]]
         assert logs[0] == states[0]
@@ -480,8 +506,8 @@ class TestEmbedding:
         f = np.zeros((4, 3, 2))
         f[:, :, 0] = np.outer(np.arange(1.0, 5.0), [1.0, 2.0, 2.0]) / 3.0
         samples = manifold.Samples("wasserstein", f)
-        with pytest.raises(RankMismatch, match="rank is 1, expected 2") as info:
-            manifold.mean_wasserstein(samples, 2)
+        with pytest.raises(RankMismatch, match="numerical rank 2, the reference has 1") as info:
+            manifold.mean_wasserstein(samples)
         assert info.value.sample is None
 
     def test_geometric_requires_full_rank_reference(self):
@@ -517,7 +543,7 @@ class TestEmbedding:
             np.testing.assert_allclose(rows[i], upper(log), atol=1e-10)
 
         for r, stack in ((4, mats), (2, [rand_psd_rank(rng, 4, 2) for _ in range(6)])):
-            emb = fit_embedding(stack, "wasserstein", rank=r)[0]
+            emb = fit_embedding(stack, "wasserstein")[0]
             base = eigen_factor(emb.reference, r)
             rows = embed(emb, stack)
             for i, m in enumerate(stack):

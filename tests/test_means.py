@@ -75,20 +75,20 @@ class TestMeanWasserstein:
     def test_identical_inputs(self):
         rng = np.random.default_rng(6)
         s = rand_spd(rng, 4)
-        m = mean_wasserstein([s, s, s], 4).point
+        m = mean_wasserstein([s, s, s]).point
         assert np.linalg.norm(m - s) <= 1e-8 * np.linalg.norm(s)
 
     def test_scalar_closed_form(self):
         # 1x1 case: the mean of {a, b} is ((sqrt(a) + sqrt(b)) / 2)^2.
-        m = mean_wasserstein([[[4.0]], [[16.0]]], 1).point
+        m = mean_wasserstein([[[4.0]], [[16.0]]]).point
         assert m[0, 0] == pytest.approx(9.0, abs=1e-10)
 
     def test_orthogonal_equivariance(self):
         rng = np.random.default_rng(7)
         mats = [rand_spd(rng, 4) for _ in range(8)]
         q = rand_orthogonal(rng, 4)
-        direct = mean_wasserstein([SymMat(q.T @ m @ q) for m in mats], 4).point
-        pushed = q.T @ mean_wasserstein(mats, 4).point @ q
+        direct = mean_wasserstein([SymMat(q.T @ m @ q) for m in mats]).point
+        pushed = q.T @ mean_wasserstein(mats).point @ q
         err = np.linalg.norm(direct - pushed) / np.linalg.norm(pushed)
         assert err <= 1e-6
 
@@ -97,27 +97,27 @@ class TestMeanWasserstein:
 
         rng = np.random.default_rng(8)
         mats = [rand_spd(rng, 5) for _ in range(15)]
-        m = mean_wasserstein(mats, 5).point
-        _, _, grad_sum, _ = _wass_state(m, factorize(np.stack(mats), 5))
+        m = mean_wasserstein(mats).point
+        _, _, grad_sum, _ = _wass_state(m, factorize(np.stack(mats)))
         assert 2 * np.linalg.norm(grad_sum) <= 1e-7 * np.sqrt(5 * 5)
 
     def test_rank_deficient_inputs(self):
         rng = np.random.default_rng(9)
         mats = [rand_psd_rank(rng, 4, 2) for _ in range(6)]
-        m = mean_wasserstein(mats, 2).point
+        m = mean_wasserstein(mats).point
         w = np.linalg.eigvalsh(m)
         assert np.sum(w > 1e-10 * w[-1]) == 2
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)
         mats = [rand_spd(rng, 3) for _ in range(5)]
-        m1 = mean_wasserstein(mats, 3).point
-        m2 = mean_wasserstein(mats[::-1], 3).point
+        m1 = mean_wasserstein(mats).point
+        m2 = mean_wasserstein(mats[::-1]).point
         assert np.linalg.norm(m1 - m2) <= 1e-8
 
 
 @pytest.mark.parametrize(
-    "mean", [mean_geometric, lambda mats: mean_wasserstein(mats, 4)],
+    "mean", [mean_geometric, mean_wasserstein],
     ids=["geometric", "wasserstein"],
 )
 def test_no_convergence_reports_gradient(mean, monkeypatch):
@@ -187,7 +187,7 @@ def test_points_are_read_only_arrays():
     points = {
         "mean_euclidean": mean_euclidean(mats),
         "mean_geometric": mean_geometric(mats).point,
-        "mean_wasserstein": mean_wasserstein(mats, 3).point,
+        "mean_wasserstein": mean_wasserstein(mats).point,
         "Embedding.reference": manifold.fit_embedding(mats, "geometric")[0].reference,
         "witness": manifold.no_affine_invariance_witness()[0],
     }

@@ -534,9 +534,7 @@ def cv_from_scratch(bundle, spec, folds, seed):
         test = bundle.subset(test_idx)
         filt = fit_filter(train)
         projected = apply(filt, train)
-        emb, rows = fit_embedding(
-            projected.matrices, spec.embedding_kind, rank=projected.nominal_rank
-        )
+        emb, rows = fit_embedding(projected.matrices, spec.embedding_kind)
         model = fit_ridge_gcv(rows, projected.labels, spec.ridge_grid)
         yhat = predict(model, embed(emb, apply(filt, test).matrices))
         maes.append(float(np.mean(np.abs(test.labels - yhat))))
