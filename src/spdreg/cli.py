@@ -25,6 +25,7 @@ import numpy as np
 from . import filters, manifold, regress, simgen
 from .bundle import LineReader, read_covb, row_format, write_covb, write_rows
 from .errors import ConfigError, NumericalError, RankMismatch, SampleError, SingularMatrix
+from .symmat import numerical_rank
 
 
 # ---------------------------------------------------------------------------
@@ -243,14 +244,14 @@ def _write_matrix_file(path, header: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Model file: MODEL v2
+# Model file: MODEL v3
 # ---------------------------------------------------------------------------
 
 
 def write_model(path, state: regress.FoldState) -> None:
     filt, emb, model = state.filt, state.embedding, state.model
     with open(path, "w") as fh:
-        fh.write(f"MODEL v2\nembedding {emb.kind} {emb.rank or 0}\n")
+        fh.write(f"MODEL v3\nembedding {emb.kind}\n")
         fh.write("filter {} {} {}\n".format(filt.kind, *filt.w.shape))
         write_rows(fh, filt.w)
         write_rows(fh, filt.eigenvalues, "filter_eigs")
@@ -277,9 +278,8 @@ def read_model(path) -> regress.FoldState:
     path = Path(path)
     with open(path) as fh:
         src = LineReader(path, fh)
-        src.words("MODEL v2")
-        _, emb_kind, emb_rank = src.words("embedding <kind> <rank>")
-        emb_line, emb_rank = src.lineno, src.count(emb_rank, low=0)
+        src.words("MODEL v3")
+        emb_kind, emb_line = src.words("embedding <kind>")[1], src.lineno
         _, filt_kind, p, r = src.words("filter <kind> <p> <r>")
         filt_line, w = src.lineno, src.block(src.count(p), src.count(r))[0]
         eigs = src.floats(src.words("filter_eigs ...")[1:])
@@ -290,10 +290,16 @@ def read_model(path) -> regress.FoldState:
         if rp and rp != w.shape[1]:
             raise src.error(f"reference dimension {rp} differs from filter width {w.shape[1]}")
         reference = src.block(rp, rp)[0] if rp else None
-        emb = _build(src, emb_line, manifold.Embedding, kind=emb_kind, reference=reference,
-                     rank=emb_rank or None)
+        emb = _build(src, emb_line, manifold.Embedding, kind=emb_kind, reference=reference)
         _, k, *ridge = src.words("ridge <k> <lambda> <intercept>")
         k, (lam, intercept) = src.count(k), src.floats(ridge, 2).tolist()
+        r = w.shape[1]
+        width = r if emb.kind == "logdiag" else r * (r + 1) // 2
+        if emb.kind == "wasserstein":
+            width = r * numerical_rank(reference)
+        if k != width:
+            raise src.error(f"expected {width} features for a {emb.kind} embedding of filter "
+                            f"width {r}, got {k}")
         mean = src.floats(src.words("mean ...")[1:], k)
         scale = src.floats(src.words("scale <s>")[1:])[0]
         if scale <= 0:
@@ -323,26 +329,35 @@ def cmd_simulate(opts) -> int:
 
 
 PROJECTION_HINT = ("project onto the common full-rank subspace with "
-                   "--filter unsupervised --rank {}")
+                   "{}--filter unsupervised --rank {}")
 
 
 @contextmanager
-def _filter_hint(kind: str, hint: str, kinds=("geometric",)):
-    """Append ``hint``, formatted with the numerical rank ``r > 0`` the error
-    names (the lowest of a stack), to the singular-matrix or rank-mismatch
-    error of a ``kind`` in ``kinds``."""
+def _filter_hint(bund, kind: str, flag: str = ""):
+    """To a singular-matrix or rank-mismatch error of a geometric or
+    Wasserstein ``kind``, append the lowest numerical rank ``0 < r < p`` of
+    the samples of ``bund`` (measured on this error path only; a non-PSD
+    sample is named instead) and the projection to ``r``. A command with
+    no filter (``flag`` its kind option) suggests ``use <flag> wasserstein``
+    on a geometric error if every sample has rank ``r``, else ``eval`` or ``fit``."""
     try:
         yield
     except (SingularMatrix, RankMismatch) as exc:
-        if kind in kinds and exc.rank:
-            exc.args = (f"{exc}; {hint.format(exc.rank)}",)
+        if kind in ("geometric", "wasserstein"):
+            ranks, p = numerical_rank(bund.matrices), bund.dim
+            r = int(ranks.min())
+            if 0 < r < p:
+                hint = PROJECTION_HINT.format("eval or fit " if flag else "", r)
+                if flag and kind == "geometric" and (ranks == r).all():
+                    hint = f"use {flag} wasserstein"
+                exc.args = (f"{exc}; lowest numerical rank {r} of {p}: {hint}",)
         raise
 
 
 def cmd_fit(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     spec = _pipeline_spec(opts)
-    with _filter_hint(spec.embedding_kind, PROJECTION_HINT, ("geometric", "wasserstein")):
+    with _filter_hint(bund, spec.embedding_kind):
         train = regress.project(regress.fit_filter(bund, spec), bund, spec.embedding_kind)
         state = regress.fit_fold(train, spec)
     write_model(opts["out"], state)
@@ -358,7 +373,7 @@ def cmd_eval(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     folds = opts["folds"]
     spec = _pipeline_spec(opts)
-    with _filter_hint(spec.embedding_kind, PROJECTION_HINT, ("geometric", "wasserstein")):
+    with _filter_hint(bund, spec.embedding_kind):
         report = regress.run_pipeline_cv(bund, spec, folds, seed=opts["seed"])
     rank = regress.effective_rank(spec, bund.dim)
     rows = regress.results_rows(spec, report, rank=rank)
@@ -454,15 +469,15 @@ def cmd_sweep(opts) -> int:
 def cmd_mean(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     metric = opts["metric"]
-    if metric == "euclidean":
-        m = manifold.mean_euclidean(bund.matrices)
-    elif metric == "geometric":
-        with _filter_hint(metric, "use --metric wasserstein"):
+    with _filter_hint(bund, metric, "--metric"):
+        if metric == "euclidean":
+            m = manifold.mean_euclidean(bund.matrices)
+        elif metric == "geometric":
             m = manifold.mean_geometric(bund.matrices).point
-    elif metric == "wasserstein":
-        m = manifold.mean_wasserstein(bund.matrices).point
-    else:
-        raise ConfigError(f"unknown metric {metric!r}")
+        elif metric == "wasserstein":
+            m = manifold.mean_wasserstein(bund.matrices).point
+        else:
+            raise ConfigError(f"unknown metric {metric!r}")
     _write_matrix_file(opts["out"], f"SYMMAT v1 {len(m)}", m)
     print(f"{metric} mean of n={bund.n} p={len(m)} trace={np.trace(m):.6g} -> {opts['out']}")
     return 0
@@ -471,7 +486,7 @@ def cmd_mean(opts) -> int:
 def cmd_embed(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     kind = opts["embedding"]
-    with _filter_hint(kind, "use --embedding wasserstein"):
+    with _filter_hint(bund, kind, "--embedding"):
         _, rows = manifold.fit_embedding(bund.matrices, kind)
     n, k = rows.shape
     _write_matrix_file(opts["out"], f"FEAT v1 {n} {k}", rows)

@@ -23,23 +23,21 @@ class NumericalFailure(NumericalError):
 
 
 class SingularMatrix(NumericalError):
-    """A full-rank SPD matrix was required but the input is singular; ``rank``
-    is its numerical rank where the rule that found it counts one."""
+    """A full-rank SPD matrix was required but the input is singular."""
 
-    def __init__(self, message, smallest_eigenvalue=None, rank=None):
+    def __init__(self, message, smallest_eigenvalue=None):
         if smallest_eigenvalue is not None:
             message = f"{message} (smallest eigenvalue {smallest_eigenvalue:.3e})"
         super().__init__(message)
-        self.smallest_eigenvalue, self.rank = smallest_eigenvalue, rank
+        self.smallest_eigenvalue = smallest_eigenvalue
 
 
 class SampleError(NumericalError):
-    """A failure that may name one matrix of a stack by its index ``sample``,
-    and the lowest numerical ``rank`` of the stack where the check counts one."""
+    """A failure that may name one matrix of a stack by its index ``sample``."""
 
-    def __init__(self, message, sample=None, rank=None):
+    def __init__(self, message, sample=None):
         super().__init__(message if sample is None else f"sample {sample}: {message}")
-        self.detail, self.sample, self.rank = message, sample, rank
+        self.detail, self.sample = message, sample
 
 
 class NotPSD(SampleError):
@@ -47,7 +45,8 @@ class NotPSD(SampleError):
 
 
 class RankMismatch(SampleError):
-    """Numerical rank of the input differs from the requested rank."""
+    """A matrix's numerical rank differs from the one its use needs: the
+    common rank of the other samples, the reference's, or a nonzero rank."""
 
 
 class RankTooLarge(NumericalError):

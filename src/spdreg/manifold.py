@@ -137,7 +137,7 @@ def factorize(stack: np.ndarray) -> np.ndarray:
     ------
     NotPSD, RankMismatch
         Naming the first slice that is not PSD, or not of rank ``r`` (a zero
-        slice never is); a rank mismatch carries the stack's lowest rank.
+        slice never is).
     """
     w, v = eigh(stack)
     ranks = _ranks(w)
@@ -145,8 +145,7 @@ def factorize(stack: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero((ranks != r) | (ranks == 0))
     if bad.size:
         i = bad[0]
-        raise RankMismatch(f"numerical rank is {ranks[i]}, expected {r or 'a nonzero rank'}",
-                           i, int(ranks.min()))
+        raise RankMismatch(f"numerical rank is {ranks[i]}, expected {r or 'a nonzero rank'}", i)
     return v[:, :, :r] * np.sqrt(w[:, None, :r])
 
 
@@ -164,12 +163,11 @@ def _wass_state(point, factors: np.ndarray):
     factor of the matrix ``point`` from :func:`factorize`,
     ``logs`` the log maps from it to each sample factor. A point of another
     numerical rank than the factors raises :class:`RankMismatch` naming
-    both ranks and carrying the lower."""
+    both ranks."""
     base = factorize(point[None])[0]
     r, rs = base.shape[-1], factors.shape[-1]
     if r != rs:
-        raise RankMismatch(f"samples have numerical rank {rs}, the reference has {r}",
-                           rank=min(r, rs))
+        raise RankMismatch(f"samples have numerical rank {rs}, the reference has {r}")
     logs = _wass_logs(base, factors)
     return base, logs, logs.sum(axis=0), float(np.sum(logs * logs))
 
@@ -185,7 +183,7 @@ class Samples:
     done for all of them at once, in one per-sample array ``data``: the
     ``(n, p, p)`` covariances themselves for ``geometric`` (no copy of a
     float64 input), whose log maps all depend on the reference; the
-    ``(n, p, rank)`` eigen-factors of :func:`factorize` for
+    ``(n, p, r)`` eigen-factors of :func:`factorize` for
     ``wasserstein``; the ``(n, k)`` feature rows for ``euclidean`` and
     ``logdiag``. Every kind's array, and every feature row the package
     makes, is C-ordered.
@@ -201,11 +199,6 @@ class Samples:
     kind: str
     data: np.ndarray
     index: np.ndarray | None = None
-
-    @property
-    def rank(self) -> int | None:
-        """Width of the ``wasserstein`` factors, else None."""
-        return self.data.shape[-1] if self.kind == "wasserstein" else None
 
     def gather(self) -> np.ndarray:
         """``data`` at ``index``, gathered on each call."""
@@ -364,8 +357,8 @@ def mean_geometric(mats) -> FrechetMean:
     Raises
     ------
     SingularMatrix
-        If any input is rank-deficient, naming the lowest numerical rank
-        among the inputs.
+        If the arithmetic mean or any input is rank-deficient, naming the
+        lowest numerical rank of the stack (or block) that failed.
     NoConvergence
         If the gradient norm is still above the tolerance after
         ``MAX_ITER`` steps.
@@ -376,20 +369,10 @@ def mean_geometric(mats) -> FrechetMean:
     def move(sq, grad, step):
         return _sym(sq @ sym_func((step / n) * grad, "exp") @ sq)
 
-    try:
-        return _descend(
-            lambda m: _geo_state(m, stack), move, _sym(stack.mean(axis=0)), n, 2e-9 * p,
-            "geometric mean",
-        )
-    except SingularMatrix as exc:
-        # The singular matrix may be the starting mean, or one block's lowest
-        # rank: a projection to either rank may leave other inputs singular.
-        ranks = numerical_rank(stack)
-        i = int(np.argmin(ranks))
-        if ranks[i] in (p, exc.rank):
-            raise
-        raise SingularMatrix(f"full-rank SPD matrix required, sample {i} has numerical rank "
-                             f"{ranks[i]} of {p}", rank=int(ranks[i])) from None
+    return _descend(
+        lambda m: _geo_state(m, stack), move, _sym(stack.mean(axis=0)), n, 2e-9 * p,
+        "geometric mean",
+    )
 
 
 def mean_wasserstein(mats) -> FrechetMean:
@@ -465,37 +448,32 @@ def no_affine_invariance_witness():
 class Embedding:
     """Vectorization recipe: a kind plus its fitted reference point.
 
-    ``euclidean`` and ``logdiag`` take no reference and ``geometric`` no
-    rank (``ValueError``). ``geometric`` carries a full-rank SPD reference;
-    ``wasserstein`` carries a PSD reference whose numerical rank equals
-    ``rank``. The reference is stored as :func:`~spdreg.symmat.SymMat` gives it.
+    ``euclidean`` and ``logdiag`` take no reference (``ValueError``).
+    ``geometric`` carries a full-rank SPD reference; ``wasserstein`` a PSD
+    reference of nonzero numerical rank, the rank of the samples it
+    embeds. The reference is stored as :func:`~spdreg.symmat.SymMat` gives it.
     """
 
     kind: str
     reference: np.ndarray | None = None
-    rank: int | None = None
 
     def __post_init__(self):
         if self.kind not in EMBEDDING_KINDS:
             raise ValueError(
                 f"unknown embedding kind {self.kind!r}; expected one of {EMBEDDING_KINDS}"
             )
-        if self.kind != "wasserstein" and self.rank is not None:
-            raise ValueError(f"{self.kind} embedding takes no rank")
         if self.kind in ("euclidean", "logdiag"):
             if self.reference is not None:
                 raise ValueError(f"{self.kind} embedding takes no reference")
             return
         if self.reference is None:
             raise ValueError(f"{self.kind} embedding requires a reference matrix")
-        if self.kind == "wasserstein" and self.rank is None:
-            raise ValueError("wasserstein embedding requires a rank")
         object.__setattr__(self, "reference", _matrix(self.reference))
         nr = numerical_rank(self.reference)
         if self.kind == "geometric" and nr != len(self.reference):
             raise SingularMatrix("geometric embedding requires a full-rank reference")
-        if self.kind == "wasserstein" and nr != self.rank:
-            raise RankMismatch(f"reference rank {nr} differs from embedding rank {self.rank}")
+        if self.kind == "wasserstein" and nr == 0:
+            raise RankMismatch("wasserstein embedding requires a reference of nonzero rank")
 
 
 def fit_embedding(mats, kind: str) -> tuple[Embedding, np.ndarray]:
@@ -505,7 +483,7 @@ def fit_embedding(mats, kind: str) -> tuple[Embedding, np.ndarray]:
     The reference is the Frechet mean of ``mats`` under the metric that
     matches ``kind``; ``euclidean`` and ``logdiag`` have no reference.
     ``mats`` is an ``(n, p, p)`` array or :class:`Samples` prepared for
-    ``kind``; a ``wasserstein`` embedding's rank is the one
+    ``kind``; a ``wasserstein`` reference has the rank
     :func:`prepare_samples` measures. The rows equal ``embed(embedding, mats)``
     bit for bit. For ``geometric`` and ``wasserstein`` they are the rows
     the mean's solver holds at its last accepted state
@@ -519,7 +497,7 @@ def fit_embedding(mats, kind: str) -> tuple[Embedding, np.ndarray]:
         fit = mean_wasserstein(prepared)
     else:
         return Embedding(kind), prepared.gather()
-    return Embedding(kind, fit.point, prepared.rank), fit.samples
+    return Embedding(kind, fit.point), fit.samples
 
 
 def embed(embedding: Embedding, mats) -> np.ndarray:
@@ -529,9 +507,10 @@ def embed(embedding: Embedding, mats) -> np.ndarray:
     ``euclidean`` rows are the upper triangle of each matrix (sqrt(2)
     weights off the diagonal), ``geometric`` rows the same of
     ``log(m^-1/2 c m^-1/2)`` for the reference ``m``, ``wasserstein`` rows
-    the flattened factor-space log maps from the reference (length
-    ``p * rank``), ``logdiag`` rows the log of the diagonal. The 2-norm
-    of a geometric or wasserstein row is the distance from the reference.
+    the flattened factor-space log maps from the reference (length ``p``
+    times its numerical rank), ``logdiag`` rows the log of the diagonal.
+    The 2-norm of a geometric or wasserstein row is the distance from the
+    reference.
     ``mats`` is an ``(n, p, p)`` array or :class:`Samples` prepared for
     the embedding's kind, whose per-sample part is then not redone. Samples
     of another numerical rank than a ``wasserstein`` reference raise

@@ -105,8 +105,7 @@ def _check_spd(w: np.ndarray) -> None:
     i = np.argmin(ranks)
     if ranks.flat[i] < p:
         raise SingularMatrix(f"full-rank SPD matrix required, numerical rank {ranks.flat[i]} "
-                             f"of {p}", smallest_eigenvalue=float(w.min(axis=-1).flat[i]),
-                             rank=int(ranks.flat[i]))
+                             f"of {p}", smallest_eigenvalue=float(w.min(axis=-1).flat[i]))
 
 
 def eigh(a) -> tuple[np.ndarray, np.ndarray]:

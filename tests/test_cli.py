@@ -200,6 +200,40 @@ class TestEval:
         assert err.endswith(hint + "\n")
         assert run(*args, *hint.split()) == 0
 
+    def test_geometric_hint_names_a_held_out_lowest_rank(self, tmp_path, capsys):
+        # 39 samples of rank 5 in one 5-d subspace; sample 11, the first
+        # held-out sample of fold 0 at this seed, has rank 4 inside it. Every
+        # training split has rank 5, so only the whole bundle gives a rank
+        # whose projection leaves no sample singular.
+        rng = np.random.default_rng(0)
+        u = rand_orthogonal(rng, 6)
+        ranks = [5] * 11 + [4] + [5] * 28
+        mats = [y @ y.T for y in (u[:, :r] @ rng.standard_normal((r, r)) for r in ranks)]
+        path = tmp_path / "held_out.covb"
+        write_covb(path, CovarianceBundle(mats, rng.standard_normal(40), nominal_rank=6))
+        assert regress.fold_blocks(40, 10, 0)[0][0] == 11
+        args = ["eval", "--bundle", path, "--embedding", "geometric", "--out", tmp_path / "r.csv"]
+        assert run(*args) == 3
+        err = capsys.readouterr().err
+        assert "lowest numerical rank 4 of 6" in err
+        hint = "--filter unsupervised --rank 4"
+        assert err.endswith(hint + "\n")
+        assert run(*args, *hint.split()) == 0
+
+    def test_geometric_not_psd_error_names_the_bundle_sample(self, tmp_path, capsys):
+        # Sample 5 falls in fold 0's training split at this seed, where it
+        # is sample 3; the error must name it by its place in the file.
+        rng = np.random.default_rng(0)
+        mats = [y @ y.T for y in rng.standard_normal((12, 4, 4))]
+        mats[5] = np.diag([3.0, 2.0, 1.0, -0.5])
+        path = tmp_path / "not_psd.covb"
+        write_covb(path, CovarianceBundle(mats, rng.standard_normal(12), nominal_rank=4))
+        assert run("eval", "--bundle", path, "--embedding", "geometric", "--folds", 3,
+                   "--out", tmp_path / "r.csv") == 3
+        err = capsys.readouterr().err
+        assert "NotPSD" in err and "sample 5: matrix is not PSD" in err
+        assert "sample 3" not in err
+
     @pytest.mark.parametrize("command", ["eval", "fit", "mean", "embed"])
     def test_wasserstein_measures_the_rank(self, tmp_path, upper_bound_file, command):
         flag = "--metric" if command == "mean" else "--embedding"
@@ -366,17 +400,13 @@ class TestFitPredict:
     @pytest.mark.parametrize(
         "embedding, old, new, message",
         [
-            ("wasserstein", "embedding wasserstein 5", "embedding wasserstein 2",
-             "reference rank 5 differs from embedding rank 2"),
             ("geometric", "reference 5", "reference none",
              "geometric embedding requires a reference matrix"),
-            ("geometric", "embedding geometric 0", "embedding bogus 0",
+            ("geometric", "embedding geometric", "embedding bogus",
              "unknown embedding kind 'bogus'"),
             ("geometric", "filter identity 5 5", "filter bogus 5 5",
              "unknown filter kind 'bogus'"),
-            ("geometric", "embedding geometric 0", "embedding geometric 5",
-             "geometric embedding takes no rank"),
-            ("geometric", "embedding geometric 0", "embedding euclidean 0",
+            ("geometric", "embedding geometric", "embedding euclidean",
              "euclidean embedding takes no reference"),
         ],
     )
@@ -390,7 +420,7 @@ class TestFitPredict:
         lines = model.read_text().splitlines()
         at = lines.index(old)
         if new == "reference none":
-            lines[at : at + 6], at = [new], lines.index("embedding geometric 0")
+            lines[at : at + 6], at = [new], lines.index("embedding geometric")
         else:
             lines[at] = new
         model.write_text("\n".join(lines) + "\n")
@@ -549,6 +579,25 @@ class TestMeanEmbed:
         hint = f"use {flag} wasserstein"
         assert err.endswith(hint + "\n")
         assert run(*args, *hint.split()[1:]) == 0
+
+    @pytest.mark.parametrize("kind", ["geometric", "wasserstein"])
+    @pytest.mark.parametrize("command,flag", [("mean", "--metric"), ("embed", "--embedding")])
+    def test_mixed_ranks_name_a_command_that_runs(self, tmp_path, capsys, command, flag, kind):
+        # Sample 0 has rank 5, the rest rank 4, all in one 5-d subspace: no
+        # Wasserstein command runs on them, so the hint names the projection
+        # to the lowest rank, which only eval and fit take.
+        rng = np.random.default_rng(0)
+        u = rand_orthogonal(rng, 6)
+        mats = [y @ y.T for y in (u[:, :r] @ rng.standard_normal((r, r)) for r in [5] + [4] * 39)]
+        path = tmp_path / "nested.covb"
+        write_covb(path, CovarianceBundle(mats, rng.standard_normal(40), nominal_rank=6))
+        assert run(command, "--bundle", path, flag, kind, "--out", tmp_path / "o") == 3
+        err = capsys.readouterr().err
+        hint = "lowest numerical rank 4 of 6: project onto the common full-rank subspace with "
+        assert err.endswith(hint + "eval or fit --filter unsupervised --rank 4\n")
+        for named in ("eval", "fit"):
+            assert run(named, "--bundle", path, "--embedding", kind, "--filter", "unsupervised",
+                       "--rank", 4, "--out", tmp_path / named) == 0
 
     def test_mean_deterministic(self, tmp_path, bundle_file):
         o1, o2 = tmp_path / "m1.txt", tmp_path / "m2.txt"

@@ -27,8 +27,8 @@ y -0.25
 3 1 2
 """
 
-MODEL = """MODEL v2
-embedding geometric 0
+MODEL = """MODEL v3
+embedding geometric
 filter identity 2 2
 1 0
 0 1
@@ -83,6 +83,7 @@ CASES = [
     # error comes from the first short triangle line, before any index.
     ("covb-huge-p", "covb", 1, "COVB v2 1 100000000 1", 4),
     ("model-bad-header", "model", 1, "MODEL v1", 1),
+    ("model-v2-header", "model", 1, "MODEL v2", 1),
     ("model-bad-counts", "model", 3, "filter identity 2 x", 3),
     ("model-too-few-lines", "model", 13, None, 12),
     ("model-bad-section-tag", "model", 6, "filter_eig", 6),
@@ -189,6 +190,48 @@ def test_missing_line_is_named(kind, line, err_line, what, tmp_path):
         READERS[kind](path)
 
 
+def model_text(kind, reference, k):
+    """The base MODEL with embedding ``kind``, 2 x 2 ``reference`` rows (or
+    none) and ``k`` features."""
+    ref = ["reference none"] if reference is None else ["reference 2", *reference]
+    lines = ["MODEL v3", f"embedding {kind}", *MODEL.splitlines()[2:6], *ref,
+             f"ridge {k} 1e-05 0.5", "mean" + " 0.1" * k, "scale 1", "beta" + " 0.5" * k]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "kind, reference, width",
+    [("logdiag", None, 2), ("wasserstein", ["1 0", "0 0"], 2),
+     ("wasserstein", ["2 0.5", "0.5 1"], 4), ("euclidean", None, 3)],
+    ids=["logdiag", "wasserstein-rank-1", "wasserstein-rank-2", "euclidean"],
+)
+def test_model_feature_count_is_the_embedding_width(kind, reference, width, tmp_path, capsys):
+    # After a filter of width r = 2: r for logdiag, r times the reference's
+    # numerical rank for wasserstein, r(r+1)/2 for euclidean and geometric.
+    # Any other count is a file error at the ridge line, not a failure of
+    # the prediction (exit 3).
+    path = tmp_path / "m.txt"
+    path.write_text(model_text(kind, reference, width))
+    assert read_model(path).model.beta.size == width
+    path.write_text(model_text(kind, reference, width + 1))
+    ridge = 8 if reference is None else 10
+    with pytest.raises(ConfigError, match=f"^{path}:{ridge}: expected {width} features for a "
+                                          f"{kind} embedding of filter width 2, got {width + 1}$"):
+        read_model(path)
+    assert cli_read("model", path, tmp_path) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_model_zero_wasserstein_reference_names_the_embedding_line(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text(model_text("wasserstein", ["0 0", "0 0"], 2))
+    with pytest.raises(ConfigError, match=f"^{path}:2: wasserstein embedding requires a "
+                                          "reference of nonzero rank$"):
+        read_model(path)
+    assert cli_read("model", path, tmp_path) == 2
+    assert str(path) in capsys.readouterr().err
+
+
 def test_model_ignores_blank_lines(tmp_path):
     plain, spaced = tmp_path / "a.txt", tmp_path / "b.txt"
     plain.write_text(MODEL)
@@ -293,8 +336,8 @@ def test_model_bytes_match_joined_floats(fitted):
         return " ".join("%.17g" % x for x in values)
 
     lines = [
-        "MODEL v2",
-        f"embedding {emb.kind} {emb.rank or 0}",
+        "MODEL v3",
+        f"embedding {emb.kind}",
         f"filter {filt.kind} {filt.w.shape[0]} {filt.w.shape[1]}",
         *[f(row) for row in filt.w],
         ("filter_eigs " + f(filt.eigenvalues)).rstrip(),

@@ -76,8 +76,8 @@ def geometric_rows(base, mats):
     return embed(Embedding("geometric", reference=base), mats)
 
 
-def wasserstein_rows(base, mats, r):
-    return embed(Embedding("wasserstein", reference=base, rank=r), mats)
+def wasserstein_rows(base, mats):
+    return embed(Embedding("wasserstein", reference=base), mats)
 
 
 def plain_rows(kind, mats):
@@ -296,13 +296,11 @@ class TestSolverFailure:
      (lambda: dist_wasserstein(np.eye(2), np.ones(2)), ValueError, "expected a .p, p. matrix"),
      (lambda: dist_geometric(np.eye(2), np.eye(3)), DimensionMismatch, "dimensions differ"),
      (lambda: dist_wasserstein(np.eye(3), np.eye(2)), DimensionMismatch, "dimensions differ"),
-     (lambda: Embedding("wasserstein", np.eye(2)), ValueError,
-      "wasserstein embedding requires a rank"),
      (lambda: manifold.prepare_samples(manifold.prepare_samples(np.eye(2)[None], "euclidean"),
                                        "wasserstein"),
       ValueError, "samples prepared for euclidean do not fit wasserstein")],
     ids=["dist_geometric-3d", "dist_wasserstein-1d", "dist_geometric-dims",
-         "dist_wasserstein-dims", "wasserstein-without-rank", "samples-of-another-kind"],
+         "dist_wasserstein-dims", "samples-of-another-kind"],
 )
 def test_rejects_outside_input(call, error, match):
     with pytest.raises(error, match=match):
@@ -347,9 +345,8 @@ class TestFactorize:
         rng = np.random.default_rng(14)
         mats = [rand_psd_rank(rng, 4, r) for r in (3, 2, 2, 2)] + [np.zeros((4, 4))] * 5
         assert factorize(np.stack(mats[1:4])).shape == (3, 4, 2)
-        with pytest.raises(RankMismatch, match="sample 0: numerical rank is 3, expected 2") as info:
+        with pytest.raises(RankMismatch, match="sample 0: numerical rank is 3, expected 2"):
             factorize(np.stack(mats))
-        assert info.value.rank == 0
         with pytest.raises(RankMismatch, match="sample 0: numerical rank is 0, expected a nonzero"):
             factorize(np.zeros((2, 3, 3)))
 
@@ -374,11 +371,11 @@ class TestFactorize:
 class TestLogWasserstein:
     def test_zero_at_same_factor(self):
         s = gram([[1.0, 0.0], [0.0, 2.0], [0.5, 0.5]])
-        np.testing.assert_allclose(wasserstein_rows(s, [s], 2), np.zeros((1, 6)), atol=1e-12)
+        np.testing.assert_allclose(wasserstein_rows(s, [s]), np.zeros((1, 6)), atol=1e-12)
 
     def test_collinear_rank_one(self):
         base, other = gram([[1.0], [0.0]]), gram([[2.0], [0.0]])
-        rows = wasserstein_rows(base, [other], 1)
+        rows = wasserstein_rows(base, [other])
         np.testing.assert_allclose(rows, [[1.0, 0.0]], atol=1e-12)
         assert abs(np.linalg.norm(rows) - dist_wasserstein(base, other)) <= 1e-10
 
@@ -386,7 +383,7 @@ class TestLogWasserstein:
         rng = np.random.default_rng(15)
         for _ in range(10):
             s, t = rand_spd(rng, 3), rand_spd(rng, 3)
-            log = wasserstein_rows(s, [t], 3)
+            log = wasserstein_rows(s, [t])
             d = dist_wasserstein(s, t)
             assert abs(np.linalg.norm(log) - d) <= 1e-6
 
@@ -394,28 +391,28 @@ class TestLogWasserstein:
         rng = np.random.default_rng(16)
         for _ in range(10):
             s, t = rand_psd_rank(rng, 5, 2), rand_psd_rank(rng, 5, 2)
-            log = wasserstein_rows(s, [t], 2)
+            log = wasserstein_rows(s, [t])
             assert np.linalg.norm(log) >= dist_wasserstein(s, t) - 1e-6
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(DimensionMismatch):
-            wasserstein_rows(gram(np.ones((3, 1))), [gram(np.ones((2, 1)))], 1)
+            wasserstein_rows(gram(np.ones((3, 1))), [gram(np.ones((2, 1)))])
 
 
 class TestVecWasserstein:
     def test_identical_inputs(self):
         s = gram([[1.0], [2.0]])
-        np.testing.assert_allclose(wasserstein_rows(s, [s], 1), np.zeros((1, 2)), atol=1e-12)
+        np.testing.assert_allclose(wasserstein_rows(s, [s]), np.zeros((1, 2)), atol=1e-12)
 
     def test_rank_one_case(self):
-        rows = wasserstein_rows(gram([[1.0], [0.0]]), [gram([[2.0], [0.0]])], 1)
+        rows = wasserstein_rows(gram([[1.0], [0.0]]), [gram([[2.0], [0.0]])])
         np.testing.assert_allclose(rows, [[1.0, 0.0]], atol=1e-12)
 
     def test_length_contract(self):
         rng = np.random.default_rng(18)
         s = rand_psd_rank(rng, 5, 3)
         mats = [rand_psd_rank(rng, 5, 3) for _ in range(2)]
-        assert wasserstein_rows(s, mats, 3).shape == (2, 15)
+        assert wasserstein_rows(s, mats).shape == (2, 15)
 
 
 class TestWitness:
@@ -514,17 +511,13 @@ class TestEmbedding:
         with pytest.raises(SingularMatrix):
             Embedding(kind="geometric", reference=np.diag([1.0, 0.0]))
 
-    def test_wasserstein_reference_rank_checked(self):
-        with pytest.raises(RankMismatch):
-            Embedding(kind="wasserstein", reference=np.eye(3), rank=2)
+    def test_wasserstein_requires_a_nonzero_reference(self):
+        with pytest.raises(RankMismatch, match="reference of nonzero rank"):
+            Embedding(kind="wasserstein", reference=np.zeros((3, 3)))
 
     def test_euclidean_takes_no_reference(self):
         with pytest.raises(ValueError, match="euclidean embedding takes no reference"):
             Embedding(kind="euclidean", reference=np.eye(3))
-
-    def test_geometric_takes_no_rank(self):
-        with pytest.raises(ValueError, match="geometric embedding takes no rank"):
-            Embedding(kind="geometric", reference=np.eye(3), rank=3)
 
     def test_embed_matches_single_sample_ops(self):
         rng = np.random.default_rng(20)

@@ -577,7 +577,6 @@ def test_identity_projection_keeps_one_copy(kind):
         assert samples.data is bundle.matrices
     else:
         assert samples.data.shape == (12, 4, 3)
-        assert samples.rank == 3
 
 
 class TestPipelineInvariances:
