@@ -24,7 +24,7 @@ import numpy as np
 
 from . import filters, manifold, regress, simgen
 from .bundle import LineReader, read_covb, row_format, write_covb, write_rows
-from .errors import ConfigError, NumericalError, RankMismatch, SampleError, SingularMatrix
+from .errors import ConfigError, NumericalError, SampleError, SingularMatrix
 from .symmat import numerical_rank
 
 
@@ -328,28 +328,21 @@ def cmd_simulate(opts) -> int:
     return 0
 
 
-PROJECTION_HINT = ("project onto the common full-rank subspace with "
-                   "{}--filter unsupervised --rank {}")
-
-
 @contextmanager
 def _filter_hint(bund, kind: str, flag: str = ""):
-    """To a singular-matrix or rank-mismatch error of a geometric or
-    Wasserstein ``kind``, append the lowest numerical rank ``0 < r < p`` of
-    the samples of ``bund`` (measured on this error path only; a non-PSD
-    sample is named instead) and the projection to ``r``. A command with
-    no filter (``flag`` its kind option) suggests ``use <flag> wasserstein``
-    on a geometric error if every sample has rank ``r``, else ``eval`` or ``fit``."""
+    """To a singular-matrix or sample error of a geometric ``kind``, or of a
+    Wasserstein one with no ``flag``, append the lowest numerical rank
+    ``0 < r < p`` of the samples of ``bund`` (measured on this error path
+    only; a non-PSD sample is named instead) and the projection to ``r``;
+    with ``flag``, a command's kind option, ``use <flag> wasserstein``."""
     try:
         yield
-    except (SingularMatrix, RankMismatch) as exc:
-        if kind in ("geometric", "wasserstein"):
-            ranks, p = numerical_rank(bund.matrices), bund.dim
-            r = int(ranks.min())
+    except (SingularMatrix, SampleError) as exc:
+        if kind == "geometric" or (kind == "wasserstein" and not flag):
+            r, p = int(numerical_rank(bund.matrices).min()), bund.dim
             if 0 < r < p:
-                hint = PROJECTION_HINT.format("eval or fit " if flag else "", r)
-                if flag and kind == "geometric" and (ranks == r).all():
-                    hint = f"use {flag} wasserstein"
+                hint = f"use {flag} wasserstein" if flag else ("project onto the common "
+                       f"full-rank subspace with --filter unsupervised --rank {r}")
                 exc.args = (f"{exc}; lowest numerical rank {r} of {p}: {hint}",)
         raise
 

@@ -45,8 +45,8 @@ class NotPSD(SampleError):
 
 
 class RankMismatch(SampleError):
-    """A matrix's numerical rank differs from the one its use needs: the
-    common rank of the other samples, the reference's, or a nonzero rank."""
+    """A Wasserstein rank its use cannot take: a sample of higher numerical
+    rank than the reference it is embedded at, or a reference of rank 0."""
 
 
 class RankTooLarge(NumericalError):

@@ -7,7 +7,7 @@ provided, plus the log-diagonal baseline:
 * ``geometric`` -- tangent space of the affine-invariant metric at a
   reference point (requires full-rank matrices).
 * ``wasserstein`` -- tangent space of the Bures-Wasserstein metric in the
-  fixed-rank factor quotient (handles rank-deficient matrices).
+  factor quotient (PSD matrices of any rank, up to the reference's).
 * ``logdiag`` -- elementwise log of the diagonal.
 
 Reference points are read-only ``(p, p)`` arrays, Frechet means under the
@@ -27,6 +27,7 @@ means and embeddings take them, or any lazy subset, in place of matrices.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import (
     NonPositiveDiagonal,
     NotPSD,
     RankMismatch,
+    SampleError,
     SingularMatrix,
 )
 from .symmat import SymMat, _as_stack, _ranks, _sym, blocks, eigh, numerical_rank, sym_func
@@ -96,57 +98,49 @@ def dist_geometric(s, t) -> float:
 def dist_wasserstein(s, t) -> float:
     """Bures-Wasserstein distance between PSD matrices of any rank.
 
-    ``min_q ||yt q - ys||_F`` over orthogonal ``q`` for factors
-    ``ys ys.T = s``, ``yt yt.T = t``: the norm of the factor-space log map
-    that :func:`embed` gives, so a small distance is not the cancelling
-    difference of traces (Bhatia, Jain & Lim 2019); invariant under joint
-    congruence by orthogonal matrices. One batched
-    :func:`~spdreg.symmat.eigh` call gives both full-width factors
-    ``v sqrt(w)``; eigenvalues in the round-off band of the PSD rule are
-    clipped to zero, and a clearly negative one raises :class:`NotPSD`
-    naming the argument.
+    ``min_q ||yt q - ys||_F`` over orthogonal ``q`` for the factors
+    ``ys ys.T = s``, ``yt yt.T = t`` that one :func:`factorize` call gives:
+    the norm of the log map :func:`embed` gives, so a small distance is not
+    the cancelling difference of traces (Bhatia, Jain & Lim 2019);
+    invariant under joint congruence by orthogonal matrices. A non-PSD
+    argument raises :class:`NotPSD` naming it.
     """
     s, t = _matrix(s), _matrix(t)
     if len(s) != len(t):
         raise DimensionMismatch(f"dimensions differ: {len(s)} vs {len(t)}")
-    w, v = eigh(np.stack([s, t]))
     try:
-        _ranks(w)
+        ys, yt = factorize(np.stack([s, t]))
     except NotPSD as exc:
         raise NotPSD(f"{('first', 'second')[exc.sample]} argument: {exc.detail}") from None
-    ys, yt = v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]
     return float(np.linalg.norm(_wass_logs(ys, yt[None])))
 
 
 # ---------------------------------------------------------------------------
-# Fixed-rank factors and their log maps
+# Factors and their log maps
 # ---------------------------------------------------------------------------
 
 
 def factorize(stack: np.ndarray) -> np.ndarray:
     """Eigen-factors ``y_i = u_r diag(sqrt(w_r))``, shape (n, p, r), of an
-    (n, p, p) stack of PSD matrices of one rank ``r``, their most common
-    nonzero numerical rank.
+    (n, p, p) stack of PSD matrices, ``r`` the largest numerical rank among
+    them (the one Wasserstein rank rule), with the columns past each slice's
+    own rank exactly zero: a zero slice is a zero factor.
 
     One batched :func:`~spdreg.symmat.eigh` gives the top-``r`` eigenpairs,
     with its column order and signs, and its eigenvalues the ranks of
     :func:`~spdreg.symmat.numerical_rank`; row ``i`` is bit for bit what
-    factoring slice ``i`` alone gives.
+    factoring slice ``i`` alone gives, padded with zero columns.
 
     Raises
     ------
-    NotPSD, RankMismatch
-        Naming the first slice that is not PSD, or not of rank ``r`` (a zero
-        slice never is).
+    NotPSD
+        Naming the first slice that is not PSD.
     """
     w, v = eigh(stack)
     ranks = _ranks(w)
-    r = int(np.argmax(np.bincount(ranks, weights=ranks > 0)))
-    bad = np.flatnonzero((ranks != r) | (ranks == 0))
-    if bad.size:
-        i = bad[0]
-        raise RankMismatch(f"numerical rank is {ranks[i]}, expected {r or 'a nonzero rank'}", i)
-    return v[:, :, :r] * np.sqrt(w[:, None, :r])
+    r = int(ranks.max())
+    dead = np.arange(r) >= ranks[:, None, None]
+    return np.where(dead, 0.0, v[:, :, :r] * np.sqrt(np.clip(w[:, None, :r], 0.0, None)))
 
 
 def _wass_logs(y: np.ndarray, factors: np.ndarray) -> np.ndarray:
@@ -160,14 +154,18 @@ def _wass_logs(y: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
 def _wass_state(point, factors: np.ndarray):
     """``(base, logs, their sum, their summed squares)``: ``base`` is the
-    factor of the matrix ``point`` from :func:`factorize`,
-    ``logs`` the log maps from it to each sample factor. A point of another
-    numerical rank than the factors raises :class:`RankMismatch` naming
-    both ranks."""
+    factor of the matrix ``point`` from :func:`factorize`, of width its
+    rank ``r``, ``logs`` the log maps from it to each sample factor, cut or
+    zero-padded to width ``r``. A sample with a nonzero column past ``r``
+    (of higher rank) raises :class:`RankMismatch` naming it and both ranks."""
     base = factorize(point[None])[0]
     r, rs = base.shape[-1], factors.shape[-1]
     if r != rs:
-        raise RankMismatch(f"samples have numerical rank {rs}, the reference has {r}")
+        ranks = np.any(factors, axis=1).sum(axis=-1)
+        i = int(np.argmax(ranks > r))
+        if ranks[i] > r:
+            raise RankMismatch(f"numerical rank {ranks[i]} exceeds the reference's {r}", i)
+        factors = np.pad(factors[:, :, :r], ((0, 0), (0, 0), (0, max(r - rs, 0))))
     logs = _wass_logs(base, factors)
     return base, logs, logs.sum(axis=0), float(np.sum(logs * logs))
 
@@ -183,17 +181,16 @@ class Samples:
     done for all of them at once, in one per-sample array ``data``: the
     ``(n, p, p)`` covariances themselves for ``geometric`` (no copy of a
     float64 input), whose log maps all depend on the reference; the
-    ``(n, p, r)`` eigen-factors of :func:`factorize` for
-    ``wasserstein``; the ``(n, k)`` feature rows for ``euclidean`` and
-    ``logdiag``. Every kind's array, and every feature row the package
-    makes, is C-ordered.
+    ``(n, p, r)`` eigen-factors of :func:`factorize` for ``wasserstein``;
+    the ``(n, k)`` feature rows for ``euclidean`` and ``logdiag``. Every
+    kind's array, and every feature row the package makes, is C-ordered.
 
     A :meth:`subset` shares ``data`` and records its rows in ``index``;
     :meth:`gather` takes them on each call, so a training split holds no
     copy of them past its reference fit. Row ``i`` of ``data`` depends on
-    covariance ``i`` alone, and the batched kernels give every slice what
-    they give it alone, so a :meth:`subset` is bit for bit what preparing
-    that subset would give.
+    covariance ``i`` alone (but for zero factor columns, which means and
+    embeddings cut), and the batched kernels give each slice what they give
+    it alone: a subset fits and embeds bit for bit as if prepared alone.
     """
 
     kind: str
@@ -215,16 +212,14 @@ def prepare_samples(mats, kind: str) -> Samples:
     matrix of the ``(n, p, p)`` array ``mats``.
     :class:`Samples` are returned as they are, once checked to match.
 
-    ``wasserstein`` factors have the samples' common numerical rank, which
-    :func:`factorize` measures.
+    ``wasserstein`` factors have the samples' largest numerical rank.
 
     Raises
     ------
     NonPositiveDiagonal
         For ``logdiag``, if a diagonal entry is not positive.
-    NotPSD, RankMismatch
-        For ``wasserstein``, naming the first sample (by its index in
-        ``mats``) that is not PSD or not of the common rank.
+    NotPSD
+        For ``wasserstein``, naming the first non-PSD sample by its index.
     """
     if isinstance(mats, Samples):
         if mats.kind != kind:
@@ -245,6 +240,19 @@ def prepare_samples(mats, kind: str) -> Samples:
     if kind == "geometric":
         return Samples(kind, stack)
     return Samples(kind, factorize(stack))
+
+
+@contextmanager
+def _gathered(mats, kind: str):
+    """:func:`prepare_samples` of ``mats``, gathered; the one place where an
+    error naming its row ``i`` comes to name ``index[i]``, its row of ``data``."""
+    prepared = prepare_samples(mats, kind)
+    try:
+        yield prepared.gather()
+    except SampleError as exc:
+        if prepared.index is None or exc.sample is None:
+            raise
+        raise type(exc)(exc.detail, int(prepared.index[exc.sample])) from None
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +384,8 @@ def mean_geometric(mats) -> FrechetMean:
 
 
 def mean_wasserstein(mats) -> FrechetMean:
-    """Frechet mean under the Bures-Wasserstein metric, at the inputs'
-    common numerical rank ``r`` (see :func:`factorize`).
+    """Frechet mean under the Bures-Wasserstein metric, at the largest
+    numerical rank ``r`` among the inputs (see :func:`factorize`).
 
     Gradient descent on the factor ``y`` (p x r) minimizing the summed
     squared distances: ``y <- y + step/n sum_i log_i`` for the
@@ -391,31 +399,31 @@ def mean_wasserstein(mats) -> FrechetMean:
     Converged when the Riemannian gradient ``2 sum_i log_i`` has Frobenius
     norm at most ``1e-7 * sqrt(p * r)``. Returns the mean with the
     inputs' ``(n, p * r)`` feature rows at it, from the last accepted
-    state. ``mats`` may be :class:`Samples` prepared for ``wasserstein``;
-    their factors are then used as they are.
+    state. ``mats`` may be :class:`Samples` prepared for ``wasserstein``,
+    cut to their nonzero columns, so a subset's mean ignores the rest.
 
     Raises
     ------
     RankMismatch
-        If any input's numerical rank differs from the others', or an
-        iterate's from ``r`` (without a sample index).
+        If an iterate has lower rank than an input, naming the input.
     NoConvergence
         If the gradient norm is still above the tolerance after
         ``MAX_ITER`` steps.
     """
-    factors = prepare_samples(mats, "wasserstein").gather()
-    n, p, r = factors.shape
-    w, v = eigh(np.tensordot(factors, factors, axes=([0, 2], [0, 2])) / n)
-    y = v[:, :r] * np.sqrt(np.clip(w[:r], 0.0, None))
+    with _gathered(mats, "wasserstein") as factors:
+        factors = factors[:, :, : np.any(factors, axis=(0, 1)).sum()]
+        n, p, r = factors.shape
+        w, v = eigh(np.tensordot(factors, factors, axes=([0, 2], [0, 2])) / n)
+        y = v[:, :r] * np.sqrt(np.clip(w[:r], 0.0, None))
 
-    def move(y, grad, step):
-        c = y + step * (grad / n)
-        return _sym(c @ c.T)
+        def move(y, grad, step):
+            c = y + step * (grad / n)
+            return _sym(c @ c.T)
 
-    return _descend(
-        lambda x: _wass_state(x, factors), move, _sym(y @ y.T), n, 1e-7 * np.sqrt(p * r),
-        "Wasserstein mean",
-    )
+        return _descend(
+            lambda x: _wass_state(x, factors), move, _sym(y @ y.T), n, 1e-7 * np.sqrt(p * r),
+            "Wasserstein mean",
+        )
 
 
 def no_affine_invariance_witness():
@@ -450,7 +458,7 @@ class Embedding:
 
     ``euclidean`` and ``logdiag`` take no reference (``ValueError``).
     ``geometric`` carries a full-rank SPD reference; ``wasserstein`` a PSD
-    reference of nonzero numerical rank, the rank of the samples it
+    reference of nonzero numerical rank, at least that of each sample it
     embeds. The reference is stored as :func:`~spdreg.symmat.SymMat` gives it.
     """
 
@@ -483,20 +491,16 @@ def fit_embedding(mats, kind: str) -> tuple[Embedding, np.ndarray]:
     The reference is the Frechet mean of ``mats`` under the metric that
     matches ``kind``; ``euclidean`` and ``logdiag`` have no reference.
     ``mats`` is an ``(n, p, p)`` array or :class:`Samples` prepared for
-    ``kind``; a ``wasserstein`` reference has the rank
-    :func:`prepare_samples` measures. The rows equal ``embed(embedding, mats)``
-    bit for bit. For ``geometric`` and ``wasserstein`` they are the rows
-    the mean's solver holds at its last accepted state
-    (:attr:`FrechetMean.samples`), so the training set is not embedded a
-    second time.
+    ``kind``; a ``wasserstein`` reference has their largest rank. The rows
+    equal ``embed(embedding, mats)`` bit for bit. For ``geometric`` and
+    ``wasserstein`` they are the rows the mean's solver holds at its last
+    accepted state (:attr:`FrechetMean.samples`), so the training set is
+    not embedded a second time.
     """
     prepared = prepare_samples(mats, kind)
-    if kind == "geometric":
-        fit = mean_geometric(prepared.gather())
-    elif kind == "wasserstein":
-        fit = mean_wasserstein(prepared)
-    else:
+    if kind in ("euclidean", "logdiag"):
         return Embedding(kind), prepared.gather()
+    fit = mean_geometric(prepared.gather()) if kind == "geometric" else mean_wasserstein(prepared)
     return Embedding(kind, fit.point), fit.samples
 
 
@@ -512,9 +516,11 @@ def embed(embedding: Embedding, mats) -> np.ndarray:
     The 2-norm of a geometric or wasserstein row is the distance from the
     reference.
     ``mats`` is an ``(n, p, p)`` array or :class:`Samples` prepared for
-    the embedding's kind, whose per-sample part is then not redone. Samples
-    of another numerical rank than a ``wasserstein`` reference raise
-    :class:`RankMismatch`.
+    the embedding's kind, whose per-sample part is then not redone. A
+    ``wasserstein`` row is continuous in its sample, but only Holder-1/2
+    where the sample's rank drops (it moves as ``sqrt(t)`` as an eigenvalue
+    ``t`` goes to 0); a sample of higher rank than the reference raises
+    :class:`RankMismatch` naming it.
     """
     kind, reference = embedding.kind, embedding.reference
     if not isinstance(mats, Samples):
@@ -523,10 +529,10 @@ def embed(embedding: Embedding, mats) -> np.ndarray:
             raise DimensionMismatch(
                 f"reference dim {len(reference)} vs matrices dim {mats.shape[-1]}"
             )
-    data = prepare_samples(mats, kind).gather()
-    if kind == "geometric":
-        return _tangent_map(sym_func(reference, "inv_sqrt"), data)[0]
-    if kind == "wasserstein":
-        logs = _wass_state(reference, data)[1]
-        return logs.reshape(len(logs), -1)
-    return data
+    with _gathered(mats, kind) as data:
+        if kind == "geometric":
+            return _tangent_map(sym_func(reference, "inv_sqrt"), data)[0]
+        if kind == "wasserstein":
+            logs = _wass_state(reference, data)[1]
+            return logs.reshape(len(logs), -1)
+        return data

@@ -298,7 +298,7 @@ class Projected:
 
 def project(filt: SpatialFilter, bundle: CovarianceBundle, kind: str) -> Projected:
     """Project ``bundle`` with ``filt`` and prepare it for embedding ``kind``
-    (Wasserstein factors at the projected samples' measured rank)."""
+    (Wasserstein factors at the projected samples' largest rank)."""
     return Projected(filt, prepare_samples(apply(filt, bundle).matrices, kind), bundle.labels)
 
 
@@ -326,21 +326,21 @@ def run_pipeline_cv(
     embedding reference mean, feature centring and scale, and ridge weights
     never see the held-out block.
 
-    The whole bundle is projected, and the per-sample part of the
-    embedding done (Wasserstein eigen-factors with their rank and PSD
-    checks, Euclidean and log-diagonal rows; geometric log maps all depend
-    on the reference, so only the projection), in one :class:`Projected`
-    that each fold slices lazily: its training rows are gathered for its
-    Frechet mean alone, whose feature rows feed the ridge fit, and its
-    held-out rows are embedded at its reference. When the filter is fit
-    without the samples (``identity``, ``mne``) that is done once per run;
-    the ``unsupervised`` and ``supervised`` filters are fit on each
-    training split, and the bundle is projected with each.
-    This is not leakage: each shared value is a function of the filter and
-    its own sample alone, and the batched kernels give each slice bit for
-    bit what they give it alone, so every fold's state is exactly what
-    fitting that fold from scratch gives. Errors name a failing sample by
-    its bundle index.
+    The whole bundle is projected, and the per-sample part of the embedding
+    done (Wasserstein eigen-factors with their PSD check, Euclidean and
+    log-diagonal rows; geometric log maps all depend on the reference, so
+    only the projection), in one :class:`Projected` that each fold slices
+    lazily: its training rows are gathered for its Frechet mean alone, whose
+    feature rows feed the ridge fit, and its held-out rows are embedded at
+    its reference. When the filter is fit without the samples (``identity``,
+    ``mne``) that is done once per run; the ``unsupervised`` and
+    ``supervised`` filters are fit on each training split, and the bundle is
+    projected with each. This is not leakage: each shared value is a
+    function of the filter and its own sample alone (but for the zero factor
+    columns the bundle's largest rank adds, which the mean and embedding
+    cut), and the batched kernels give each slice bit for bit what they give
+    it alone, so every fold's state is exactly what fitting that fold from
+    scratch gives. A Wasserstein error names its sample by bundle index.
     """
     if not 2 <= folds <= bundle.n:
         raise ValueError(f"folds must be in [2, {bundle.n}], got {folds}")

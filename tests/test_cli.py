@@ -80,6 +80,14 @@ def rank6_file(tmp_path):
     return path
 
 
+@pytest.fixture(scope="module")
+def mixed_rank_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mixed") / "mixed.covb"
+    assert run("simulate", "--p", 20, "--mu", 1, "--sigma-mix", 0.01, "--n", 200,
+               "--seed", 0, "--out", path) == 0
+    return path
+
+
 @pytest.fixture
 def upper_bound_file(tmp_path):
     # Rank 6 in 10 dimensions under the sqrt link with orthogonal mixing,
@@ -244,19 +252,22 @@ class TestEval:
             assert np.mean(maes) < 1e-6 * read_covb(upper_bound_file).labels.std()
 
     def test_wasserstein_rank_error_names_the_bundle_sample(self, tmp_path, capsys):
-        # Sample 5 falls in fold 0's training split at this seed, where it
-        # was sample 3; the error must name it by its place in the file.
+        # Samples of rank 3 in 4 dimensions, each in its own subspace, and
+        # sample 5 of rank 4. Fold 0 trains with it and runs; fold 1 holds it
+        # out (as its sample 0) at a rank-3 reference, which refuses it. The
+        # error must name it by its place in the file.
         rng = np.random.default_rng(0)
-        mats = [y @ y.T for y in rng.standard_normal((12, 4, 4))]
-        mats[5] = np.diag([3.0, 2.0, 1.0, 0.0])
+        mats = [y @ y.T for y in rng.standard_normal((12, 4, 3))]
+        mats[5] = np.diag([3.0, 2.0, 1.0, 0.5])
         bundle = CovarianceBundle(mats, rng.standard_normal(12), nominal_rank=4)
-        path = tmp_path / "one_low.covb"
+        path = tmp_path / "one_high.covb"
         write_covb(path, bundle)
         args = ["eval", "--bundle", path, "--embedding", "wasserstein",
                 "--folds", 3, "--out", tmp_path / "r.csv"]
         assert run(*args) == 3
         err = capsys.readouterr().err
-        assert "RankMismatch" in err and "sample 5:" in err
+        assert "RankMismatch" in err
+        assert "fold 1: sample 5: numerical rank 4 exceeds the reference's 3" in err
         # The hint names the bundle's lowest rank, and its command runs.
         hint = "--filter unsupervised --rank 3"
         assert err.endswith(hint + "\n")
@@ -439,7 +450,8 @@ class TestFitPredict:
         assert run("fit", "--bundle", files[5], "--embedding", "wasserstein", "--out", model) == 0
         assert run("predict", "--model", model, "--bundle", files[6], "--out", pred) == 3
         err = capsys.readouterr().err
-        assert "RankMismatch" in err and "samples have numerical rank 6, the reference has 5" in err
+        assert "RankMismatch" in err
+        assert "sample 0: numerical rank 6 exceeds the reference's 5" in err
         assert not pred.exists()
 
     def test_fit_deterministic(self, tmp_path, bundle_file):
@@ -583,21 +595,30 @@ class TestMeanEmbed:
     @pytest.mark.parametrize("kind", ["geometric", "wasserstein"])
     @pytest.mark.parametrize("command,flag", [("mean", "--metric"), ("embed", "--embedding")])
     def test_mixed_ranks_name_a_command_that_runs(self, tmp_path, capsys, command, flag, kind):
-        # Sample 0 has rank 5, the rest rank 4, all in one 5-d subspace: no
-        # Wasserstein command runs on them, so the hint names the projection
-        # to the lowest rank, which only eval and fit take.
+        # Sample 0 has rank 5, the rest rank 4, all in one 5-d subspace. The
+        # Wasserstein kind runs on them; the geometric kind names it.
         rng = np.random.default_rng(0)
         u = rand_orthogonal(rng, 6)
         mats = [y @ y.T for y in (u[:, :r] @ rng.standard_normal((r, r)) for r in [5] + [4] * 39)]
         path = tmp_path / "nested.covb"
         write_covb(path, CovarianceBundle(mats, rng.standard_normal(40), nominal_rank=6))
-        assert run(command, "--bundle", path, flag, kind, "--out", tmp_path / "o") == 3
-        err = capsys.readouterr().err
-        hint = "lowest numerical rank 4 of 6: project onto the common full-rank subspace with "
-        assert err.endswith(hint + "eval or fit --filter unsupervised --rank 4\n")
-        for named in ("eval", "fit"):
-            assert run(named, "--bundle", path, "--embedding", kind, "--filter", "unsupervised",
-                       "--rank", 4, "--out", tmp_path / named) == 0
+        args = [command, "--bundle", path, "--out", tmp_path / "o"]
+        if kind == "wasserstein":
+            assert run(*args, flag, kind) == 0
+            return
+        assert run(*args, flag, kind) == 3
+        hint = f"lowest numerical rank 4 of 6: use {flag} wasserstein"
+        assert capsys.readouterr().err.endswith(hint + "\n")
+        assert run(*args, *hint.split()[-2:]) == 0
+
+    @pytest.mark.parametrize("command", ["eval", "fit", "mean", "embed"])
+    def test_wasserstein_runs_on_a_mixed_rank_generator_bundle(
+        self, tmp_path, mixed_rank_file, command
+    ):
+        # 4 of its 200 subjects have rank 19 of 20, the rest rank 20.
+        flag = "--metric" if command == "mean" else "--embedding"
+        assert run(command, "--bundle", mixed_rank_file, flag, "wasserstein",
+                   "--out", tmp_path / "o") == 0
 
     def test_mean_deterministic(self, tmp_path, bundle_file):
         o1, o2 = tmp_path / "m1.txt", tmp_path / "m2.txt"

@@ -14,6 +14,7 @@ from spdreg import (
     eigh,
     factorize,
     no_affine_invariance_witness,
+    numerical_rank,
     sym_func,
 )
 from spdreg import manifold, symmat
@@ -333,32 +334,36 @@ class TestFactorize:
         for s, y in zip(mats, ys):
             assert np.array_equal(y, eigen_factor(s, 3))
 
-    def test_rank_mismatch_names_the_sample(self):
+    def test_lower_rank_slices_pad_with_zero_columns(self):
+        # Each row is bit for bit the slice's own factor, then exactly zero
+        # (+0.0) columns up to the largest rank.
         rng = np.random.default_rng(12)
-        mats = [rand_psd_rank(rng, 4, 2) for _ in range(4)]
-        mats[2] = rand_psd_rank(rng, 4, 3)
-        with pytest.raises(RankMismatch, match="sample 2"):
-            factorize(np.stack(mats))
+        ranks = (2, 2, 3, 1, 0)
+        mats = [rand_psd_rank(rng, 4, r) for r in ranks]
+        ys = factorize(np.stack(mats))
+        assert ys.shape == (5, 4, 3)
+        for m, y, r in zip(mats, ys, ranks):
+            assert np.array_equal(y[:, :r], eigen_factor(m, r))
+            assert np.array_equal(y[:, :r], factorize(m[None])[0])
+            assert not np.any(y[:, r:]) and not np.signbit(y[:, r:]).any()
 
-    def test_rank_is_the_most_common_nonzero_rank(self):
-        # Slice 0 is off the common rank 2, and zero slices never set it.
+    def test_rank_is_the_largest_rank(self):
+        # One slice of rank 3 sets the width, however many have rank 2 or 0.
         rng = np.random.default_rng(14)
         mats = [rand_psd_rank(rng, 4, r) for r in (3, 2, 2, 2)] + [np.zeros((4, 4))] * 5
-        assert factorize(np.stack(mats[1:4])).shape == (3, 4, 2)
-        with pytest.raises(RankMismatch, match="sample 0: numerical rank is 3, expected 2"):
-            factorize(np.stack(mats))
-        with pytest.raises(RankMismatch, match="sample 0: numerical rank is 0, expected a nonzero"):
-            factorize(np.zeros((2, 3, 3)))
+        assert factorize(np.stack(mats)).shape == (9, 4, 3)
+        assert factorize(np.stack(mats[1:])).shape == (8, 4, 2)
+        assert factorize(np.zeros((2, 3, 3))).shape == (2, 3, 0)
 
     def test_indefinite_slice_raises(self):
         stack = np.stack([np.eye(2), np.diag([1.0, -1.0])])
         with pytest.raises(NotPSD, match="sample 1"):
             factorize(stack)
 
-    def test_zero_slice_raises(self):
+    def test_zero_slice_is_a_zero_factor(self):
+        # A zero sample is a PSD point: its factor is zero at any width.
         stack = np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2))])
-        with pytest.raises(RankMismatch, match="sample 1"):
-            factorize(stack)
+        np.testing.assert_array_equal(factorize(stack), [[[1.0], [0.0]], [[0.0], [0.0]]])
 
     def test_round_off_negative_eigenvalue_accepted(self):
         q = rand_orthogonal(np.random.default_rng(13), 3)
@@ -496,16 +501,40 @@ class TestEmbedding:
         assert logs[0] == states[0]
 
     def test_wasserstein_iterate_losing_rank_raises(self):
-        # Rank-1 factors of width 2: the start is the top-2 eigenpairs of
-        # their rank-1 mean product, so the first iterate has numerical
-        # rank 1. The mean stops there with the error an Embedding at that
-        # point raises, naming no sample.
+        # The rank-2 sample is 1e13 times smaller than the rank-1 ones, so
+        # the start point's second eigenvalue falls below RANK_TOL of its
+        # first: the iterate has rank 1, below that sample's. The mean stops
+        # there, naming the sample by its row of the prepared data (3), not
+        # of the subset (1).
+        big = np.diag([1e13, 0.0, 0.0])
+        mats = np.stack([big, np.eye(3), 2 * big, np.diag([0.0, 1.0, 1.0])])
+        subset = manifold.prepare_samples(mats, "wasserstein").subset([2, 3, 0])
+        with pytest.raises(
+            RankMismatch, match="^sample 3: numerical rank 2 exceeds the reference's 1$"
+        ) as info:
+            manifold.mean_wasserstein(subset)
+        assert info.value.sample == 3
+
+    def test_lower_rank_training_runs(self):
+        # Rank-1 factors of width 2 (a zero second column): the mean works at
+        # rank 1, and its rows are the width-1 log maps.
         f = np.zeros((4, 3, 2))
         f[:, :, 0] = np.outer(np.arange(1.0, 5.0), [1.0, 2.0, 2.0]) / 3.0
-        samples = manifold.Samples("wasserstein", f)
-        with pytest.raises(RankMismatch, match="numerical rank 2, the reference has 1") as info:
-            manifold.mean_wasserstein(samples)
-        assert info.value.sample is None
+        fit = manifold.mean_wasserstein(manifold.Samples("wasserstein", f))
+        assert numerical_rank(fit.point) == 1 and fit.samples.shape == (4, 3)
+        np.testing.assert_allclose(fit.point, 6.25 * np.outer([1, 2, 2], [1, 2, 2]) / 9)
+
+    def test_subset_mean_ignores_the_ranks_outside_it(self):
+        # A subset of rank-2 samples, prepared with a rank-3 sample outside
+        # it, fits bit for bit what preparing the subset alone fits.
+        rng = np.random.default_rng(24)
+        mats = np.stack([rand_psd_rank(rng, 4, 2) for _ in range(8)] + [rand_psd_rank(rng, 4, 3)])
+        subset = manifold.prepare_samples(mats, "wasserstein").subset(np.arange(8))
+        (emb, rows), (alone, alone_rows) = (
+            fit_embedding(x, "wasserstein") for x in (subset, mats[:8]))
+        assert np.array_equal(emb.reference, alone.reference)
+        assert np.array_equal(rows, alone_rows)
+        assert numerical_rank(emb.reference) == 2
 
     def test_geometric_requires_full_rank_reference(self):
         with pytest.raises(SingularMatrix):
@@ -603,3 +632,54 @@ def test_feature_rows_are_c_ordered(kind):
     emb, rows = fit_embedding(subset, kind)
     for out in (rows, embed(emb, subset), embed(emb, mats)):
         assert out.flags.c_contiguous
+
+
+class TestMixedRanks:
+    """The Wasserstein embedding of samples of lower rank than the reference:
+    zero-padded factors, bounds fixed before the code."""
+
+    @staticmethod
+    def sample(t):
+        q = rand_orthogonal(np.random.default_rng(30), 5)
+        return SymMat((q * [2.0, 1.0, t, 0.0, 0.0]) @ q.T)
+
+    def test_rows_converge_as_sqrt_t_at_the_rank_boundary(self):
+        # The row of a rank-3 sample whose third eigenvalue t goes to 0
+        # tends to the rank-2 row, at the rate sqrt(t): continuous, but only
+        # Holder-1/2 there.
+        emb = Embedding("wasserstein", rand_psd_rank(np.random.default_rng(31), 5, 3))
+        limit = embed(emb, self.sample(0.0)[None])
+        for t in 10.0 ** -np.arange(1, 12, 2):
+            ratio = np.linalg.norm(embed(emb, self.sample(t)[None]) - limit) / np.sqrt(t)
+            assert 0.5 <= ratio <= 2.0, (t, ratio)
+
+    def test_row_norm_is_the_distance(self):
+        rng = np.random.default_rng(32)
+        for r_ref, r in ((3, 2), (3, 1), (4, 2), (3, 0), (5, 3)):
+            ref = rand_psd_rank(rng, 5, r_ref)
+            mats = np.stack([rand_psd_rank(rng, 5, r) for _ in range(3)])
+            rows = wasserstein_rows(ref, mats)
+            assert rows.shape == (3, 5 * r_ref)
+            for row, m in zip(rows, mats):
+                d = dist_wasserstein(ref, m)
+                assert abs(np.linalg.norm(row) - d) <= 1e-12 * (1.0 + d)
+
+    def test_batched_rows_equal_each_sample_alone(self):
+        rng = np.random.default_rng(33)
+        mats = np.stack([rand_psd_rank(rng, 5, r) for r in (3, 1, 2, 0, 3, 2)])
+        emb = Embedding("wasserstein", rand_psd_rank(rng, 5, 3))
+        rows = embed(emb, mats)
+        for row, m in zip(rows, mats):
+            assert np.array_equal(row, embed(emb, m[None])[0])
+
+    def test_sample_above_the_reference_rank_is_named(self):
+        rng = np.random.default_rng(34)
+        mats = np.stack([rand_psd_rank(rng, 5, r) for r in (2, 3, 4, 4)])
+        emb = Embedding("wasserstein", rand_psd_rank(rng, 5, 3))
+        with pytest.raises(RankMismatch, match="^sample 2: numerical rank 4 exceeds the "
+                                               "reference's 3$"):
+            embed(emb, mats)
+        subset = manifold.prepare_samples(mats, "wasserstein").subset([1, 3])
+        with pytest.raises(RankMismatch, match="^sample 3: ") as info:
+            embed(emb, subset)
+        assert info.value.sample == 3

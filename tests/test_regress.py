@@ -26,6 +26,7 @@ from spdreg import (
     fit_supervised,
     fit_unsupervised,
     identity_filter,
+    numerical_rank,
     predict,
     run_pipeline_cv,
     sample_bundle,
@@ -442,34 +443,59 @@ class TestRunPipelineCV:
         report = run_pipeline_cv(bundle, spec, folds=10, seed=2)
         assert np.all(report.per_fold_mae / np.std(bundle.labels) < 1)
 
-    def test_shared_rank_error_names_the_bundle_sample(self):
-        # At seed 0 sample 5 is in fold 0's training split, as its sample 3.
+    @staticmethod
+    def one_above(bad):
+        """12 samples of rank 3 in 4 dimensions, each in its own subspace,
+        but sample ``bad`` of rank 4."""
         rng = np.random.default_rng(0)
-        bundle = rand_bundle(rng, 12, 4)
-        mats = list(bundle.matrices)
-        mats[5] = np.diag([3.0, 2.0, 1.0, 0.0])
-        bad = CovarianceBundle(matrices=mats, labels=bundle.labels, nominal_rank=4)
-        with pytest.raises(RankMismatch, match=r"^sample 5: numerical rank is 3, expected 4$"):
-            run_pipeline_cv(bad, PipelineSpec(embedding_kind="wasserstein"), 3, 0)
+        mats = [rand_psd_rank(rng, 4, 4 if i == bad else 3) for i in range(12)]
+        return CovarianceBundle(matrices=mats, labels=rng.standard_normal(12), nominal_rank=4)
 
-    @pytest.mark.parametrize("bad", [5, 7], ids=["train", "held-out"])
-    def test_per_fold_rank_error_names_the_bundle_sample(self, bad):
-        # The unsupervised filter is fit on each training split, so the
-        # samples are factorized inside fold 0: sample 5 as its training
-        # split's sample 3, sample 7 as its held-out block's sample 2.
+    def test_lower_rank_samples_run(self):
+        # Sample 5 has rank 3 among rank-4 samples, in fold 0's training
+        # split and in fold 1's held-out block at this seed.
         rng = np.random.default_rng(0)
-        bundle = rand_bundle(rng, 12, 4)
-        mats = list(bundle.matrices)
-        mats[bad] = np.diag([3.0, 2.0, 1.0, 0.0])
-        bad_bundle = CovarianceBundle(matrices=mats, labels=bundle.labels, nominal_rank=4)
+        mats = list(rand_bundle(rng, 12, 4).matrices)
+        mats[5] = np.diag([3.0, 2.0, 1.0, 0.0])
+        bundle = CovarianceBundle(matrices=mats, labels=rng.standard_normal(12), nominal_rank=4)
+        for filter_kind, rank in (("identity", None), ("unsupervised", 4)):
+            spec = PipelineSpec(filter_kind=filter_kind, filter_rank=rank,
+                                embedding_kind="wasserstein")
+            assert np.all(np.isfinite(run_pipeline_cv(bundle, spec, 3, 0).per_fold_mae))
+
+    def test_shared_rank_error_names_the_bundle_sample(self):
+        # The whole bundle is factorized once, at width 4 for sample 7. Fold 0
+        # holds sample 7 out, as its held-out block's sample 2, and fits a
+        # rank-3 reference on its training split, whose factors are rank 3.
+        with pytest.raises(RankMismatch, match=r"^fold 0: sample 7: numerical rank 4 exceeds "
+                                               r"the reference's 3$") as info:
+            run_pipeline_cv(self.one_above(7), PipelineSpec(embedding_kind="wasserstein"), 3, 0)
+        assert info.value.sample == 7
+
+    @pytest.mark.parametrize("bad, fold", [(5, 1), (7, 0)], ids=["train", "held-out"])
+    def test_per_fold_rank_error_names_the_bundle_sample(self, bad, fold):
+        # The unsupervised filter is fit on each training split, and the
+        # bundle factorized with it. Sample 5 is in fold 0's training split,
+        # which runs with it; sample 7 is in fold 0's held-out block. Each is
+        # refused in the fold that holds it out (as the block's sample 0 or
+        # 2), where the reference has rank 3.
         spec = PipelineSpec(
             filter_kind="unsupervised", filter_rank=4, embedding_kind="wasserstein"
         )
         with pytest.raises(
-            RankMismatch, match=rf"^fold 0: sample {bad}: numerical rank is 3, expected 4$"
+            RankMismatch,
+            match=rf"^fold {fold}: sample {bad}: numerical rank 4 exceeds the reference's 3$",
         ) as info:
-            run_pipeline_cv(bad_bundle, spec, 3, 0)
+            run_pipeline_cv(self.one_above(bad), spec, 3, 0)
         assert info.value.sample == bad
+
+    def test_mixed_rank_generator_bundle_runs(self):
+        # Per-subject mixing at p=20, mu=1 leaves 4 subjects of rank 19.
+        # Not an exact case, so the bound is loose: mae/std(y) < 0.2.
+        bundle, _ = sample_bundle(GenerativeConfig(p=20, mu=1, sigma_mix=0.01, n=200, seed=0))
+        assert np.bincount(numerical_rank(bundle.matrices)).tolist()[19:] == [4, 196]
+        report = run_pipeline_cv(bundle, PipelineSpec(embedding_kind="wasserstein"), 10, 0)
+        assert report.mean_mae / np.std(bundle.labels) < 0.2
 
 
 def state_digest(state):
