@@ -390,14 +390,19 @@ def mean_wasserstein(mats) -> FrechetMean:
     Gradient descent on the factor ``y`` (p x r) minimizing the summed
     squared distances: ``y <- y + step/n sum_i log_i`` for the
     factor-space log maps ``log_i``, its step chosen by the backtracking
-    rule of the means' shared descent loop. Initialized from the top-r
-    eigenpairs of ``sum_i f_i f_i.T / n`` over the inputs' factors ``f_i``
-    (no covariance is read). Each state is evaluated, and each step taken,
+    rule of the means' shared descent loop. Initialized at the rank-r
+    truncation of the squared mean root ``(sum_i c_i^1/2 / n)^2``, each
+    root ``f_i diag(1/|f_i[:, j]|) f_i.T`` read from the input's factor
+    ``f_i`` (no covariance is read): the barycenter of commuting inputs,
+    where the descent stops at its first state (Alvarez-Esteban et al.
+    2016). Each state is evaluated, and each step taken,
     at the factor :func:`factorize` gives its point ``y y.T``, as
     :func:`embed` does; ``y -> y R`` (R orthogonal) leaves the point,
     objective and gradient norm unchanged (Bhatia, Jain & Lim 2019).
     Converged when the Riemannian gradient ``2 sum_i log_i`` has Frobenius
-    norm at most ``1e-7 * sqrt(p * r)``. Returns the mean with the
+    norm at most ``1e-7 * sqrt(p * r * t)`` for the inputs' mean trace
+    ``t = sum_i |f_i|_F^2 / n``, so the mean of the ``s c_i`` is ``s``
+    times theirs. Returns the mean with the
     inputs' ``(n, p * r)`` feature rows at it, from the last accepted
     state. ``mats`` may be :class:`Samples` prepared for ``wasserstein``,
     cut to their nonzero columns, so a subset's mean ignores the rest.
@@ -413,16 +418,21 @@ def mean_wasserstein(mats) -> FrechetMean:
     with _gathered(mats, "wasserstein") as factors:
         factors = factors[:, :, : np.any(factors, axis=(0, 1)).sum()]
         n, p, r = factors.shape
-        w, v = eigh(np.tensordot(factors, factors, axes=([0, 2], [0, 2])) / n)
-        y = v[:, :r] * np.sqrt(np.clip(w[:r], 0.0, None))
+        # Column j of f_i is sqrt(w_j) u_j, so the root of c_i is
+        # f_i diag(1/|f_i[:, j]|) f_i.T; zero columns stay zero.
+        sq = np.einsum("npr,npr->nr", factors, factors)
+        scaled = factors / np.sqrt(np.where(sq > 0, sq, 1.0))[:, None, :]
+        mu, v = eigh(np.tensordot(scaled, factors, axes=([0, 2], [0, 2])) / n)
+        del scaled  # not held through the first state, the memory peak
+        y = v[:, :r] * mu[:r]
+        tol = 1e-7 * np.sqrt(p * r * float(sq.sum()) / n)
 
         def move(y, grad, step):
             c = y + step * (grad / n)
             return _sym(c @ c.T)
 
         return _descend(
-            lambda x: _wass_state(x, factors), move, _sym(y @ y.T), n, 1e-7 * np.sqrt(p * r),
-            "Wasserstein mean",
+            lambda x: _wass_state(x, factors), move, _sym(y @ y.T), n, tol, "Wasserstein mean",
         )
 
 

@@ -3,12 +3,14 @@ import pytest
 
 from conftest import rand_invertible, rand_orthogonal, rand_psd_rank, rand_spd
 from spdreg import (
+    GenerativeConfig,
     NoConvergence,
     SingularMatrix,
     manifold,
     mean_euclidean,
     mean_geometric,
     mean_wasserstein,
+    sample_bundle,
     sym_func,
 )
 from spdreg.symmat import SymMat
@@ -114,6 +116,108 @@ class TestMeanWasserstein:
         m1 = mean_wasserstein(mats).point
         m2 = mean_wasserstein(mats[::-1]).point
         assert np.linalg.norm(m1 - m2) <= 1e-8
+
+
+def wasserstein_tolerance(mats):
+    """The Wasserstein mean's stopping tolerance ``1e-7 sqrt(p r tbar)``,
+    ``tbar`` the inputs' mean trace, from numpy's own eigensolver."""
+    w = np.linalg.eigvalsh(mats)
+    r = int(np.max(np.sum(w > 1e-12 * w[:, -1:], axis=1)))
+    return 1e-7 * np.sqrt(mats.shape[-1] * r * np.trace(mats, axis1=1, axis2=2).mean())
+
+
+def squared_mean_root(mats):
+    """``(sum_i c_i^1/2 / n)^2``, the Wasserstein mean of commuting inputs."""
+    w, v = np.linalg.eigh(mats)
+    root = np.einsum("nij,nj,nkj->ik", v, np.sqrt(np.clip(w, 0.0, None)), v) / len(mats)
+    return root @ root
+
+
+def commuting_full_rank():
+    """The paper's exact Wasserstein case: sqrt link, orthogonal mixing."""
+    cfg = GenerativeConfig(p=5, q=2, n=30, mu=1.0, f_kind="sqrt", orthogonal_a=True, seed=2)
+    return sample_bundle(cfg)[0].matrices
+
+
+def commuting_rank_deficient():
+    """The same case at rank 4, lifted into 8 dimensions by a fixed
+    orthonormal 8 x 4 map (the rank-deficient benchmark at small size)."""
+    cfg = GenerativeConfig(p=4, q=2, n=40, mu=1.0, f_kind="sqrt", orthogonal_a=True, seed=0)
+    base = sample_bundle(cfg)[0].matrices
+    u, _ = np.linalg.qr(np.random.default_rng([0, 8]).standard_normal((8, 4)))
+    return u @ base @ u.T
+
+
+def count_states(monkeypatch):
+    """Record the point of every state the Wasserstein mean evaluates."""
+    points, evaluate = [], manifold._wass_state
+
+    def counted(point, factors):
+        points.append(point)
+        return evaluate(point, factors)
+
+    monkeypatch.setattr(manifold, "_wass_state", counted)
+    return points
+
+
+class TestWassersteinStart:
+    """The mean starts at the top-r truncation of the squared mean root,
+    the barycenter of commuting inputs (Bhatia, Jain & Lim 2019)."""
+
+    @pytest.mark.parametrize(
+        "make", [commuting_full_rank, commuting_rank_deficient], ids=["full", "rank4in8"]
+    )
+    def test_commuting_inputs_stop_at_the_start(self, make, monkeypatch):
+        mats = make()
+        points = count_states(monkeypatch)
+        m = mean_wasserstein(mats).point
+        assert len(points) == 1
+        want = squared_mean_root(mats)
+        assert np.linalg.norm(m - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_zero_and_lower_rank_samples(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        mats = np.stack(
+            [np.zeros((5, 5))]
+            + [rand_psd_rank(rng, 5, 2) for _ in range(3)]
+            + [rand_psd_rank(rng, 5, 3) for _ in range(6)]
+        )
+        points = count_states(monkeypatch)
+        fit = mean_wasserstein(mats)
+        assert np.all(np.isfinite(points[0]))
+        assert np.all(np.isfinite(fit.point)) and np.all(np.isfinite(fit.samples))
+        assert np.linalg.matrix_rank(fit.point) == 3
+
+    @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
+    @pytest.mark.parametrize("seed", [14, 15])
+    def test_non_commuting_gradient_within_tolerance(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        mats = scale * np.stack([rand_spd(rng, 5) for _ in range(15)]
+                                + [rand_psd_rank(rng, 5, 2) for _ in range(3)])
+        m = mean_wasserstein(mats).point
+        grad_sum = manifold._wass_state(m, manifold.factorize(mats))[2]
+        assert 2 * np.linalg.norm(grad_sum) <= wasserstein_tolerance(mats)
+
+
+@pytest.fixture(scope="module")
+def scaled_bundles():
+    """A small generator bundle and the mixed-rank one that CI runs through
+    the CLI (4 of 200 subjects have rank 19 of 20)."""
+    return {
+        "p6": sample_bundle(GenerativeConfig(p=6, q=2, n=40, mu=0.5, seed=1))[0].matrices,
+        "p20mixed": sample_bundle(
+            GenerativeConfig(p=20, mu=1, sigma_mix=0.01, n=200, seed=0)
+        )[0].matrices,
+    }
+
+
+@pytest.mark.parametrize("scale", [1e-24, 1e-12, 1e6])
+@pytest.mark.parametrize("name", ["p6", "p20mixed"])
+def test_wasserstein_mean_is_scale_equivariant(scaled_bundles, name, scale):
+    mats = scaled_bundles[name]
+    want = mean_wasserstein(mats).point
+    got = mean_wasserstein(scale * mats).point / scale
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize(
