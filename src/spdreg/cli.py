@@ -122,7 +122,7 @@ OPTIONS = {
     + [
         Opt("preset", _parse_str, "", "named sweep: fig3-left, fig3-middle, fig3-right"),
         Opt("axis", _parse_str, "", "sweep axis: sigma, mu, or sigma_mix"),
-        Opt("values", _parse_floats, (), "comma-separated axis values"),
+        Opt("values", _parse_floats, [], "comma-separated axis values"),
         Opt("specs", _parse_str, "", "comma-separated pipelines, e.g. identity+geometric"),
         Opt("folds", _parse_int, 10, "number of cross-validation folds"),
         Opt("repeats", _parse_int, 3, "repeats per cell (seed offset)"),
@@ -351,8 +351,9 @@ def cmd_fit(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     spec = _pipeline_spec(opts)
     with _filter_hint(bund, spec.embedding_kind):
-        train = regress.project(regress.fit_filter(bund, spec), bund, spec.embedding_kind)
-        state = regress.fit_fold(train, spec)
+        filt = regress.fit_filter(bund, spec)
+        train = regress.project(filt, bund.matrices, spec.embedding_kind)
+        state = regress.fit_fold(filt, train, bund.labels, spec)
     write_model(opts["out"], state)
     train_mae = float(np.mean(np.abs(bund.labels - state.model.fitted)))
     print(
@@ -381,7 +382,7 @@ def cmd_eval(opts) -> int:
 def cmd_predict(opts) -> int:
     state = read_model(_require_file(opts, "model"))
     bund = read_covb(_require_file(opts, "bundle"))
-    test = regress.project(state.filt, bund, state.embedding.kind)
+    test = regress.project(state.filt, bund.matrices, state.embedding.kind)
     yhat = regress.predict_fold(state, test)
     _write_matrix_file(opts["out"], f"PRED v1 {len(yhat)}", yhat)
     mae = float(np.mean(np.abs(bund.labels - yhat)))
@@ -442,6 +443,11 @@ def cmd_sweep(opts) -> int:
             raise ConfigError(
                 f"unknown preset {preset!r}; expected one of {sorted(SWEEP_PRESETS)}"
             )
+        defaults = {o.name: o.default for o in OPTIONS["sweep"]}
+        for key, value in SWEEP_PRESETS[preset].items():
+            if opts[key] not in (defaults[key], value):
+                raise ConfigError(f"{key} = {opts[key]} conflicts with preset {preset!r}, "
+                                  f"which sets {key} = {value}")
         opts = {**opts, **SWEEP_PRESETS[preset]}
     cfg = _generative_config(opts)
     specs = _sweep_specs(opts, cfg.q)

@@ -9,10 +9,10 @@ Four ways to obtain the projection ``w``:
   power co-varies most with the target;
 * mne -- Tikhonov-regularized inverse of a supplied leadfield matrix.
 
-Applying a filter maps a bundle to a bundle: each covariance ``c`` goes
-to ``w.T @ c @ w`` in one batched product over the whole ``(n, p, p)``
-array, and the labels are carried through unchanged. A filter whose ``w``
-is exactly the identity returns the bundle it is given, with no copy.
+Applying a filter maps an ``(n, p, p)`` array to an ``(n, r, r)`` array:
+each covariance ``c`` goes to ``w.T @ c @ w`` in one batched product. A
+filter whose ``w`` is exactly the identity returns the array it is given,
+with no copy. Bundles, with their labels, are read only by the fits.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ FILTER_KINDS = ("identity", "unsupervised", "supervised", "mne")
 
 @dataclass(frozen=True)
 class SpatialFilter:
-    """Fitted projection ``w`` (p x r), its kind, and its ``rank_out`` r.
+    """Fitted projection ``w`` (p x r) and its kind.
 
     ``eigenvalues`` records the selection criterion of the fitted
     columns (component variance for unsupervised filters, power-target
@@ -54,11 +54,6 @@ class SpatialFilter:
         object.__setattr__(
             self, "eigenvalues", np.asarray(self.eigenvalues, dtype=np.float64)
         )
-
-    @property
-    def rank_out(self) -> int:
-        """The projected dimension r, the width of ``w``."""
-        return self.w.shape[1]
 
 
 def identity_filter(p: int) -> SpatialFilter:
@@ -141,23 +136,19 @@ def fit_mne(lead: "Leadfield", lam: float) -> SpatialFilter:
     return SpatialFilter(w=w, kind="mne", eigenvalues=np.empty(0))
 
 
-def apply(filt: SpatialFilter, bundle: CovarianceBundle) -> CovarianceBundle:
-    """Project every covariance, ``c -> w.T @ c @ w``, in one batched product;
-    the labels are unchanged. A filter whose ``w`` is exactly the identity
-    returns ``bundle`` itself: the product would give its matrices back bit
-    for bit, so no second copy of them is made.
+def apply(filt: SpatialFilter, mats: np.ndarray) -> np.ndarray:
+    """Project every covariance of the ``(n, p, p)`` array ``mats``, ``c -> w.T
+    @ c @ w``, in one batched product, as a read-only, exactly symmetric
+    ``(n, r, r)`` array. A filter whose ``w`` is exactly the identity returns
+    ``mats`` itself: the product would give it back bit for bit, so no second
+    copy of it is made.
     """
-    w, p = filt.w, bundle.dim
+    w, p = filt.w, mats.shape[-1]
     if w.shape[0] != p:
         raise DimensionMismatch(f"filter expects dimension {w.shape[0]}, bundle has {p}")
-    rank = min(filt.rank_out, bundle.nominal_rank)
-    if rank == bundle.nominal_rank and np.array_equal(w, np.eye(p)):
-        return bundle
-    return CovarianceBundle(
-        matrices=w.T @ bundle.matrices @ w,
-        labels=bundle.labels.copy(),
-        nominal_rank=rank,
-    )
+    if np.array_equal(w, np.eye(p)):
+        return mats
+    return _sym(w.T @ mats @ w)
 
 
 # ---------------------------------------------------------------------------

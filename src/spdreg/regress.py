@@ -5,9 +5,11 @@ of the embedding (:func:`~spdreg.manifold.prepare_samples`), fit the
 embedding reference (a Frechet mean) on the training split, vectorize,
 then fit a ridge model whose regularization is chosen by generalized
 cross-validation (GCV) over a fixed grid. The CLI and every CV fold take
-one path: :func:`fit_filter`, then :func:`project` to a :class:`Projected`
-split, then :func:`fit_fold` on its training rows and :func:`predict_fold`
-on its held-out rows.
+one path: :func:`fit_filter` on a bundle, then :func:`project` of its
+``(n, p, p)`` array to :class:`~spdreg.manifold.Samples`, then
+:func:`fit_fold` on the training rows and their labels and
+:func:`predict_fold` on the held-out rows. Bundles stay at the edges: the
+filter fit and the input to :func:`run_pipeline_cv`.
 
 In cross-validation, :func:`run_pipeline_cv`, the reference, the feature
 centring and scale and the ridge fit run per fold on its training split.
@@ -279,41 +281,25 @@ def fit_filter(train: CovarianceBundle, spec: PipelineSpec) -> SpatialFilter:
     return fit_mne(spec.leadfield, spec.mne_lambda)
 
 
-@dataclass(frozen=True)
-class Projected:
-    """Labeled samples after a fitted filter, with the reference-free part
-    of the embedding done (:class:`~spdreg.manifold.Samples`).
-
-    :func:`fit_fold` and :func:`predict_fold` take one; :meth:`subset`
-    slices it like :meth:`CovarianceBundle.subset`.
-    """
-
-    filt: SpatialFilter
-    samples: Samples
-    labels: np.ndarray
-
-    def subset(self, indices) -> "Projected":
-        return Projected(self.filt, self.samples.subset(indices), self.labels[indices])
+def project(filt: SpatialFilter, mats: np.ndarray, kind: str) -> Samples:
+    """Project the ``(n, p, p)`` array ``mats`` with ``filt`` and prepare it for
+    embedding ``kind`` (Wasserstein factors at the projected samples' largest
+    rank)."""
+    return prepare_samples(apply(filt, mats), kind)
 
 
-def project(filt: SpatialFilter, bundle: CovarianceBundle, kind: str) -> Projected:
-    """Project ``bundle`` with ``filt`` and prepare it for embedding ``kind``
-    (Wasserstein factors at the projected samples' largest rank)."""
-    return Projected(filt, prepare_samples(apply(filt, bundle).matrices, kind), bundle.labels)
+def fit_fold(filt: SpatialFilter, train: Samples, labels, spec: PipelineSpec) -> FoldState:
+    """Fit the embedding reference and ridge model on training samples
+    projected with ``filt`` and their labels; the fold keeps ``filt``."""
+    embedding, rows = fit_embedding(train, spec.embedding_kind)
+    model = fit_ridge_gcv(rows, labels, spec.ridge_grid)
+    return FoldState(filt=filt, embedding=embedding, model=model)
 
 
-def fit_fold(train: Projected, spec: PipelineSpec) -> FoldState:
-    """Fit the embedding reference and ridge model on a projected training
-    split; the fold keeps the split's filter."""
-    embedding, rows = fit_embedding(train.samples, spec.embedding_kind)
-    model = fit_ridge_gcv(rows, train.labels, spec.ridge_grid)
-    return FoldState(filt=train.filt, embedding=embedding, model=model)
-
-
-def predict_fold(state: FoldState, test: Projected) -> np.ndarray:
-    """Apply a fitted fold to held-out covariances projected with the
-    fold's own filter."""
-    return predict(state.model, embed(state.embedding, test.samples))
+def predict_fold(state: FoldState, test: Samples) -> np.ndarray:
+    """Apply a fitted fold to held-out samples projected with the fold's own
+    filter."""
+    return predict(state.model, embed(state.embedding, test))
 
 
 def run_pipeline_cv(
@@ -329,10 +315,10 @@ def run_pipeline_cv(
     The whole bundle is projected, and the per-sample part of the embedding
     done (Wasserstein eigen-factors with their PSD check, Euclidean and
     log-diagonal rows; geometric log maps all depend on the reference, so
-    only the projection), in one :class:`Projected` that each fold slices
-    lazily: its training rows are gathered for its Frechet mean alone, whose
-    feature rows feed the ridge fit, and its held-out rows are embedded at
-    its reference. When the filter is fit without the samples (``identity``,
+    only the projection), in one :class:`~spdreg.manifold.Samples` that
+    each fold slices lazily: its training rows are gathered for its Frechet
+    mean alone, whose feature rows feed the ridge fit with the training
+    labels, and its held-out rows are embedded at its reference. When the filter is fit without the samples (``identity``,
     ``mne``) that is done once per run; the ``unsupervised`` and
     ``supervised`` filters are fit on each training split, and the bundle is
     projected with each. This is not leakage: each shared value is a
@@ -345,25 +331,25 @@ def run_pipeline_cv(
     if not 2 <= folds <= bundle.n:
         raise ValueError(f"folds must be in [2, {bundle.n}], got {folds}")
     blocks = fold_blocks(bundle.n, folds, seed)
-    shared = None
-    if spec.filter_kind in FIXED_FILTERS:
-        shared = project(fit_filter(bundle, spec), bundle, spec.embedding_kind)
+    fixed = spec.filter_kind in FIXED_FILTERS
+    if fixed:
+        filt = fit_filter(bundle, spec)
+        samples = project(filt, bundle.matrices, spec.embedding_kind)
     maes, lams, states = [], [], []
     for k, test_idx in enumerate(blocks):
         mask = np.ones(bundle.n, dtype=bool)
         mask[test_idx] = False
         train_idx = np.nonzero(mask)[0]
         try:
-            data = shared or project(
-                fit_filter(bundle.subset(train_idx), spec), bundle, spec.embedding_kind
-            )
-            state = fit_fold(data.subset(train_idx), spec)
-            test = data.subset(test_idx)
-            yhat = predict_fold(state, test)
+            if not fixed:
+                filt = fit_filter(bundle.subset(train_idx), spec)
+                samples = project(filt, bundle.matrices, spec.embedding_kind)
+            state = fit_fold(filt, samples.subset(train_idx), bundle.labels[train_idx], spec)
+            yhat = predict_fold(state, samples.subset(test_idx))
         except NumericalError as exc:
             exc.args = (f"fold {k}: {exc}",)
             raise
-        maes.append(float(np.mean(np.abs(test.labels - yhat))))
+        maes.append(float(np.mean(np.abs(bundle.labels[test_idx] - yhat))))
         lams.append(state.model.lambda_star)
         states.append(state)
     per_fold = np.array(maes)

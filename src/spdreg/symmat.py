@@ -126,16 +126,11 @@ def eigh(a) -> tuple[np.ndarray, np.ndarray]:
     """
     w, v = _eig(np.asarray(a, dtype=np.float64))
     # A stable descending sort keeps the solver's order inside tie blocks.
-    # The solver's order is ascending, so without ties the sort reverses it.
-    if (w[..., :-1] < w[..., 1:]).all():
-        w, v = w[..., ::-1].copy(), v[..., ::-1]
-    else:
-        order = np.argsort(-w, axis=-1, kind="stable")
-        w = np.take_along_axis(w, order, axis=-1)
-        v = np.take_along_axis(v, order[..., None, :], axis=-1)
+    order = np.argsort(-w, axis=-1, kind="stable")
+    w = np.take_along_axis(w, order, axis=-1)
+    v = np.take_along_axis(v, order[..., None, :], axis=-1)
     lead = np.take_along_axis(v, np.argmax(np.abs(v), axis=-2)[..., None, :], axis=-2)
-    # A new, C-ordered product: matmul on the reversed view would leave BLAS.
-    v = v * np.where(lead < 0, -1.0, 1.0)
+    v *= np.where(lead < 0, -1.0, 1.0)
     w.flags.writeable = False
     v.flags.writeable = False
     return w, v

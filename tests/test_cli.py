@@ -387,7 +387,7 @@ class TestFitPredict:
         monkeypatch.undo()
         bundle = read_covb(bundle_file)
         state = read_model(model)
-        test = regress.project(state.filt, bundle, state.embedding.kind)
+        test = regress.project(state.filt, bundle.matrices, state.embedding.kind)
         yhat = regress.predict_fold(state, test)
         mae = float(np.mean(np.abs(bundle.labels - yhat)))
         assert f"train_mae={mae:.6g} " in capsys.readouterr().out
@@ -487,6 +487,41 @@ class TestSweepCommand:
 
     def test_unknown_preset_exits_2(self, tmp_path):
         assert run("sweep", "--preset", "fig9", "--out", tmp_path / "s.csv") == 2
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "option, value, shown",
+        [("sigma", "0.3", "sigma = 0.3"), ("axis", "sigma", "axis = sigma"),
+         ("values", "0,1", "values = [0.0, 1.0]")],
+        ids=["sigma", "axis", "values"],
+    )
+    def test_option_conflicting_with_preset_exits_2(
+        self, tmp_path, capsys, monkeypatch, option, value, shown, source
+    ):
+        # A value that differs from both its default and the preset's used to
+        # be overridden by the preset without a word.
+        monkeypatch.setattr(simgen, "sweep", lambda *a, **k: pytest.fail("the sweep ran"))
+        args = ["--" + option, value]
+        if source == "config":
+            args = ["--config", tmp_path / "c.cfg"]
+            args[1].write_text(f"{option} = {value}\n")
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--preset", "fig3-middle", *args, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {shown} conflicts with preset 'fig3-middle', ")
+        assert not out.exists()
+
+    def test_option_equal_to_preset_or_default_runs_the_preset(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_sweep(cfg, axis, values, specs, **kwargs):
+            seen.update(sigma=cfg.sigma, axis=axis, values=values)
+            return []
+
+        monkeypatch.setattr(simgen, "sweep", fake_sweep)
+        assert run("sweep", "--preset", "fig3-middle", "--axis", "mu", "--sigma", 0,
+                   "--values", "", "--out", tmp_path / "s.csv") == 0
+        assert seen == {"sigma": 0.0, "axis": "mu", "values": [0.0, 0.25, 0.5, 0.75, 1.0]}
 
     @pytest.mark.parametrize(
         "flags",

@@ -328,8 +328,9 @@ def test_model_bytes_match_joined_floats(fitted):
     bund, _, model = fitted
     spec = regress.PipelineSpec(filter_kind="unsupervised", filter_rank=3,
                                 embedding_kind="wasserstein")
-    train = regress.project(regress.fit_filter(bund, spec), bund, "wasserstein")
-    state = regress.fit_fold(train, spec)
+    filt = regress.fit_filter(bund, spec)
+    train = regress.project(filt, bund.matrices, "wasserstein")
+    state = regress.fit_fold(filt, train, bund.labels, spec)
     filt, emb, ridge = state.filt, state.embedding, state.model
 
     def f(values):
@@ -374,7 +375,7 @@ def test_pred_feat_symmat_bytes_match_joined_floats(fitted, tmp_path):
     assert run("embed", "--bundle", covb, "--embedding", "geometric", "--out", feat) == 0
     assert run("mean", "--bundle", covb, "--metric", "geometric", "--out", mean) == 0
     state = read_model(model)
-    test = regress.project(state.filt, bund, state.embedding.kind)
+    test = regress.project(state.filt, bund.matrices, state.embedding.kind)
     yhat = regress.predict_fold(state, test)
     rows = manifold.fit_embedding(bund.matrices, "geometric")[1]
     point = manifold.mean_geometric(bund.matrices).point

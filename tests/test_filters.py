@@ -17,6 +17,7 @@ from spdreg import (
     read_leadfield,
     write_leadfield,
 )
+from spdreg.symmat import _sym
 
 
 def constant_bundle(mat, n, labels=None):
@@ -210,28 +211,32 @@ class TestApply:
         # and bit for bit what the symmetrized product would give.
         rng = np.random.default_rng(9)
         bundle = rand_bundle(rng, 5, 3)
-        out = apply(identity_filter(3), bundle)
-        assert out is bundle
+        out = apply(identity_filter(3), bundle.matrices)
+        assert out is bundle.matrices
         eye = np.eye(3)
         prod = eye.T @ bundle.matrices @ eye
-        assert out.matrices.tobytes() == ((prod + prod.swapaxes(1, 2)) / 2).tobytes()
+        assert out.tobytes() == ((prod + prod.swapaxes(1, 2)) / 2).tobytes()
 
     def test_coordinate_selection(self):
         bundle = constant_bundle(np.diag([4.0, 7.0]), 3)
         filt = fit_unsupervised(bundle, 1)
-        out = apply(filt, bundle)
-        assert out.dim == 1
-        assert out.matrices[0, 0, 0] == pytest.approx(7.0)
+        out = apply(filt, bundle.matrices)
+        assert out.shape == (3, 1, 1)
+        assert out[0, 0, 0] == pytest.approx(7.0)
 
     def test_matches_direct_congruence(self):
         rng = np.random.default_rng(10)
         bundle = rand_bundle(rng, 4, 4)
         w = rng.standard_normal((4, 2))
         filt = SpatialFilter(w=w, kind="identity", eigenvalues=np.empty(0))
-        out = apply(filt, bundle)
-        assert filt.rank_out == out.nominal_rank == 2
+        out = apply(filt, bundle.matrices)
+        assert out.shape == (4, 2, 2)
+        # Read-only, exactly symmetric, and each slice bit for bit the
+        # symmetrized congruence of its matrix alone.
+        assert not out.flags.writeable
+        assert np.array_equal(out, out.swapaxes(1, 2))
         for i, m in enumerate(bundle.matrices):
-            np.testing.assert_allclose(out.matrices[i], (w.T @ m @ w + (w.T @ m @ w).T) / 2)
+            assert out[i].tobytes() == _sym(w.T @ m @ w).tobytes()
 
     def test_identity_kind_with_another_w_projects(self):
         # The no-copy path is keyed on w, not on the kind.
@@ -239,15 +244,15 @@ class TestApply:
         bundle = rand_bundle(rng, 5, 3)
         w = rng.standard_normal((3, 3))
         filt = SpatialFilter(w=w, kind="identity", eigenvalues=np.empty(0))
-        out = apply(filt, bundle)
-        assert out is not bundle
-        np.testing.assert_allclose(out.matrices, w.T @ bundle.matrices @ w, rtol=1e-12)
+        out = apply(filt, bundle.matrices)
+        assert out is not bundle.matrices
+        np.testing.assert_allclose(out, w.T @ bundle.matrices @ w, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(11)
         bundle = rand_bundle(rng, 3, 3)
         with pytest.raises(DimensionMismatch):
-            apply(identity_filter(4), bundle)
+            apply(identity_filter(4), bundle.matrices)
 
 
 @pytest.mark.parametrize(

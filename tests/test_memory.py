@@ -86,7 +86,8 @@ def test_fit_fold_drops_the_training_stack_before_the_ridge_fit(monkeypatch):
     stack = near_identity_stack(200, 64)
     labels = np.random.default_rng(1).standard_normal(200)
     bundle = CovarianceBundle(stack, labels, nominal_rank=64)
-    shared = regress.project(identity_filter(64), bundle, "geometric")
+    filt = identity_filter(64)
+    shared = regress.project(filt, bundle.matrices, "geometric")
     train_idx = np.arange(0, 200, 2)
     stack_bytes = stack[train_idx].nbytes
     assert stack_bytes > symmat.BLOCK_BYTES
@@ -101,7 +102,7 @@ def test_fit_fold_drops_the_training_stack_before_the_ridge_fit(monkeypatch):
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        regress.fit_fold(shared.subset(train_idx), spec)
+        regress.fit_fold(filt, shared.subset(train_idx), labels[train_idx], spec)
     finally:
         tracemalloc.stop()
     extra = held[0] - start

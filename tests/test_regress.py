@@ -559,10 +559,9 @@ def cv_from_scratch(bundle, spec, folds, seed):
         train = bundle.subset(np.setdiff1d(np.arange(bundle.n), test_idx))
         test = bundle.subset(test_idx)
         filt = fit_filter(train)
-        projected = apply(filt, train)
-        emb, rows = fit_embedding(projected.matrices, spec.embedding_kind)
-        model = fit_ridge_gcv(rows, projected.labels, spec.ridge_grid)
-        yhat = predict(model, embed(emb, apply(filt, test).matrices))
+        emb, rows = fit_embedding(apply(filt, train.matrices), spec.embedding_kind)
+        model = fit_ridge_gcv(rows, train.labels, spec.ridge_grid)
+        yhat = predict(model, embed(emb, apply(filt, test.matrices)))
         maes.append(float(np.mean(np.abs(test.labels - yhat))))
         lams.append(model.lambda_star)
         digests.append(state_digest(FoldState(filt, emb, model)))
@@ -597,7 +596,7 @@ def test_identity_projection_keeps_one_copy(kind):
     rng = np.random.default_rng(3)
     mats = np.stack([rand_psd_rank(rng, 4, 3) for _ in range(12)])
     bundle = CovarianceBundle(mats, rng.standard_normal(12), nominal_rank=3)
-    samples = project(identity_filter(4), bundle, kind).samples
+    samples = project(identity_filter(4), bundle.matrices, kind)
     assert [f.name for f in dataclasses.fields(samples)] == ["kind", "data", "index"]
     if kind == "geometric":
         assert samples.data is bundle.matrices
@@ -650,7 +649,8 @@ class TestPipelineInvariances:
 
         w = rand_invertible(rng, 5)
         filt = SpatialFilter(w=w, kind="identity", eigenvalues=np.empty(0))
-        r_filtered = run_pipeline_cv(apply(filt, bundle), spec, folds=5, seed=1)
+        filtered = CovarianceBundle(apply(filt, bundle.matrices), bundle.labels, nominal_rank=5)
+        r_filtered = run_pipeline_cv(filtered, spec, folds=5, seed=1)
         np.testing.assert_allclose(
             r_plain.per_fold_mae, r_filtered.per_fold_mae, atol=1e-6
         )
