@@ -140,13 +140,14 @@ def apply(filt: SpatialFilter, mats: np.ndarray) -> np.ndarray:
     """Project every covariance of the ``(n, p, p)`` array ``mats``, ``c -> w.T
     @ c @ w``, in one batched product, as a read-only, exactly symmetric
     ``(n, r, r)`` array. A filter whose ``w`` is exactly the identity returns
-    ``mats`` itself: the product would give it back bit for bit, so no second
-    copy of it is made.
+    ``mats`` itself when it is already such an array (a bundle's matrices):
+    the product would give it back bit for bit, so no second copy is made.
     """
     w, p = filt.w, mats.shape[-1]
     if w.shape[0] != p:
         raise DimensionMismatch(f"filter expects dimension {w.shape[0]}, bundle has {p}")
-    if np.array_equal(w, np.eye(p)):
+    no_copy = np.array_equal(w, np.eye(p)) and not mats.flags.writeable
+    if no_copy and np.array_equal(mats, mats.swapaxes(-1, -2)):
         return mats
     return _sym(w.T @ mats @ w)
 

@@ -15,7 +15,7 @@ matching metric. Both are computed by one backtracking descent loop, each
 mean giving its own state and step, that stops on the Riemannian gradient
 norm or raises :class:`~spdreg.errors.NoConvergence` after ``MAX_ITER``
 steps. Every operation on samples takes an ``(n, p, p)`` array (a bundle's
-``matrices``) and gives ``(n, k)`` feature rows. The geometric tangent map
+``matrices``) and gives ``(n, k)`` feature rows. The geometric state
 streams it in blocks of :func:`~spdreg.symmat.blocks`, writing each
 block's rows into the output, so its working memory does not grow with
 ``n``; the other kinds take the whole array at once. Distances and
@@ -79,8 +79,9 @@ def _upper(mat: np.ndarray) -> np.ndarray:
 def dist_geometric(s, t) -> float:
     """Affine-invariant distance between full-rank SPD matrices.
 
-    The Frobenius norm of the whitened log ``log(s^-1/2 t s^-1/2)``, which
-    is ``sqrt(sum_k log^2 w_k)`` for ``w_k`` the eigenvalues of ``s^-1 t``;
+    The norm of the feature row of ``t`` in the geometric state at ``s``,
+    so exactly that of the row :func:`embed` gives ``t`` at reference ``s``:
+    ``sqrt(sum_k log^2 w_k)`` for ``w_k`` the eigenvalues of ``s^-1 t``;
     invariant under joint congruence by any invertible matrix.
 
     Raises
@@ -91,8 +92,7 @@ def dist_geometric(s, t) -> float:
     s, t = _matrix(s), _matrix(t)
     if len(s) != len(t):
         raise DimensionMismatch(f"dimensions differ: {len(s)} vs {len(t)}")
-    isq = sym_func(s, "inv_sqrt")
-    return float(np.linalg.norm(sym_func(isq @ t @ isq, "log")))
+    return float(np.linalg.norm(_geo_state(s, t[None])[1]))
 
 
 def dist_wasserstein(s, t) -> float:
@@ -153,10 +153,11 @@ def _wass_logs(y: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
 
 def _wass_state(point, factors: np.ndarray):
-    """``(base, logs, their sum, their summed squares)``: ``base`` is the
-    factor of the matrix ``point`` from :func:`factorize`, of width its
-    rank ``r``, ``logs`` the log maps from it to each sample factor, cut or
-    zero-padded to width ``r``. A sample with a nonzero column past ``r``
+    """``(base, rows, gsum, obj)`` at ``point``: ``base`` is the factor of the
+    matrix ``point`` from :func:`factorize`, of width its rank ``r``, and the
+    ``(n, p, r)`` log maps from it to each sample factor (cut or zero-padded
+    to width ``r``) give their ``(n, p * r)`` rows as a view, their sum and
+    their summed squares. A sample with a nonzero column past ``r``
     (of higher rank) raises :class:`RankMismatch` naming it and both ranks."""
     base = factorize(point[None])[0]
     r, rs = base.shape[-1], factors.shape[-1]
@@ -167,7 +168,7 @@ def _wass_state(point, factors: np.ndarray):
             raise RankMismatch(f"numerical rank {ranks[i]} exceeds the reference's {r}", i)
         factors = np.pad(factors[:, :, :r], ((0, 0), (0, 0), (0, max(r - rs, 0))))
     logs = _wass_logs(base, factors)
-    return base, logs, logs.sum(axis=0), float(np.sum(logs * logs))
+    return base, logs.reshape(len(logs), -1), logs.sum(axis=0), float(np.sum(logs * logs))
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +264,11 @@ def _gathered(mats, kind: str):
 @dataclass(frozen=True)
 class FrechetMean:
     """A Frechet mean ``point``, a read-only ``(p, p)`` array, and the
-    per-sample data its solver holds there.
+    feature rows its solver holds there.
 
-    ``samples`` holds the inputs' feature rows at ``point`` under the
-    mean's metric, the rows :func:`embed` gives there: ``(n, p(p+1)/2)``
-    for :func:`mean_geometric`, ``(n, p * r)`` for :func:`mean_wasserstein`.
+    ``samples`` holds the rows of its last state, the inputs' ``(n, k)``
+    rows :func:`embed` gives at ``point``: ``k = p(p+1)/2`` for
+    :func:`mean_geometric`, ``p * r`` for :func:`mean_wasserstein`.
     """
 
     point: np.ndarray
@@ -289,9 +290,9 @@ def _descend(evaluate, move, x: np.ndarray, n: int, tol: float, what: str) -> Fr
     ``evaluate(x)`` gives the state at iterate ``x``: ``(base, rows, gsum,
     obj)``, with ``gsum`` the sum of the ``n`` log maps from ``x`` to the
     samples, ``obj`` the summed squared distances, ``rows`` the samples'
-    feature rows at ``x`` and ``base`` what ``move(base, gsum, step)`` needs
-    to give the iterate ``step`` along the mean log map. Each step starts
-    at 1 and halves until the Armijo rule (c = 1e-4, slope
+    ``(n, k)`` feature rows at ``x`` and ``base`` what ``move(base, gsum,
+    step)`` needs to give the iterate ``step`` along the mean log map. Each
+    step starts at 1 and halves until the Armijo rule (c = 1e-4, slope
     ``-2 ||gsum||^2 / n``, slack ``1e-12 (1 + |obj|)``) holds or it
     reaches 1e-6. Converged when the Riemannian gradient norm
     ``2 ||gsum||`` is at most ``tol``; the mean is then ``x`` with the
@@ -320,19 +321,21 @@ def _descend(evaluate, move, x: np.ndarray, n: int, tol: float, what: str) -> Fr
         raise NoConvergence(
             f"{what} did not converge", gradient_norm=gnorm, iterations=MAX_ITER
         )
-    return FrechetMean(x, rows.reshape(n, -1))
+    return FrechetMean(x, rows)
 
 
-def _tangent_map(isq: np.ndarray, stack: np.ndarray):
-    """The whitened logs ``log(isq c_i isq)`` of the (n, p, p) stack, block by
-    block (:func:`~spdreg.symmat.blocks`): (their C-ordered feature rows,
-    their sum, their summed squares).
+def _geo_state(m: np.ndarray, stack: np.ndarray):
+    """``(m^1/2, rows, gsum, obj)`` of the whitened logs ``log(m^-1/2 c_i
+    m^-1/2)`` of the (n, p, p) stack, block by block
+    (:func:`~spdreg.symmat.blocks`): their C-ordered ``(n, k)`` feature rows,
+    their sum and their summed squares. The package's one whitened log.
 
     The rows are bit for bit what ``_upper`` gives the whole stack. The sum is
     bit for bit ``logs.sum(axis=0)``, which adds the slices in index order:
     each later block is summed behind the running total. The summed
     squares, which only feed the Armijo test, round by block.
     """
+    isq, sq = sym_func(m, "inv_sqrt"), sym_func(m, "sqrt")
     n, p = stack.shape[0], stack.shape[-1]
     rows = np.empty((n, p * (p + 1) // 2))
     grad, obj = None, 0.0
@@ -341,14 +344,7 @@ def _tangent_map(isq: np.ndarray, stack: np.ndarray):
         rows[blk] = _upper(logs)
         grad = (logs if grad is None else np.concatenate((grad[None], logs))).sum(axis=0)
         obj += float(np.sum(logs * logs))
-    return rows, grad, obj
-
-
-def _geo_state(m: np.ndarray, stack: np.ndarray):
-    """The whitened logs ``log(m^-1/2 c_i m^-1/2)`` of the (n, p, p) stack at
-    ``m``: (``m^1/2``, their feature rows, their sum, their summed squares)."""
-    isq, sq = sym_func(m, "inv_sqrt"), sym_func(m, "sqrt")
-    return (sq, *_tangent_map(isq, stack))
+    return sq, rows, grad, obj
 
 
 def mean_geometric(mats) -> FrechetMean:
@@ -523,26 +519,21 @@ def embed(embedding: Embedding, mats) -> np.ndarray:
     ``log(m^-1/2 c m^-1/2)`` for the reference ``m``, ``wasserstein`` rows
     the flattened factor-space log maps from the reference (length ``p``
     times its numerical rank), ``logdiag`` rows the log of the diagonal.
-    The 2-norm of a geometric or wasserstein row is the distance from the
-    reference.
-    ``mats`` is an ``(n, p, p)`` array or :class:`Samples` prepared for
-    the embedding's kind, whose per-sample part is then not redone. A
+    Geometric and wasserstein rows are those of the mean's state at the
+    reference, so the 2-norm of one is the distance from it (exactly
+    :func:`dist_geometric`). ``mats`` is an ``(n, p, p)`` array or
+    :class:`Samples` prepared for the embedding's kind, whose per-sample
+    part is then not redone; a dimension not the reference's raises
+    :class:`DimensionMismatch`. A
     ``wasserstein`` row is continuous in its sample, but only Holder-1/2
     where the sample's rank drops (it moves as ``sqrt(t)`` as an eigenvalue
     ``t`` goes to 0); a sample of higher rank than the reference raises
     :class:`RankMismatch` naming it.
     """
     kind, reference = embedding.kind, embedding.reference
-    if not isinstance(mats, Samples):
-        mats = _as_stack(mats)
-        if reference is not None and len(reference) != mats.shape[-1]:
-            raise DimensionMismatch(
-                f"reference dim {len(reference)} vs matrices dim {mats.shape[-1]}"
-            )
     with _gathered(mats, kind) as data:
-        if kind == "geometric":
-            return _tangent_map(sym_func(reference, "inv_sqrt"), data)[0]
-        if kind == "wasserstein":
-            logs = _wass_state(reference, data)[1]
-            return logs.reshape(len(logs), -1)
-        return data
+        if reference is None:
+            return data
+        if len(reference) != data.shape[1]:
+            raise DimensionMismatch(f"reference dim {len(reference)} vs matrices dim {data.shape[1]}")
+        return (_geo_state if kind == "geometric" else _wass_state)(reference, data)[1]

@@ -337,9 +337,7 @@ def run_pipeline_cv(
         samples = project(filt, bundle.matrices, spec.embedding_kind)
     maes, lams, states = [], [], []
     for k, test_idx in enumerate(blocks):
-        mask = np.ones(bundle.n, dtype=bool)
-        mask[test_idx] = False
-        train_idx = np.nonzero(mask)[0]
+        train_idx = np.delete(np.arange(bundle.n), test_idx)
         try:
             if not fixed:
                 filt = fit_filter(bundle.subset(train_idx), spec)

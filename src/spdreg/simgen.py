@@ -34,12 +34,12 @@ import numpy as np
 
 from .bundle import CovarianceBundle
 from .errors import SpdregError
-from .regress import PipelineSpec, effective_rank, results_rows, run_pipeline_cv
+from .regress import RESULTS_HEADER, PipelineSpec, effective_rank, results_rows, run_pipeline_cv
 from .symmat import blocks
 
 F_KINDS = ("identity", "log", "sqrt")
 SWEEP_AXES = ("sigma", "mu", "sigma_mix")
-SWEEP_HEADER = "axis,value,repeat,method,filter,embedding,rank,fold,lambda,mae,seed,error"
+SWEEP_HEADER = "axis,value,repeat," + RESULTS_HEADER + ",error"
 
 _LINKS = {
     "identity": lambda x: x,

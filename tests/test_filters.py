@@ -217,6 +217,15 @@ class TestApply:
         prod = eye.T @ bundle.matrices @ eye
         assert out.tobytes() == ((prod + prod.swapaxes(1, 2)) / 2).tobytes()
 
+    def test_identity_filter_symmetrizes_outside_input(self):
+        # Only a read-only, exactly symmetric stack is returned as it is.
+        mats = np.array([[[2.0, 1.0], [0.0, 2.0]]])
+        out = apply(identity_filter(2), mats)
+        assert out is not mats and not out.flags.writeable
+        np.testing.assert_array_equal(out, [[[2.0, 0.5], [0.5, 2.0]]])
+        mats.flags.writeable = False
+        assert apply(identity_filter(2), mats) is not mats
+
     def test_coordinate_selection(self):
         bundle = constant_bundle(np.diag([4.0, 7.0]), 3)
         filt = fit_unsupervised(bundle, 1)

@@ -224,10 +224,11 @@ class TestVecGeometric:
         np.testing.assert_allclose(rows, [[1.0, 0.0, 0.0]], atol=1e-12)
 
     def test_norm_equals_distance(self):
+        # The distance is the norm of the row embed gives, bit for bit.
         rng = np.random.default_rng(7)
-        base, s = rand_spd(rng, 4), rand_spd(rng, 4)
-        d = dist_geometric(base, s)
-        assert abs(np.linalg.norm(geometric_rows(base, [s])) - d) <= 1e-8 * (1.0 + d)
+        for p in rng.integers(2, 8, size=200):
+            base, s = rand_spd(rng, p), rand_spd(rng, p)
+            assert np.linalg.norm(geometric_rows(base, [s])) == dist_geometric(base, s)
 
 
 class TestVecEuclidean:
@@ -297,11 +298,18 @@ class TestSolverFailure:
      (lambda: dist_wasserstein(np.eye(2), np.ones(2)), ValueError, "expected a .p, p. matrix"),
      (lambda: dist_geometric(np.eye(2), np.eye(3)), DimensionMismatch, "dimensions differ"),
      (lambda: dist_wasserstein(np.eye(3), np.eye(2)), DimensionMismatch, "dimensions differ"),
+     (lambda: embed(Embedding("geometric", np.eye(3)),
+                    manifold.prepare_samples(np.eye(2)[None], "geometric")),
+      DimensionMismatch, "reference dim 3 vs matrices dim 2"),
+     (lambda: embed(Embedding("wasserstein", np.diag([1.0, 1.0, 1.0, 0.0])),
+                    manifold.prepare_samples(np.eye(3)[None], "wasserstein")),
+      DimensionMismatch, "reference dim 4 vs matrices dim 3"),
      (lambda: manifold.prepare_samples(manifold.prepare_samples(np.eye(2)[None], "euclidean"),
                                        "wasserstein"),
       ValueError, "samples prepared for euclidean do not fit wasserstein")],
     ids=["dist_geometric-3d", "dist_wasserstein-1d", "dist_geometric-dims",
-         "dist_wasserstein-dims", "samples-of-another-kind"],
+         "dist_wasserstein-dims", "embed-geometric-samples-dims",
+         "embed-wasserstein-samples-dims", "samples-of-another-kind"],
 )
 def test_rejects_outside_input(call, error, match):
     with pytest.raises(error, match=match):
