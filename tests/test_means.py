@@ -148,15 +148,16 @@ def commuting_rank_deficient():
     return u @ base @ u.T
 
 
-def count_states(monkeypatch):
-    """Record the point of every state the Wasserstein mean evaluates."""
-    points, evaluate = [], manifold._wass_state
+def count_states(monkeypatch, state="_wass_state"):
+    """Record the point of every state a mean evaluates: ``_wass_state`` for
+    the Wasserstein mean, ``_geo_state`` for the geometric one."""
+    points, evaluate = [], getattr(manifold, state)
 
-    def counted(point, factors):
+    def counted(point, data):
         points.append(point)
-        return evaluate(point, factors)
+        return evaluate(point, data)
 
-    monkeypatch.setattr(manifold, "_wass_state", counted)
+    monkeypatch.setattr(manifold, state, counted)
     return points
 
 
@@ -199,6 +200,67 @@ class TestWassersteinStart:
         assert 2 * np.linalg.norm(grad_sum) <= wasserstein_tolerance(mats)
 
 
+def jointly_diagonal(p, seed):
+    """``(a, e, c)`` with ``c_i = a diag(e_i) a.T``, ``cond(a) = 30`` and
+    lognormal ``e_i``: the paper's exact geometric case."""
+    rng = np.random.default_rng(seed)
+    a = (rand_orthogonal(rng, p) * np.geomspace(1.0, 30.0, p)) @ rand_orthogonal(rng, p).T
+    e = np.exp(rng.standard_normal((50, p)))
+    return a, e, SymMat(np.einsum("ij,nj,kj->nik", a, e, a))
+
+
+class TestGeometricStart:
+    """The mean starts at the log-Euclidean mean in the basis that jointly
+    diagonalizes the arithmetic mean and a weighted second matrix, the
+    geometric mean of jointly diagonalizable inputs (Congedo et al. 2015)."""
+
+    @pytest.mark.parametrize("p", [5, 20])
+    def test_jointly_diagonal_inputs_stop_at_the_start(self, p, monkeypatch):
+        a, e, mats = jointly_diagonal(p, seed=p)
+        points = count_states(monkeypatch, "_geo_state")
+        m = mean_geometric(mats).point
+        assert len(points) == 1
+        want = (a * np.exp(np.log(e).mean(axis=0))) @ a.T
+        assert np.linalg.norm(m - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_generator_bundle_stops_at_the_start(self, monkeypatch):
+        mats = sample_bundle(GenerativeConfig(p=8, q=2, n=60, mu=1.0, seed=0))[0].matrices
+        points = count_states(monkeypatch, "_geo_state")
+        mean_geometric(mats)
+        assert len(points) == 1
+
+    def test_zero_sample_raises_at_the_arithmetic_mean(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        mats = np.stack([rand_spd(rng, 4) for _ in range(5)] + [np.zeros((4, 4))])
+        with pytest.raises(SingularMatrix) as want:
+            manifold._geo_state(mats.mean(axis=0), mats)
+        points = count_states(monkeypatch, "_geo_state")
+        with pytest.raises(SingularMatrix) as got:
+            mean_geometric(mats)
+        assert type(got.value) is SingularMatrix and str(got.value) == str(want.value)
+        assert got.value.smallest_eigenvalue == want.value.smallest_eigenvalue
+        np.testing.assert_array_equal(np.array(points), mats.mean(axis=0)[None])
+
+    def test_singular_mean_raises_before_any_state(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        u = rand_orthogonal(rng, 4)[:, :2]
+        mats = np.stack([SymMat((u * np.exp(rng.standard_normal(2))) @ u.T) for _ in range(6)])
+        with pytest.raises(SingularMatrix) as want:
+            sym_func(mats.mean(axis=0), "inv_sqrt")
+        points = count_states(monkeypatch, "_geo_state")
+        with pytest.raises(SingularMatrix) as got:
+            mean_geometric(mats)
+        assert type(got.value) is SingularMatrix and str(got.value) == str(want.value)
+        assert points == []
+
+    def test_identical_inputs_return_after_one_state(self, monkeypatch):
+        s = rand_spd(np.random.default_rng(18), 5, spread=3.0)
+        points = count_states(monkeypatch, "_geo_state")
+        m = mean_geometric(np.stack([s] * 7)).point
+        assert len(points) == 1
+        assert np.linalg.norm(m - s) <= 1e-12 * np.linalg.norm(s)
+
+
 @pytest.fixture(scope="module")
 def scaled_bundles():
     """A small generator bundle and the mixed-rank one that CI runs through
@@ -218,6 +280,32 @@ def test_wasserstein_mean_is_scale_equivariant(scaled_bundles, name, scale):
     want = mean_wasserstein(mats).point
     got = mean_wasserstein(scale * mats).point / scale
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.fixture(scope="module", params=[0.0, 0.05], ids=["exact", "mixed"])
+def geometric_bundle(request):
+    """A small generator bundle, jointly diagonalizable for ``sigma_mix = 0``
+    (the mean stops at its start) and not for 0.05 (the descent runs)."""
+    cfg = GenerativeConfig(p=6, q=2, n=40, mu=0.5, sigma_mix=request.param, seed=1)
+    return sample_bundle(cfg)[0].matrices
+
+
+@pytest.mark.parametrize("scale", [1e-24, 1e-12, 1e6])
+def test_geometric_mean_is_scale_equivariant(geometric_bundle, scale):
+    mats = geometric_bundle
+    want = mean_geometric(mats).point
+    got = mean_geometric(scale * mats).point / scale
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("seed", [19, 20, 21])
+def test_geometric_mean_is_congruence_equivariant(geometric_bundle, seed):
+    mats = geometric_bundle
+    w = rand_invertible(np.random.default_rng(seed), 6, spread=np.log(50.0) / 2)
+    assert np.linalg.cond(w) <= 50.0
+    want = w @ mean_geometric(mats).point @ w.T
+    got = mean_geometric(SymMat(w @ mats @ w.T)).point
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize(
