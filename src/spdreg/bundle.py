@@ -74,14 +74,6 @@ class CovarianceBundle:
     def dim(self) -> int:
         return self.matrices.shape[1]
 
-    def subset(self, indices) -> "CovarianceBundle":
-        """Bundle restricted to the given sample indices (order kept)."""
-        return CovarianceBundle(
-            matrices=self.matrices[indices],
-            labels=self.labels[indices],
-            nominal_rank=self.nominal_rank,
-        )
-
 
 def write_covb(path, bundle: CovarianceBundle) -> None:
     """Write a bundle as a COVB v2 text file, one formatted write per sample."""

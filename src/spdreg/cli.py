@@ -351,7 +351,7 @@ def cmd_fit(opts) -> int:
     bund = read_covb(_require_file(opts, "bundle"))
     spec = _pipeline_spec(opts)
     with _filter_hint(bund, spec.embedding_kind):
-        filt = regress.fit_filter(bund, spec)
+        filt = regress.fit_filter(bund.matrices, bund.labels, spec)
         train = regress.project(filt, bund.matrices, spec.embedding_kind)
         state = regress.fit_fold(filt, train, bund.labels, spec)
     write_model(opts["out"], state)
@@ -382,6 +382,9 @@ def cmd_eval(opts) -> int:
 def cmd_predict(opts) -> int:
     state = read_model(_require_file(opts, "model"))
     bund = read_covb(_require_file(opts, "bundle"))
+    if bund.dim != len(state.filt.w):
+        raise ConfigError(f"{opts['bundle']}: bundle has dimension {bund.dim}, "
+                          f"model {opts['model']} expects {len(state.filt.w)}")
     test = regress.project(state.filt, bund.matrices, state.embedding.kind)
     yhat = regress.predict_fold(state, test)
     _write_matrix_file(opts["out"], f"PRED v1 {len(yhat)}", yhat)

@@ -1,4 +1,4 @@
-"""Spatial filters: learn a ``p x r`` projection and apply it to bundles.
+"""Spatial filters: learn a ``p x r`` projection and apply it to covariances.
 
 Four ways to obtain the projection ``w``:
 
@@ -12,7 +12,7 @@ Four ways to obtain the projection ``w``:
 Applying a filter maps an ``(n, p, p)`` array to an ``(n, r, r)`` array:
 each covariance ``c`` goes to ``w.T @ c @ w`` in one batched product. A
 filter whose ``w`` is exactly the identity returns the array it is given,
-with no copy. Bundles, with their labels, are read only by the fits.
+with no copy. The fits read such an array too (and labels), never a bundle.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bundle import CovarianceBundle, LineReader, write_rows
+from .bundle import LineReader, write_rows
 from .errors import DegenerateDesign, DimensionMismatch, RankTooLarge
-from .symmat import _sym, eigh, numerical_rank
+from .symmat import _as_stack, _sym, eigh, numerical_rank
 
 FILTER_KINDS = ("identity", "unsupervised", "supervised", "mne")
 
@@ -61,30 +61,32 @@ def identity_filter(p: int) -> SpatialFilter:
     return SpatialFilter(w=np.eye(p), kind="identity", eigenvalues=np.empty(0))
 
 
-def _mean_covariance(bundle: CovarianceBundle, r: int) -> tuple[np.ndarray, int]:
-    """The average covariance and its numerical rank, which ``r`` may not
-    exceed (:class:`RankTooLarge`)."""
-    p = bundle.dim
+def _mean_covariance(mats: np.ndarray, r: int) -> tuple[np.ndarray, int]:
+    """The average covariance of the ``(n, p, p)`` array ``mats`` and its
+    numerical rank, which ``r`` may not exceed (:class:`RankTooLarge`)."""
+    p = mats.shape[-1]
     if not 1 <= r <= p:
         raise ValueError(f"rank must be in [1, {p}], got {r}")
-    cbar = bundle.matrices.mean(axis=0)
+    cbar = mats.mean(axis=0)
+    if not np.all(np.isfinite(cbar)):  # a non-finite entry reaches the mean
+        raise ValueError("matrix entries must be finite")
     k = numerical_rank(cbar)
     if r > k:
         raise RankTooLarge(f"requested {r} components but the average covariance has rank {k}")
     return cbar, k
 
 
-def fit_unsupervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
-    """PCA filter: top-``r`` eigenvectors of the average covariance.
+def fit_unsupervised(mats, r: int) -> SpatialFilter:
+    """PCA filter: top-``r`` eigenvectors of the average covariance of ``mats``.
 
     Blind to the labels; raises :class:`RankTooLarge` if ``r`` exceeds
     the numerical rank of the average.
     """
-    vals, vecs = eigh(_mean_covariance(bundle, r)[0])
+    vals, vecs = eigh(_mean_covariance(_as_stack(mats), r)[0])
     return SpatialFilter(w=vecs[:, :r].copy(), kind="unsupervised", eigenvalues=vals[:r].copy())
 
 
-def fit_supervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
+def fit_supervised(mats, labels, r: int) -> SpatialFilter:
     """Supervised power-covariance filter (generalized eigenproblem).
 
     The labels are standardized internally (zero mean, unit population
@@ -106,13 +108,15 @@ def fit_supervised(bundle: CovarianceBundle, r: int) -> SpatialFilter:
     RankTooLarge
         If ``r`` exceeds the numerical rank of the average covariance.
     """
-    cbar, k = _mean_covariance(bundle, r)
-    y = bundle.labels
+    mats, y = _as_stack(mats), np.asarray(labels, dtype=np.float64)
+    if y.shape != (len(mats),):
+        raise DimensionMismatch(f"expected {len(mats)} labels, got shape {y.shape}")
+    cbar, k = _mean_covariance(mats, r)
     std = float(np.std(y))
     if std == 0:
         raise DegenerateDesign("supervised filter needs a non-constant target")
     ytilde = (y - y.mean()) / std
-    cy = np.einsum("i,ijk->jk", ytilde, bundle.matrices) / bundle.n
+    cy = np.einsum("i,ijk->jk", ytilde, mats) / len(mats)
     lam, v = eigh(cbar)
     b = v[:, :k] / np.sqrt(lam[:k])
     vals, vecs = eigh(_sym(b.T @ cy @ b))
@@ -127,8 +131,8 @@ def fit_mne(lead: "Leadfield", lam: float) -> SpatialFilter:
     in the package's p x q filter convention. As ``lam`` grows the
     entries approach ``g / lam``.
     """
-    if lam <= 0:
-        raise ValueError(f"regularization must be positive, got {lam}")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"mne_lambda must be finite and positive, got {lam}")
     g = lead.g
     p = g.shape[0]
     gram = g @ g.T + lam * np.eye(p)

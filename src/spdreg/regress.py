@@ -5,11 +5,11 @@ of the embedding (:func:`~spdreg.manifold.prepare_samples`), fit the
 embedding reference (a Frechet mean) on the training split, vectorize,
 then fit a ridge model whose regularization is chosen by generalized
 cross-validation (GCV) over a fixed grid. The CLI and every CV fold take
-one path: :func:`fit_filter` on a bundle, then :func:`project` of its
-``(n, p, p)`` array to :class:`~spdreg.manifold.Samples`, then
+one path: :func:`fit_filter` on an ``(n, p, p)`` array and its labels, then
+:func:`project` of the array to :class:`~spdreg.manifold.Samples`, then
 :func:`fit_fold` on the training rows and their labels and
-:func:`predict_fold` on the held-out rows. Bundles stay at the edges: the
-filter fit and the input to :func:`run_pipeline_cv`.
+:func:`predict_fold` on the held-out rows. A bundle is only the input to
+:func:`run_pipeline_cv`, which builds none.
 
 In cross-validation, :func:`run_pipeline_cv`, the reference, the feature
 centring and scale and the ridge fit run per fold on its training split.
@@ -105,8 +105,8 @@ class PipelineSpec:
                 raise ValueError(f"{self.filter_kind} filter needs filter_rank >= 1")
         if self.filter_kind == "mne" and self.leadfield is None:
             raise ConfigError("mne filter needs a leadfield")
-        if self.mne_lambda <= 0:
-            raise ValueError("mne_lambda must be positive")
+        if not (np.isfinite(self.mne_lambda) and self.mne_lambda > 0):
+            raise ValueError("mne_lambda must be finite and positive")
 
     @property
     def label(self) -> str:
@@ -269,15 +269,20 @@ def fold_blocks(n: int, folds: int, seed: int) -> list[np.ndarray]:
 FIXED_FILTERS = ("identity", "mne")
 
 
-def fit_filter(train: CovarianceBundle, spec: PipelineSpec) -> SpatialFilter:
-    """The spatial filter of ``spec``, fit on ``train`` when its kind reads
-    the samples."""
+def fit_filter(mats: np.ndarray, labels, spec: PipelineSpec) -> SpatialFilter:
+    """The spatial filter of ``spec`` for the ``(n, p, p)`` array ``mats``, fit
+    on it and its ``labels`` when its kind reads the samples. An ``mne``
+    leadfield whose sensor count is not ``p`` is a :class:`ConfigError`."""
+    p = mats.shape[-1]
     if spec.filter_kind == "identity":
-        return identity_filter(train.dim)
+        return identity_filter(p)
     if spec.filter_kind == "unsupervised":
-        return fit_unsupervised(train, spec.filter_rank)
+        return fit_unsupervised(mats, spec.filter_rank)
     if spec.filter_kind == "supervised":
-        return fit_supervised(train, spec.filter_rank)
+        return fit_supervised(mats, labels, spec.filter_rank)
+    sensors = spec.leadfield.g.shape[0]
+    if sensors != p:
+        raise ConfigError(f"leadfield has {sensors} sensors, the covariances have dimension {p}")
     return fit_mne(spec.leadfield, spec.mne_lambda)
 
 
@@ -320,34 +325,35 @@ def run_pipeline_cv(
     mean alone, whose feature rows feed the ridge fit with the training
     labels, and its held-out rows are embedded at its reference. When the filter is fit without the samples (``identity``,
     ``mne``) that is done once per run; the ``unsupervised`` and
-    ``supervised`` filters are fit on each training split, and the bundle is
-    projected with each. This is not leakage: each shared value is a
+    ``supervised`` filters are fit on each training split's rows of the
+    bundle's arrays (no bundle is built), and the bundle is projected with each. This is not leakage: each shared value is a
     function of the filter and its own sample alone (but for the zero factor
     columns the bundle's largest rank adds, which the mean and embedding
     cut), and the batched kernels give each slice bit for bit what they give
     it alone, so every fold's state is exactly what fitting that fold from
     scratch gives. A Wasserstein error names its sample by bundle index.
     """
-    if not 2 <= folds <= bundle.n:
-        raise ValueError(f"folds must be in [2, {bundle.n}], got {folds}")
-    blocks = fold_blocks(bundle.n, folds, seed)
+    mats, labels, n = bundle.matrices, bundle.labels, bundle.n
+    if not 2 <= folds <= n:
+        raise ValueError(f"folds must be in [2, {n}], got {folds}")
+    blocks = fold_blocks(n, folds, seed)
     fixed = spec.filter_kind in FIXED_FILTERS
     if fixed:
-        filt = fit_filter(bundle, spec)
-        samples = project(filt, bundle.matrices, spec.embedding_kind)
+        filt = fit_filter(mats, labels, spec)
+        samples = project(filt, mats, spec.embedding_kind)
     maes, lams, states = [], [], []
     for k, test_idx in enumerate(blocks):
-        train_idx = np.delete(np.arange(bundle.n), test_idx)
+        train_idx = np.delete(np.arange(n), test_idx)
         try:
             if not fixed:
-                filt = fit_filter(bundle.subset(train_idx), spec)
-                samples = project(filt, bundle.matrices, spec.embedding_kind)
-            state = fit_fold(filt, samples.subset(train_idx), bundle.labels[train_idx], spec)
+                filt = fit_filter(mats[train_idx], labels[train_idx], spec)
+                samples = project(filt, mats, spec.embedding_kind)
+            state = fit_fold(filt, samples.subset(train_idx), labels[train_idx], spec)
             yhat = predict_fold(state, samples.subset(test_idx))
         except NumericalError as exc:
             exc.args = (f"fold {k}: {exc}",)
             raise
-        maes.append(float(np.mean(np.abs(bundle.labels[test_idx] - yhat))))
+        maes.append(float(np.mean(np.abs(labels[test_idx] - yhat))))
         lams.append(state.model.lambda_star)
         states.append(state)
     per_fold = np.array(maes)

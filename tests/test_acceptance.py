@@ -196,7 +196,7 @@ def test_c07_supervised_filter_random_search_oracle():
         bundle = CovarianceBundle(
             matrices=mats, labels=rng.standard_normal(30), nominal_rank=4
         )
-        filt = fit_supervised(bundle, 4)
+        filt = fit_supervised(bundle.matrices, bundle.labels, 4)
         y = bundle.labels
         yt = (y - y.mean()) / y.std()
         stack = np.stack(mats)

@@ -342,6 +342,32 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_mne_lambda_exits_2(self, tmp_path, bundle_file, capsys, lam):
+        from spdreg import Leadfield, write_leadfield
+
+        lead_path, out = tmp_path / "lead.txt", tmp_path / "r.csv"
+        write_leadfield(lead_path, Leadfield(np.random.default_rng(1).standard_normal((5, 3))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("eval", "--bundle", bundle_file, "--filter", "mne",
+                       "--leadfield", lead_path, "--mne-lambda", lam, "--out", out)
+        assert code == 2
+        assert "error: mne_lambda must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_mne_leadfield_of_another_dimension_exits_2(self, tmp_path, bundle_file, capsys):
+        from spdreg import Leadfield, write_leadfield
+
+        lead_path, out = tmp_path / "lead.txt", tmp_path / "r.csv"
+        write_leadfield(lead_path, Leadfield(np.random.default_rng(1).standard_normal((4, 3))))
+        code = run("eval", "--bundle", bundle_file, "--filter", "mne", "--leadfield", lead_path,
+                   "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: leadfield has 4 sensors, the covariances have dimension 5" in err
+        assert not out.exists()
+
 
 class TestFitPredict:
     def test_fit_then_predict_round_trip(self, tmp_path, bundle_file):
@@ -452,6 +478,16 @@ class TestFitPredict:
         err = capsys.readouterr().err
         assert "RankMismatch" in err
         assert "sample 0: numerical rank 6 exceeds the reference's 5" in err
+        assert not pred.exists()
+
+    def test_predict_on_a_bundle_of_another_dimension_exits_2(self, tmp_path, bundle_file,
+                                                                capsys):
+        small, model, pred = tmp_path / "p4.covb", tmp_path / "m.txt", tmp_path / "p.txt"
+        assert run("simulate", "--p", 4, "--seed", 3, "--out", small) == 0
+        assert run("fit", "--bundle", bundle_file, "--out", model) == 0
+        assert run("predict", "--model", model, "--bundle", small, "--out", pred) == 2
+        err = capsys.readouterr().err
+        assert f"error: {small}: bundle has dimension 4, model {model} expects 5" in err
         assert not pred.exists()
 
     def test_fit_deterministic(self, tmp_path, bundle_file):

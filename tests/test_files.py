@@ -328,7 +328,7 @@ def test_model_bytes_match_joined_floats(fitted):
     bund, _, model = fitted
     spec = regress.PipelineSpec(filter_kind="unsupervised", filter_rank=3,
                                 embedding_kind="wasserstein")
-    filt = regress.fit_filter(bund, spec)
+    filt = regress.fit_filter(bund.matrices, bund.labels, spec)
     train = regress.project(filt, bund.matrices, "wasserstein")
     state = regress.fit_fold(filt, train, bund.labels, spec)
     filt, emb, ridge = state.filt, state.embedding, state.model

@@ -28,14 +28,14 @@ def constant_bundle(mat, n, labels=None):
 class TestFitUnsupervised:
     def test_dominant_axis_of_diagonal(self):
         bundle = constant_bundle(np.diag([3.0, 1.0]), 4)
-        filt = fit_unsupervised(bundle, 1)
+        filt = fit_unsupervised(bundle.matrices, 1)
         np.testing.assert_allclose(filt.w, [[1.0], [0.0]], atol=1e-12)
         np.testing.assert_allclose(filt.eigenvalues, [3.0])
 
     def test_full_rank_diagonalizes_average(self):
         rng = np.random.default_rng(0)
         bundle = rand_bundle(rng, 10, 4)
-        filt = fit_unsupervised(bundle, 4)
+        filt = fit_unsupervised(bundle.matrices, 4)
         assert np.linalg.norm(filt.w.T @ filt.w - np.eye(4)) <= 1e-10
         cbar = bundle.matrices.mean(axis=0)
         proj = filt.w.T @ cbar @ filt.w
@@ -49,19 +49,19 @@ class TestFitUnsupervised:
             labels=bundle.labels[::-1].copy(),
             nominal_rank=3,
         )
-        f1 = fit_unsupervised(bundle, 2)
-        f2 = fit_unsupervised(shuffled, 2)
+        f1 = fit_unsupervised(bundle.matrices, 2)
+        f2 = fit_unsupervised(shuffled.matrices, 2)
         np.testing.assert_array_equal(f1.w, f2.w)
 
     def test_rank_too_large(self):
         bundle = constant_bundle(np.diag([1.0, 0.0]), 3)
         with pytest.raises(RankTooLarge):
-            fit_unsupervised(bundle, 2)
+            fit_unsupervised(bundle.matrices, 2)
 
     def test_subspace_matches_top_eigenspace(self):
         rng = np.random.default_rng(2)
         bundle = rand_bundle(rng, 12, 5)
-        filt = fit_unsupervised(bundle, 2)
+        filt = fit_unsupervised(bundle.matrices, 2)
         cbar = bundle.matrices.mean(axis=0)
         w_eig, v_eig = np.linalg.eigh(cbar)
         top = v_eig[:, ::-1][:, :2]
@@ -93,14 +93,14 @@ class TestFitSupervised:
     def test_recovers_signal_axis(self):
         rng = np.random.default_rng(3)
         bundle = power_bundle(rng, 40, 3)
-        filt = fit_supervised(bundle, 1)
+        filt = fit_supervised(bundle.matrices, bundle.labels, 1)
         direction = filt.w[:, 0] / np.linalg.norm(filt.w[:, 0])
         assert abs(direction[0]) > 1 - 1e-6
 
     def test_unit_average_power_constraint(self):
         rng = np.random.default_rng(4)
         bundle = rand_bundle(rng, 15, 4)
-        filt = fit_supervised(bundle, 4)
+        filt = fit_supervised(bundle.matrices, bundle.labels, 4)
         cbar = bundle.matrices.mean(axis=0)
         for j in range(4):
             w = filt.w[:, j]
@@ -109,7 +109,7 @@ class TestFitSupervised:
     def test_eigenvalue_equals_projected_objective(self):
         rng = np.random.default_rng(5)
         bundle = rand_bundle(rng, 15, 4)
-        filt = fit_supervised(bundle, 4)
+        filt = fit_supervised(bundle.matrices, bundle.labels, 4)
         y = bundle.labels
         yt = (y - y.mean()) / y.std()
         cy = np.einsum("i,ijk->jk", yt, bundle.matrices)
@@ -121,7 +121,7 @@ class TestFitSupervised:
     def test_generalized_eigen_residual(self):
         rng = np.random.default_rng(6)
         bundle = rand_bundle(rng, 15, 4)
-        filt = fit_supervised(bundle, 4)
+        filt = fit_supervised(bundle.matrices, bundle.labels, 4)
         y = bundle.labels
         yt = (y - y.mean()) / y.std()
         stack = bundle.matrices
@@ -135,7 +135,7 @@ class TestFitSupervised:
     def test_first_filter_beats_random_search(self):
         rng = np.random.default_rng(7)
         bundle = rand_bundle(rng, 20, 4)
-        filt = fit_supervised(bundle, 1)
+        filt = fit_supervised(bundle.matrices, bundle.labels, 1)
         y = bundle.labels
         yt = (y - y.mean()) / y.std()
         stack = bundle.matrices
@@ -154,7 +154,7 @@ class TestFitSupervised:
             np.diag([1.0, 0.0]), 6, labels=np.arange(6.0)
         )
         with pytest.raises(RankTooLarge, match="average covariance has rank 1"):
-            fit_supervised(bundle, 2)
+            fit_supervised(bundle.matrices, bundle.labels, 2)
 
     def test_rank_deficient_average_fits_on_its_range(self):
         # A p=4 bundle lifted into 7 dimensions by an orthonormal u: the
@@ -162,8 +162,8 @@ class TestFitSupervised:
         # p=4 bundle, up to column sign. Bound fixed beforehand: 1e-10.
         rng = np.random.default_rng(30)
         small, u, big = lifted_bundle(rng)
-        want = u @ fit_supervised(small, 4).w
-        got = fit_supervised(big, 4).w
+        want = u @ fit_supervised(small.matrices, small.labels, 4).w
+        got = fit_supervised(big.matrices, big.labels, 4).w
         signs = np.sign(np.sum(got * want, axis=0))
         assert np.max(np.abs(got * signs - want)) <= 1e-10
 
@@ -171,7 +171,7 @@ class TestFitSupervised:
         # w^T c_bar w = I on the full average, rank 4 of 7; bound 1e-10.
         rng = np.random.default_rng(31)
         _, _, big = lifted_bundle(rng)
-        w = fit_supervised(big, 4).w
+        w = fit_supervised(big.matrices, big.labels, 4).w
         cbar = big.matrices.mean(axis=0)
         assert np.max(np.abs(w.T @ cbar @ w - np.eye(4))) <= 1e-10
 
@@ -179,7 +179,13 @@ class TestFitSupervised:
         rng = np.random.default_rng(32)
         _, _, big = lifted_bundle(rng)
         with pytest.raises(RankTooLarge, match="requested 5 components"):
-            fit_supervised(big, 5)
+            fit_supervised(big.matrices, big.labels, 5)
+
+    @pytest.mark.parametrize("count", [14, 16])
+    def test_labels_of_another_length_raise(self, count):
+        bundle = rand_bundle(np.random.default_rng(33), 15, 4)
+        with pytest.raises(DimensionMismatch, match="expected 15 labels"):
+            fit_supervised(bundle.matrices, np.zeros(count), 2)
 
 
 class TestFitMne:
@@ -201,8 +207,9 @@ class TestFitMne:
         np.testing.assert_allclose(filt.w, np.zeros((3, 2)))
 
     def test_rejects_nonpositive_lambda(self):
-        with pytest.raises(ValueError):
-            fit_mne(Leadfield(np.eye(2)), 0.0)
+        for lam in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="mne_lambda must be finite and positive"):
+                fit_mne(Leadfield(np.eye(2)), lam)
 
 
 class TestApply:
@@ -228,7 +235,7 @@ class TestApply:
 
     def test_coordinate_selection(self):
         bundle = constant_bundle(np.diag([4.0, 7.0]), 3)
-        filt = fit_unsupervised(bundle, 1)
+        filt = fit_unsupervised(bundle.matrices, 1)
         out = apply(filt, bundle.matrices)
         assert out.shape == (3, 1, 1)
         assert out[0, 0, 0] == pytest.approx(7.0)
@@ -280,9 +287,13 @@ def test_leadfield_rejects_bad_shape_or_entries(g, match):
     "make, error, match",
     [(lambda: SpatialFilter(np.ones(3), "identity", np.empty(0)), ValueError,
       "filter matrix must be 2-d"),
-     (lambda: fit_supervised(constant_bundle(np.eye(3), 6, np.full(6, 2.0)), 2),
-      DegenerateDesign, "supervised filter needs a non-constant target")],
-    ids=["1d-w", "constant-labels"],
+     (lambda: fit_supervised(np.stack([np.eye(3)] * 6), np.full(6, 2.0), 2),
+      DegenerateDesign, "supervised filter needs a non-constant target"),
+     (lambda: fit_unsupervised(np.stack([np.eye(3), np.full((3, 3), np.nan)]), 2), ValueError,
+      "matrix entries must be finite"),
+     (lambda: fit_supervised(np.stack([np.eye(3), np.diag([np.inf, 1, 1])]), [0.0, 1.0], 2),
+      ValueError, "matrix entries must be finite")],
+    ids=["1d-w", "constant-labels", "unsupervised-nan", "supervised-inf"],
 )
 def test_filter_rejects_outside_input(make, error, match):
     with pytest.raises(error, match=match):

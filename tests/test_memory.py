@@ -110,3 +110,15 @@ def test_fit_fold_drops_the_training_stack_before_the_ridge_fit(monkeypatch):
         f"the ridge fit began holding {extra} bytes beside its rows "
         f"(the training stack is {stack_bytes})"
     )
+
+
+def test_cv_filter_fit_holds_one_training_stack():
+    # Each fold fits its filter on the training rows of the bundle's array:
+    # one gathered (n_train, p, p) stack for the mean, not a second,
+    # symmetrized copy of it inside a training bundle.
+    stack = near_identity_stack(200, 32)
+    bundle = CovarianceBundle(stack, np.random.default_rng(1).standard_normal(200), 32)
+    spec = PipelineSpec(filter_kind="unsupervised", filter_rank=4, embedding_kind="geometric")
+    _, peak = traced_peak(lambda: regress.run_pipeline_cv(bundle, spec, folds=2, seed=0))
+    bound = 1.5 * stack[:100].nbytes
+    assert peak <= bound, f"run_pipeline_cv peaked {peak} bytes above the bound {bound}"

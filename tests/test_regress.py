@@ -549,20 +549,20 @@ def cv_from_scratch(bundle, spec, folds, seed):
     """Each fold fit on its own from the public pieces: per-fold MAE, lambda
     and state digest."""
     fit_filter = {
-        "identity": lambda b: identity_filter(b.dim),
-        "unsupervised": lambda b: fit_unsupervised(b, spec.filter_rank),
-        "supervised": lambda b: fit_supervised(b, spec.filter_rank),
-        "mne": lambda b: fit_mne(spec.leadfield, spec.mne_lambda),
+        "identity": lambda m, y: identity_filter(m.shape[-1]),
+        "unsupervised": lambda m, y: fit_unsupervised(m, spec.filter_rank),
+        "supervised": lambda m, y: fit_supervised(m, y, spec.filter_rank),
+        "mne": lambda m, y: fit_mne(spec.leadfield, spec.mne_lambda),
     }[spec.filter_kind]
+    mats, labels = bundle.matrices, bundle.labels
     maes, lams, digests = [], [], []
     for test_idx in fold_blocks(bundle.n, folds, seed):
-        train = bundle.subset(np.setdiff1d(np.arange(bundle.n), test_idx))
-        test = bundle.subset(test_idx)
-        filt = fit_filter(train)
-        emb, rows = fit_embedding(apply(filt, train.matrices), spec.embedding_kind)
-        model = fit_ridge_gcv(rows, train.labels, spec.ridge_grid)
-        yhat = predict(model, embed(emb, apply(filt, test.matrices)))
-        maes.append(float(np.mean(np.abs(test.labels - yhat))))
+        train_idx = np.setdiff1d(np.arange(bundle.n), test_idx)
+        filt = fit_filter(mats[train_idx], labels[train_idx])
+        emb, rows = fit_embedding(apply(filt, mats[train_idx]), spec.embedding_kind)
+        model = fit_ridge_gcv(rows, labels[train_idx], spec.ridge_grid)
+        yhat = predict(model, embed(emb, apply(filt, mats[test_idx])))
+        maes.append(float(np.mean(np.abs(labels[test_idx] - yhat))))
         lams.append(model.lambda_star)
         digests.append(state_digest(FoldState(filt, emb, model)))
     return np.array(maes), np.array(lams), digests
@@ -587,6 +587,23 @@ class TestSharedPerSampleWork:
         assert np.array_equal(report.per_fold_mae, maes)
         assert np.array_equal(report.per_fold_lambda, lams)
         assert [state_digest(s) for s in report.states] == digests
+
+
+@pytest.mark.parametrize("filter_kind", ["unsupervised", "supervised"])
+def test_cv_builds_no_bundle(filter_kind, monkeypatch):
+    # The filter of each fold is fit on the training rows of the bundle's
+    # arrays: no fold validates and symmetrizes a copy of its split.
+    bundle, _ = sample_bundle(GenerativeConfig(p=4, q=2, n=40, mu=0.5, seed=21))
+    built, post_init = [], CovarianceBundle.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CovarianceBundle, "__post_init__", counted)
+    spec = PipelineSpec(filter_kind=filter_kind, filter_rank=3, embedding_kind="logdiag")
+    run_pipeline_cv(bundle, spec, folds=4, seed=2)
+    assert len(built) == 0
 
 
 @pytest.mark.parametrize("kind", ["geometric", "wasserstein"])
@@ -696,9 +713,12 @@ def test_fit_ridge_gcv_rejects_bad_shapes(features, y, error, match):
      ({"filter_kind": "supervised"}, ValueError, "needs filter_rank >= 1"),
      ({"filter_kind": "unsupervised", "filter_rank": 0}, ValueError, "needs filter_rank >= 1"),
      ({"filter_kind": "mne"}, ConfigError, "needs a leadfield"),
-     ({"mne_lambda": 0.0}, ValueError, "mne_lambda must be positive")],
+     ({"mne_lambda": 0.0}, ValueError, "mne_lambda must be finite and positive"),
+     ({"mne_lambda": np.nan}, ValueError, "mne_lambda must be finite and positive"),
+     ({"mne_lambda": np.inf}, ValueError, "mne_lambda must be finite and positive")],
     ids=["filter-kind", "embedding-kind", "grid-nan", "grid-flat", "supervised-no-rank",
-         "unsupervised-rank-0", "mne-no-leadfield", "mne-lambda-0"],
+         "unsupervised-rank-0", "mne-no-leadfield", "mne-lambda-0", "mne-lambda-nan",
+         "mne-lambda-inf"],
 )
 def test_pipeline_spec_rejections(fields, error, match):
     with pytest.raises(error, match=match):
