@@ -10,11 +10,14 @@ provided, plus the log-diagonal baseline:
   factor quotient (PSD matrices of any rank, up to the reference's).
 * ``logdiag`` -- elementwise log of the diagonal.
 
-Reference points are read-only ``(p, p)`` arrays, Frechet means under the
-matching metric. Both are computed by one backtracking descent loop, each
-mean giving its own state and step, that stops on the Riemannian gradient
-norm or raises :class:`~spdreg.errors.NoConvergence` after ``MAX_ITER``
-steps. Every operation on samples takes an ``(n, p, p)`` array (a bundle's
+Reference points are read-only ``(p, p)`` arrays. The Frechet means under
+the geometric and Wasserstein metrics are computed by one backtracking
+descent loop, each mean giving its own state and step, that starts at the
+mean's closed form and stops on the Riemannian gradient norm or raises
+:class:`~spdreg.errors.NoConvergence` after ``MAX_ITER`` steps. The
+embedding reference that :func:`fit_embedding` fits is that closed-form
+start itself, exact on the paper's generative models: one state, no
+descent. Every operation on samples takes an ``(n, p, p)`` array (a bundle's
 ``matrices``) and gives ``(n, k)`` feature rows. The geometric state
 streams it in blocks of :func:`~spdreg.symmat.blocks`, writing each
 block's rows into the output, so its working memory does not grow with
@@ -263,8 +266,9 @@ def _gathered(mats, kind: str):
 
 @dataclass(frozen=True)
 class FrechetMean:
-    """A Frechet mean ``point``, a read-only ``(p, p)`` array, and the
-    feature rows its solver holds there.
+    """A Frechet mean ``point`` (with ``descend=False``, its closed-form
+    start), a read-only ``(p, p)`` array, and the feature rows its solver
+    holds there.
 
     ``samples`` holds the rows of its last state, the inputs' ``(n, k)``
     rows :func:`embed` gives at ``point``: ``k = p(p+1)/2`` for
@@ -347,23 +351,48 @@ def _geo_state(m: np.ndarray, stack: np.ndarray):
     return sq, rows, grad, obj
 
 
-def mean_geometric(mats) -> FrechetMean:
+def _geometric_start(stack: np.ndarray) -> np.ndarray:
+    """The Karcher mean's closed-form start for the (n, p, p) stack: the
+    log-Euclidean mean in the basis ``v = a^-1/2 q`` that jointly
+    diagonalizes the arithmetic mean ``a`` and ``sum_i (w_i - mean w) c_i``,
+    ``w_i = tr(a^-1 c_i)``: ``a^1/2 q diag(exp(mean_i log d_i)) q.T a^1/2``
+    for the diagonals ``d_i`` of ``v.T c_i v``, or ``a`` if some ``d_i`` is
+    not positive. It follows any congruence, and for jointly diagonalizable
+    inputs ``c_i = A E_i A.T`` it is their geometric mean (Congedo, Afsari,
+    Barachant & Moakher 2015).
+
+    Raises
+    ------
+    SingularMatrix
+        If the arithmetic mean is rank-deficient.
+    """
+    n, p = stack.shape[0], stack.shape[1]
+    a = _sym(stack.mean(axis=0))
+    isq, sq = sym_func(a, "inv_sqrt"), sym_func(a, "sqrt")
+    # Centred weights keep this spectrum O(1), not ~p: accurate eigenvectors.
+    w = stack.reshape(n, -1) @ (isq @ isq).ravel()
+    _, q = eigh(isq @ np.tensordot(w - w.mean(), stack, axes=1) @ isq / n)
+    v = isq @ q
+    d = np.concatenate([((stack[blk] @ v) * v).sum(axis=1) for blk in blocks(n, p)])
+    if not np.all(d > 0):
+        return a
+    b = sq @ q
+    return _sym((b * np.exp(np.log(d).mean(axis=0))) @ b.T)
+
+
+def mean_geometric(mats, *, descend: bool = True) -> FrechetMean:
     """Karcher (Frechet) mean under the affine-invariant metric.
 
     Fixed-point iteration ``m <- m^1/2 exp(step/n sum_i log(m^-1/2 c_i
     m^-1/2)) m^1/2``, its step chosen by the backtracking rule of the
-    means' shared descent loop. It starts at the log-Euclidean mean in the
-    basis ``v = a^-1/2 q`` that jointly diagonalizes the arithmetic mean
-    ``a`` and ``sum_i (w_i - mean w) c_i``, ``w_i = tr(a^-1 c_i)``:
-    ``a^1/2 q diag(exp(mean_i log d_i)) q.T a^1/2`` for the diagonals
-    ``d_i`` of ``v.T c_i v``, or ``a`` if some ``d_i`` is not positive. It
-    follows any congruence, and for jointly diagonalizable inputs
-    ``c_i = A E_i A.T`` it is their geometric mean (Congedo, Afsari,
-    Barachant & Moakher 2015), so the descent stops at its first state.
-    Converged when the Riemannian gradient ``2 sum_i log(m^-1/2 c_i
-    m^-1/2)`` has Frobenius norm at most ``2e-9 * p``. Returns the mean
-    with the geometric feature rows of the inputs at it, from the last
-    accepted iterate.
+    means' shared descent loop. It starts at :func:`_geometric_start`,
+    the inputs' geometric mean when they are jointly diagonalizable, so
+    the descent then stops at its first state. Converged when the
+    Riemannian gradient ``2 sum_i log(m^-1/2 c_i m^-1/2)`` has Frobenius
+    norm at most ``2e-9 * p``. Returns the mean with the geometric feature
+    rows of the inputs at it, from the last accepted iterate. With
+    ``descend=False`` it returns the start with the rows of its state and
+    takes no step, so it never raises :class:`NoConvergence`.
 
     Raises
     ------
@@ -376,17 +405,9 @@ def mean_geometric(mats) -> FrechetMean:
     """
     stack = _as_stack(mats)
     n, p = stack.shape[0], stack.shape[1]
-
-    start = _sym(stack.mean(axis=0))
-    isq, sq = sym_func(start, "inv_sqrt"), sym_func(start, "sqrt")
-    # Centred weights keep this spectrum O(1), not ~p: accurate eigenvectors.
-    w = stack.reshape(n, -1) @ (isq @ isq).ravel()
-    _, q = eigh(isq @ np.tensordot(w - w.mean(), stack, axes=1) @ isq / n)
-    v = isq @ q
-    d = np.concatenate([((stack[blk] @ v) * v).sum(axis=1) for blk in blocks(n, p)])
-    if np.all(d > 0):
-        b = sq @ q
-        start = _sym((b * np.exp(np.log(d).mean(axis=0))) @ b.T)
+    start = _geometric_start(stack)
+    if not descend:
+        return FrechetMean(start, _geo_state(start, stack)[1])
 
     def move(sq, grad, step):
         return _sym(sq @ sym_func((step / n) * grad, "exp") @ sq)
@@ -394,29 +415,45 @@ def mean_geometric(mats) -> FrechetMean:
     return _descend(lambda m: _geo_state(m, stack), move, start, n, 2e-9 * p, "geometric mean")
 
 
-def mean_wasserstein(mats) -> FrechetMean:
+def _wasserstein_start(factors: np.ndarray) -> np.ndarray:
+    """The Wasserstein mean's closed-form start for the (n, p, r) factors
+    ``f_i``: the rank-r truncation of the squared mean root ``(sum_i
+    c_i^1/2 / n)^2``, each root ``f_i diag(1/|f_i[:, j]|) f_i.T`` read from
+    its factor (no covariance is read). It is the barycenter of commuting
+    inputs (Alvarez-Esteban et al. 2016) and follows orthogonal
+    congruences and scaling."""
+    n, r = factors.shape[0], factors.shape[-1]
+    # Column j of f_i is sqrt(w_j) u_j, so the root of c_i is
+    # f_i diag(1/|f_i[:, j]|) f_i.T; zero columns stay zero.
+    sq = np.einsum("npr,npr->nr", factors, factors)
+    scaled = factors / np.sqrt(np.where(sq > 0, sq, 1.0))[:, None, :]
+    mu, v = eigh(np.tensordot(scaled, factors, axes=([0, 2], [0, 2])) / n)
+    y = v[:, :r] * mu[:r]
+    return _sym(y @ y.T)
+
+
+def mean_wasserstein(mats, *, descend: bool = True) -> FrechetMean:
     """Frechet mean under the Bures-Wasserstein metric, at the largest
     numerical rank ``r`` among the inputs (see :func:`factorize`).
 
     Gradient descent on the factor ``y`` (p x r) minimizing the summed
     squared distances: ``y <- y + step/n sum_i log_i`` for the
     factor-space log maps ``log_i``, its step chosen by the backtracking
-    rule of the means' shared descent loop. Initialized at the rank-r
-    truncation of the squared mean root ``(sum_i c_i^1/2 / n)^2``, each
-    root ``f_i diag(1/|f_i[:, j]|) f_i.T`` read from the input's factor
-    ``f_i`` (no covariance is read): the barycenter of commuting inputs,
-    where the descent stops at its first state (Alvarez-Esteban et al.
-    2016). Each state is evaluated, and each step taken,
-    at the factor :func:`factorize` gives its point ``y y.T``, as
-    :func:`embed` does; ``y -> y R`` (R orthogonal) leaves the point,
-    objective and gradient norm unchanged (Bhatia, Jain & Lim 2019).
-    Converged when the Riemannian gradient ``2 sum_i log_i`` has Frobenius
-    norm at most ``1e-7 * sqrt(p * r * t)`` for the inputs' mean trace
-    ``t = sum_i |f_i|_F^2 / n``, so the mean of the ``s c_i`` is ``s``
-    times theirs. Returns the mean with the
-    inputs' ``(n, p * r)`` feature rows at it, from the last accepted
-    state. ``mats`` may be :class:`Samples` prepared for ``wasserstein``,
-    cut to their nonzero columns, so a subset's mean ignores the rest.
+    rule of the means' shared descent loop. Initialized at
+    :func:`_wasserstein_start`, the barycenter of commuting inputs, where
+    the descent stops at its first state. Each state is evaluated, and
+    each step taken, at the factor :func:`factorize` gives its point
+    ``y y.T``, as :func:`embed` does; ``y -> y R`` (R orthogonal) leaves
+    the point, objective and gradient norm unchanged (Bhatia, Jain & Lim
+    2019). Converged when the Riemannian gradient ``2 sum_i log_i`` has
+    Frobenius norm at most ``1e-7 * sqrt(p * r * t)`` for the inputs' mean
+    trace ``t = sum_i |f_i|_F^2 / n``, so the mean of the ``s c_i`` is
+    ``s`` times theirs. Returns the mean with the inputs' ``(n, p * r)``
+    feature rows at it, from the last accepted state. With
+    ``descend=False`` it returns the start with the rows of its state and
+    takes no step, so it never raises :class:`NoConvergence`. ``mats`` may
+    be :class:`Samples` prepared for ``wasserstein``, cut to their nonzero
+    columns, so a subset's mean ignores the rest.
 
     Raises
     ------
@@ -429,22 +466,17 @@ def mean_wasserstein(mats) -> FrechetMean:
     with _gathered(mats, "wasserstein") as factors:
         factors = factors[:, :, : np.any(factors, axis=(0, 1)).sum()]
         n, p, r = factors.shape
-        # Column j of f_i is sqrt(w_j) u_j, so the root of c_i is
-        # f_i diag(1/|f_i[:, j]|) f_i.T; zero columns stay zero.
+        start = _wasserstein_start(factors)
+        if not descend:
+            return FrechetMean(start, _wass_state(start, factors)[1])
         sq = np.einsum("npr,npr->nr", factors, factors)
-        scaled = factors / np.sqrt(np.where(sq > 0, sq, 1.0))[:, None, :]
-        mu, v = eigh(np.tensordot(scaled, factors, axes=([0, 2], [0, 2])) / n)
-        del scaled  # not held through the first state, the memory peak
-        y = v[:, :r] * mu[:r]
         tol = 1e-7 * np.sqrt(p * r * float(sq.sum()) / n)
 
         def move(y, grad, step):
             c = y + step * (grad / n)
             return _sym(c @ c.T)
 
-        return _descend(
-            lambda x: _wass_state(x, factors), move, _sym(y @ y.T), n, tol, "Wasserstein mean",
-        )
+        return _descend(lambda x: _wass_state(x, factors), move, start, n, tol, "Wasserstein mean")
 
 
 def no_affine_invariance_witness():
@@ -509,19 +541,26 @@ def fit_embedding(mats, kind: str) -> tuple[Embedding, np.ndarray]:
     """Fit an embedding on a training set; return it with that set's
     ``(n, k)`` feature rows.
 
-    The reference is the Frechet mean of ``mats`` under the metric that
-    matches ``kind``; ``euclidean`` and ``logdiag`` have no reference.
-    ``mats`` is an ``(n, p, p)`` array or :class:`Samples` prepared for
-    ``kind``; a ``wasserstein`` reference has their largest rank. The rows
-    equal ``embed(embedding, mats)`` bit for bit. For ``geometric`` and
-    ``wasserstein`` they are the rows the mean's solver holds at its last
-    accepted state (:attr:`FrechetMean.samples`), so the training set is
-    not embedded a second time.
+    The reference is the closed-form mean of ``mats`` under the metric that
+    matches ``kind``, the start of its Frechet mean (``descend=False``):
+    the joint-diagonalization log-Euclidean mean for ``geometric``, the
+    squared mean root for ``wasserstein``. Each is the Frechet mean on the
+    paper's exact cases and follows its metric's congruences, and neither
+    runs a descent, so no fit raises :class:`NoConvergence`.
+    ``euclidean`` and ``logdiag`` have no reference. ``mats`` is an
+    ``(n, p, p)`` array or :class:`Samples` prepared for ``kind``; a
+    ``wasserstein`` reference has their largest rank. The rows are those of
+    the mean's one state (:attr:`FrechetMean.samples`), bit for bit
+    ``embed(embedding, mats)``, so the training set is not embedded a second
+    time.
     """
     prepared = prepare_samples(mats, kind)
     if kind in ("euclidean", "logdiag"):
         return Embedding(kind), prepared.gather()
-    fit = mean_geometric(prepared.gather()) if kind == "geometric" else mean_wasserstein(prepared)
+    if kind == "geometric":
+        fit = mean_geometric(prepared.gather(), descend=False)
+    else:
+        fit = mean_wasserstein(prepared, descend=False)
     return Embedding(kind, fit.point), fit.samples
 
 

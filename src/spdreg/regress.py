@@ -2,7 +2,9 @@
 
 The pipeline is: fit the spatial filter, project, do the per-sample part
 of the embedding (:func:`~spdreg.manifold.prepare_samples`), fit the
-embedding reference (a Frechet mean) on the training split, vectorize,
+embedding reference on the training split (the closed-form mean of the
+embedding's metric, exact on the paper's generative models, with no
+descent: :func:`~spdreg.manifold.fit_embedding`), vectorize,
 then fit a ridge model whose regularization is chosen by generalized
 cross-validation (GCV) over a fixed grid. The CLI and every CV fold take
 one path: :func:`fit_filter` on an ``(n, p, p)`` array and its labels, then
@@ -314,19 +316,22 @@ def run_pipeline_cv(
     fitted state.
 
     Each fold is fit strictly on its training split: spatial filter,
-    embedding reference mean, feature centring and scale, and ridge weights
-    never see the held-out block.
+    embedding reference (the closed-form mean, so no fold runs a descent
+    or raises :class:`~spdreg.errors.NoConvergence`), feature centring and
+    scale, and ridge weights never see the held-out block.
 
     The whole bundle is projected, and the per-sample part of the embedding
     done (Wasserstein eigen-factors with their PSD check, Euclidean and
     log-diagonal rows; geometric log maps all depend on the reference, so
     only the projection), in one :class:`~spdreg.manifold.Samples` that
-    each fold slices lazily: its training rows are gathered for its Frechet
-    mean alone, whose feature rows feed the ridge fit with the training
-    labels, and its held-out rows are embedded at its reference. When the filter is fit without the samples (``identity``,
-    ``mne``) that is done once per run; the ``unsupervised`` and
-    ``supervised`` filters are fit on each training split's rows of the
-    bundle's arrays (no bundle is built), and the bundle is projected with each. This is not leakage: each shared value is a
+    each fold slices lazily: its training rows are gathered for its
+    reference alone, whose feature rows feed the ridge fit with the
+    training labels, and its held-out rows are embedded at its reference.
+    When the filter is fit without the samples (``identity``, ``mne``) that
+    is done once per run; the ``unsupervised`` and ``supervised`` filters
+    are fit on each training split's rows of the bundle's arrays (no bundle
+    is built), and the bundle is projected with each, the last fold's
+    projection dropped first. This is not leakage: each shared value is a
     function of the filter and its own sample alone (but for the zero factor
     columns the bundle's largest rank adds, which the mean and embedding
     cut), and the batched kernels give each slice bit for bit what they give
@@ -346,6 +351,7 @@ def run_pipeline_cv(
         train_idx = np.delete(np.arange(n), test_idx)
         try:
             if not fixed:
+                samples = None  # not held beside this fold's training split
                 filt = fit_filter(mats[train_idx], labels[train_idx], spec)
                 samples = project(filt, mats, spec.embedding_kind)
             state = fit_fold(filt, samples.subset(train_idx), labels[train_idx], spec)

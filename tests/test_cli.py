@@ -134,6 +134,28 @@ class TestEval:
         assert capsys.readouterr().err == f"error: {key} must be a finite number, got {value}\n"
         assert not out.exists()
 
+    def test_ill_conditioned_exact_case_recovers_the_labels(self, tmp_path):
+        # p=20, n=100: the data are exactly jointly diagonalizable, but the
+        # inputs' condition (median 2e8) keeps the Karcher descent's gradient
+        # above its tolerance, so a Frechet reference exited 3. The
+        # closed-form reference is the exact mean and takes no step.
+        covb, out = tmp_path / "b.covb", tmp_path / "r.csv"
+        assert run("simulate", "--p", 20, "--n", 100, "--seed", 0, "--out", covb) == 0
+        assert run("eval", "--bundle", covb, "--embedding", "geometric", "--out", out) == 0
+        mae = np.loadtxt(out, delimiter=",", skiprows=1, usecols=6)
+        assert len(mae) == 10
+        assert mae.mean() / np.std(read_covb(covb).labels) < 1e-6
+
+    def test_near_singular_subject_runs(self, tmp_path):
+        # One training subject at condition 1.6e11 stalled the Karcher
+        # descent above its tolerance (a sweep error row at fig3-right's
+        # sigma_mix 0.02, repeat 9).
+        covb, out = tmp_path / "b.covb", tmp_path / "r.csv"
+        assert run("simulate", "--sigma-mix", 0.02, "--seed", 9, "--out", covb) == 0
+        assert run("eval", "--bundle", covb, "--embedding", "geometric", "--seed", 9,
+                   "--out", out) == 0
+        assert len(out.read_text().splitlines()) == 11
+
     def test_too_many_folds_exits_2(self, tmp_path, bundle_file):
         code = run(
             "eval", "--bundle", bundle_file, "--folds", 150, "--out", tmp_path / "r"

@@ -469,44 +469,68 @@ class TestEmbedding:
         ids=["euclidean-None", "geometric-None", "wasserstein-5", "wasserstein-3",
              "logdiag-None", "wasserstein-5-1e-24", "wasserstein-3-1e-24"],
     )
-    def test_training_rows_equal_embed(self, kind, rank, scale, monkeypatch):
-        # fit_embedding takes the training rows from the mean's solver
-        # state; they must be exactly the rows embed gives at the reference,
-        # also after several steps (counted for the unscaled Wasserstein
-        # cases) and in physical units (1e-24 T^2).
+    def test_training_rows_equal_embed(self, kind, rank, scale):
+        # fit_embedding takes the training rows from the state at its
+        # reference; they must be exactly the rows embed gives there, also
+        # in physical units (1e-24 T^2).
         rng = np.random.default_rng(21)
         if rank == 3:
             mats = [rand_psd_rank(rng, 5, 3) for _ in range(12)]
         else:
             mats = [rand_spd(rng, 5, spread=2.0) for _ in range(12)]
         mats = [scale * m for m in mats]
-        states = count_calls(monkeypatch, manifold, "_wass_state")
         emb, rows = fit_embedding(mats, kind)
-        if kind == "wasserstein" and scale == 1.0:
-            assert states[0] >= 3
         assert np.array_equal(rows, embed(emb, mats))
 
+    @pytest.mark.parametrize("rank", [5, 3])
+    def test_mean_rows_equal_embed_after_several_states(self, rank, monkeypatch):
+        # The Frechet mean's rows are those of its last accepted state,
+        # exactly the rows embed gives at its point, also after several
+        # steps of the descent.
+        rng = np.random.default_rng(21)
+        if rank == 3:
+            mats = np.stack([rand_psd_rank(rng, 5, 3) for _ in range(12)])
+        else:
+            mats = np.stack([rand_spd(rng, 5, spread=2.0) for _ in range(12)])
+        states = count_calls(monkeypatch, manifold, "_wass_state")
+        fit = manifold.mean_wasserstein(mats)
+        assert states[0] >= 3
+        assert np.array_equal(fit.samples, wasserstein_rows(fit.point, mats))
+
     def test_wasserstein_fit_runs_one_log_map_pass_per_state(self, monkeypatch):
-        # Each state the solver evaluates runs one batched SVD over the
-        # training factors (_wass_logs), and the training rows are those of
-        # the last accepted state: no pass after the mean returns.
+        # Each state the mean's descent evaluates runs one batched SVD over
+        # the factors (_wass_logs), and its rows are those of the last
+        # accepted state: no pass after the last state.
         rng = np.random.default_rng(22)
-        mats = [rand_psd_rank(rng, 5, 3) for _ in range(12)]
+        mats = np.stack([rand_psd_rank(rng, 5, 3) for _ in range(12)])
         states = count_calls(monkeypatch, manifold, "_wass_state")
         logs = count_calls(monkeypatch, manifold, "_wass_logs")
-        mean = manifold.mean_wasserstein
-        after = []
-
-        def mean_then_mark(*args, **kwargs):
-            fit = mean(*args, **kwargs)
-            after.append(logs[0])
-            return fit
-
-        monkeypatch.setattr(manifold, "mean_wasserstein", mean_then_mark)
-        fit_embedding(mats, "wasserstein")
+        manifold.mean_wasserstein(mats)
         assert states[0] >= 3
-        assert after == [states[0]]
         assert logs[0] == states[0]
+
+    @pytest.mark.parametrize("kind", ["geometric", "wasserstein"])
+    def test_fit_evaluates_one_state_at_the_closed_form_start(self, kind, monkeypatch):
+        # fit_embedding's reference is its mean's closed-form start, bit for
+        # bit, and it evaluates that one state (one log-map pass) on inputs
+        # where the Frechet mean takes several.
+        rng = np.random.default_rng(22)
+        if kind == "geometric":
+            mats = np.stack([rand_spd(rng, 5, spread=2.0) for _ in range(12)])
+            start, mean = manifold._geometric_start(mats), manifold.mean_geometric
+            states = passes = count_calls(monkeypatch, manifold, "_geo_state")
+        else:
+            mats = np.stack([rand_psd_rank(rng, 5, 3) for _ in range(12)])
+            start, mean = manifold._wasserstein_start(factorize(mats)), manifold.mean_wasserstein
+            states = count_calls(monkeypatch, manifold, "_wass_state")
+            passes = count_calls(monkeypatch, manifold, "_wass_logs")
+        emb, rows = fit_embedding(mats, kind)
+        assert states[0] == 1 and passes[0] == 1
+        assert np.array_equal(emb.reference, start)
+        assert np.array_equal(rows, embed(emb, mats))
+        states[0] = 0
+        mean(mats)
+        assert states[0] >= 3
 
     def test_wasserstein_iterate_losing_rank_raises(self):
         # The rank-2 sample is 1e13 times smaller than the rank-1 ones, so

@@ -122,3 +122,33 @@ def test_cv_filter_fit_holds_one_training_stack():
     _, peak = traced_peak(lambda: regress.run_pipeline_cv(bundle, spec, folds=2, seed=0))
     bound = 1.5 * stack[:100].nbytes
     assert peak <= bound, f"run_pipeline_cv peaked {peak} bytes above the bound {bound}"
+
+
+@pytest.mark.parametrize("kind", ["unsupervised", "supervised"])
+def test_cv_filter_fit_holds_no_earlier_projection(kind, monkeypatch):
+    # A fold's filter fit holds its training split and the earlier folds'
+    # small fitted states, not the bundle the last fold projected (here as
+    # large as the split): it is dropped before the split is gathered.
+    n, p, r = 200, 32, 30
+    bundle = CovarianceBundle(near_identity_stack(n, p), np.random.default_rng(1).standard_normal(n), p)
+    fit, held = getattr(regress, f"fit_{kind}"), []
+
+    def fit_noting_memory(mats, *args):
+        held.append(tracemalloc.get_traced_memory()[0] - mats.nbytes)
+        return fit(mats, *args)
+
+    monkeypatch.setattr(regress, f"fit_{kind}", fit_noting_memory)
+    spec = PipelineSpec(filter_kind=kind, filter_rank=r, embedding_kind="geometric")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        regress.run_pipeline_cv(bundle, spec, folds=3, seed=0)
+    finally:
+        tracemalloc.stop()
+    projected = n * r * r * 8
+    extra = max(held) - start
+    assert len(held) == 3
+    assert extra <= projected / 8, (
+        f"a filter fit began holding {extra} bytes beside its split "
+        f"(a projected bundle is {projected})"
+    )
