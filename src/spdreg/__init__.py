@@ -30,7 +30,6 @@ from .filters import (
 )
 from .manifold import (
     Embedding,
-    FrechetMean,
     dist_geometric,
     dist_wasserstein,
     embed,

@@ -475,9 +475,9 @@ def cmd_mean(opts) -> int:
         if metric == "euclidean":
             m = manifold.mean_euclidean(bund.matrices)
         elif metric == "geometric":
-            m = manifold.mean_geometric(bund.matrices).point
+            m = manifold.mean_geometric(bund.matrices)
         elif metric == "wasserstein":
-            m = manifold.mean_wasserstein(bund.matrices).point
+            m = manifold.mean_wasserstein(bund.matrices)
         else:
             raise ConfigError(f"unknown metric {metric!r}")
     _write_matrix_file(opts["out"], f"SYMMAT v1 {len(m)}", m)

@@ -10,18 +10,19 @@ provided, plus the log-diagonal baseline:
   factor quotient (PSD matrices of any rank, up to the reference's).
 * ``logdiag`` -- elementwise log of the diagonal.
 
-Reference points are read-only ``(p, p)`` arrays. The Frechet means under
+Reference points and means are read-only ``(p, p)`` arrays, and
+:func:`embed` is the one source of feature rows. The Frechet means under
 the geometric and Wasserstein metrics are computed by one backtracking
 descent loop, each mean giving its own state and step, that starts at the
 mean's closed form and stops on the Riemannian gradient norm or raises
 :class:`~spdreg.errors.NoConvergence` after ``MAX_ITER`` steps. The
 embedding reference that :func:`fit_embedding` fits is that closed-form
 start itself, exact on the paper's generative models: one state, no
-descent. Every operation on samples takes an ``(n, p, p)`` array (a bundle's
-``matrices``) and gives ``(n, k)`` feature rows. The geometric state
-streams it in blocks of :func:`~spdreg.symmat.blocks`, writing each
-block's rows into the output, so its working memory does not grow with
-``n``; the other kinds take the whole array at once. Distances and
+descent. Every operation on samples takes an ``(n, p, p)`` array (a
+bundle's ``matrices``). The geometric state streams it in blocks of
+:func:`~spdreg.symmat.blocks`, writing each block's rows into the output,
+so its working memory does not grow with ``n``; the other kinds take the
+whole array at once. Distances and
 :func:`embed` are pure functions, and the means are deterministic given
 their inputs. :func:`prepare_samples` does the reference-free part of an
 embedding once, giving :class:`Samples` that hold one per-sample array;
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -264,21 +266,6 @@ def _gathered(mats, kind: str):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrechetMean:
-    """A Frechet mean ``point`` (with ``descend=False``, its closed-form
-    start), a read-only ``(p, p)`` array, and the feature rows its solver
-    holds there.
-
-    ``samples`` holds the rows of its last state, the inputs' ``(n, k)``
-    rows :func:`embed` gives at ``point``: ``k = p(p+1)/2`` for
-    :func:`mean_geometric`, ``p * r`` for :func:`mean_wasserstein`.
-    """
-
-    point: np.ndarray
-    samples: np.ndarray
-
-
 def mean_euclidean(mats) -> np.ndarray:
     """Arithmetic mean, a read-only ``(p, p)`` array."""
     return SymMat(_as_stack(mats).mean(axis=0))
@@ -287,37 +274,37 @@ def mean_euclidean(mats) -> np.ndarray:
 # Iteration budget of both Frechet-mean solvers.
 MAX_ITER = 300
 
+# A state without its rows: what the descent reads of it.
+_no_rows = itemgetter(0, 2, 3)
 
-def _descend(evaluate, move, x: np.ndarray, n: int, tol: float, what: str) -> FrechetMean:
+
+def _descend(evaluate, move, x: np.ndarray, n: int, tol: float, what: str) -> np.ndarray:
     """Backtracking gradient descent from ``x``, the solver of both means.
 
     ``evaluate(x)`` gives the state at iterate ``x``: ``(base, rows, gsum,
     obj)``, with ``gsum`` the sum of the ``n`` log maps from ``x`` to the
-    samples, ``obj`` the summed squared distances, ``rows`` the samples'
-    ``(n, k)`` feature rows at ``x`` and ``base`` what ``move(base, gsum,
-    step)`` needs to give the iterate ``step`` along the mean log map. Each
-    step starts at 1 and halves until the Armijo rule (c = 1e-4, slope
-    ``-2 ||gsum||^2 / n``, slack ``1e-12 (1 + |obj|)``) holds or it
-    reaches 1e-6. Converged when the Riemannian gradient norm
-    ``2 ||gsum||`` is at most ``tol``; the mean is then ``x`` with the
-    rows of its state.
+    samples, ``obj`` the summed squared distances and ``base`` what
+    ``move(base, gsum, step)`` needs to give the iterate ``step`` along the
+    mean log map; the samples' feature ``rows`` are dropped at once, so no
+    two states' rows are alive together. Each step starts at 1 and halves
+    until the Armijo rule (c = 1e-4, slope ``-2 ||gsum||^2 / n``, slack
+    ``1e-12 (1 + |obj|)``) holds or it reaches 1e-6. Converged when the
+    Riemannian gradient norm ``2 ||gsum||`` is at most ``tol``; the mean is
+    then ``x``.
     """
-    base, rows, gsum, obj = evaluate(x)
+    base, gsum, obj = _no_rows(evaluate(x))
     gnorm = 2.0 * float(np.linalg.norm(gsum))
     for _ in range(MAX_ITER):
         if gnorm <= tol:
             break
-        # Only one state's rows are alive: drop them before each new try.
-        rows = None
         slope = -2.0 * float(np.sum(gsum * gsum)) / n
         slack = 1e-12 * (1.0 + abs(obj))
         step = 1.0
         while True:
             cand = move(base, gsum, step)
-            base2, rows, gsum2, obj2 = evaluate(cand)
+            base2, gsum2, obj2 = _no_rows(evaluate(cand))
             if obj2 <= obj + 1e-4 * step * slope + slack or step <= 1e-6:
                 break
-            rows = None
             step *= 0.5
         x, base, gsum, obj = cand, base2, gsum2, obj2
         gnorm = 2.0 * float(np.linalg.norm(gsum))
@@ -325,7 +312,7 @@ def _descend(evaluate, move, x: np.ndarray, n: int, tol: float, what: str) -> Fr
         raise NoConvergence(
             f"{what} did not converge", gradient_norm=gnorm, iterations=MAX_ITER
         )
-    return FrechetMean(x, rows)
+    return x
 
 
 def _geo_state(m: np.ndarray, stack: np.ndarray):
@@ -380,7 +367,7 @@ def _geometric_start(stack: np.ndarray) -> np.ndarray:
     return _sym((b * np.exp(np.log(d).mean(axis=0))) @ b.T)
 
 
-def mean_geometric(mats, *, descend: bool = True) -> FrechetMean:
+def mean_geometric(mats, *, descend: bool = True) -> np.ndarray:
     """Karcher (Frechet) mean under the affine-invariant metric.
 
     Fixed-point iteration ``m <- m^1/2 exp(step/n sum_i log(m^-1/2 c_i
@@ -389,10 +376,10 @@ def mean_geometric(mats, *, descend: bool = True) -> FrechetMean:
     the inputs' geometric mean when they are jointly diagonalizable, so
     the descent then stops at its first state. Converged when the
     Riemannian gradient ``2 sum_i log(m^-1/2 c_i m^-1/2)`` has Frobenius
-    norm at most ``2e-9 * p``. Returns the mean with the geometric feature
-    rows of the inputs at it, from the last accepted iterate. With
-    ``descend=False`` it returns the start with the rows of its state and
-    takes no step, so it never raises :class:`NoConvergence`.
+    norm at most ``2e-9 * p``. Returns the mean, a read-only ``(p, p)``
+    array. With ``descend=False`` it returns the start and evaluates no
+    state, so it never raises :class:`NoConvergence`. ``mats`` may be
+    :class:`Samples` prepared for ``geometric``.
 
     Raises
     ------
@@ -403,16 +390,16 @@ def mean_geometric(mats, *, descend: bool = True) -> FrechetMean:
         If the gradient norm is still above the tolerance after
         ``MAX_ITER`` steps.
     """
-    stack = _as_stack(mats)
-    n, p = stack.shape[0], stack.shape[1]
-    start = _geometric_start(stack)
-    if not descend:
-        return FrechetMean(start, _geo_state(start, stack)[1])
+    with _gathered(mats, "geometric") as stack:
+        n, p = stack.shape[0], stack.shape[1]
+        start = _geometric_start(stack)
+        if not descend:
+            return start
 
-    def move(sq, grad, step):
-        return _sym(sq @ sym_func((step / n) * grad, "exp") @ sq)
+        def move(sq, grad, step):
+            return _sym(sq @ sym_func((step / n) * grad, "exp") @ sq)
 
-    return _descend(lambda m: _geo_state(m, stack), move, start, n, 2e-9 * p, "geometric mean")
+        return _descend(lambda m: _geo_state(m, stack), move, start, n, 2e-9 * p, "geometric mean")
 
 
 def _wasserstein_start(factors: np.ndarray) -> np.ndarray:
@@ -432,7 +419,7 @@ def _wasserstein_start(factors: np.ndarray) -> np.ndarray:
     return _sym(y @ y.T)
 
 
-def mean_wasserstein(mats, *, descend: bool = True) -> FrechetMean:
+def mean_wasserstein(mats, *, descend: bool = True) -> np.ndarray:
     """Frechet mean under the Bures-Wasserstein metric, at the largest
     numerical rank ``r`` among the inputs (see :func:`factorize`).
 
@@ -448,11 +435,10 @@ def mean_wasserstein(mats, *, descend: bool = True) -> FrechetMean:
     2019). Converged when the Riemannian gradient ``2 sum_i log_i`` has
     Frobenius norm at most ``1e-7 * sqrt(p * r * t)`` for the inputs' mean
     trace ``t = sum_i |f_i|_F^2 / n``, so the mean of the ``s c_i`` is
-    ``s`` times theirs. Returns the mean with the inputs' ``(n, p * r)``
-    feature rows at it, from the last accepted state. With
-    ``descend=False`` it returns the start with the rows of its state and
-    takes no step, so it never raises :class:`NoConvergence`. ``mats`` may
-    be :class:`Samples` prepared for ``wasserstein``, cut to their nonzero
+    ``s`` times theirs. Returns the mean, a read-only ``(p, p)`` array.
+    With ``descend=False`` it returns the start and evaluates no state, so
+    it never raises :class:`NoConvergence`. ``mats`` may be
+    :class:`Samples` prepared for ``wasserstein``, cut to their nonzero
     columns, so a subset's mean ignores the rest.
 
     Raises
@@ -468,7 +454,7 @@ def mean_wasserstein(mats, *, descend: bool = True) -> FrechetMean:
         n, p, r = factors.shape
         start = _wasserstein_start(factors)
         if not descend:
-            return FrechetMean(start, _wass_state(start, factors)[1])
+            return start
         sq = np.einsum("npr,npr->nr", factors, factors)
         tol = 1e-7 * np.sqrt(p * r * float(sq.sum()) / n)
 
@@ -532,7 +518,8 @@ class Embedding:
         object.__setattr__(self, "reference", _matrix(self.reference))
         nr = numerical_rank(self.reference)
         if self.kind == "geometric" and nr != len(self.reference):
-            raise SingularMatrix("geometric embedding requires a full-rank reference")
+            raise SingularMatrix("geometric embedding requires a full-rank reference, "
+                                 f"numerical rank {nr} of {len(self.reference)}")
         if self.kind == "wasserstein" and nr == 0:
             raise RankMismatch("wasserstein embedding requires a reference of nonzero rank")
 
@@ -549,19 +536,18 @@ def fit_embedding(mats, kind: str) -> tuple[Embedding, np.ndarray]:
     runs a descent, so no fit raises :class:`NoConvergence`.
     ``euclidean`` and ``logdiag`` have no reference. ``mats`` is an
     ``(n, p, p)`` array or :class:`Samples` prepared for ``kind``; a
-    ``wasserstein`` reference has their largest rank. The rows are those of
-    the mean's one state (:attr:`FrechetMean.samples`), bit for bit
-    ``embed(embedding, mats)``, so the training set is not embedded a second
-    time.
+    ``wasserstein`` reference has their largest rank. The samples are
+    gathered once, for the mean and for the rows, which are
+    ``embed(embedding, mats)``.
     """
-    prepared = prepare_samples(mats, kind)
-    if kind in ("euclidean", "logdiag"):
-        return Embedding(kind), prepared.gather()
-    if kind == "geometric":
-        fit = mean_geometric(prepared.gather(), descend=False)
-    else:
-        fit = mean_wasserstein(prepared, descend=False)
-    return Embedding(kind, fit.point), fit.samples
+    with _gathered(mats, kind) as data:
+        train = Samples(kind, data)
+        if kind in ("euclidean", "logdiag"):
+            embedding = Embedding(kind)
+        else:
+            mean = mean_geometric if kind == "geometric" else mean_wasserstein
+            embedding = Embedding(kind, mean(train, descend=False))
+        return embedding, embed(embedding, train)
 
 
 def embed(embedding: Embedding, mats) -> np.ndarray:
@@ -573,7 +559,7 @@ def embed(embedding: Embedding, mats) -> np.ndarray:
     ``log(m^-1/2 c m^-1/2)`` for the reference ``m``, ``wasserstein`` rows
     the flattened factor-space log maps from the reference (length ``p``
     times its numerical rank), ``logdiag`` rows the log of the diagonal.
-    Geometric and wasserstein rows are those of the mean's state at the
+    Geometric and wasserstein rows are those of the metric's state at the
     reference, so the 2-norm of one is the distance from it (exactly
     :func:`dist_geometric`). ``mats`` is an ``(n, p, p)`` array or
     :class:`Samples` prepared for the embedding's kind, whose per-sample

@@ -151,7 +151,7 @@ def test_c06_mean_suite():
 
     # stationarity of the Karcher mean, recomputed independently
     mats = [rand_spd(rng, 5) for _ in range(25)]
-    m = mean_geometric(mats).point
+    m = mean_geometric(mats)
     isq = sym_func(m, "inv_sqrt")
     grad = np.zeros((5, 5))
     for c in mats:
@@ -161,23 +161,23 @@ def test_c06_mean_suite():
 
     # affine equivariance of the geometric mean
     w = rand_invertible(rng, 5)
-    direct = mean_geometric([SymMat(w.T @ c @ w) for c in mats]).point
+    direct = mean_geometric([SymMat(w.T @ c @ w) for c in mats])
     pushed = w.T @ m @ w
     geo_equiv = np.linalg.norm(direct - pushed) / np.linalg.norm(pushed)
     assert geo_equiv <= 1e-6
 
     # orthogonal equivariance of the Wasserstein mean
     q = rand_orthogonal(rng, 5)
-    mw = mean_wasserstein(mats).point
-    direct_w = mean_wasserstein([SymMat(q.T @ c @ q) for c in mats]).point
+    mw = mean_wasserstein(mats)
+    direct_w = mean_wasserstein([SymMat(q.T @ c @ q) for c in mats])
     pushed_w = q.T @ mw @ q
     wass_equiv = np.linalg.norm(direct_w - pushed_w) / np.linalg.norm(pushed_w)
     assert wass_equiv <= 1e-6
 
     # scalar closed forms
-    geo_scalar = mean_geometric([[[4.0]], [[1.0]]]).point[0, 0]
+    geo_scalar = mean_geometric([[[4.0]], [[1.0]]])[0, 0]
     assert abs(geo_scalar - 2.0) <= 1e-10
-    wass_scalar = mean_wasserstein([[[4.0]], [[16.0]]]).point[0, 0]
+    wass_scalar = mean_wasserstein([[[4.0]], [[16.0]]])[0, 0]
     assert abs(wass_scalar - 9.0) <= 1e-10
 
     _report(

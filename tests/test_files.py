@@ -232,6 +232,16 @@ def test_model_zero_wasserstein_reference_names_the_embedding_line(tmp_path, cap
     assert str(path) in capsys.readouterr().err
 
 
+def test_model_singular_geometric_reference_names_its_rank(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    path.write_text(model_text("geometric", ["1 0", "0 0"], 3))
+    with pytest.raises(ConfigError, match=f"^{path}:2: geometric embedding requires a "
+                                          "full-rank reference, numerical rank 1 of 2$"):
+        read_model(path)
+    assert cli_read("model", path, tmp_path) == 2
+    assert "numerical rank 1 of 2" in capsys.readouterr().err
+
+
 def test_model_ignores_blank_lines(tmp_path):
     plain, spaced = tmp_path / "a.txt", tmp_path / "b.txt"
     plain.write_text(MODEL)
@@ -378,7 +388,7 @@ def test_pred_feat_symmat_bytes_match_joined_floats(fitted, tmp_path):
     test = regress.project(state.filt, bund.matrices, state.embedding.kind)
     yhat = regress.predict_fold(state, test)
     rows = manifold.fit_embedding(bund.matrices, "geometric")[1]
-    point = manifold.mean_geometric(bund.matrices).point
+    point = manifold.mean_geometric(bund.matrices)
     assert pred.read_text() == joined(f"PRED v1 {len(yhat)}", yhat)
     assert feat.read_text() == joined(f"FEAT v1 {rows.shape[0]} {rows.shape[1]}", rows)
     assert mean.read_text() == joined(f"SYMMAT v1 {point.shape[0]}", point)

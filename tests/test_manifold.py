@@ -482,21 +482,6 @@ class TestEmbedding:
         emb, rows = fit_embedding(mats, kind)
         assert np.array_equal(rows, embed(emb, mats))
 
-    @pytest.mark.parametrize("rank", [5, 3])
-    def test_mean_rows_equal_embed_after_several_states(self, rank, monkeypatch):
-        # The Frechet mean's rows are those of its last accepted state,
-        # exactly the rows embed gives at its point, also after several
-        # steps of the descent.
-        rng = np.random.default_rng(21)
-        if rank == 3:
-            mats = np.stack([rand_psd_rank(rng, 5, 3) for _ in range(12)])
-        else:
-            mats = np.stack([rand_spd(rng, 5, spread=2.0) for _ in range(12)])
-        states = count_calls(monkeypatch, manifold, "_wass_state")
-        fit = manifold.mean_wasserstein(mats)
-        assert states[0] >= 3
-        assert np.array_equal(fit.samples, wasserstein_rows(fit.point, mats))
-
     def test_wasserstein_fit_runs_one_log_map_pass_per_state(self, monkeypatch):
         # Each state the mean's descent evaluates runs one batched SVD over
         # the factors (_wass_logs), and its rows are those of the last
@@ -511,8 +496,9 @@ class TestEmbedding:
 
     @pytest.mark.parametrize("kind", ["geometric", "wasserstein"])
     def test_fit_evaluates_one_state_at_the_closed_form_start(self, kind, monkeypatch):
-        # fit_embedding's reference is its mean's closed-form start, bit for
-        # bit, and it evaluates that one state (one log-map pass) on inputs
+        # A descend=False mean is its closed-form start and evaluates no
+        # state. fit_embedding's reference is that start, bit for bit, and it
+        # evaluates one state there (embed's, one log-map pass) on inputs
         # where the Frechet mean takes several.
         rng = np.random.default_rng(22)
         if kind == "geometric":
@@ -524,6 +510,8 @@ class TestEmbedding:
             start, mean = manifold._wasserstein_start(factorize(mats)), manifold.mean_wasserstein
             states = count_calls(monkeypatch, manifold, "_wass_state")
             passes = count_calls(monkeypatch, manifold, "_wass_logs")
+        assert np.array_equal(mean(mats, descend=False), start)
+        assert states[0] == 0 and passes[0] == 0
         emb, rows = fit_embedding(mats, kind)
         assert states[0] == 1 and passes[0] == 1
         assert np.array_equal(emb.reference, start)
@@ -552,9 +540,11 @@ class TestEmbedding:
         # rank 1, and its rows are the width-1 log maps.
         f = np.zeros((4, 3, 2))
         f[:, :, 0] = np.outer(np.arange(1.0, 5.0), [1.0, 2.0, 2.0]) / 3.0
-        fit = manifold.mean_wasserstein(manifold.Samples("wasserstein", f))
-        assert numerical_rank(fit.point) == 1 and fit.samples.shape == (4, 3)
-        np.testing.assert_allclose(fit.point, 6.25 * np.outer([1, 2, 2], [1, 2, 2]) / 9)
+        samples = manifold.Samples("wasserstein", f)
+        point = manifold.mean_wasserstein(samples)
+        assert numerical_rank(point) == 1
+        assert embed(Embedding("wasserstein", point), samples).shape == (4, 3)
+        np.testing.assert_allclose(point, 6.25 * np.outer([1, 2, 2], [1, 2, 2]) / 9)
 
     def test_subset_mean_ignores_the_ranks_outside_it(self):
         # A subset of rank-2 samples, prepared with a rank-3 sample outside
@@ -640,9 +630,7 @@ class TestBlockedTangentMap:
         whole = manifold.mean_geometric(mats)
         self.small_blocks(monkeypatch)
         blocked = manifold.mean_geometric(mats)
-        np.testing.assert_array_equal(blocked.point, whole.point)
-        np.testing.assert_array_equal(blocked.samples, whole.samples)
-        assert blocked.samples.flags.c_contiguous
+        np.testing.assert_array_equal(blocked, whole)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
     def test_training_rows_equal_embed(self, monkeypatch, n):

@@ -28,43 +28,43 @@ def karcher_gradient(mean, mats):
 class TestMeanGeometric:
     def test_identity_inputs(self):
         mats = [np.eye(3)] * 3
-        np.testing.assert_allclose(mean_geometric(mats).point, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(mean_geometric(mats), np.eye(3), atol=1e-12)
 
     def test_scalar_closed_form(self):
         # 1x1 case: the mean of {a, b} is sqrt(a*b).
-        m = mean_geometric([[[4.0]], [[1.0]]]).point
+        m = mean_geometric([[[4.0]], [[1.0]]])
         assert m[0, 0] == pytest.approx(2.0, abs=1e-10)
 
     def test_singleton(self):
         rng = np.random.default_rng(0)
         s = rand_spd(rng, 4)
-        np.testing.assert_allclose(mean_geometric([s]).point, s, atol=1e-10)
+        np.testing.assert_allclose(mean_geometric([s]), s, atol=1e-10)
 
     def test_midpoint_of_inverse_pair_is_identity(self):
         rng = np.random.default_rng(1)
         s = rand_spd(rng, 4)
-        m = mean_geometric([s, np.linalg.inv(s)]).point
+        m = mean_geometric([s, np.linalg.inv(s)])
         np.testing.assert_allclose(m, np.eye(4), atol=1e-8)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         mats = [rand_spd(rng, 3) for _ in range(5)]
-        m1 = mean_geometric(mats).point
-        m2 = mean_geometric(mats[::-1]).point
+        m1 = mean_geometric(mats)
+        m2 = mean_geometric(mats[::-1])
         assert np.linalg.norm(m1 - m2) <= 1e-8
 
     def test_gradient_norm_at_convergence(self):
         rng = np.random.default_rng(3)
         mats = [rand_spd(rng, 5) for _ in range(20)]
-        m = mean_geometric(mats).point
+        m = mean_geometric(mats)
         assert np.linalg.norm(karcher_gradient(m, mats)) <= 1e-9 * 5
 
     def test_affine_equivariance(self):
         rng = np.random.default_rng(4)
         mats = [rand_spd(rng, 4) for _ in range(8)]
         w = rand_invertible(rng, 4)
-        direct = mean_geometric([SymMat(w.T @ m @ w) for m in mats]).point
-        pushed = w.T @ mean_geometric(mats).point @ w
+        direct = mean_geometric([SymMat(w.T @ m @ w) for m in mats])
+        pushed = w.T @ mean_geometric(mats) @ w
         err = np.linalg.norm(direct - pushed) / np.linalg.norm(pushed)
         assert err <= 1e-6
 
@@ -77,20 +77,20 @@ class TestMeanWasserstein:
     def test_identical_inputs(self):
         rng = np.random.default_rng(6)
         s = rand_spd(rng, 4)
-        m = mean_wasserstein([s, s, s]).point
+        m = mean_wasserstein([s, s, s])
         assert np.linalg.norm(m - s) <= 1e-8 * np.linalg.norm(s)
 
     def test_scalar_closed_form(self):
         # 1x1 case: the mean of {a, b} is ((sqrt(a) + sqrt(b)) / 2)^2.
-        m = mean_wasserstein([[[4.0]], [[16.0]]]).point
+        m = mean_wasserstein([[[4.0]], [[16.0]]])
         assert m[0, 0] == pytest.approx(9.0, abs=1e-10)
 
     def test_orthogonal_equivariance(self):
         rng = np.random.default_rng(7)
         mats = [rand_spd(rng, 4) for _ in range(8)]
         q = rand_orthogonal(rng, 4)
-        direct = mean_wasserstein([SymMat(q.T @ m @ q) for m in mats]).point
-        pushed = q.T @ mean_wasserstein(mats).point @ q
+        direct = mean_wasserstein([SymMat(q.T @ m @ q) for m in mats])
+        pushed = q.T @ mean_wasserstein(mats) @ q
         err = np.linalg.norm(direct - pushed) / np.linalg.norm(pushed)
         assert err <= 1e-6
 
@@ -99,22 +99,22 @@ class TestMeanWasserstein:
 
         rng = np.random.default_rng(8)
         mats = np.stack([rand_spd(rng, 5) for _ in range(15)])
-        m = mean_wasserstein(mats).point
+        m = mean_wasserstein(mats)
         _, _, grad_sum, _ = _wass_state(m, factorize(mats))
         assert 2 * np.linalg.norm(grad_sum) <= wasserstein_tolerance(mats)
 
     def test_rank_deficient_inputs(self):
         rng = np.random.default_rng(9)
         mats = [rand_psd_rank(rng, 4, 2) for _ in range(6)]
-        m = mean_wasserstein(mats).point
+        m = mean_wasserstein(mats)
         w = np.linalg.eigvalsh(m)
         assert np.sum(w > 1e-10 * w[-1]) == 2
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(10)
         mats = [rand_spd(rng, 3) for _ in range(5)]
-        m1 = mean_wasserstein(mats).point
-        m2 = mean_wasserstein(mats[::-1]).point
+        m1 = mean_wasserstein(mats)
+        m2 = mean_wasserstein(mats[::-1])
         assert np.linalg.norm(m1 - m2) <= 1e-8
 
 
@@ -171,7 +171,7 @@ class TestWassersteinStart:
     def test_commuting_inputs_stop_at_the_start(self, make, monkeypatch):
         mats = make()
         points = count_states(monkeypatch)
-        m = mean_wasserstein(mats).point
+        m = mean_wasserstein(mats)
         assert len(points) == 1
         want = squared_mean_root(mats)
         assert np.linalg.norm(m - want) <= 1e-12 * np.linalg.norm(want)
@@ -184,10 +184,11 @@ class TestWassersteinStart:
             + [rand_psd_rank(rng, 5, 3) for _ in range(6)]
         )
         points = count_states(monkeypatch)
-        fit = mean_wasserstein(mats)
+        m = mean_wasserstein(mats)
+        rows = manifold.embed(manifold.Embedding("wasserstein", m), mats)
         assert np.all(np.isfinite(points[0]))
-        assert np.all(np.isfinite(fit.point)) and np.all(np.isfinite(fit.samples))
-        assert np.linalg.matrix_rank(fit.point) == 3
+        assert np.all(np.isfinite(m)) and np.all(np.isfinite(rows))
+        assert np.linalg.matrix_rank(m) == 3
 
     @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e6])
     @pytest.mark.parametrize("seed", [14, 15])
@@ -195,7 +196,7 @@ class TestWassersteinStart:
         rng = np.random.default_rng(seed)
         mats = scale * np.stack([rand_spd(rng, 5) for _ in range(15)]
                                 + [rand_psd_rank(rng, 5, 2) for _ in range(3)])
-        m = mean_wasserstein(mats).point
+        m = mean_wasserstein(mats)
         grad_sum = manifold._wass_state(m, manifold.factorize(mats))[2]
         assert 2 * np.linalg.norm(grad_sum) <= wasserstein_tolerance(mats)
 
@@ -218,7 +219,7 @@ class TestGeometricStart:
     def test_jointly_diagonal_inputs_stop_at_the_start(self, p, monkeypatch):
         a, e, mats = jointly_diagonal(p, seed=p)
         points = count_states(monkeypatch, "_geo_state")
-        m = mean_geometric(mats).point
+        m = mean_geometric(mats)
         assert len(points) == 1
         want = (a * np.exp(np.log(e).mean(axis=0))) @ a.T
         assert np.linalg.norm(m - want) <= 1e-12 * np.linalg.norm(want)
@@ -256,7 +257,7 @@ class TestGeometricStart:
     def test_identical_inputs_return_after_one_state(self, monkeypatch):
         s = rand_spd(np.random.default_rng(18), 5, spread=3.0)
         points = count_states(monkeypatch, "_geo_state")
-        m = mean_geometric(np.stack([s] * 7)).point
+        m = mean_geometric(np.stack([s] * 7))
         assert len(points) == 1
         assert np.linalg.norm(m - s) <= 1e-12 * np.linalg.norm(s)
 
@@ -277,8 +278,8 @@ def scaled_bundles():
 @pytest.mark.parametrize("name", ["p6", "p20mixed"])
 def test_wasserstein_mean_is_scale_equivariant(scaled_bundles, name, scale):
     mats = scaled_bundles[name]
-    want = mean_wasserstein(mats).point
-    got = mean_wasserstein(scale * mats).point / scale
+    want = mean_wasserstein(mats)
+    got = mean_wasserstein(scale * mats) / scale
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -293,8 +294,8 @@ def geometric_bundle(request):
 @pytest.mark.parametrize("scale", [1e-24, 1e-12, 1e6])
 def test_geometric_mean_is_scale_equivariant(geometric_bundle, scale):
     mats = geometric_bundle
-    want = mean_geometric(mats).point
-    got = mean_geometric(scale * mats).point / scale
+    want = mean_geometric(mats)
+    got = mean_geometric(scale * mats) / scale
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -303,8 +304,8 @@ def test_geometric_mean_is_congruence_equivariant(geometric_bundle, seed):
     mats = geometric_bundle
     w = rand_invertible(np.random.default_rng(seed), 6, spread=np.log(50.0) / 2)
     assert np.linalg.cond(w) <= 50.0
-    want = w @ mean_geometric(mats).point @ w.T
-    got = mean_geometric(SymMat(w @ mats @ w.T)).point
+    want = w @ mean_geometric(mats) @ w.T
+    got = mean_geometric(SymMat(w @ mats @ w.T))
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -348,7 +349,7 @@ class TestDescend:
         return manifold._descend(evaluate, move, np.zeros(2), len(self.points), tol, "toy mean")
 
     def test_overshoot_halves_and_converges(self):
-        fit = self.run(gain=3.0)
+        point = self.run(gain=3.0)
         states, steps = self.states, self.steps
         assert 0.5 in steps and 1.0 in steps
         # The state a move gives is accepted when the next move starts over
@@ -359,8 +360,7 @@ class TestDescend:
         assert all(b < a for a, b in zip(accepted, accepted[1:]))
         # Converged: the gradient 2 * 3 * (mean - x) has norm at most tol.
         mean = self.points.mean(axis=0)
-        assert 6.0 * np.linalg.norm(fit.point - mean) <= 1e-4
-        np.testing.assert_array_equal(fit.samples, (self.points - fit.point).reshape(3, -1))
+        assert 6.0 * np.linalg.norm(point - mean) <= 1e-4
 
     def test_step_floor_ends_in_no_convergence(self):
         with pytest.raises(NoConvergence) as info:
@@ -373,13 +373,28 @@ class TestDescend:
         assert self.steps[tries - 1] <= 1e-6 < self.steps[tries - 2]
 
 
+@pytest.mark.parametrize("kind", ["geometric", "wasserstein"])
+def test_subset_mean_equals_mean_of_its_gathered_rows(kind):
+    # Both means read Samples, whole or a subset, bit for bit as the plain
+    # array of their gathered rows.
+    rng = np.random.default_rng(25)
+    mats = np.stack([rand_spd(rng, 4, spread=2.0) for _ in range(10)])
+    mean = mean_geometric if kind == "geometric" else mean_wasserstein
+    prepared = manifold.prepare_samples(mats, kind)
+    assert np.array_equal(mean(prepared), mean(mats))
+    subset = prepared.subset([7, 2, 5, 0, 9])
+    want = mean(manifold.Samples(kind, subset.gather()))
+    assert np.array_equal(mean(subset), want)
+    assert np.array_equal(mean(subset), mean(mats[[7, 2, 5, 0, 9]]))
+
+
 def test_points_are_read_only_arrays():
     rng = np.random.default_rng(12)
     mats = np.stack([rand_spd(rng, 3) for _ in range(4)])
     points = {
         "mean_euclidean": mean_euclidean(mats),
-        "mean_geometric": mean_geometric(mats).point,
-        "mean_wasserstein": mean_wasserstein(mats).point,
+        "mean_geometric": mean_geometric(mats),
+        "mean_wasserstein": mean_wasserstein(mats),
         "Embedding.reference": manifold.fit_embedding(mats, "geometric")[0].reference,
         "witness": manifold.no_affine_invariance_witness()[0],
     }
