@@ -2,19 +2,22 @@
 
 A bundle is one read-only ``(n, p, p)`` array of symmetric PSD matrices,
 a real label per matrix, and a nominal rank bound. Files use the
-``COVB v2`` layout: a ``COVB v2 <n> <p> <rank>`` header, then per sample
-a ``y <label>`` line and one line of the ``p(p+1)/2`` upper-triangle
-entries in row-major ``np.triu_indices(p)`` order. A stored matrix is
-exactly symmetric, so its triangle is lossless.
+``COVB v3`` layout: a ``COVB v3 <n> <p> <rank>`` header, then per sample
+a ``y <label>`` line and one line holding the RFC 4648 base64 of the
+``p(p+1)/2`` upper-triangle entries as little-endian float64, in row-major
+``np.triu_indices(p)`` order. A stored matrix is exactly symmetric, so its
+triangle is lossless, and the binary entries round-trip bit for bit.
 
-Every text file (COVB, MODEL, LEADFIELD, command outputs) is written one
-``%``-template per line or sample, with 17 significant digits (lossless
-for float64), and read by :class:`LineReader` with numpy's float parser.
-A bundle read from a file is validated and symmetrized by its constructor.
+Every other number in a text file (COVB headers and labels, MODEL,
+LEADFIELD, command outputs) is decimal, written one ``%``-template per
+line or sample with 17 significant digits (lossless for float64), and read
+by :class:`LineReader` with numpy's float parser. A bundle read from a file
+is validated and symmetrized by its constructor.
 """
 
 from __future__ import annotations
 
+import base64
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,32 +79,66 @@ class CovarianceBundle:
 
 
 def write_covb(path, bundle: CovarianceBundle) -> None:
-    """Write a bundle as a COVB v2 text file, one formatted write per sample."""
+    """Write a bundle as a COVB v3 file, one write per sample."""
     p = bundle.dim
     iu, ju = np.triu_indices(p)
-    sample = row_format(1, "y") + row_format(len(iu))
+    label = row_format(1, "y")
     with open(path, "w") as fh:
-        fh.write(f"COVB v2 {bundle.n} {p} {bundle.nominal_rank}\n")
-        for mat, label in zip(bundle.matrices, bundle.labels.tolist()):
-            fh.write(sample % (label, *mat[iu, ju].tolist()))
+        fh.write(f"COVB v3 {bundle.n} {p} {bundle.nominal_rank}\n")
+        for mat, y in zip(bundle.matrices, bundle.labels.tolist()):
+            tri = base64.b64encode(mat[iu, ju].astype("<f8", copy=False)).decode("ascii")
+            fh.write(label % y + tri + "\n")
 
 
 def read_covb(path) -> CovarianceBundle:
-    """Read a COVB v2 text file, streaming every triangle line through one
-    ``np.loadtxt`` call (memory holds arrays, not text) into one stack."""
+    """Read a COVB v3 file, one sample at a time: each triangle line is
+    decoded and checked as it is read, so memory holds binary rows, not
+    text, and nothing is allocated from the header's counts."""
     path = Path(path)
     with open(path) as fh:
         src = LineReader(path, fh)
-        n, p, rank = [src.count(w) for w in src.words("COVB v2 <n> <p> <rank>")[2:]]
+        _, version, *counts = src.words("COVB <version> <n> <p> <rank>")
+        if version != "v3":
+            raise src.error(f"COVB {version} is not read, only COVB v3; regenerate the bundle "
+                            "with 'spdreg simulate', which gives the same matrices from the "
+                            "same seed")
+        n, p, rank = [src.count(w) for w in counts]
         if rank > p:
             raise src.error(f"nominal rank must be in [1, {p}], got {rank}")
-        rows, labels = src.block(n, p * (p + 1) // 2, tag="y", row="triangle line")
+        k = p * (p + 1) // 2
+        labels, rows = [], bytearray()
+        for i in range(n):
+            where = f"sample {i}: "
+            labels.append((src.words("y <label>", where)[1], src.lineno))
+            text = src.line("its triangle line", where).strip()
+            try:
+                raw = base64.b64decode(text, validate=True)
+            except ValueError as exc:
+                raise src.error(f"{where}bad base64 triangle line: {exc}") from None
+            row = np.frombuffer(raw, "<f8", count=len(raw) // 8)
+            finite = np.isfinite(row)
+            if not finite.all():  # a bad number is named before a wrong count
+                raise src.error(f"{where}non-finite number {row[~finite][0]}")
+            if len(raw) != 8 * k:
+                got = len(raw) // 8 if len(raw) % 8 == 0 else f"{len(raw)} bytes"
+                raise src.error(f"{where}expected {k} numbers, got {got}")
+            rows += raw
+        try:  # every label in one parse; a failure is found line by line
+            values = _loadtxt(word for word, _ in labels)[:, 0]
+            bad = not np.all(np.isfinite(values))
+        except ValueError:
+            bad = True
+        if bad:
+            for i, (word, line) in enumerate(labels):
+                src.lineno = line
+                src.floats([word], 1, f"sample {i}: ")
+            raise src.error("malformed labels")
         src.end()
-    iu, ju = np.triu_indices(p)  # after block(), which rejects a p the file lacks
+    iu, ju = np.triu_indices(p)  # after the rows, which confirm p
     mats = np.empty((n, p, p))
-    mats[:, iu, ju] = mats[:, ju, iu] = rows
+    mats[:, iu, ju] = mats[:, ju, iu] = np.frombuffer(rows, "<f8").reshape(n, k)
     del rows  # the constructor's copy need not sit beside the triangles
-    return CovarianceBundle(mats, labels, nominal_rank=rank)
+    return CovarianceBundle(mats, values, nominal_rank=rank)
 
 
 def _loadtxt(lines) -> np.ndarray:
@@ -171,34 +208,20 @@ class LineReader:
             raise self.error(f"{where}expected {count} numbers, got {len(words)}")
         return values
 
-    def block(self, count: int, ncols: int, tag: str | None = None, row: str = "row"):
-        """``count`` lines of ``ncols`` floats, as rows. With ``tag`` each is a
-        sample's, after a ``<tag> <label>`` line, and the labels come too; a
-        missing line is then named ``its <row>``, else ``<row> <i> of <count>``."""
-        start, labels = self.lineno, []
-
-        def feed():
-            for _ in range(count):
-                if tag:
-                    labels.append(self.words(f"{tag} <label>")[1:])
-                yield self.line(row)
-
+    def block(self, count: int, ncols: int) -> np.ndarray:
+        """``count`` lines of ``ncols`` floats, as rows; a missing line is
+        named ``row <i> of <count>``."""
+        start = self.lineno
         try:
-            rows = _loadtxt(feed())
-            values = _loadtxt(w[0] for w in labels)[:, 0]
-            finite = np.all(np.isfinite(rows)) and np.all(np.isfinite(values))
-            if rows.shape == (count, ncols) and finite:
-                return rows, values
+            rows = _loadtxt(self.line("row") for _ in range(count))
+            if rows.shape == (count, ncols) and np.all(np.isfinite(rows)):
+                return rows
         except (ValueError, ConfigError):
             pass
         with open(self.path) as fh:  # the parse failed: find the line to name
             self.lineno, self._lines = start, _numbered(fh, start)
             for i in range(count):
-                where = f"sample {i}: " if tag else ""
-                if tag:
-                    self.floats(self.words(f"{tag} <label>", where)[1:], 1, where)
-                what = f"its {row}" if tag else f"{row} {i + 1} of {count}"
-                self.floats(self.line(what, where).split(), ncols, where)
+                self.floats(self.line(f"row {i + 1} of {count}").split(), ncols)
         raise self.error("malformed numbers")
 
     def end(self) -> None:

@@ -281,7 +281,7 @@ def read_model(path) -> regress.FoldState:
         src.words("MODEL v3")
         emb_kind, emb_line = src.words("embedding <kind>")[1], src.lineno
         _, filt_kind, p, r = src.words("filter <kind> <p> <r>")
-        filt_line, w = src.lineno, src.block(src.count(p), src.count(r))[0]
+        filt_line, w = src.lineno, src.block(src.count(p), src.count(r))
         eigs = src.floats(src.words("filter_eigs ...")[1:])
         filt = _build(src, filt_line, filters.SpatialFilter, w=w, kind=filt_kind,
                       eigenvalues=eigs)
@@ -289,7 +289,7 @@ def read_model(path) -> regress.FoldState:
         rp = 0 if rp == "none" else src.count(rp)
         if rp and rp != w.shape[1]:
             raise src.error(f"reference dimension {rp} differs from filter width {w.shape[1]}")
-        reference = src.block(rp, rp)[0] if rp else None
+        reference = src.block(rp, rp) if rp else None
         emb = _build(src, emb_line, manifold.Embedding, kind=emb_kind, reference=reference)
         _, k, *ridge = src.words("ridge <k> <lambda> <intercept>")
         k, (lam, intercept) = src.count(k), src.floats(ridge, 2).tolist()

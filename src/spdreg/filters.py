@@ -188,6 +188,6 @@ def read_leadfield(path) -> Leadfield:
     with open(path) as fh:
         src = LineReader(path, fh)
         _, _, p, q = src.words("LEADFIELD v1 <p> <q>")
-        g = src.block(src.count(p), src.count(q))[0]
+        g = src.block(src.count(p), src.count(q))
         src.end()
     return Leadfield(g=g)

@@ -28,6 +28,14 @@ class TestSimulate:
         assert run("simulate", "--seed", 1, "--out", o2) == 0
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_full_size_bundle_reads_back_bit_for_bit(self, tmp_path):
+        out = tmp_path / "b.covb"
+        assert run("simulate", "--p", 64, "--n", 1000, "--seed", 3, "--out", out) == 0
+        want, _ = sample_bundle(GenerativeConfig(p=64, n=1000, seed=3))
+        back = read_covb(out)
+        assert np.array_equal(back.matrices.view(np.int64), want.matrices.view(np.int64))
+        assert np.array_equal(back.labels.view(np.int64), want.labels.view(np.int64))
+
     def test_invalid_source_count_exits_2(self, tmp_path, capsys):
         assert run("simulate", "--q", 7, "--p", 5, "--out", tmp_path / "x") == 2
         assert "q" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Plain-text file formats: malformed inputs, golden bytes and round trips."""
 
+import base64
 import warnings
 
 import numpy as np
@@ -13,8 +14,9 @@ from spdreg.filters import Leadfield, read_leadfield, write_leadfield
 
 # Small valid files with blank lines, so physical and non-blank line numbers
 # differ. Each malformed case edits one of them and names the physical line
-# its error must report.
-COVB = """COVB v2 3 2 2
+# its error must report. COVB triangles are written here as decimals and
+# stored as base64 by ``covb_text``.
+COVB = """COVB v3 3 2 2
 
 y 0.5
 2 0.5 1
@@ -51,6 +53,26 @@ LEADFIELD = """LEADFIELD v1 2 3
 BASES = {"covb": COVB, "model": MODEL, "leadfield": LEADFIELD}
 
 
+def b64(values):
+    """The COVB v3 triangle line of ``values``: base64 of little-endian float64."""
+    return base64.b64encode(np.asarray(values, "<f8").tobytes()).decode("ascii")
+
+
+def covb_text(text):
+    """COVB fixture ``text`` with each line of decimals (``nan`` and ``inf``
+    too) replaced by its base64 triangle line; other lines are kept."""
+    def line(row):
+        try:
+            return b64([float(w) for w in row.split()]) if row.strip() else row
+        except ValueError:
+            return row
+    return "\n".join(line(row) for row in text.split("\n"))
+
+
+def write(path, kind, text):
+    path.write_text(covb_text(text) if kind == "covb" else text)
+
+
 def edit(base, line, text):
     """``base`` with physical line ``line`` replaced (``None`` deletes it)."""
     lines = base.splitlines()
@@ -63,11 +85,15 @@ def edit(base, line, text):
     return "\n".join(lines) + "\n"
 
 
+# Line 8's triangle [1, 0, 1] as stored: 24 bytes, 32 base64 characters.
+TRI = b64([1, 0, 1])
+
 # (id, format, physical line edited, its new text, line the error names)
 CASES = [
-    ("covb-bad-header", "covb", 1, "COVB v3 3 2 2", 1),
+    ("covb-bad-header", "covb", 1, "COVB v4 3 2 2", 1),
     ("covb-v1-header", "covb", 1, "COVB v1 3 2 2", 1),
-    ("covb-bad-counts", "covb", 1, "COVB v2 3 two 2", 1),
+    ("covb-v2-header", "covb", 1, "COVB v2 3 2 2", 1),
+    ("covb-bad-counts", "covb", 1, "COVB v3 3 two 2", 1),
     ("covb-too-few-lines", "covb", 11, None, 10),
     ("covb-too-many-lines", "covb", 12, "0 0 0", 12),
     ("covb-non-y-tag", "covb", 6, "x 1.5", 6),
@@ -76,12 +102,17 @@ CASES = [
     ("covb-ragged-row", "covb", 8, "1 0", 8),
     ("covb-long-triangle", "covb", 8, "1 0 1 0", 8),
     ("covb-hash-token", "covb", 11, "3 1 #", 11),
-    ("covb-n-zero", "covb", 1, "COVB v2 0 2 2", 1),
-    ("covb-rank-above-p", "covb", 1, "COVB v2 3 2 3", 1),
+    ("covb-n-zero", "covb", 1, "COVB v3 0 2 2", 1),
+    ("covb-rank-above-p", "covb", 1, "COVB v3 3 2 3", 1),
     ("covb-infinite-label", "covb", 6, "y inf", 6),
-    # A header p whose triangle index would not fit in memory: the count
-    # error comes from the first short triangle line, before any index.
-    ("covb-huge-p", "covb", 1, "COVB v2 1 100000000 1", 4),
+    # Header counts whose arrays would not fit in memory: nothing is
+    # allocated from them, so the error names the first line that
+    # contradicts them, a short triangle or the end of the file.
+    ("covb-huge-p", "covb", 1, "COVB v3 1 100000000 1", 4),
+    ("covb-huge-n", "covb", 1, "COVB v3 1000000000000 2 2", 11),
+    ("covb-non-alphabet", "covb", 8, "*" + TRI[1:], 8),
+    ("covb-bad-padding", "covb", 8, TRI[:-1], 8),
+    ("covb-wrapped-triangle", "covb", 8, TRI[:16] + "\n" + TRI[16:], 8),
     ("model-bad-header", "model", 1, "MODEL v1", 1),
     ("model-v2-header", "model", 1, "MODEL v2", 1),
     ("model-bad-counts", "model", 3, "filter identity 2 x", 3),
@@ -101,6 +132,7 @@ CASES = [
     ("leadfield-hash-token", "leadfield", 4, "0 1 #", 4),
     ("leadfield-p-zero", "leadfield", 1, "LEADFIELD v1 0 3", 1),
     ("covb-nan-entry", "covb", 8, "1 nan 1", 8),
+    ("covb-inf-entry", "covb", 11, "3 1 -inf", 11),
     ("model-too-many-lines", "model", 14, "beta 1 2 3", 14),
     ("model-nan-beta", "model", 13, "beta 0.5 nan 0.25", 13),
     ("model-scale-per-column", "model", 12, "scale 1 1 1", 12),
@@ -118,7 +150,7 @@ def run(*argv):
 def cli_read(kind, path, tmp_path):
     """Exit code of a CLI command whose first read is ``path``."""
     good = tmp_path / "good.covb"
-    good.write_text(COVB)
+    write(good, "covb", COVB)
     if kind == "covb":
         return run("mean", "--bundle", path, "--out", tmp_path / "m.txt")
     if kind == "model":
@@ -130,7 +162,7 @@ def cli_read(kind, path, tmp_path):
 @pytest.mark.parametrize("kind", sorted(BASES))
 def test_bases_are_valid(kind, tmp_path):
     path = tmp_path / f"base.{kind}"
-    path.write_text(BASES[kind])
+    write(path, kind, BASES[kind])
     READERS[kind](path)
     assert cli_read(kind, path, tmp_path) == 0
 
@@ -139,7 +171,7 @@ def test_bases_are_valid(kind, tmp_path):
 def test_malformed_exits_2_naming_the_file(case, tmp_path, capsys):
     _, kind, line, text, _ = case
     path = tmp_path / f"bad.{kind}"
-    path.write_text(edit(BASES[kind], line, text))
+    write(path, kind, edit(BASES[kind], line, text))
     with pytest.raises(ConfigError, match=str(path)):
         READERS[kind](path)
     assert cli_read(kind, path, tmp_path) == 2
@@ -150,7 +182,7 @@ def test_malformed_exits_2_naming_the_file(case, tmp_path, capsys):
 def test_malformed_names_the_physical_line(case, tmp_path, capsys):
     _, kind, line, text, err_line = case
     path = tmp_path / f"bad.{kind}"
-    path.write_text(edit(BASES[kind], line, text))
+    write(path, kind, edit(BASES[kind], line, text))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError) as info:
@@ -168,12 +200,37 @@ def test_malformed_names_the_physical_line(case, tmp_path, capsys):
 @pytest.mark.parametrize(
     "line, text, sample",
     [(6, "x 1.5", 1), (6, "y abc", 1), (8, "0 one", 1), (7, "1", 1), (8, "1 0 1 0", 1),
-     (11, "3 #", 2), (8, "0 nan", 1), (4, "inf 0.5", 0)],
+     (11, "3 #", 2), (8, "0 nan", 1), (4, "inf 0.5", 0), (3, "y nan", 0),
+     (8, "*" + TRI[1:], 1), (11, TRI[:-1], 2), (8, TRI[:16] + "\n" + TRI[16:], 1)],
 )
 def test_covb_errors_name_the_sample(line, text, sample, tmp_path):
     path = tmp_path / "bad.covb"
-    path.write_text(edit(COVB, line, text))
+    write(path, "covb", edit(COVB, line, text))
     with pytest.raises(ConfigError, match=f"^{path}:{line}: sample {sample}: "):
+        read_covb(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("1 0", "expected 3 numbers, got 2"), ("1 0 1 0", "expected 3 numbers, got 4"),
+     (TRI[:16], "expected 3 numbers, got 12 bytes"), ("1 nan 1", "non-finite number nan"),
+     ("1 0 inf", "non-finite number inf"), ("*" + TRI[1:], "bad base64 triangle line: "),
+     (TRI[:-1], "bad base64 triangle line: ")],
+)
+def test_covb_triangle_errors_say_what_is_wrong(text, message, tmp_path):
+    path = tmp_path / "bad.covb"
+    write(path, "covb", edit(COVB, 8, text))
+    with pytest.raises(ConfigError, match=f"^{path}:8: sample 1: {message}"):
+        read_covb(path)
+
+
+@pytest.mark.parametrize("version", ["v1", "v2"])
+def test_covb_older_versions_are_refused_with_advice(version, tmp_path):
+    path = tmp_path / "old.covb"
+    path.write_text(COVB.replace("COVB v3", f"COVB {version}"))
+    with pytest.raises(ConfigError, match=f"^{path}:1: COVB {version} is not read, only COVB "
+                                          "v3; regenerate the bundle with 'spdreg simulate', "
+                                          "which gives the same matrices from the same seed$"):
         read_covb(path)
 
 
@@ -185,7 +242,7 @@ def test_covb_errors_name_the_sample(line, text, sample, tmp_path):
 )
 def test_missing_line_is_named(kind, line, err_line, what, tmp_path):
     path = tmp_path / f"short.{kind}"
-    path.write_text(edit(BASES[kind], line, None))
+    write(path, kind, edit(BASES[kind], line, None))
     with pytest.raises(ConfigError, match=f"^{path}:{err_line}: {what}$"):
         READERS[kind](path)
 
@@ -252,9 +309,10 @@ def test_model_ignores_blank_lines(tmp_path):
 
 
 def test_underscore_digits_rejected(tmp_path):
+    # Labels go through numpy's parser, which refuses Python's 1_0.
     path = tmp_path / "bad.covb"
-    path.write_text(edit(COVB, 4, "2 0.5_0 1"))
-    with pytest.raises(ConfigError, match=f"^{path}:4: sample 0: "):
+    write(path, "covb", edit(COVB, 3, "y 1_0"))
+    with pytest.raises(ConfigError, match=f"^{path}:3: sample 0: bad number '1_0'$"):
         read_covb(path)
 
 
@@ -271,12 +329,14 @@ def golden_bundle():
     )
 
 
+# Labels are decimal; each triangle is the base64 of its little-endian
+# float64 entries: 1e300, -0.0 and 5e-324, then 2.5e-24, 1/3 * 1e-24, 0.7e-24.
 GOLDEN_COVB = (
-    "COVB v2 2 2 2\n"
+    "COVB v3 2 2 2\n"
     "y 0.10000000000000001\n"
-    "1.0000000000000001e+300 -0 4.9406564584124654e-324\n"
+    "nHUAiDzkN34AAAAAAAAAgAEAAAAAAAAA\n"
     "y -0\n"
-    "2.4999999999999999e-24 3.3333333333333331e-25 6.9999999999999995e-25\n"
+    "UbISQLMtCDs0vuDMWMrZOh0uH9d2FOs6\n"
 )
 
 
@@ -306,6 +366,22 @@ def test_covb_round_trip_bit_exact(p, tmp_path):
     assert np.array_equal(back.labels, bund.labels)
     assert back.nominal_rank == bund.nominal_rank
     assert np.array_equal(back.matrices, bund.matrices)
+
+
+def test_covb_round_trip_keeps_extreme_values(tmp_path):
+    # -0.0, the smallest subnormal and the largest magnitudes, bit for bit.
+    # Labels reach +-1e308; entries stop at half the float64 maximum, the
+    # largest a bundle holds, since its constructor forms a + a^T.
+    big = np.finfo(np.float64).max / 2
+    mats = [[[big, -0.0], [-0.0, 5e-324]], [[-big, 5e-324], [5e-324, -0.0]],
+            [[1e-300, -big], [-big, big]]]
+    bund = CovarianceBundle(mats, [1e308, -1e308, -0.0], nominal_rank=2)
+    path = tmp_path / "x.covb"
+    write_covb(path, bund)
+    back = read_covb(path)
+    assert np.array_equal(back.matrices.view(np.int64), bund.matrices.view(np.int64))
+    assert np.array_equal(back.labels.view(np.int64), bund.labels.view(np.int64))
+    assert np.signbit(back.matrices[0, 0, 1]) and np.signbit(back.labels[2])
 
 
 def joined(header, rows):

@@ -243,7 +243,7 @@ class TestCovbFile:
         bundle, _ = sample_bundle(GenerativeConfig(seed=1))
         path = tmp_path / "b.covb"
         write_covb(path, bundle)
-        assert path.read_text().splitlines()[0] == "COVB v2 100 5 5"
+        assert path.read_text().splitlines()[0] == "COVB v3 100 5 5"
 
 
 class TestSweep:
