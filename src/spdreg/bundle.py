@@ -11,14 +11,15 @@ triangle is lossless, and the binary entries round-trip bit for bit.
 Every other number in a text file (COVB headers and labels, MODEL,
 LEADFIELD, command outputs) is decimal, written one ``%``-template per
 line or sample with 17 significant digits (lossless for float64), and read
-by :class:`LineReader` with numpy's float parser. A bundle read from a file
+by :class:`LineReader`, one pass per line, through :func:`number`, the one
+number rule that option and config values share. A bundle read from a file
 is validated and symmetrized by its constructor.
 """
 
 from __future__ import annotations
 
 import base64
-import warnings
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,6 +29,9 @@ from .errors import ConfigError
 from .symmat import SymMat, _as_stack
 
 FLOAT_FMT = "%.17g"
+
+# Entries above this overflow the symmetrization (a + a^T) / 2.
+HALF_MAX = np.finfo(np.float64).max / 2
 
 
 def row_format(count: int, *words: str) -> str:
@@ -91,11 +95,11 @@ def write_covb(path, bundle: CovarianceBundle) -> None:
 
 
 def read_covb(path) -> CovarianceBundle:
-    """Read a COVB v3 file, one sample at a time: each triangle line is
-    decoded and checked as it is read, so memory holds binary rows, not
-    text, and nothing is allocated from the header's counts."""
+    """Read a COVB v3 file, one sample at a time: each label is parsed and
+    each triangle line decoded and checked as it is read, so memory holds
+    binary rows, not text, and nothing is allocated from the header's counts."""
     path = Path(path)
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         src = LineReader(path, fh)
         _, version, *counts = src.words("COVB <version> <n> <p> <rank>")
         if version != "v3":
@@ -109,7 +113,7 @@ def read_covb(path) -> CovarianceBundle:
         labels, rows = [], bytearray()
         for i in range(n):
             where = f"sample {i}: "
-            labels.append((src.words("y <label>", where)[1], src.lineno))
+            labels.append(src.floats(src.words("y <label>", where)[1:], 1, where)[0])
             text = src.line("its triangle line", where).strip()
             try:
                 raw = base64.b64decode(text, validate=True)
@@ -119,59 +123,61 @@ def read_covb(path) -> CovarianceBundle:
             finite = np.isfinite(row)
             if not finite.all():  # a bad number is named before a wrong count
                 raise src.error(f"{where}non-finite number {row[~finite][0]}")
+            huge = np.abs(row) > HALF_MAX
+            if huge.any():
+                raise src.error(f"{where}entry {row[huge][0]} overflows the symmetrization "
+                                "(a + a^T) / 2")
             if len(raw) != 8 * k:
                 got = len(raw) // 8 if len(raw) % 8 == 0 else f"{len(raw)} bytes"
                 raise src.error(f"{where}expected {k} numbers, got {got}")
             rows += raw
-        try:  # every label in one parse; a failure is found line by line
-            values = _loadtxt(word for word, _ in labels)[:, 0]
-            bad = not np.all(np.isfinite(values))
-        except ValueError:
-            bad = True
-        if bad:
-            for i, (word, line) in enumerate(labels):
-                src.lineno = line
-                src.floats([word], 1, f"sample {i}: ")
-            raise src.error("malformed labels")
         src.end()
     iu, ju = np.triu_indices(p)  # after the rows, which confirm p
     mats = np.empty((n, p, p))
     mats[:, iu, ju] = mats[:, ju, iu] = np.frombuffer(rows, "<f8").reshape(n, k)
     del rows  # the constructor's copy need not sit beside the triangles
-    return CovarianceBundle(mats, values, nominal_rank=rank)
+    return CovarianceBundle(mats, labels, nominal_rank=rank)
 
 
-def _loadtxt(lines) -> np.ndarray:
-    """Whitespace-separated float rows by numpy's parser, as a 2-d array."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # numpy warns on empty input
-        return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
-
-
-def _numbered(fh, after: int = 0):
-    """``(physical line number, text)`` of the non-blank lines past ``after``."""
-    return ((i, text) for i, text in enumerate(fh, 1) if i > after and text.strip())
+def number(word: str, kind: type = float, finite: bool = True):
+    """``word`` as a ``kind`` (``float`` or ``int``) by the one number rule of
+    every file, option and config value: ASCII with no digit-group ``_``
+    (which Python's parsers take), then ``kind``'s parser, then finite
+    unless ``finite`` is false. A word it refuses is a ``ValueError``:
+    ``bad number '<w>'`` or ``non-finite number '<w>'``."""
+    try:
+        if "_" in word or not word.isascii():
+            raise ValueError
+        value = kind(word)
+    except ValueError:
+        raise ValueError(f"bad number {word[:40]!r}") from None
+    if finite and not math.isfinite(value):
+        raise ValueError(f"non-finite number {word!r}")
+    return value
 
 
 class LineReader:
-    """Non-blank lines of an open text file, numbered by physical line.
+    """Non-blank lines of a file opened in binary mode, numbered by physical
+    line and each read once. A line is ASCII text (else an error at it), and
+    every number in it goes through :func:`number`.
 
     Errors read ``<path>:<line>: [sample <i>: ]<message>`` (``ConfigError``).
-    A block of number rows is one ``np.loadtxt`` call over the line stream;
-    only when that fails is the block read again line by line to find the
-    line to name.
     """
 
     def __init__(self, path, fh):
-        self.path, self.lineno, self._lines = path, 0, _numbered(fh)
+        self.path, self.lineno = path, 0
+        self._lines = ((i, raw) for i, raw in enumerate(fh, 1) if raw.strip())
 
     def error(self, message: str) -> ConfigError:
         return ConfigError(f"{self.path}:{self.lineno}: {message}")
 
     def line(self, what: str, where: str = "") -> str:
-        """The next non-blank line; ``what`` names it if the file ends."""
-        for self.lineno, text in self._lines:
-            return text
+        """The next non-blank line; ``what`` names it if the file ends or the
+        line holds a byte outside ASCII."""
+        for self.lineno, raw in self._lines:
+            if not raw.isascii():
+                raise self.error(f"{where}non-ASCII byte in {what}")
+            return raw.decode("ascii")
         raise self.error(f"{where}file ends before {what}")
 
     def words(self, layout: str, where: str = "") -> list[str]:
@@ -186,44 +192,30 @@ class LineReader:
         return got
 
     def count(self, word: str, low: int = 1) -> int:
-        """``word`` of the current line as a decimal count of at least ``low``."""
-        if not (word.isascii() and word.isdigit()) or int(word) < low:
-            raise self.error(f"expected a count of at least {low}, got {word!r}")
+        """``word`` of the current line as a decimal count of at least ``low``
+        (of at most 20 digits: ``int`` refuses thousands with its own error)."""
+        if not (word.isascii() and word.isdigit()) or len(word) > 20 or int(word) < low:
+            raise self.error(f"expected a count of at least {low}, got {word[:40]!r}")
         return int(word)
 
     def floats(self, words, count: int | None = None, where: str = "") -> np.ndarray:
         """Finite floats from ``words`` of the current line (a bad word is named
         before a wrong count), ``count`` if given."""
         try:
-            values = _loadtxt([" ".join(words)])[0] if words else np.empty(0)
-        except ValueError:
-            if len(words) > 1:  # name the first word that fails on its own
-                for word in words:
-                    self.floats([word], 1, where)
-            raise self.error(f"{where}bad number {words[0][:40]!r}") from None
-        if not np.all(np.isfinite(values)):
-            bad = words[int(np.argmin(np.isfinite(values)))]
-            raise self.error(f"{where}non-finite number {bad!r}")
+            values = [number(word) for word in words]
+        except ValueError as exc:
+            raise self.error(f"{where}{exc}") from None
         if count not in (None, len(words)):
             raise self.error(f"{where}expected {count} numbers, got {len(words)}")
-        return values
+        return np.array(values, dtype=np.float64)
 
     def block(self, count: int, ncols: int) -> np.ndarray:
         """``count`` lines of ``ncols`` floats, as rows; a missing line is
         named ``row <i> of <count>``."""
-        start = self.lineno
-        try:
-            rows = _loadtxt(self.line("row") for _ in range(count))
-            if rows.shape == (count, ncols) and np.all(np.isfinite(rows)):
-                return rows
-        except (ValueError, ConfigError):
-            pass
-        with open(self.path) as fh:  # the parse failed: find the line to name
-            self.lineno, self._lines = start, _numbered(fh, start)
-            for i in range(count):
-                self.floats(self.line(f"row {i + 1} of {count}").split(), ncols)
-        raise self.error("malformed numbers")
+        return np.array([self.floats(self.line(f"row {i + 1} of {count}").split(), ncols)
+                         for i in range(count)])
 
     def end(self) -> None:
-        for self.lineno, text in self._lines:
-            raise self.error(f"expected end of file, got {text.strip()[:40]!r}")
+        for self.lineno, raw in self._lines:
+            text = raw.decode("ascii", "replace").strip()
+            raise self.error(f"expected end of file, got {text[:40]!r}")

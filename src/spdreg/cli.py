@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import filters, manifold, regress, simgen
-from .bundle import LineReader, read_covb, row_format, write_covb, write_rows
+from .bundle import LineReader, number, read_covb, row_format, write_covb, write_rows
 from .errors import ConfigError, NumericalError, SampleError, SingularMatrix
 from .symmat import numerical_rank
 
@@ -33,26 +33,21 @@ from .symmat import numerical_rank
 # ---------------------------------------------------------------------------
 
 
-def _plain(v: str) -> str:
-    """``v`` if it is ASCII with no digit-group underscores, as numbers in
-    data files must be; ``int`` and ``float`` take both."""
-    if "_" in v or not v.isascii():
-        raise ValueError(v)
-    return v
+def _option(v: str, kind: type, what: str):
+    """Option value ``v`` by the number rule of the data files (non-finite
+    values too: the options that take none say why)."""
+    try:
+        return number(v, kind, finite=False)
+    except ValueError:
+        raise ConfigError(f"expected {what}, got {v!r}") from None
 
 
 def _parse_int(v: str) -> int:
-    try:
-        return int(_plain(v))
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {v!r}") from None
+    return _option(v, int, "an integer")
 
 
 def _parse_float(v: str) -> float:
-    try:
-        return float(_plain(v))
-    except ValueError:
-        raise ConfigError(f"expected a number, got {v!r}") from None
+    return _option(v, float, "a number")
 
 
 def _parse_bool(v: str) -> bool:
@@ -276,7 +271,7 @@ def _build(src: LineReader, line: int, make, **fields):
 
 def read_model(path) -> regress.FoldState:
     path = Path(path)
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         src = LineReader(path, fh)
         src.words("MODEL v3")
         emb_kind, emb_line = src.words("embedding <kind>")[1], src.lineno

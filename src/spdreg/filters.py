@@ -185,7 +185,7 @@ def write_leadfield(path, lead: Leadfield) -> None:
 
 def read_leadfield(path) -> Leadfield:
     path = Path(path)
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         src = LineReader(path, fh)
         _, _, p, q = src.words("LEADFIELD v1 <p> <q>")
         g = src.block(src.count(p), src.count(q))

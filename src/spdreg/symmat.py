@@ -53,16 +53,20 @@ def _as_stack(mats) -> np.ndarray:
 
 def SymMat(data) -> np.ndarray:  # noqa: N802 - the name perfbench/workloads.py imports
     """A matrix or ``(..., p, p)`` stack from outside the package as float64,
-    checked square, nonempty and finite (else ``ValueError``), symmetrized
-    by the one rule. ``data`` is read with ``np.asarray``, so no copy of a
+    checked square and nonempty, symmetrized by the one rule, and checked
+    finite after it, so an entry whose ``a + a^T`` overflows is refused too
+    (``ValueError``). ``data`` is read with ``np.asarray``, so no copy of a
     float64 array is made beside the output (a bundle's peak memory
     depends on it)."""
     a = np.asarray(data, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or 0 in a.shape:
         raise ValueError(f"expected nonempty square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return _sym(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        s = _sym(a)
+    if not np.all(np.isfinite(s)):
+        why = ": (a + a^T) / 2 overflows" if np.all(np.isfinite(a)) else ""
+        raise ValueError(f"matrix entries must be finite{why}")
+    return s
 
 
 def blocks(n: int, p: int) -> list[slice]:

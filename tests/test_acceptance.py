@@ -288,8 +288,8 @@ def test_c10_preset_sweep_budget(tmp_path):
             "sweep", "--preset", preset, "--repeats", 3, "--jobs", jobs, "--out", out
         )
         assert code == 0
-        # fig3-right is the one preset whose Karcher means take more than one
-        # step, so this also guards the means' descent loop past its first step
+        # no cell may record an error; the pipeline's references are
+        # closed-form means, so this guards those fits, not a descent loop
         lines = out.read_text().splitlines()
         err = lines[0].split(",").index("error")
         failed = [ln for ln in lines[1:] if ln.split(",")[err]]
@@ -330,8 +330,9 @@ def test_c12_predictions_inherit_the_metric_invariance():
     # the one-scale ridge follows: per-fold MAE and lambda* stay put. The
     # Wasserstein metric is invariant under orthogonal A only, and its
     # pipeline moves under an invertible one: the abstract's contrast.
-    # cond(A) <= 100: at 1e3 some draws stop the Karcher mean at its
-    # iteration budget.
+    # The pipeline runs no descent, so cond(A) <= 100 only bounds the
+    # round-off A adds to the data (about eps * cond(A)^2 relative), far
+    # under the 1e-8 bound.
     base = dict(p=6, q=2, n=80, mu=0.5, sigma=0.1, sigma_mix=0.01, seed=1)
     log_data, _ = sample_bundle(GenerativeConfig(**base, f_kind="log"))
     sqrt_data, _ = sample_bundle(GenerativeConfig(**base, f_kind="sqrt", orthogonal_a=True))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,22 @@ def test_non_symmetric_input_stored_symmetrized_bit_for_bit():
 def test_bad_matrices_raise_value_error(matrices):
     with pytest.raises(ValueError):
         CovarianceBundle(matrices, np.zeros(len(matrices)), nominal_rank=1)
+
+
+@pytest.mark.parametrize(
+    "matrices",
+    [[[[1e308, -1e308], [-1e308, 1e308]]], [[[1.0, 1e308], [1e308, 1.0]]],
+     [[[np.finfo(np.float64).max, 0.0], [0.0, 1.0]]]],
+    ids=["diagonal-and-off", "off-diagonal", "float64-max"],
+)
+def test_overflowing_symmetrization_raises_value_error(matrices):
+    # Every entry is finite, but (a + a^T) / 2 is not: the bundle is checked
+    # after the symmetrization, and says so without a RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^matrix entries must be finite: "
+                                             r"\(a \+ a\^T\) / 2 overflows$"):
+            CovarianceBundle(matrices, [1.0], nominal_rank=1)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Plain-text file formats: malformed inputs, golden bytes and round trips."""
 
 import base64
+import re
 import warnings
 
 import numpy as np
@@ -70,7 +71,8 @@ def covb_text(text):
 
 
 def write(path, kind, text):
-    path.write_text(covb_text(text) if kind == "covb" else text)
+    """``text`` as one byte per character, so ``\xff`` is the byte 0xff."""
+    path.write_bytes((covb_text(text) if kind == "covb" else text).encode("latin-1"))
 
 
 def edit(base, line, text):
@@ -110,6 +112,8 @@ CASES = [
     # contradicts them, a short triangle or the end of the file.
     ("covb-huge-p", "covb", 1, "COVB v3 1 100000000 1", 4),
     ("covb-huge-n", "covb", 1, "COVB v3 1000000000000 2 2", 11),
+    # More digits than int() converts is a count error at its line.
+    ("covb-overlong-count", "covb", 1, "COVB v3 " + "9" * 5000 + " 2 2", 1),
     ("covb-non-alphabet", "covb", 8, "*" + TRI[1:], 8),
     ("covb-bad-padding", "covb", 8, TRI[:-1], 8),
     ("covb-wrapped-triangle", "covb", 8, TRI[:16] + "\n" + TRI[16:], 8),
@@ -138,6 +142,15 @@ CASES = [
     ("model-scale-per-column", "model", 12, "scale 1 1 1", 12),
     ("model-zero-scale", "model", 12, "scale 0", 12),
     ("leadfield-nan-entry", "leadfield", 3, "1 nan 0.5", 3),
+    # Finite entries whose symmetrization (a + a^T) / 2 overflows: a COVB
+    # triangle is refused at its line, a MODEL reference at its embedding's.
+    ("covb-overflowing-entry", "covb", 8, "1 1e308 1", 8),
+    ("model-overflowing-reference", "model", 8, "1e308 0.5", 2),
+    # Every file is ASCII: any other byte is refused at its physical line.
+    ("covb-non-ascii-label", "covb", 6, "y 1.5\xff", 6),
+    ("covb-non-ascii-triangle", "covb", 8, "\xff" + TRI, 8),
+    ("model-non-ascii-row", "model", 8, "2 0.5\xff", 8),
+    ("leadfield-non-ascii-row", "leadfield", 4, "0 1\xff -0.5", 4),
 ]
 
 READERS = {"covb": read_covb, "model": read_model, "leadfield": read_leadfield}
@@ -192,8 +205,9 @@ def test_malformed_names_the_physical_line(case, tmp_path, capsys):
     assert message.startswith(f"{path}:{err_line}: ")
     err = capsys.readouterr().err
     assert err == f"error: {message}\n"
-    # The parser's own wording (row/column counted within a block) stays out.
-    for numpy_text in ("column", "at row", "could not convert", "loadtxt"):
+    # The parsers' and decoders' own wording (row/column counted within a
+    # block, the codec) stays out.
+    for numpy_text in ("column", "at row", "could not convert", "loadtxt", "codec"):
         assert numpy_text not in message
 
 
@@ -215,7 +229,9 @@ def test_covb_errors_name_the_sample(line, text, sample, tmp_path):
     [("1 0", "expected 3 numbers, got 2"), ("1 0 1 0", "expected 3 numbers, got 4"),
      (TRI[:16], "expected 3 numbers, got 12 bytes"), ("1 nan 1", "non-finite number nan"),
      ("1 0 inf", "non-finite number inf"), ("*" + TRI[1:], "bad base64 triangle line: "),
-     (TRI[:-1], "bad base64 triangle line: ")],
+     (TRI[:-1], "bad base64 triangle line: "),
+     ("1 1e308 1", r"entry 1e\+308 overflows the symmetrization \(a \+ a\^T\) / 2$"),
+     ("\xff" + TRI, "non-ASCII byte in its triangle line$")],
 )
 def test_covb_triangle_errors_say_what_is_wrong(text, message, tmp_path):
     path = tmp_path / "bad.covb"
@@ -299,6 +315,26 @@ def test_model_singular_geometric_reference_names_its_rank(tmp_path, capsys):
     assert "numerical rank 1 of 2" in capsys.readouterr().err
 
 
+def test_model_overflowing_reference_names_the_embedding_line(tmp_path, capsys):
+    # Finite entries whose (a + a^T) / 2 overflows: the reference is refused
+    # through its embedding, at that line.
+    path = tmp_path / "m.txt"
+    path.write_text(model_text("geometric", ["1e308 1e308", "1e308 1e308"], 3))
+    with pytest.raises(ConfigError, match=rf"^{path}:2: matrix entries must be finite: "
+                                          r"\(a \+ a\^T\) / 2 overflows$"):
+        read_model(path)
+    assert cli_read("model", path, tmp_path) == 2
+    assert "overflows" in capsys.readouterr().err
+
+
+def test_non_ascii_triangle_exits_2_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "bad.covb"
+    path.write_bytes(b"COVB v3 1 1 1\ny 0.5\n\xff\xfe\n")
+    assert run("mean", "--bundle", path, "--out", tmp_path / "m.txt") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:3: sample 0: non-ASCII byte in its triangle line\n"
+
+
 def test_model_ignores_blank_lines(tmp_path):
     plain, spaced = tmp_path / "a.txt", tmp_path / "b.txt"
     plain.write_text(MODEL)
@@ -309,11 +345,91 @@ def test_model_ignores_blank_lines(tmp_path):
 
 
 def test_underscore_digits_rejected(tmp_path):
-    # Labels go through numpy's parser, which refuses Python's 1_0.
+    # Labels go through the one number rule, which refuses Python's 1_0.
     path = tmp_path / "bad.covb"
     write(path, "covb", edit(COVB, 3, "y 1_0"))
     with pytest.raises(ConfigError, match=f"^{path}:3: sample 0: bad number '1_0'$"):
         read_covb(path)
+
+
+def base_bytes(kind):
+    """The bytes of base file ``kind`` as ``write`` stores them."""
+    return (covb_text(BASES[kind]) if kind == "covb" else BASES[kind]).encode("ascii")
+
+
+def arrays(kind, got):
+    """Every array (and float) a reader of ``kind`` returned in ``got``."""
+    if kind == "covb":
+        return [got.matrices, got.labels]
+    if kind == "model":
+        ridge, ref = got.model, got.embedding.reference
+        return [got.filt.w, got.filt.eigenvalues, ridge.beta, ridge.feature_mean,
+                ridge.feature_scale, ridge.lambda_star, ridge.intercept,
+                *([] if ref is None else [ref])]
+    return [got.g]
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_crlf_file_reads_as_its_lf_copy(kind, tmp_path):
+    lf, crlf = tmp_path / f"lf.{kind}", tmp_path / f"crlf.{kind}"
+    lf.write_bytes(base_bytes(kind))
+    crlf.write_bytes(base_bytes(kind).replace(b"\n", b"\r\n"))
+    a, b = arrays(kind, READERS[kind](lf)), arrays(kind, READERS[kind](crlf))
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        x, y = np.asarray(x, np.float64), np.asarray(y, np.float64)
+        assert x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+# Count words of each base file's header lines, as (physical line, word).
+COUNT_WORDS = {"covb": [(1, 2), (1, 3), (1, 4)],
+               "model": [(3, 2), (3, 3), (7, 1), (10, 1)],
+               "leadfield": [(1, 2), (1, 3)]}
+
+
+def mutants(kind, rng, number):
+    """``number`` mutants of base file ``kind``, cycling through five kinds:
+    one byte set to a random value, truncation at a random byte, a line
+    duplicated, a line dropped, and a header count set to 10^12."""
+    data = base_bytes(kind)
+    lines = data.splitlines(keepends=True)
+    for j in range(number):
+        step = j % 5
+        if step == 0:
+            flipped = bytearray(data)
+            flipped[rng.integers(len(data))] = rng.integers(256)
+            yield bytes(flipped)
+        elif step == 1:
+            yield data[:rng.integers(len(data))]
+        elif step == 2:
+            i = rng.integers(len(lines))
+            yield b"".join(lines[:i + 1] + lines[i:])
+        elif step == 3:
+            i = rng.integers(len(lines))
+            yield b"".join(lines[:i] + lines[i + 1:])
+        else:
+            line, word = COUNT_WORDS[kind][rng.integers(len(COUNT_WORDS[kind]))]
+            words = lines[line - 1].split()
+            words[word] = b"1000000000000"
+            yield b"".join(lines[:line - 1] + [b" ".join(words) + b"\n"] + lines[line:])
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_mutants_read_or_name_their_line(kind, tmp_path):
+    # A reader either returns finite arrays or raises ConfigError naming
+    # the file and a line; any other exception, or a warning, fails.
+    path = tmp_path / f"mutant.{kind}"
+    prefix = re.compile(rf"{re.escape(str(path))}:\d+: ")
+    for data in mutants(kind, np.random.default_rng(31), 200):
+        path.write_bytes(data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                got = READERS[kind](path)
+            except ConfigError as exc:
+                assert prefix.match(str(exc)), (data, str(exc))
+            else:
+                assert all(np.all(np.isfinite(a)) for a in arrays(kind, got)), data
 
 
 # ---------------------------------------------------------------------------
