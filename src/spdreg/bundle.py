@@ -13,7 +13,8 @@ LEADFIELD, command outputs) is decimal, written one ``%``-template per
 line or sample with 17 significant digits (lossless for float64), and read
 by :class:`LineReader`, one pass per line, through :func:`number`, the one
 number rule that option and config values share. A bundle read from a file
-is validated and symmetrized by its constructor.
+is checked by its constructor and keeps the stack the reader built, which
+is exactly symmetric.
 """
 
 from __future__ import annotations
@@ -53,7 +54,9 @@ class CovarianceBundle:
 
     ``matrices`` is any finite ``(n, p, p)`` array-like (a list of ``(p, p)``
     arrays too), stored by :func:`~spdreg.symmat.SymMat` as one read-only,
-    C-contiguous float64 array ``(a + a^T) / 2``.
+    C-contiguous float64 array ``(a + a^T) / 2``, the only stack it holds:
+    a stack already stored so, as the generator and :func:`read_covb` hand
+    over, is kept as it is.
     ``nominal_rank`` is an upper bound on the numerical rank of every
     matrix (equal to it for generated data).
     """
@@ -63,7 +66,7 @@ class CovarianceBundle:
     nominal_rank: int
 
     def __post_init__(self):
-        self.matrices = SymMat(_as_stack(self.matrices))
+        self.matrices = _as_stack(SymMat(self.matrices))
         p = self.dim
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.labels.shape != (self.n,):
@@ -135,7 +138,8 @@ def read_covb(path) -> CovarianceBundle:
     iu, ju = np.triu_indices(p)  # after the rows, which confirm p
     mats = np.empty((n, p, p))
     mats[:, iu, ju] = mats[:, ju, iu] = np.frombuffer(rows, "<f8").reshape(n, k)
-    del rows  # the constructor's copy need not sit beside the triangles
+    del rows
+    mats.flags.writeable = False  # exactly symmetric and finite: the bundle keeps it
     return CovarianceBundle(mats, labels, nominal_rank=rank)
 
 

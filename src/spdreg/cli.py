@@ -140,31 +140,44 @@ OPTIONS = {
 }
 
 
-def parse_config_file(path) -> dict:
+def parse_config_file(path, command: str) -> dict:
+    """The values a config file gives the options of ``command``, read one
+    physical line at a time as UTF-8 text (a value may name a non-ASCII
+    path). A line that is not UTF-8, has no ``=`` or holds a bad value is a
+    :class:`ConfigError` at ``<path>:<line>:``; an unknown key is one naming
+    the key and the command."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    by_name = {o.name: o for o in OPTIONS[command]}
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, val = line.split("=", 1)
-        values[key.strip()] = val.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            where = f"{path}:{lineno}:"
+            try:
+                text = raw.decode("utf-8").rstrip("\r\n")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{where} byte {raw[exc.start]:#04x} is not UTF-8") from None
+            line = text.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{where} expected 'key = value', got {text!r}")
+            key, val = (word.strip() for word in line.split("=", 1))
+            if key not in by_name:
+                raise ConfigError(f"unknown config key {key!r} for command {command!r}")
+            try:
+                values[key] = by_name[key].parse(val)
+            except ConfigError as exc:
+                raise ConfigError(f"{where} {exc}") from None
     return values
 
 
 def resolve_options(command: str, args: argparse.Namespace) -> dict:
     table = OPTIONS[command]
-    by_name = {o.name: o for o in table}
     values = {o.name: o.default for o in table}
     if args.config:
-        for key, raw in parse_config_file(args.config).items():
-            if key not in by_name:
-                raise ConfigError(f"unknown config key {key!r} for command {command!r}")
-            values[key] = by_name[key].parse(raw)
+        values.update(parse_config_file(args.config, command))
     for opt in table:
         flag_val = getattr(args, opt.name, None)
         if flag_val is not None:

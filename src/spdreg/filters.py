@@ -24,7 +24,7 @@ import numpy as np
 
 from .bundle import LineReader, write_rows
 from .errors import DegenerateDesign, DimensionMismatch, RankTooLarge
-from .symmat import _as_stack, _sym, eigh, numerical_rank
+from .symmat import _as_stack, _is_stored, _sym, eigh, numerical_rank
 
 FILTER_KINDS = ("identity", "unsupervised", "supervised", "mne")
 
@@ -144,14 +144,14 @@ def apply(filt: SpatialFilter, mats: np.ndarray) -> np.ndarray:
     """Project every covariance of the ``(n, p, p)`` array ``mats``, ``c -> w.T
     @ c @ w``, in one batched product, as a read-only, exactly symmetric
     ``(n, r, r)`` array. A filter whose ``w`` is exactly the identity returns
-    ``mats`` itself when it is already such an array (a bundle's matrices):
-    the product would give it back bit for bit, so no second copy is made.
+    ``mats`` itself when :func:`~spdreg.symmat.SymMat` would (a bundle's
+    matrices): the product would give it back bit for bit, so no second
+    copy is made.
     """
     w, p = filt.w, mats.shape[-1]
     if w.shape[0] != p:
         raise DimensionMismatch(f"filter expects dimension {w.shape[0]}, bundle has {p}")
-    no_copy = np.array_equal(w, np.eye(p)) and not mats.flags.writeable
-    if no_copy and np.array_equal(mats, mats.swapaxes(-1, -2)):
+    if np.array_equal(w, np.eye(p)) and _is_stored(mats):
         return mats
     return _sym(w.T @ mats @ w)
 

@@ -21,8 +21,9 @@ start itself, exact on the paper's generative models: one state, no
 descent. Every operation on samples takes an ``(n, p, p)`` array (a
 bundle's ``matrices``). The geometric state streams it in blocks of
 :func:`~spdreg.symmat.blocks`, writing each block's rows into the output,
-so its working memory does not grow with ``n``; the other kinds take the
-whole array at once. Distances and
+so its working memory does not grow with ``n``, and reads a subset's
+blocks from the shared array, so :func:`embed` never gathers a geometric
+stack; the other kinds take the whole array at once. Distances and
 :func:`embed` are pure functions, and the means are deterministic given
 their inputs. :func:`prepare_samples` does the reference-free part of an
 embedding once, giving :class:`Samples` that hold one per-sample array;
@@ -189,14 +190,17 @@ class Samples:
     float64 input), whose log maps all depend on the reference; the
     ``(n, p, r)`` eigen-factors of :func:`factorize` for ``wasserstein``;
     the ``(n, k)`` feature rows for ``euclidean`` and ``logdiag``. Every
-    kind's array, and every feature row the package makes, is C-ordered.
+    kind's array, and every feature row the package makes, is C-ordered,
+    and the arrays :func:`prepare_samples` computes are read-only.
 
     A :meth:`subset` shares ``data`` and records its rows in ``index``;
     :meth:`gather` takes them on each call, so a training split holds no
-    copy of them past its reference fit. Row ``i`` of ``data`` depends on
-    covariance ``i`` alone (but for zero factor columns, which means and
-    embeddings cut), and the batched kernels give each slice what they give
-    it alone: a subset fits and embeds bit for bit as if prepared alone.
+    copy of them past its reference fit, and :func:`embed` streams a
+    geometric subset's covariances without gathering them. Row ``i`` of
+    ``data`` depends on covariance ``i`` alone (but for zero factor columns,
+    which means and embeddings cut), and the batched kernels give each
+    slice what they give it alone: a subset fits and embeds bit for bit as
+    if prepared alone.
     """
 
     kind: str
@@ -234,18 +238,21 @@ def prepare_samples(mats, kind: str) -> Samples:
     if kind not in EMBEDDING_KINDS:
         raise ValueError(f"unknown embedding kind {kind!r}; expected one of {EMBEDDING_KINDS}")
     stack = _as_stack(mats)
+    if kind == "geometric":
+        return Samples(kind, stack)
     if kind == "euclidean":
-        return Samples(kind, _upper(stack))
-    if kind == "logdiag":
+        data = _upper(stack)
+    elif kind == "logdiag":
         d = np.diagonal(stack, axis1=1, axis2=2)
         if np.any(d <= 0):
             raise NonPositiveDiagonal(
                 f"diagonal entries must be positive (min {d.min():.3e})"
             )
-        return Samples(kind, np.log(d))
-    if kind == "geometric":
-        return Samples(kind, stack)
-    return Samples(kind, factorize(stack))
+        data = np.log(d)
+    else:
+        data = factorize(stack)
+    data.flags.writeable = False  # shared by every subset and by embed's rows
+    return Samples(kind, data)
 
 
 @contextmanager
@@ -315,11 +322,13 @@ def _descend(evaluate, move, x: np.ndarray, n: int, tol: float, what: str) -> np
     return x
 
 
-def _geo_state(m: np.ndarray, stack: np.ndarray):
+def _geo_state(m: np.ndarray, stack: np.ndarray, index=None):
     """``(m^1/2, rows, gsum, obj)`` of the whitened logs ``log(m^-1/2 c_i
-    m^-1/2)`` of the (n, p, p) stack, block by block
-    (:func:`~spdreg.symmat.blocks`): their C-ordered ``(n, k)`` feature rows,
-    their sum and their summed squares. The package's one whitened log.
+    m^-1/2)`` of the (n, p, p) stack, or of its matrices at ``index``, block
+    by block (:func:`~spdreg.symmat.blocks`): their C-ordered ``(n, k)``
+    feature rows, their sum and their summed squares. The package's one
+    whitened log. A block's matrices are taken from ``stack`` as the block
+    is reached, so a subset is never gathered whole.
 
     The rows are bit for bit what ``_upper`` gives the whole stack. The sum is
     bit for bit ``logs.sum(axis=0)``, which adds the slices in index order:
@@ -327,11 +336,11 @@ def _geo_state(m: np.ndarray, stack: np.ndarray):
     squares, which only feed the Armijo test, round by block.
     """
     isq, sq = sym_func(m, "inv_sqrt"), sym_func(m, "sqrt")
-    n, p = stack.shape[0], stack.shape[-1]
+    n, p = len(stack if index is None else index), stack.shape[-1]
     rows = np.empty((n, p * (p + 1) // 2))
     grad, obj = None, 0.0
     for blk in blocks(n, p):
-        logs = sym_func(isq @ stack[blk] @ isq, "log")
+        logs = sym_func(isq @ stack[blk if index is None else index[blk]] @ isq, "log")
         rows[blk] = _upper(logs)
         grad = (logs if grad is None else np.concatenate((grad[None], logs))).sum(axis=0)
         obj += float(np.sum(logs * logs))
@@ -537,17 +546,18 @@ def fit_embedding(mats, kind: str) -> tuple[Embedding, np.ndarray]:
     ``euclidean`` and ``logdiag`` have no reference. ``mats`` is an
     ``(n, p, p)`` array or :class:`Samples` prepared for ``kind``; a
     ``wasserstein`` reference has their largest rank. The samples are
-    gathered once, for the mean and for the rows, which are
-    ``embed(embedding, mats)``.
+    prepared once; the rows are ``embed(embedding, mats)``. The mean
+    gathers a subset's samples for itself and drops them, so a geometric
+    training stack, which the closed form needs whole, is not held beside
+    the rows that :func:`embed` then streams from the subset.
     """
-    with _gathered(mats, kind) as data:
-        train = Samples(kind, data)
-        if kind in ("euclidean", "logdiag"):
-            embedding = Embedding(kind)
-        else:
-            mean = mean_geometric if kind == "geometric" else mean_wasserstein
-            embedding = Embedding(kind, mean(train, descend=False))
-        return embedding, embed(embedding, train)
+    train = prepare_samples(mats, kind)
+    reference = None
+    if kind in ("geometric", "wasserstein"):
+        mean = mean_geometric if kind == "geometric" else mean_wasserstein
+        reference = mean(train, descend=False)
+    embedding = Embedding(kind, reference)
+    return embedding, embed(embedding, train)
 
 
 def embed(embedding: Embedding, mats) -> np.ndarray:
@@ -564,16 +574,21 @@ def embed(embedding: Embedding, mats) -> np.ndarray:
     :func:`dist_geometric`). ``mats`` is an ``(n, p, p)`` array or
     :class:`Samples` prepared for the embedding's kind, whose per-sample
     part is then not redone; a dimension not the reference's raises
-    :class:`DimensionMismatch`. A
+    :class:`DimensionMismatch`. Geometric rows are streamed from a subset's
+    shared covariances block by block, so its ``(n, p, p)`` stack is never
+    gathered; the other kinds gather their per-sample array once. A
     ``wasserstein`` row is continuous in its sample, but only Holder-1/2
     where the sample's rank drops (it moves as ``sqrt(t)`` as an eigenvalue
     ``t`` goes to 0); a sample of higher rank than the reference raises
-    :class:`RankMismatch` naming it.
+    :class:`RankMismatch` naming it. ``euclidean`` and ``logdiag`` rows of
+    samples prepared whole are their read-only per-sample array itself.
     """
     kind, reference = embedding.kind, embedding.reference
-    with _gathered(mats, kind) as data:
-        if reference is None:
-            return data
-        if len(reference) != data.shape[1]:
-            raise DimensionMismatch(f"reference dim {len(reference)} vs matrices dim {data.shape[1]}")
-        return (_geo_state if kind == "geometric" else _wass_state)(reference, data)[1]
+    prepared = prepare_samples(mats, kind)
+    if reference is not None and len(reference) != prepared.data.shape[1]:
+        raise DimensionMismatch(f"reference dim {len(reference)} vs matrices dim "
+                                f"{prepared.data.shape[1]}")
+    if kind == "geometric":
+        return _geo_state(reference, prepared.data, prepared.index)[1]
+    with _gathered(prepared, kind) as data:
+        return data if reference is None else _wass_state(reference, data)[1]

@@ -136,7 +136,7 @@ class RidgeModel:
     fitted: np.ndarray | None = None
 
 
-def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
+def fit_ridge_gcv(features, y, grid=None, *, overwrite_features=False) -> RidgeModel:
     """Ridge regression with GCV-selected regularization.
 
     The target and the feature columns are centred on the training data,
@@ -150,6 +150,12 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
     expression from one ``eigh`` of the smaller Gram matrix of the scaled
     n x k design: ``xs^T xs`` when ``k <= n``, ``xs xs^T`` when ``k > n``.
     Ties are broken toward the larger lambda.
+
+    ``features`` is left as it is, and the centred design is a new array,
+    unless ``overwrite_features`` is true (as ``overwrite_a`` in scipy):
+    then a writable float64 ``features`` array is centred and scaled in
+    place, its values lost, so the design is not held twice. A read-only
+    one is copied either way. The model is the same bit for bit.
 
     Raises
     ------
@@ -168,11 +174,16 @@ def fit_ridge_gcv(features, y, grid=None) -> RidgeModel:
         raise DimensionMismatch(f"expected {n} targets, got shape {y.shape}")
     grid = _as_grid(default_ridge_grid() if grid is None else grid)
 
-    # Centre into xs and scale it in place: the only n x k array made here.
-    mean = x.mean(axis=0)
-    xs = x - mean
+    # Centre into xs and scale it in place: the only n x k array made here,
+    # and none when the caller gives x up.
+    mean, big = x.mean(axis=0), max(x.max(), -x.min())
+    if overwrite_features and x.flags.writeable:
+        xs = x
+        xs -= mean
+    else:
+        xs = x - mean
     scale = np.linalg.norm(xs) / np.sqrt(n * k)
-    if scale <= n * np.finfo(float).eps * max(x.max(), -x.min()):
+    if scale <= n * np.finfo(float).eps * big:
         raise DegenerateDesign("all feature columns are constant")
     xs /= scale
     ybar = float(y.mean())
@@ -297,9 +308,11 @@ def project(filt: SpatialFilter, mats: np.ndarray, kind: str) -> Samples:
 
 def fit_fold(filt: SpatialFilter, train: Samples, labels, spec: PipelineSpec) -> FoldState:
     """Fit the embedding reference and ridge model on training samples
-    projected with ``filt`` and their labels; the fold keeps ``filt``."""
+    projected with ``filt`` and their labels; the fold keeps ``filt``. The
+    ridge centres the training rows in place when they are the fold's own
+    (not a read-only array of ``train``)."""
     embedding, rows = fit_embedding(train, spec.embedding_kind)
-    model = fit_ridge_gcv(rows, labels, spec.ridge_grid)
+    model = fit_ridge_gcv(rows, labels, spec.ridge_grid, overwrite_features=True)
     return FoldState(filt=filt, embedding=embedding, model=model)
 
 

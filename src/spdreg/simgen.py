@@ -19,9 +19,12 @@ with a pinned draw order: mixing seed matrix ``b``, coefficients
 blocks of :func:`~spdreg.symmat.blocks`, one draw per block from the same
 stream: the generator fills values in stream order whatever the shape, so
 the blocks hold the values of one ``(n, p, p)`` draw, which is never held
-whole. Identical configs therefore yield bit-identical bundles. Noise
-draws are taken even when their scale is zero so the same seed gives the
-same powers across parameter sweeps.
+whole. Each block is symmetrized as it is mixed, so the bundle keeps the
+generator's one stack. Identical configs therefore yield bit-identical
+bundles. The label noise ``eps`` is drawn even when ``sigma`` is zero, so
+the same seed gives the same powers and ``xi`` across parameter sweeps;
+the ``xi``, the stream's last draws, are skipped when ``sigma_mix`` is
+zero, which changes no earlier draw, and ``a + 0 xi`` is ``a``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import numpy as np
 from .bundle import CovarianceBundle
 from .errors import SpdregError
 from .regress import RESULTS_HEADER, PipelineSpec, effective_rank, results_rows, run_pipeline_cv
-from .symmat import blocks
+from .symmat import _sym, blocks
 
 F_KINDS = ("identity", "log", "sqrt")
 SWEEP_AXES = ("sigma", "mu", "sigma_mix")
@@ -159,8 +162,14 @@ def sample_bundle(cfg: GenerativeConfig) -> tuple[CovarianceBundle, np.ndarray]:
 
     mats = np.empty((cfg.n, cfg.p, cfg.p))
     for blk in blocks(cfg.n, cfg.p):
-        ai = a + cfg.sigma_mix * rng.standard_normal((blk.stop - blk.start, cfg.p, cfg.p))
-        mats[blk] = (ai * e[blk, None, :]) @ ai.swapaxes(1, 2)
+        ai = a
+        if cfg.sigma_mix:  # a + sigma_mix * xi, in one block
+            ai = rng.standard_normal((blk.stop - blk.start, cfg.p, cfg.p))
+            ai *= cfg.sigma_mix
+            ai += a
+        np.matmul(ai * e[blk, None, :], ai.swapaxes(-1, -2), out=mats[blk])
+        mats[blk] = _sym(mats[blk])
+    mats.flags.writeable = False  # symmetrized: the bundle keeps it
     return CovarianceBundle(matrices=mats, labels=y, nominal_rank=cfg.p), alpha
 
 

@@ -13,7 +13,8 @@ Karcher step all go through it. The kernels take any array and return
 plain arrays; all are pure functions safe to call concurrently.
 
 :func:`blocks` is the one block rule of the paths that stream per-sample
-work (the geometric tangent map, the generator): it cuts ``range(n)`` into
+work (the geometric tangent map, the generator, the checks and the
+symmetrization of :func:`SymMat`): it cuts ``range(n)`` into
 slices of about ``BLOCK_BYTES`` of ``p x p`` float64 matrices each, so
 their working memory depends on the block size, not on ``n``.
 """
@@ -51,22 +52,47 @@ def _as_stack(mats) -> np.ndarray:
     return stack
 
 
+def _is_stored(a) -> bool:
+    """Whether ``a`` is already what :func:`SymMat` returns: a read-only,
+    C-contiguous float64 array of nonempty square matrices, exactly
+    symmetric and finite (checked block by block)."""
+    if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and a.ndim >= 2
+            and a.flags.c_contiguous and not a.flags.writeable
+            and a.shape[-1] == a.shape[-2] and a.size):
+        return False
+    stack = a.reshape(-1, *a.shape[-2:])
+    return all(np.isfinite(m).all() and np.array_equal(m, m.swapaxes(1, 2))
+               for m in (stack[blk] for blk in blocks(*stack.shape[:2])))
+
+
 def SymMat(data) -> np.ndarray:  # noqa: N802 - the name perfbench/workloads.py imports
     """A matrix or ``(..., p, p)`` stack from outside the package as float64,
     checked square and nonempty, symmetrized by the one rule, and checked
-    finite after it, so an entry whose ``a + a^T`` overflows is refused too
-    (``ValueError``). ``data`` is read with ``np.asarray``, so no copy of a
-    float64 array is made beside the output (a bundle's peak memory
-    depends on it)."""
+    finite before and after it, so an entry whose ``a + a^T`` overflows is
+    refused too (``ValueError``).
+
+    The output is one read-only, C-contiguous array, and ``data`` is copied
+    at most once: an array :func:`_is_stored` accepts is returned as it is;
+    the new stack ``np.asarray`` makes of a list or tuple is symmetrized in
+    place, one :func:`blocks` block at a time; any other array is
+    symmetrized into a new one by block (a bundle's peak memory depends on
+    it)."""
+    if _is_stored(data):
+        return data
     a = np.asarray(data, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or 0 in a.shape:
         raise ValueError(f"expected nonempty square matrices, got shape {a.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
-        s = _sym(a)
-    if not np.all(np.isfinite(s)):
-        why = ": (a + a^T) / 2 overflows" if np.all(np.isfinite(a)) else ""
-        raise ValueError(f"matrix entries must be finite{why}")
-    return s
+    out = a if isinstance(data, (list, tuple)) else np.empty(a.shape)
+    src, dst = a.reshape(-1, *a.shape[-2:]), out.reshape(-1, *a.shape[-2:])
+    for blk in blocks(*src.shape[:2]):
+        if not np.isfinite(src[blk]).all():  # before the block is overwritten
+            raise ValueError("matrix entries must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+            dst[blk] = _sym(src[blk])
+        if not np.isfinite(dst[blk]).all():
+            raise ValueError("matrix entries must be finite: (a + a^T) / 2 overflows")
+    out.flags.writeable = False
+    return out
 
 
 def blocks(n: int, p: int) -> list[slice]:

@@ -848,12 +848,30 @@ class TestNumberGrammar:
 
     @pytest.mark.parametrize("key,value", BAD_NUMBERS)
     def test_config_value_exits_2_naming_it(self, tmp_path, capsys, key, value):
+        # The value is named with its file and line.
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        cfg.write_text(f"# sim\n\n{key} = {value}\n", encoding="utf-8")
         out = tmp_path / "b.covb"
         assert run("simulate", "--config", cfg, "--out", out) == 2
-        assert capsys.readouterr().err == f"error: expected {_kind(key)}, got {value!r}\n"
+        assert capsys.readouterr().err == (f"error: {cfg}:3: expected {_kind(key)}, "
+                                           f"got {value!r}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("line", [b"mu = 1\xff\n", b"out = b\xc3\xbc\xff.covb\n"],
+                             ids=["in-a-number", "in-a-utf8-path"])
+    def test_config_line_not_utf8_exits_2_naming_it(self, tmp_path, capsys, line):
+        # Read as bytes, so the byte is named at its line, not by the codec alone.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_bytes(b"n = 20\n" + line)
+        assert run("simulate", "--config", cfg, "--out", tmp_path / "b.covb") == 2
+        assert capsys.readouterr().err == f"error: {cfg}:2: byte 0xff is not UTF-8\n"
+        assert not (tmp_path / "b.covb").exists()
+
+    def test_config_value_may_name_a_non_ascii_path(self, tmp_path):
+        cfg, out = tmp_path / "sim.cfg", tmp_path / "b\u00fcndel.covb"
+        cfg.write_text(f"n = 20\nout = {out}\n", encoding="utf-8")
+        assert run("simulate", "--config", cfg) == 0
+        assert read_covb(out).n == 20
 
     def test_malformed_flag_exits_2_not_a_traceback(self, tmp_path, capsys):
         assert run("simulate", "--mu", "abc", "--out", tmp_path / "b.covb") == 2

@@ -323,6 +323,23 @@ class TestFitRidgeGCV:
         model = fit_ridge_gcv(x, y, grid)
         assert model.lambda_star in grid
 
+    @pytest.mark.parametrize("n, k", [(25, 4), (10, 30)])
+    def test_input_untouched_unless_given_up(self, n, k):
+        # By default the caller's rows are left as they are; given up, they
+        # are centred in place, and the model is the same bit for bit.
+        rng = np.random.default_rng(7)
+        x, y = rng.standard_normal((n, k)), rng.standard_normal(n)
+        kept = x.copy()
+        model = fit_ridge_gcv(x, y)
+        assert x.tobytes() == kept.tobytes()
+        given = fit_ridge_gcv(x, y, overwrite_features=True)
+        assert x.tobytes() != kept.tobytes()
+        for field in dataclasses.fields(RidgeModel):
+            a, b = getattr(model, field.name), getattr(given, field.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
+        kept.flags.writeable = False  # a read-only design is copied either way
+        fit_ridge_gcv(kept, y, overwrite_features=True)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_grid_rejected(self, bad):
         rng = np.random.default_rng(6)
